@@ -102,7 +102,7 @@ pub fn sweep(cfg: &HarnessConfig) -> Result<BandwidthTables, Error> {
     }
 
     if let Some(avg) = ours_at_lowest {
-        let m = avg.module_times_ms;
+        let m = avg.module_times;
         for (name, val) in [
             ("moving_object_extraction", m.extraction),
             ("upload_transmission", m.upload_tx),
@@ -111,7 +111,7 @@ pub fn sweep(cfg: &HarnessConfig) -> Result<BandwidthTables, Error> {
             ("perception_dissemination", m.dissemination),
             ("downlink_transmission", m.downlink_tx),
         ] {
-            breakdown.push_row(vec![name.into(), f3(val)]);
+            breakdown.push_row(vec![name.into(), f3(val * 1e3)]);
         }
     }
 

@@ -4,12 +4,11 @@
 //! cargo run --release -p erpd-bench --bin experiments              # all figures, 5 seeds
 //! cargo run --release -p erpd-bench --bin experiments -- --quick   # smoke-test sweep
 //! cargo run --release -p erpd-bench --bin experiments -- fig04 fig12
-//! cargo run --release -p erpd-bench --bin experiments -- --json    # BENCH_pipeline.json
 //! ```
 //!
 //! CSVs land in `results/`; the regenerated series are printed as markdown.
-//! `--json` runs the per-stage pipeline measurement alone and writes
-//! `BENCH_pipeline.json` (combine with figure names or `--quick` freely).
+//! Per-stage timings are not measured here: `benchmark/run.sh` is the
+//! repository's one performance record.
 
 use erpd_bench::{ablation, bandwidth, fig04, safety, HarnessConfig, Table};
 use erpd_edge::Error;
@@ -19,18 +18,10 @@ use std::time::Instant;
 fn main() -> Result<(), Error> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
     let selected: Vec<&str> = args.iter().filter(|a| !a.starts_with("--")).map(|s| s.as_str()).collect();
     let cfg = if quick { HarnessConfig::quick() } else { HarnessConfig::default() };
-    // Bare `--json` runs only the JSON measurement; figures still run when
-    // named explicitly (or when neither flag narrows the sweep).
-    let want = |name: &str| (selected.is_empty() && !json) || selected.contains(&name);
+    let want = |name: &str| selected.is_empty() || selected.contains(&name);
     let results = PathBuf::from("results");
-
-    if json {
-        eprintln!("[json] per-stage pipeline timings ...");
-        write_pipeline_json(quick)?;
-    }
 
     let mut tables: Vec<Table> = Vec::new();
     let t_start = Instant::now();
@@ -78,67 +69,6 @@ fn main() -> Result<(), Error> {
         t_start.elapsed().as_secs_f64(),
         results.display()
     );
-    Ok(())
-}
-
-/// Measures the per-stage pipeline breakdown (extraction, merge,
-/// tracking, prediction, relevance, knapsack) for the two headline
-/// scenarios under our strategy and writes `BENCH_pipeline.json`.
-///
-/// The JSON is hand-rolled — the workspace is hermetic (no serde) and the
-/// schema is flat: every value is a finite number or a string, so the
-/// writer needs no escaping beyond what the fixed keys already satisfy.
-/// Schema: see `docs/DESIGN.md` §"Per-stage observability".
-fn write_pipeline_json(quick: bool) -> Result<(), Error> {
-    use erpd_edge::{run, RunConfig, Strategy};
-    use erpd_sim::{ScenarioConfig, ScenarioKind};
-
-    let duration = if quick { 3.0 } else { 10.0 };
-    let scenarios = [
-        ("unprotected_left_turn", ScenarioKind::UnprotectedLeftTurn),
-        ("red_light_violation", ScenarioKind::RedLightViolation),
-    ];
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"erpd.bench_pipeline.v1\",\n");
-    out.push_str("  \"strategy\": \"ours\",\n");
-    out.push_str(&format!("  \"duration_s\": {duration:.1},\n"));
-    out.push_str("  \"scenarios\": [\n");
-    for (i, (name, kind)) in scenarios.iter().enumerate() {
-        let cfg = RunConfig::new(
-            Strategy::Ours,
-            ScenarioConfig::default().with_kind(*kind),
-        )
-        .with_duration(duration);
-        let r = run(cfg)?;
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{name}\",\n"));
-        out.push_str(&format!("      \"latency_ms\": {:.6},\n", r.latency_ms));
-        out.push_str("      \"stages\": [\n");
-        for (k, s) in r.stages.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"name\": \"{}\", \"mean_ms\": {:.6}, \"p50_ms\": {:.6}, \
-                 \"p95_ms\": {:.6}, \"items_per_frame\": {:.3}}}{}\n",
-                s.name,
-                s.mean_ms,
-                s.p50_ms,
-                s.p95_ms,
-                s.items_per_frame,
-                if k + 1 < r.stages.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < scenarios.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let path = PathBuf::from("BENCH_pipeline.json");
-    match std::fs::write(&path, out) {
-        Ok(()) => eprintln!("[json] wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
     Ok(())
 }
 

@@ -17,7 +17,6 @@ pub mod ablation;
 pub mod bandwidth;
 pub mod fig04;
 mod harness;
-pub mod multi_edge;
 pub mod runner;
 pub mod safety;
 mod table;

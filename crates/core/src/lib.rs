@@ -54,7 +54,6 @@ mod following;
 mod handover;
 mod knapsack;
 mod matrix;
-mod par;
 mod relevance;
 
 pub use dissemination::{

@@ -168,9 +168,9 @@ impl ObjectHypotheses {
 /// staleness discount of [`RelevanceConfig::staleness_discount`] to
 /// objects with a positive observation age.
 ///
-/// Receiver rows are independent, so they are assembled on fork-join
-/// threads when the `parallel` feature is on — `visible` therefore has to
-/// be `Fn + Sync` rather than `FnMut`. Row contents and iteration order
+/// Receiver rows are independent, so they are assembled on `erpd-par`'s
+/// fork-join threads — `visible` therefore has to be `Fn + Sync` rather
+/// than `FnMut`. Row contents and iteration order
 /// are identical to the sequential path at any thread count.
 ///
 /// # Errors
@@ -191,7 +191,7 @@ pub fn build_relevance_matrix_multi(
         .filter(|recv| receiver_set.contains(&recv.object))
         .collect();
     let visible = &visible;
-    let rows: Vec<(ObjectId, Vec<(ObjectId, f64)>)> = crate::par::par_map(recvs, |recv| {
+    let rows: Vec<(ObjectId, Vec<(ObjectId, f64)>)> = erpd_par::par_map(recvs, |recv| {
         let row = objects
             .iter()
             .filter(|obj| obj.object != recv.object && !visible(recv.object, obj.object))

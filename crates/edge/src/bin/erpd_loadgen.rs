@@ -1,19 +1,18 @@
 //! `erpd-loadgen` — replay synthetic vehicle clients against an edge
-//! daemon and emit the capacity artifact.
+//! daemon and print what each client count sustained.
 //!
 //! ```text
 //! erpd-loadgen [--clients 8,16,32,64,128] [--frames 50] [--vehicles 12]
-//!              [--out BENCH_capacity.json] [--addr HOST:PORT]
+//!              [--addr HOST:PORT]
 //! ```
 //!
 //! Without `--addr` each client count gets a fresh in-process daemon on an
-//! ephemeral port (the sweep mode that produces `BENCH_capacity.json`).
-//! With `--addr` the first client count is replayed against an external
-//! `erpd-daemon` instead.
+//! ephemeral port. With `--addr` the first client count is replayed
+//! against an external `erpd-daemon` instead. The table is a diagnostic,
+//! not a perf record: the committed measurement of the daemon path is the
+//! `daemon_rtt` workload of `benchmark/run.sh`.
 
-use erpd_edge::capacity::{
-    build_corpus, capacity_json, measure_against, measure_point, LoadgenConfig,
-};
+use erpd_edge::capacity::{build_corpus, measure_against, measure_point, LoadgenConfig};
 use erpd_edge::SystemConfig;
 use erpd_sim::ScenarioConfig;
 
@@ -21,7 +20,6 @@ fn main() {
     let mut counts: Vec<usize> = vec![8, 16, 32, 64, 128];
     let mut frames: u64 = 50;
     let mut vehicles: usize = 12;
-    let mut out = "BENCH_capacity.json".to_string();
     let mut addr: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -37,12 +35,11 @@ fn main() {
             "--vehicles" => {
                 vehicles = value("--vehicles").parse().expect("--vehicles wants an integer")
             }
-            "--out" => out = value("--out"),
             "--addr" => addr = Some(value("--addr")),
             "--help" | "-h" => {
                 println!(
                     "erpd-loadgen [--clients N,N,...] [--frames N] [--vehicles N] \
-                     [--out FILE] [--addr HOST:PORT]"
+                     [--addr HOST:PORT]"
                 );
                 return;
             }
@@ -69,28 +66,19 @@ fn main() {
     let corpus = build_corpus(base.scenario, &base.system, frames);
     eprintln!("erpd-loadgen: corpus has {} frames", corpus.frames.len());
 
-    let mut points = Vec::new();
-    match addr {
-        Some(a) => {
-            let target = a.parse().expect("--addr wants HOST:PORT");
-            let p = measure_against(&base, &corpus, target).expect("loadgen run failed");
-            points.push(p);
+    println!("clients  frames  p50_ms   p95_ms   delivery  frames_served");
+    let target = addr.map(|a| a.parse().expect("--addr wants HOST:PORT"));
+    let counts = if target.is_some() { &counts[..1] } else { &counts[..] };
+    for &clients in counts {
+        let cfg = LoadgenConfig { clients, ..base.clone() };
+        let p = match target {
+            Some(t) => measure_against(&cfg, &corpus, t),
+            None => measure_point(&cfg, &corpus),
         }
-        None => {
-            for &clients in &counts {
-                let cfg = LoadgenConfig { clients, ..base.clone() };
-                let p = measure_point(&cfg, &corpus).expect("loadgen run failed");
-                eprintln!(
-                    "erpd-loadgen: {:>4} clients  p50 {:>7.2} ms  p95 {:>7.2} ms  delivery {:.3}",
-                    p.clients, p.p50_ms, p.p95_ms, p.delivery_ratio
-                );
-                points.push(p);
-            }
-        }
+        .expect("loadgen run failed");
+        println!(
+            "{:>7}  {:>6}  {:>7.2}  {:>7.2}  {:>8.3}  {:>13}",
+            p.clients, p.frames_per_client, p.p50_ms, p.p95_ms, p.delivery_ratio, p.frames_served
+        );
     }
-
-    let json = capacity_json(&points, base.system.network.frame_period);
-    std::fs::write(&out, &json).expect("cannot write the capacity artifact");
-    println!("{json}");
-    eprintln!("erpd-loadgen: wrote {out}");
 }

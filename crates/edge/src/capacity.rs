@@ -13,9 +13,10 @@
 //! [`WARMUP_FRAMES`] of every client are paced and served but excluded
 //! from the statistics.
 //!
-//! [`measure_point`] runs one client count; [`run_sweep`] runs several and
-//! [`capacity_json`] renders the result as the `BENCH_capacity.json`
-//! artifact (vehicles/server vs p50/p95 latency and delivery ratio).
+//! [`measure_point`] runs one client count against a fresh in-process
+//! daemon, [`measure_against`] against one already running elsewhere; the
+//! `erpd-loadgen` binary prints the resulting [`CapacityPoint`]s as a
+//! table.
 
 use crate::daemon::{DaemonConfig, EdgeDaemon};
 use crate::transport::TcpTransport;
@@ -311,60 +312,6 @@ pub fn measure_against(
     })
 }
 
-/// Sweeps the client counts, one fresh daemon per point, reusing a single
-/// corpus.
-///
-/// # Errors
-///
-/// Propagates the first failing point.
-pub fn run_sweep(
-    base: &LoadgenConfig,
-    client_counts: &[usize],
-) -> io::Result<Vec<CapacityPoint>> {
-    let corpus = build_corpus(base.scenario, &base.system, base.frames);
-    let mut points = Vec::with_capacity(client_counts.len());
-    for &clients in client_counts {
-        let cfg = LoadgenConfig {
-            clients,
-            ..base.clone()
-        };
-        points.push(measure_point(&cfg, &corpus)?);
-    }
-    Ok(points)
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Renders the sweep as the `BENCH_capacity.json` artifact.
-pub fn capacity_json(points: &[CapacityPoint], frame_period: f64) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"bench\": \"capacity\",\n");
-    s.push_str(&format!(
-        "  \"frame_period_ms\": {},\n  \"points\": [\n",
-        json_f64(frame_period * 1e3)
-    ));
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"clients\": {}, \"frames_per_client\": {}, \"p50_ms\": {}, \"p95_ms\": {}, \"delivery_ratio\": {}, \"frames_served\": {}}}{}\n",
-            p.clients,
-            p.frames_per_client,
-            json_f64(p.p50_ms),
-            json_f64(p.p95_ms),
-            json_f64(p.delivery_ratio),
-            p.frames_served,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,22 +380,5 @@ mod tests {
         );
         assert!(p.p95_ms.is_finite() && p.p95_ms > 0.0);
         assert!(p.frames_served > 0);
-    }
-
-    #[test]
-    fn json_artifact_is_well_formed() {
-        let points = vec![CapacityPoint {
-            clients: 8,
-            frames_per_client: 20,
-            p50_ms: 3.25,
-            p95_ms: 9.5,
-            delivery_ratio: 1.0,
-            frames_served: 21,
-        }];
-        let s = capacity_json(&points, 0.1);
-        assert!(s.contains("\"clients\": 8"));
-        assert!(s.contains("\"p95_ms\": 9.500"));
-        assert!(s.contains("\"frame_period_ms\": 100.000"));
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
     }
 }

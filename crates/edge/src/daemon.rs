@@ -10,10 +10,11 @@
 //!   the [`crate::TcpTransport`] buffer keeps sync). A decoded upload
 //!   lands in the shared pending map; `Hello` registers the vehicle for
 //!   plan delivery; `Bye` or EOF retires the connection.
-//! * **serve** — one thread closing frames. A frame closes at its
-//!   deadline (the network model's `frame_period`) or early once every
+//! * **serve** — one thread closing frames. A frame closes once every
 //!   registered vehicle has submitted (the common case under light load —
-//!   this is what keeps p95 latency far below the frame period). The
+//!   this is what keeps p95 latency far below the frame period), else
+//!   `CLOSE_GRACE` (0.2) of a frame period after its first upload, else at
+//!   its deadline (the network model's `frame_period`). The
 //!   pending uploads run through the serving core and the resulting plan
 //!   is broadcast to every connection, tagged with acks naming each
 //!   `(vehicle, client_frame)` the served frame consumed.
@@ -45,35 +46,27 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Once the *first* upload of a frame has arrived, the frame closes after
+/// this fraction of the frame period even if some vehicles have not
+/// submitted — a straggler's upload simply rides the next frame
+/// (latest-wins keeps it pending). This bounds the punctual majority's
+/// latency by the grace window instead of the slowest vehicle's
+/// scheduling jitter.
+const CLOSE_GRACE: f64 = 0.2;
+
 /// How the daemon serves: strategy, network model (frame period and
-/// downlink budget), server parameters, and the frame-close policy.
+/// downlink budget) and server parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct DaemonConfig {
     /// Strategy, network model and server parameters — the same
     /// configuration an in-process [`crate::System`] takes.
     pub system: SystemConfig,
-    /// Close a frame as soon as every registered vehicle has submitted,
-    /// instead of always waiting out the full frame period. On by
-    /// default; turn off to measure pure deadline-driven serving.
-    pub early_close: bool,
-    /// With `early_close`, once the *first* upload of a frame has
-    /// arrived, close the frame after this fraction of the frame period
-    /// even if some vehicles have not submitted — a straggler's upload
-    /// simply rides the next frame (latest-wins keeps it pending). This
-    /// bounds the punctual majority's latency by the grace window instead
-    /// of the slowest vehicle's scheduling jitter. `0.2` by default;
-    /// clamped to `[0, 1]`.
-    pub close_grace: f64,
 }
 
 impl DaemonConfig {
-    /// The default serving configuration for a strategy.
+    /// The serving configuration for a system configuration.
     pub fn new(system: SystemConfig) -> Self {
-        DaemonConfig {
-            system,
-            early_close: true,
-            close_grace: 0.2,
-        }
+        DaemonConfig { system }
     }
 }
 
@@ -103,6 +96,15 @@ struct Ingest {
     conns: Vec<Conn>,
 }
 
+impl Ingest {
+    /// Files an upload under its vehicle. Latest wins: a superseded
+    /// pending upload is dropped, not queued — that is the backpressure
+    /// policy.
+    fn submit(&mut self, frame: u64, upload: Upload) {
+        self.pending.insert(upload.vehicle_id, (frame, upload));
+    }
+}
+
 #[derive(Debug)]
 struct Shared {
     ingest: Mutex<Ingest>,
@@ -123,8 +125,8 @@ pub struct EdgeDaemon;
 impl EdgeDaemon {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts the accept and serve threads. The daemon serves the same
-    /// stage graph `System::new(config.system, world)` would run against
-    /// `map`.
+    /// stage graph `System::builder(config.system).build(world)` would run
+    /// against `map`.
     ///
     /// # Errors
     ///
@@ -257,11 +259,11 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
                 registered = true;
             }
             Ok(Some(WireMessage::Upload { frame, upload })) => {
-                let mut ingest = shared.ingest.lock().expect("daemon lock poisoned");
-                // Latest wins: a superseded pending upload is dropped, not
-                // queued — that is the backpressure policy.
-                ingest.pending.insert(upload.vehicle_id, (frame, upload));
-                drop(ingest);
+                shared
+                    .ingest
+                    .lock()
+                    .expect("daemon lock poisoned")
+                    .submit(frame, upload);
                 shared.arrivals.notify_all();
             }
             // A client has no business sending plans or handovers (those
@@ -284,9 +286,8 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
 /// serves them through the core, and broadcasts the plan.
 fn serve_loop(config: DaemonConfig, mut core: ServingCore, shared: Arc<Shared>) {
     let period = Duration::from_secs_f64(config.system.network.frame_period);
-    let grace = period.mul_f64(config.close_grace.clamp(0.0, 1.0));
+    let grace = period.mul_f64(CLOSE_GRACE);
     let budget = config.system.network.downlink_budget_bytes();
-    let debug = std::env::var_os("ERPD_DAEMON_DEBUG").is_some();
     let mut frame: u64 = 0;
     'frames: loop {
         let deadline = Instant::now() + period;
@@ -296,43 +297,35 @@ fn serve_loop(config: DaemonConfig, mut core: ServingCore, shared: Arc<Shared>) 
         let mut ingest = shared.ingest.lock().expect("daemon lock poisoned");
         // Wait for the frame to fill, the grace window to lapse, or the
         // deadline to pass.
-        let close_reason = loop {
+        loop {
             if shared.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            let everyone_in = config.early_close
-                && !ingest.conns.is_empty()
+            let everyone_in = !ingest.conns.is_empty()
                 && ingest.conns.iter().all(|c| ingest.pending.contains_key(&c.vehicle));
             if everyone_in {
-                break "all-in";
+                break;
             }
             let now = Instant::now();
-            if config.early_close && grace_deadline.is_none() && !ingest.pending.is_empty() {
+            if grace_deadline.is_none() && !ingest.pending.is_empty() {
                 grace_deadline = Some(now + grace);
             }
             let close_at = grace_deadline.map_or(deadline, |g| g.min(deadline));
             if now >= close_at {
-                break if close_at < deadline { "grace" } else { "deadline" };
+                break;
             }
             let (guard, _) = shared
                 .arrivals
                 .wait_timeout(ingest, close_at - now)
                 .expect("daemon lock poisoned");
             ingest = guard;
-        };
+        }
         let pending = std::mem::take(&mut ingest.pending);
         let writers: Vec<(u64, Arc<Mutex<TcpStream>>)> = ingest
             .conns
             .iter()
             .map(|c| (c.conn_id, Arc::clone(&c.writer)))
             .collect();
-        if debug {
-            eprintln!(
-                "frame {frame}: close {close_reason} pending={} conns={}",
-                pending.len(),
-                ingest.conns.len()
-            );
-        }
         drop(ingest);
         if pending.is_empty() {
             // Nothing arrived this period (e.g. no clients yet): don't
@@ -416,32 +409,14 @@ mod tests {
 
     #[test]
     fn latest_upload_wins_per_vehicle() {
-        let mut handle = EdgeDaemon::spawn(
-            DaemonConfig { early_close: false, ..DaemonConfig::default() },
-            IntersectionMap::default(),
-            "127.0.0.1:0",
-        )
-        .unwrap();
-        let mut client = TcpTransport::connect(handle.addr()).unwrap();
-        client
-            .send_message(&WireMessage::Hello { vehicle_id: 9 })
-            .unwrap();
-        // Two uploads inside one frame period: the second supersedes.
-        client
-            .send_message(&WireMessage::Upload { frame: 0, upload: upload(9) })
-            .unwrap();
-        client
-            .send_message(&WireMessage::Upload { frame: 1, upload: upload(9) })
-            .unwrap();
-        let msg = client
-            .recv_message(Duration::from_secs(5))
-            .unwrap()
-            .expect("plan broadcast");
-        match msg {
-            WireMessage::Plan { acks, .. } => assert_eq!(acks, vec![(9, 1)]),
-            other => panic!("expected a plan, got {other:?}"),
-        }
-        handle.shutdown();
+        let mut ingest = Ingest::default();
+        // Two uploads from one vehicle before the frame closes: the second
+        // supersedes; another vehicle's entry is untouched.
+        ingest.submit(0, upload(9));
+        ingest.submit(4, upload(8));
+        ingest.submit(1, upload(9));
+        let acks: Vec<(u64, u64)> = ingest.pending.iter().map(|(&v, &(f, _))| (v, f)).collect();
+        assert_eq!(acks, vec![(8, 4), (9, 1)]);
     }
 
     #[test]

@@ -46,7 +46,6 @@ mod fault;
 mod metrics;
 mod multi;
 mod network;
-mod par;
 mod pipeline;
 mod server;
 mod stages;
@@ -64,13 +63,11 @@ pub use pipeline::{
     PredictStage, Predictions, RelevanceStage, RoundRobinDissemination, Stage, Staged,
     TrackStage, Tracks, TrafficMap,
 };
-pub use metrics::{percentile, run, run_seeds, AveragedResult, ModuleTimesMs, RunConfig, RunResult};
+pub use metrics::{percentile, run, run_seeds, AveragedResult, RunConfig, RunResult};
 pub use multi::{
     Coverage, Deployment, DeploymentBuilder, DeploymentReport, FleetReport, HandoverPolicy,
 };
-pub use stages::{
-    StageAccumulator, StageSample, StageSummary, StageTimer, StageTimes, STAGE_NAMES,
-};
+pub use stages::{StageSample, StageTimer, StageTimes, STAGE_NAMES};
 pub use network::NetworkConfig;
 pub use server::{DetectionSummary, EdgeServer, ServerConfig, ServerFrame, TRACK_ID_BASE};
 pub use system::{

@@ -1,7 +1,6 @@
 //! Run-level evaluation: drives a scenario under a strategy and aggregates
 //! the metrics every figure of the paper's evaluation plots.
 
-use crate::stages::{StageAccumulator, StageSummary};
 use crate::{ModuleTimes, Strategy, System, SystemConfig};
 use erpd_core::Error;
 use erpd_sim::{EntityKind, Scenario, ScenarioConfig};
@@ -80,28 +79,8 @@ pub struct RunResult {
     pub staleness_p95: f64,
     /// Mean coasted (stale-served) objects per frame.
     pub coasted_objects: f64,
-    /// Mean per-module times, milliseconds.
-    pub module_times_ms: ModuleTimesMs,
-    /// Per-stage wall-time summaries (mean/p50/p95 ms and items per
-    /// frame), in pipeline order.
-    pub stages: [StageSummary; 6],
-}
-
-/// Per-module mean times in milliseconds (Fig. 14b).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ModuleTimesMs {
-    /// Moving-object extraction.
-    pub extraction: f64,
-    /// Uplink transmission.
-    pub upload_tx: f64,
-    /// Traffic-map building.
-    pub map_build: f64,
-    /// Tracking + prediction + relevance.
-    pub prediction: f64,
-    /// Dissemination decision.
-    pub dissemination: f64,
-    /// Downlink transmission.
-    pub downlink_tx: f64,
+    /// Mean per-module times per frame, seconds (Fig. 14b).
+    pub module_times: ModuleTimes,
 }
 
 /// Runs one scenario under one strategy and aggregates the metrics.
@@ -122,17 +101,14 @@ pub fn run(config: RunConfig) -> Result<RunResult, Error> {
     let mut detected_sum = 0.0;
     let mut predicted_sum = 0.0;
     let mut times = ModuleTimes::default();
-    let mut latency_sum = 0.0;
     let mut frames = 0usize;
     let mut expected_uploads = 0usize;
     let mut delivered_uploads = 0usize;
     let mut coasted_sum = 0usize;
     let mut staleness: Vec<f64> = Vec::new();
-    let mut stage_acc = StageAccumulator::new();
 
     for _ in 0..steps {
         let report = system.tick(&mut scenario.world)?;
-        stage_acc.record(&report.stages);
         frames += 1;
         expected_uploads += report.expected_uploads;
         delivered_uploads += report.delivered_uploads;
@@ -142,13 +118,7 @@ pub fn run(config: RunConfig) -> Result<RunResult, Error> {
         upload_samples += report.upload_bytes.len();
         dissemination_bytes_sum += report.dissemination_bytes;
         predicted_sum += report.predicted_trajectories as f64;
-        latency_sum += report.latency();
-        times.extraction += report.times.extraction;
-        times.upload_tx += report.times.upload_tx;
-        times.map_build += report.times.map_build;
-        times.prediction += report.times.prediction;
-        times.dissemination += report.times.dissemination;
-        times.downlink_tx += report.times.downlink_tx;
+        times.add(&report.times());
 
         // Ground-truth match: how many moving entities did the server know?
         let moving: Vec<_> = scenario
@@ -204,7 +174,7 @@ pub fn run(config: RunConfig) -> Result<RunResult, Error> {
         dissemination_mbps: to_mbps(dissemination_bytes_sum as f64, nf),
         detected_objects: detected_sum / nf,
         predicted_trajectories: predicted_sum / nf,
-        latency_ms: latency_sum / nf * 1e3,
+        latency_ms: times.end_to_end() / nf * 1e3,
         delivery_ratio: if expected_uploads == 0 {
             1.0
         } else {
@@ -212,15 +182,7 @@ pub fn run(config: RunConfig) -> Result<RunResult, Error> {
         },
         staleness_p95: percentile(&mut staleness, 0.95),
         coasted_objects: coasted_sum as f64 / nf,
-        module_times_ms: ModuleTimesMs {
-            extraction: times.extraction / nf * 1e3,
-            upload_tx: times.upload_tx / nf * 1e3,
-            map_build: times.map_build / nf * 1e3,
-            prediction: times.prediction / nf * 1e3,
-            dissemination: times.dissemination / nf * 1e3,
-            downlink_tx: times.downlink_tx / nf * 1e3,
-        },
-        stages: stage_acc.summaries(),
+        module_times: times.scaled(1.0 / nf),
     })
 }
 
@@ -270,8 +232,8 @@ pub struct AveragedResult {
     pub staleness_p95: f64,
     /// Mean coasted objects per frame.
     pub coasted_objects: f64,
-    /// Mean module breakdown, ms.
-    pub module_times_ms: ModuleTimesMs,
+    /// Mean module breakdown, seconds.
+    pub module_times: ModuleTimes,
 }
 
 impl AveragedResult {
@@ -279,6 +241,10 @@ impl AveragedResult {
     pub fn from_runs(runs: &[RunResult]) -> Self {
         let n = runs.len().max(1) as f64;
         let mean = |f: &dyn Fn(&RunResult) -> f64| runs.iter().map(f).sum::<f64>() / n;
+        let mut module_times = ModuleTimes::default();
+        for r in runs {
+            module_times.add(&r.module_times);
+        }
         AveragedResult {
             safe_passage_rate: mean(&|r| if r.safe_passage { 1.0 } else { 0.0 }),
             min_distance: mean(&|r| r.min_distance),
@@ -289,14 +255,7 @@ impl AveragedResult {
             delivery_ratio: mean(&|r| r.delivery_ratio),
             staleness_p95: mean(&|r| r.staleness_p95),
             coasted_objects: mean(&|r| r.coasted_objects),
-            module_times_ms: ModuleTimesMs {
-                extraction: mean(&|r| r.module_times_ms.extraction),
-                upload_tx: mean(&|r| r.module_times_ms.upload_tx),
-                map_build: mean(&|r| r.module_times_ms.map_build),
-                prediction: mean(&|r| r.module_times_ms.prediction),
-                dissemination: mean(&|r| r.module_times_ms.dissemination),
-                downlink_tx: mean(&|r| r.module_times_ms.downlink_tx),
-            },
+            module_times: module_times.scaled(1.0 / n),
         }
     }
 }
@@ -420,31 +379,6 @@ mod tests {
         let mut s = vec![3.0, 1.0, 2.0];
         assert_eq!(percentile(&mut s, 0.5), 2.0);
         assert_eq!(percentile(&mut [], 0.95), 0.0);
-    }
-
-    #[test]
-    fn stage_summaries_cover_the_pipeline() {
-        use crate::STAGE_NAMES;
-        let sc = scenario_cfg(ScenarioKind::UnprotectedLeftTurn);
-        let r = run(RunConfig::new(Strategy::Ours, sc).with_duration(3.0)).unwrap();
-        let names: Vec<&str> = r.stages.iter().map(|s| s.name).collect();
-        assert_eq!(names, STAGE_NAMES);
-        for s in &r.stages {
-            assert!(s.mean_ms >= 0.0 && s.p50_ms >= 0.0 && s.p95_ms >= 0.0);
-        }
-        // The busy stages see work every frame once vehicles are scanned.
-        let by_name = |n: &str| r.stages.iter().find(|s| s.name == n).unwrap();
-        assert!(by_name("extraction").items_per_frame > 0.0);
-        assert!(by_name("tracking").items_per_frame > 0.0);
-        assert!(by_name("prediction").items_per_frame > 0.0);
-        assert!(by_name("knapsack").items_per_frame > 0.0);
-        // Timers actually ran: tracking + prediction + relevance wall time
-        // is positive over the run.
-        let busy: f64 = ["tracking", "prediction", "relevance"]
-            .iter()
-            .map(|n| by_name(n).mean_ms)
-            .sum();
-        assert!(busy > 0.0, "stage timers must record wall time");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! ([`GreedyDissemination`], [`RoundRobinDissemination`],
 //! [`BroadcastDissemination`]) rather than `match` arms.
 //!
-//! The `parallel` feature's fork-join fan-out lives *inside* the stages
+//! The `erpd-par` fork-join fan-out lives *inside* the stages
 //! that use it (map merge in [`MergeStage`], trajectory fan-out in
 //! [`PredictStage`]), so swapping a stage never changes the threading of
 //! its neighbours.
@@ -284,7 +284,7 @@ impl Stage<(), TrafficMap> for MergeStage {
         // Digest every upload, then voxelise only the changed ones (in
         // parallel — the absorb/retract bookkeeping below is per-cell and
         // cheap, the per-point voxel keying is the heavy part).
-        let digests = crate::par::par_map(cx.uploads.iter().collect(), |u: &Upload| {
+        let digests = erpd_par::par_map(cx.uploads.iter().collect(), |u: &Upload| {
             upload_digest(u)
         });
         let mut changed: Vec<(&Upload, u64)> = Vec::new();
@@ -299,7 +299,7 @@ impl Stage<(), TrafficMap> for MergeStage {
             }
         }
         let misses = changed.len();
-        let partials = crate::par::par_map(changed, |(u, digest): (&Upload, u64)| {
+        let partials = erpd_par::par_map(changed, |(u, digest): (&Upload, u64)| {
             let mut m = PointCloudMerger::new(voxel_size);
             for o in &u.objects {
                 m.add(&o.points);
@@ -978,7 +978,7 @@ impl Stage<Tracks, Predictions> for PredictStage {
         let lanes = &lane_by_id;
         let recv_set = &receiver_set;
         let age_of = &input.ages;
-        let predicted = crate::par::par_map(predicted_ids, |id| {
+        let predicted = erpd_par::par_map(predicted_ids, |id| {
             let &Kinematics {
                 position: pos,
                 speed,
@@ -1156,10 +1156,8 @@ impl Stage<Predictions, ServerFrame> for RelevanceStage {
             map_points: input.map.map_points,
             coasted_objects: staleness.len(),
             staleness,
-            // The driver ([`crate::EdgeServer::process`]) derives these
-            // from the stage samples so they can never disagree with them.
-            map_build_time: 0.0,
-            prediction_time: 0.0,
+            // Filled by the driver ([`crate::EdgeServer::process`]) from
+            // the stages' own samples.
             stages: Default::default(),
         };
         Ok(Staged {

@@ -184,12 +184,6 @@ pub struct ServerFrame {
     /// Observation age of each coasted object, seconds (empty when nothing
     /// coasted).
     pub staleness: Vec<f64>,
-    /// Wall time of map building (merge + association), seconds. Derived
-    /// from `stages.merge` — always equal to `stages.merge.seconds`.
-    pub map_build_time: f64,
-    /// Wall time of tracking + prediction + relevance, seconds. Derived
-    /// from the corresponding stage samples — always their exact sum.
-    pub prediction_time: f64,
     /// Per-stage timings and item counts. The server fills `merge`,
     /// `tracking`, `prediction`, and `relevance`; the [`crate::System`]
     /// adds `extraction` and `knapsack` around this frame.
@@ -254,11 +248,8 @@ impl EdgeServer {
     /// Processes one frame of uploads by running the stage graph:
     /// `merge → associate → track → predict → relevance`.
     ///
-    /// Every timing field of the returned frame is derived from the
-    /// stages' own [`StageSample`]s — `map_build_time` *is*
-    /// `stages.merge.seconds` and `prediction_time` *is* the exact sum of
-    /// the tracking, prediction, and relevance samples, so module-level
-    /// and stage-level timings can never disagree.
+    /// The returned frame's only timing record is `stages`, filled from
+    /// the stages' own [`StageSample`]s.
     ///
     /// With a positive [`ServerConfig::coast_horizon`], objects and
     /// connected vehicles whose upload went missing are **coasted**:
@@ -281,7 +272,7 @@ impl EdgeServer {
         let mut frame = relevant.artifact;
         // The canonical "merge" sample covers map merge + association,
         // preserving the pre-refactor stage schema.
-        let stages = StageTimes {
+        frame.stages = StageTimes {
             merge: StageSample::new(
                 merged.sample.seconds + assoc.sample.seconds,
                 assoc.sample.items,
@@ -291,10 +282,6 @@ impl EdgeServer {
             relevance: relevant.sample,
             ..Default::default()
         };
-        frame.map_build_time = stages.merge.seconds;
-        frame.prediction_time =
-            stages.tracking.seconds + stages.prediction.seconds + stages.relevance.seconds;
-        frame.stages = stages;
         Ok(frame)
     }
 
@@ -524,20 +511,6 @@ mod tests {
         let f = s.process(0.0, &[u]).unwrap();
         assert!(f.object_near(Vec2::new(21.0, 1.0), 4.0).is_some());
         assert!(f.object_near(Vec2::new(90.0, 0.0), 4.0).is_none());
-    }
-
-    #[test]
-    fn module_times_always_equal_stage_times() {
-        let mut s = server();
-        let u1 = upload(1, Pose2::new(Vec2::new(-10.0, 0.0), 0.0), vec![(20.0, 0.0, 40, 3.0)]);
-        let u2 = upload(2, Pose2::new(Vec2::new(40.0, 0.0), 0.0), vec![(20.3, 0.2, 40, 3.0)]);
-        let f = s.process(0.0, &[u1, u2]).unwrap();
-        // Exact f64 equality: both views are derived from the same samples.
-        assert_eq!(f.map_build_time, f.stages.merge.seconds);
-        assert_eq!(
-            f.prediction_time,
-            f.stages.tracking.seconds + f.stages.prediction.seconds + f.stages.relevance.seconds
-        );
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Per-stage observability: scoped wall-clock timers and item counters
 //! for the six pipeline stages — extraction, merge, tracking, prediction,
 //! relevance, and knapsack — surfaced per frame through
-//! [`FrameReport::stages`](crate::FrameReport) and aggregated across a run
-//! by [`StageAccumulator`].
+//! [`FrameReport::stages`](crate::FrameReport).
 //!
 //! The stage clock measures wall time only; item counts are deterministic,
 //! so a [`StageTimes`] compares equal across reruns everywhere except its
@@ -10,8 +9,7 @@
 
 use std::time::Instant;
 
-/// Canonical stage names, in pipeline order. Aggregation and the JSON
-/// emitter iterate in this order so output is stable.
+/// Canonical stage names, in pipeline order.
 pub const STAGE_NAMES: [&str; 6] = [
     "extraction",
     "merge",
@@ -115,69 +113,6 @@ impl StageTimes {
     }
 }
 
-/// Aggregated statistics for one stage across a run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageSummary {
-    /// Canonical stage name (one of [`STAGE_NAMES`]).
-    pub name: &'static str,
-    /// Mean wall time per frame, milliseconds.
-    pub mean_ms: f64,
-    /// Median wall time, milliseconds (nearest-rank).
-    pub p50_ms: f64,
-    /// 95th-percentile wall time, milliseconds (nearest-rank).
-    pub p95_ms: f64,
-    /// Mean work items per frame.
-    pub items_per_frame: f64,
-}
-
-/// Accumulates per-frame [`StageTimes`] into per-stage mean/p50/p95
-/// summaries.
-#[derive(Debug, Clone, Default)]
-pub struct StageAccumulator {
-    samples_ms: [Vec<f64>; 6],
-    items: [u64; 6],
-    frames: u64,
-}
-
-impl StageAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        StageAccumulator::default()
-    }
-
-    /// Number of frames recorded.
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-
-    /// Records one frame's stage times.
-    pub fn record(&mut self, stages: &StageTimes) {
-        for (k, (_, sample)) in stages.iter().into_iter().enumerate() {
-            self.samples_ms[k].push(sample.seconds * 1e3);
-            self.items[k] += sample.items as u64;
-        }
-        self.frames += 1;
-    }
-
-    /// Per-stage summaries in pipeline order (all-zero rows when nothing
-    /// was recorded). The fixed array keeps run results `Copy`.
-    pub fn summaries(&self) -> [StageSummary; 6] {
-        let n = self.frames.max(1) as f64;
-        std::array::from_fn(|k| {
-            let name = STAGE_NAMES[k];
-            let mut ms = self.samples_ms[k].clone();
-            let mean = ms.iter().sum::<f64>() / n;
-            StageSummary {
-                name,
-                mean_ms: mean,
-                p50_ms: crate::metrics::percentile(&mut ms, 0.50),
-                p95_ms: crate::metrics::percentile(&mut ms, 0.95),
-                items_per_frame: self.items[k] as f64 / n,
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,44 +143,6 @@ mod tests {
         a.fold_max(&b);
         assert_eq!(a.merge, StageSample::new(0.005, 7));
         assert_eq!(a.tracking, StageSample::new(0.001, 2));
-    }
-
-    #[test]
-    fn accumulator_reports_every_stage_in_order() {
-        let mut acc = StageAccumulator::new();
-        for k in 1..=4usize {
-            let t = StageTimes {
-                extraction: StageSample::new(k as f64 * 1e-3, 2),
-                knapsack: StageSample::new(k as f64 * 2e-3, 10),
-                ..StageTimes::default()
-            };
-            acc.record(&t);
-        }
-        let s = acc.summaries();
-        assert_eq!(s.len(), 6);
-        let names: Vec<&str> = s.iter().map(|x| x.name).collect();
-        assert_eq!(names, STAGE_NAMES);
-        let ext = &s[0];
-        assert!((ext.mean_ms - 2.5).abs() < 1e-9);
-        // Nearest-rank over [1, 2, 3, 4] ms.
-        assert_eq!(ext.p50_ms, 2.0);
-        assert_eq!(ext.p95_ms, 4.0);
-        assert_eq!(ext.items_per_frame, 2.0);
-        let knap = &s[5];
-        assert!((knap.mean_ms - 5.0).abs() < 1e-9);
-        assert_eq!(knap.items_per_frame, 10.0);
-    }
-
-    #[test]
-    fn empty_accumulator_reports_zero_rows() {
-        let acc = StageAccumulator::new();
-        assert_eq!(acc.frames(), 0);
-        for row in acc.summaries() {
-            assert_eq!(row.mean_ms, 0.0);
-            assert_eq!(row.p50_ms, 0.0);
-            assert_eq!(row.p95_ms, 0.0);
-            assert_eq!(row.items_per_frame, 0.0);
-        }
     }
 
     #[test]

@@ -38,7 +38,6 @@ mod dbscan;
 mod ground;
 mod merge;
 mod motion;
-mod registration;
 
 pub use cloud::{IntoPoints, PointCloud, Points, POINT_WIRE_BYTES};
 pub use compress::{
@@ -48,7 +47,6 @@ pub use compress::{
 pub use dbscan::{dbscan, DbscanParams, DbscanResult, DbscanScratch};
 pub use ground::GroundFilter;
 pub use merge::{merge_clouds, IncrementalMerger, PointCloudMerger, VoxelHasher};
-pub use registration::{apply_planar, icp_align, IcpConfig, IcpResult};
 pub use motion::{
     DetectedObject, ExtractionConfig, ExtractionOutput, ExtractionScratch, MovingObjectExtractor,
 };

@@ -35,7 +35,6 @@
 
 mod crowd;
 mod deviation;
-mod kalman;
 mod object;
 mod predict;
 mod rules;
@@ -43,7 +42,6 @@ mod track;
 
 pub use crowd::{cluster_crowds, cluster_dbscan, Crowd, CrowdParams, Pedestrian};
 pub use deviation::{crowd_final_deviations, final_position, mean_final_deviation};
-pub use kalman::{KalmanConfig, KalmanState, KalmanTrack, KalmanTracker};
 pub use object::{ObjectId, ObjectKind, ObjectState};
 pub use predict::{predict_ctrv, predict_from_track, PredictedTrajectory, PredictorConfig};
 pub use rules::{apply_rules, FollowerLink, LanePosition, RuleInput, TrackingSelection};

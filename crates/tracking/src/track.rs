@@ -21,9 +21,9 @@ pub struct Detection {
 }
 
 /// One detection after association: the tracker-assigned identity paired
-/// with the observation it matched. Returned by [`Tracker::update`] and
-/// [`crate::KalmanTracker::update`] in input order, so downstream stages
-/// can zip identities back onto whatever produced the detections.
+/// with the observation it matched. Returned by [`Tracker::update`] in
+/// input order, so downstream stages can zip identities back onto
+/// whatever produced the detections.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackedDetection {
     /// Tracker-assigned id, stable across frames.

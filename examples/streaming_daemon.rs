@@ -5,7 +5,7 @@
 //! The daemon runs the exact [`ServingCore`] the in-process [`System`]
 //! uses — the only difference is that every upload and plan crosses the
 //! versioned v1 wire codec and a socket. For the full capacity sweep
-//! (hundreds of clients, p50/p95, `BENCH_capacity.json`) use the
+//! (hundreds of clients, a p50/p95 table per client count) use the
 //! `erpd-loadgen` binary instead.
 //!
 //! ```bash

@@ -16,8 +16,9 @@
 //!   paper's primary contribution);
 //! * [`edge`] — the edge server, network model, baselines, and evaluation
 //!   runners;
-//! * [`par`] — the deterministic fork-join runtime behind the `parallel`
-//!   feature (thread-count control for benchmarks and differential tests).
+//! * [`par`] — the deterministic fork-join runtime the frame pipeline
+//!   fans out on (thread-count control for benchmarks and differential
+//!   tests).
 //!
 //! Most programs only need the [`prelude`].
 //!
@@ -57,13 +58,14 @@
 //! # Ok::<(), Error>(())
 //! ```
 //!
-//! # Features
+//! # Threading
 //!
-//! * `parallel` (default) — data-parallel frame pipeline: the per-vehicle
-//!   extraction, the edge server's map merge and trajectory prediction,
-//!   the per-receiver relevance assembly, and the V2V per-receiver fusion
-//!   all run on [`par`]'s fork-join threads. Outputs are bit-for-bit
-//!   identical to the sequential build; see DESIGN.md §"Threading model".
+//! There is one build flavour. The per-vehicle extraction, the edge
+//! server's map merge and trajectory prediction, the per-receiver
+//! relevance assembly, and the V2V per-receiver fusion all fan out on
+//! [`par`]'s fork-join threads; `ERPD_THREADS=1` or
+//! [`par::set_max_threads`]`(1)` runs them sequentially at run time, with
+//! bit-for-bit identical outputs (DESIGN.md §"Threading model").
 
 #![warn(missing_docs)]
 
@@ -98,7 +100,7 @@ pub mod prelude {
         BroadcastDissemination, Coverage, DaemonConfig, Deployment, DeploymentBuilder,
         DeploymentReport, EdgeDaemon, EdgeServer, Error, FaultModel, FleetReport, FrameCx,
         FrameReport, GreedyDissemination, HandoverPolicy, LoopbackTransport, ModuleTimes,
-        ModuleTimesMs, NetworkConfig, PipelineBuilder, PlanRequest, RoundRobinDissemination,
+        NetworkConfig, PipelineBuilder, PlanRequest, RoundRobinDissemination,
         RunConfig, RunResult, ServerConfig, ServerFrame, ServerHandle, ServingCore, Stage, Staged,
         Strategy, System, SystemBuilder, SystemConfig, TcpTransport, Transport, WireMessage,
         WireTransport, TRACK_ID_BASE, WIRE_VERSION,

@@ -7,7 +7,8 @@
 //! for the bare system, hashed with the same FNV scheme over the same
 //! scenario — so this test fails if the deployment's routing, ghost
 //! accounting, or track-id namespacing perturbs the single-edge path by
-//! even one bit.
+//! even one bit. Like that suite, the one `#[test]` below checks the
+//! constants sequentially and on four worker threads.
 
 use erpd::prelude::*;
 
@@ -97,25 +98,29 @@ fn deployment_fingerprint(fault: FaultModel, coast: f64, frames: usize) -> u64 {
 
 #[test]
 fn one_edge_deployment_matches_the_pinned_system_fingerprints() {
-    // Ideal channel: the exact constant stage_graph_determinism.rs pins
-    // for the bare system.
-    let ideal = deployment_fingerprint(FaultModel::default(), 0.0, 40);
-    assert_eq!(
-        ideal, 0x07ed590fdcbdf321,
-        "ideal: deployment fingerprint {ideal:#018x} diverged from the bare system"
-    );
+    // The thread count is process-wide; this file's single test owns it.
+    for threads in [1, 4] {
+        set_max_threads(threads);
+        // Ideal channel: the exact constant stage_graph_determinism.rs pins
+        // for the bare system.
+        let ideal = deployment_fingerprint(FaultModel::default(), 0.0, 40);
+        assert_eq!(
+            ideal, 0x07ed590fdcbdf321,
+            "ideal at {threads} thread(s): deployment fingerprint {ideal:#018x} diverged from the bare system"
+        );
 
-    // Faulty channel with coasting: loss, jitter, churn, and wire-level
-    // truncation all flow through the deployment's frame routing.
-    let fault = FaultModel::default()
-        .with_loss_prob(0.2)
-        .with_jitter(0.02)
-        .with_churn_prob(0.05)
-        .with_truncate_prob(0.2)
-        .with_seed(11);
-    let faulty = deployment_fingerprint(fault, 1.0, 40);
-    assert_eq!(
-        faulty, 0xc4e6e9cb4854091f,
-        "faulty: deployment fingerprint {faulty:#018x} diverged from the bare system"
-    );
+        // Faulty channel with coasting: loss, jitter, churn, and wire-level
+        // truncation all flow through the deployment's frame routing.
+        let fault = FaultModel::default()
+            .with_loss_prob(0.2)
+            .with_jitter(0.02)
+            .with_churn_prob(0.05)
+            .with_truncate_prob(0.2)
+            .with_seed(11);
+        let faulty = deployment_fingerprint(fault, 1.0, 40);
+        assert_eq!(
+            faulty, 0xc4e6e9cb4854091f,
+            "faulty at {threads} thread(s): deployment fingerprint {faulty:#018x} diverged from the bare system"
+        );
+    }
 }

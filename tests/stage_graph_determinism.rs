@@ -5,9 +5,9 @@
 //! bit-identical to it — deterministic counters, ids, byte tallies, and
 //! every `f64` (positions, relevances, staleness) compared via `to_bits`.
 //!
-//! The same constants must hold with and without the `parallel` feature
-//! (`scripts/ci.sh` runs both flavours) and on ideal *and* faulty
-//! networks; wall-clock fields are the only exemption.
+//! The same constants must hold sequentially and on four worker threads
+//! (the one `#[test]` below pins `set_max_threads` to 1, then 4) and on
+//! ideal *and* faulty networks; wall-clock fields are the only exemption.
 
 use erpd::prelude::*;
 
@@ -115,11 +115,15 @@ fn pipeline_fingerprints_match_the_pre_refactor_implementation() {
         ("unlimited/ideal", Strategy::Unlimited, FaultModel::default(), 0.0, 20, 0x2ba07434e1666a26),
         ("v2v/ideal", Strategy::V2v, FaultModel::default(), 0.0, 10, 0xe15b19508e53630c),
     ];
-    for (name, strategy, fault, coast, frames, expected) in cases {
-        let got = fingerprint(strategy, fault, coast, frames);
-        assert_eq!(
-            got, expected,
-            "{name}: fingerprint {got:#018x} != pinned {expected:#018x}"
-        );
+    // The thread count is process-wide; this file's single test owns it.
+    for threads in [1, 4] {
+        set_max_threads(threads);
+        for (name, strategy, fault, coast, frames, expected) in cases {
+            let got = fingerprint(strategy, fault, coast, frames);
+            assert_eq!(
+                got, expected,
+                "{name} at {threads} thread(s): fingerprint {got:#018x} != pinned {expected:#018x}"
+            );
+        }
     }
 }

@@ -17,7 +17,7 @@ use erpd::prelude::*;
 use erpd_edge::capacity::build_corpus;
 use erpd_edge::wire::write_message;
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn scenario() -> Scenario {
     Scenario::build(
@@ -119,6 +119,15 @@ fn tcp_daemon_matches_local_serving_core_exactly() {
             (v, t)
         })
         .collect();
+    // `Hello` is registered by each connection's reader thread, and a frame
+    // closes all-in over the vehicles registered *so far*: uploading before
+    // every handshake has landed would let round 0 close without the
+    // stragglers. Wait (bounded) until the daemon has seen everyone.
+    let registered_by = Instant::now() + Duration::from_secs(20);
+    while handle.connected_vehicles() < vehicles.len() {
+        assert!(Instant::now() < registered_by, "handshakes must register");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // The local reference: the same stage graph the daemon serves, fed
     // the same uploads after the same codec round trip.

@@ -2,10 +2,11 @@
 //! the dissemination strategies of the baselines.
 //!
 //! A dissemination decision is a set of `(object, receiver)` assignments.
-//! The paper's system solves the knapsack with [`greedy_plan`]; `EMP` uses
-//! a bandwidth-capped [`round_robin_plan`] over every pair; `Unlimited`
-//! uses [`broadcast_plan`]. [`optimal_plan`] (exact DP) is the ablation
-//! yardstick.
+//! The planners are the methods of [`PlanInputs`]: the paper's system
+//! solves the knapsack with [`PlanInputs::greedy`]; `EMP` uses a
+//! bandwidth-capped [`PlanInputs::round_robin`] over every pair;
+//! `Unlimited` uses [`PlanInputs::broadcast`]. [`PlanInputs::optimal`]
+//! (exact DP) is the ablation yardstick.
 
 use crate::{dp_knapsack, greedy_knapsack, KnapsackItem, RelevanceMatrix};
 use erpd_tracking::ObjectId;
@@ -45,15 +46,6 @@ impl DisseminationPlan {
             total_relevance,
             total_bytes,
         }
-    }
-
-    /// The objects scheduled for a given receiver.
-    pub fn for_receiver(&self, receiver: ObjectId) -> Vec<ObjectId> {
-        self.assignments
-            .iter()
-            .filter(|a| a.receiver == receiver)
-            .map(|a| a.object)
-            .collect()
     }
 
     /// True when nothing is disseminated.
@@ -161,25 +153,92 @@ impl PlanInputs<'_> {
         self.sizes.len() * self.receivers.len()
     }
 
-    /// The paper's Algorithm 1 ([`greedy_plan`]).
+    /// The paper's Algorithm 1: greedy relevance-per-byte scheduling under
+    /// the bandwidth budget `B` (bytes per frame).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use erpd_core::{PlanInputs, RelevanceMatrix};
+    /// use erpd_tracking::ObjectId;
+    /// use std::collections::BTreeMap;
+    ///
+    /// let mut matrix = RelevanceMatrix::new();
+    /// matrix.set(ObjectId(10), ObjectId(1), 0.9); // object 1 relevant to vehicle 10
+    /// let sizes = BTreeMap::from([(ObjectId(1), 1000u64)]);
+    /// let inputs = PlanInputs { matrix: &matrix, sizes: &sizes, receivers: &[ObjectId(10)] };
+    /// let plan = inputs.greedy(1500);
+    /// assert_eq!(plan.assignments.len(), 1);
+    /// assert_eq!(plan.total_bytes, 1000);
+    /// ```
     pub fn greedy(&self, budget: u64) -> DisseminationPlan {
-        greedy_plan(self.matrix, self.sizes, budget)
+        let (pairs, items) = flatten(self.matrix, self.sizes);
+        let sol = greedy_knapsack(&items, budget);
+        plan_from_chosen(&sol.chosen, &pairs, &items)
     }
 
-    /// Exact DP ablation yardstick ([`optimal_plan`]).
+    /// Exact dissemination via the DP knapsack (ablation yardstick).
     pub fn optimal(&self, budget: u64, granularity: u64) -> DisseminationPlan {
-        optimal_plan(self.matrix, self.sizes, budget, granularity)
+        let (pairs, items) = flatten(self.matrix, self.sizes);
+        let sol = dp_knapsack(&items, budget, granularity);
+        plan_from_chosen(&sol.chosen, &pairs, &items)
     }
 
-    /// The EMP-style rotation ([`round_robin_plan`]): returns the plan and
-    /// the offset that resumes the rotation next frame.
-    pub fn round_robin(&self, budget: u64, offset: usize) -> (DisseminationPlan, usize) {
-        round_robin_plan(self.sizes, self.receivers, self.matrix, budget, offset)
-    }
-
-    /// The `Unlimited` baseline ([`broadcast_plan`]).
+    /// The `Unlimited` baseline: every object to every receiver, no budget.
+    /// Relevance is recorded where known (0 otherwise).
     pub fn broadcast(&self) -> DisseminationPlan {
-        broadcast_plan(self.sizes, self.receivers, self.matrix)
+        let mut assignments = Vec::new();
+        for &receiver in self.receivers {
+            for (&object, &size_bytes) in self.sizes {
+                if object == receiver {
+                    continue;
+                }
+                assignments.push(Assignment {
+                    object,
+                    receiver,
+                    relevance: self.matrix.get(receiver, object),
+                    size_bytes,
+                });
+            }
+        }
+        DisseminationPlan::from_assignments(assignments)
+    }
+
+    /// The `EMP`-style Round-Robin strategy: all `(receiver, object)` pairs
+    /// in a fixed rotation, transmitted in order until the budget is
+    /// exhausted. `offset` is where the rotation starts this frame; the
+    /// returned offset resumes the rotation next frame, so over time every
+    /// pair gets a turn.
+    pub fn round_robin(&self, budget: u64, offset: usize) -> (DisseminationPlan, usize) {
+        let mut pairs = Vec::new();
+        for &receiver in self.receivers {
+            for (&object, &size_bytes) in self.sizes {
+                if object != receiver {
+                    pairs.push((receiver, object, size_bytes));
+                }
+            }
+        }
+        if pairs.is_empty() {
+            return (DisseminationPlan::default(), 0);
+        }
+        let mut assignments = Vec::new();
+        let mut used = 0u64;
+        let mut idx = offset % pairs.len();
+        for _ in 0..pairs.len() {
+            let (receiver, object, size_bytes) = pairs[idx];
+            if used + size_bytes > budget {
+                break;
+            }
+            used += size_bytes;
+            assignments.push(Assignment {
+                object,
+                receiver,
+                relevance: self.matrix.get(receiver, object),
+                size_bytes,
+            });
+            idx = (idx + 1) % pairs.len();
+        }
+        (DisseminationPlan::from_assignments(assignments), idx)
     }
 }
 
@@ -221,111 +280,6 @@ fn plan_from_chosen(
     )
 }
 
-/// The paper's Algorithm 1: greedy relevance-per-byte scheduling under the
-/// bandwidth budget `B` (bytes per frame).
-///
-/// # Examples
-///
-/// ```
-/// use erpd_core::{greedy_plan, RelevanceMatrix};
-/// use erpd_tracking::ObjectId;
-/// use std::collections::BTreeMap;
-///
-/// let mut m = RelevanceMatrix::new();
-/// m.set(ObjectId(10), ObjectId(1), 0.9); // object 1 relevant to vehicle 10
-/// let sizes = BTreeMap::from([(ObjectId(1), 1000u64)]);
-/// let plan = greedy_plan(&m, &sizes, 1500);
-/// assert_eq!(plan.assignments.len(), 1);
-/// assert_eq!(plan.total_bytes, 1000);
-/// ```
-pub fn greedy_plan(
-    matrix: &RelevanceMatrix,
-    sizes: &BTreeMap<ObjectId, u64>,
-    budget: u64,
-) -> DisseminationPlan {
-    let (pairs, items) = flatten(matrix, sizes);
-    let sol = greedy_knapsack(&items, budget);
-    plan_from_chosen(&sol.chosen, &pairs, &items)
-}
-
-/// Exact dissemination via the DP knapsack (ablation yardstick).
-pub fn optimal_plan(
-    matrix: &RelevanceMatrix,
-    sizes: &BTreeMap<ObjectId, u64>,
-    budget: u64,
-    granularity: u64,
-) -> DisseminationPlan {
-    let (pairs, items) = flatten(matrix, sizes);
-    let sol = dp_knapsack(&items, budget, granularity);
-    plan_from_chosen(&sol.chosen, &pairs, &items)
-}
-
-/// The `Unlimited` baseline: every object to every receiver, no budget.
-/// Relevance is recorded where known (0 otherwise).
-pub fn broadcast_plan(
-    objects: &BTreeMap<ObjectId, u64>,
-    receivers: &[ObjectId],
-    matrix: &RelevanceMatrix,
-) -> DisseminationPlan {
-    let mut assignments = Vec::new();
-    for &receiver in receivers {
-        for (&object, &size_bytes) in objects {
-            if object == receiver {
-                continue;
-            }
-            assignments.push(Assignment {
-                object,
-                receiver,
-                relevance: matrix.get(receiver, object),
-                size_bytes,
-            });
-        }
-    }
-    DisseminationPlan::from_assignments(assignments)
-}
-
-/// The `EMP`-style Round-Robin strategy: all `(receiver, object)` pairs in a
-/// fixed rotation, transmitted in order until the budget is exhausted.
-/// `offset` is where the rotation starts this frame; the returned offset
-/// resumes the rotation next frame, so over time every pair gets a turn.
-pub fn round_robin_plan(
-    objects: &BTreeMap<ObjectId, u64>,
-    receivers: &[ObjectId],
-    matrix: &RelevanceMatrix,
-    budget: u64,
-    offset: usize,
-) -> (DisseminationPlan, usize) {
-    let mut pairs = Vec::new();
-    for &receiver in receivers {
-        for (&object, &size_bytes) in objects {
-            if object != receiver {
-                pairs.push((receiver, object, size_bytes));
-            }
-        }
-    }
-    if pairs.is_empty() {
-        return (DisseminationPlan::default(), 0);
-    }
-    let mut assignments = Vec::new();
-    let mut used = 0u64;
-    let mut idx = offset % pairs.len();
-    for _ in 0..pairs.len() {
-        let (receiver, object, size_bytes) = pairs[idx];
-        if used + size_bytes > budget {
-            break;
-        }
-        used += size_bytes;
-        assignments.push(Assignment {
-            object,
-            receiver,
-            relevance: matrix.get(receiver, object),
-            size_bytes,
-        });
-        idx = (idx + 1) % pairs.len();
-    }
-    (DisseminationPlan::from_assignments(assignments), idx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,16 +296,27 @@ mod tests {
         m
     }
 
+    fn inputs<'a>(
+        matrix: &'a RelevanceMatrix,
+        sizes: &'a BTreeMap<ObjectId, u64>,
+        receivers: &'a [ObjectId],
+    ) -> PlanInputs<'a> {
+        PlanInputs {
+            matrix,
+            sizes,
+            receivers,
+        }
+    }
+
     #[test]
     fn greedy_respects_budget_and_relevance() {
         let m = matrix(&[(10, 1, 0.9), (10, 2, 0.8), (11, 1, 0.3)]);
         let s = sizes(&[(1, 1000), (2, 1000)]);
-        let plan = greedy_plan(&m, &s, 2000);
+        let plan = inputs(&m, &s, &[]).greedy(2000);
         assert_eq!(plan.assignments.len(), 2);
         assert!(plan.total_bytes <= 2000);
         // Highest-density pairs first: (10,1) and (10,2).
-        assert_eq!(plan.for_receiver(ObjectId(10)).len(), 2);
-        assert!(plan.for_receiver(ObjectId(11)).is_empty());
+        assert!(plan.assignments.iter().all(|a| a.receiver == ObjectId(10)));
     }
 
     #[test]
@@ -359,9 +324,9 @@ mod tests {
         // Sending one object to two receivers costs its size twice.
         let m = matrix(&[(10, 1, 0.9), (11, 1, 0.9)]);
         let s = sizes(&[(1, 1500)]);
-        let plan = greedy_plan(&m, &s, 2000);
+        let plan = inputs(&m, &s, &[]).greedy(2000);
         assert_eq!(plan.assignments.len(), 1);
-        let plan = greedy_plan(&m, &s, 3000);
+        let plan = inputs(&m, &s, &[]).greedy(3000);
         assert_eq!(plan.assignments.len(), 2);
         assert_eq!(plan.total_bytes, 3000);
     }
@@ -370,7 +335,7 @@ mod tests {
     fn objects_without_data_are_skipped() {
         let m = matrix(&[(10, 1, 0.9), (10, 2, 0.9)]);
         let s = sizes(&[(1, 100)]); // object 2 has no size entry
-        let plan = greedy_plan(&m, &s, 10_000);
+        let plan = inputs(&m, &s, &[]).greedy(10_000);
         assert_eq!(plan.assignments.len(), 1);
         assert_eq!(plan.assignments[0].object, ObjectId(1));
     }
@@ -381,8 +346,8 @@ mod tests {
         let m = matrix(&[(10, 1, 0.5), (10, 2, 0.6)]);
         let s = sizes(&[(1, 10), (2, 100)]);
         let budget = 105;
-        let g = greedy_plan(&m, &s, budget);
-        let o = optimal_plan(&m, &s, budget, 1);
+        let g = inputs(&m, &s, &[]).greedy(budget);
+        let o = inputs(&m, &s, &[]).optimal(budget, 1);
         assert!(o.total_relevance >= g.total_relevance);
         assert!(o.total_bytes <= budget);
     }
@@ -392,7 +357,9 @@ mod tests {
         let m = matrix(&[(10, 1, 0.9)]);
         let objs = sizes(&[(1, 500), (2, 700)]);
         let receivers = [ObjectId(10), ObjectId(11)];
-        let plan = broadcast_plan(&objs, &receivers, &m);
+        let all = inputs(&m, &objs, &receivers);
+        assert_eq!(all.candidate_pairs(), 4);
+        let plan = all.broadcast();
         assert_eq!(plan.assignments.len(), 4);
         assert_eq!(plan.total_bytes, 2 * (500 + 700));
         // Relevance recorded where known.
@@ -408,7 +375,7 @@ mod tests {
     fn broadcast_skips_self() {
         let objs = sizes(&[(10, 500), (1, 500)]);
         let receivers = [ObjectId(10)];
-        let plan = broadcast_plan(&objs, &receivers, &RelevanceMatrix::new());
+        let plan = inputs(&RelevanceMatrix::new(), &objs, &receivers).broadcast();
         assert_eq!(plan.assignments.len(), 1);
         assert_eq!(plan.assignments[0].object, ObjectId(1));
     }
@@ -418,10 +385,11 @@ mod tests {
         let objs = sizes(&[(1, 400), (2, 400)]);
         let receivers = [ObjectId(10), ObjectId(11)];
         // 4 pairs of 400 bytes; budget 1000 -> 2 transmissions per frame.
-        let (plan1, next) = round_robin_plan(&objs, &receivers, &RelevanceMatrix::new(), 1000, 0);
+        let blind = RelevanceMatrix::new();
+        let (plan1, next) = inputs(&blind, &objs, &receivers).round_robin(1000, 0);
         assert_eq!(plan1.assignments.len(), 2);
         assert_eq!(next, 2);
-        let (plan2, next2) = round_robin_plan(&objs, &receivers, &RelevanceMatrix::new(), 1000, next);
+        let (plan2, next2) = inputs(&blind, &objs, &receivers).round_robin(1000, next);
         assert_eq!(plan2.assignments.len(), 2);
         assert_eq!(next2, 0);
         // Across the two frames, all four pairs were served exactly once.
@@ -443,7 +411,7 @@ mod tests {
         let receivers = [ObjectId(10), ObjectId(11)];
         // Budget of 600: only one pair per frame, and rotation starts at 0
         // regardless of where the relevance is -> the relevant pair waits.
-        let (plan, _) = round_robin_plan(&objs, &receivers, &m, 600, 0);
+        let (plan, _) = inputs(&m, &objs, &receivers).round_robin(600, 0);
         assert_eq!(plan.assignments.len(), 1);
         assert_eq!(plan.total_relevance, 0.0);
     }
@@ -451,34 +419,14 @@ mod tests {
     #[test]
     fn round_robin_empty_inputs() {
         let (plan, next) =
-            round_robin_plan(&BTreeMap::new(), &[], &RelevanceMatrix::new(), 1000, 5);
+            inputs(&RelevanceMatrix::new(), &BTreeMap::new(), &[]).round_robin(1000, 5);
         assert!(plan.is_empty());
         assert_eq!(next, 0);
     }
 
     #[test]
-    fn plan_inputs_methods_match_the_free_functions() {
-        let m = matrix(&[(10, 1, 0.9), (10, 2, 0.8), (11, 1, 0.3)]);
-        let s = sizes(&[(1, 1000), (2, 1000)]);
-        let receivers = [ObjectId(10), ObjectId(11)];
-        let inputs = PlanInputs {
-            matrix: &m,
-            sizes: &s,
-            receivers: &receivers,
-        };
-        assert_eq!(inputs.candidate_pairs(), 4);
-        assert_eq!(inputs.greedy(2000), greedy_plan(&m, &s, 2000));
-        assert_eq!(inputs.optimal(2000, 1), optimal_plan(&m, &s, 2000, 1));
-        assert_eq!(
-            inputs.round_robin(1000, 3),
-            round_robin_plan(&s, &receivers, &m, 1000, 3)
-        );
-        assert_eq!(inputs.broadcast(), broadcast_plan(&s, &receivers, &m));
-    }
-
-    #[test]
     fn empty_matrix_yields_empty_plan() {
-        let plan = greedy_plan(&RelevanceMatrix::new(), &sizes(&[(1, 100)]), 1000);
+        let plan = inputs(&RelevanceMatrix::new(), &sizes(&[(1, 100)]), &[]).greedy(1000);
         assert!(plan.is_empty());
         assert_eq!(plan.total_bytes, 0);
         assert_eq!(plan.total_relevance, 0.0);

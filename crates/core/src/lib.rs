@@ -10,38 +10,37 @@
 //!    criteria ([`follower_at_risk`], §III-A2), assembling a
 //!    [`RelevanceMatrix`], and
 //! 3. schedules transmissions under a bandwidth budget with the greedy
-//!    knapsack of Algorithm 1 ([`greedy_plan`]), alongside the baselines'
-//!    strategies ([`round_robin_plan`], [`broadcast_plan`]) and an exact DP
-//!    yardstick ([`optimal_plan`]).
+//!    knapsack of Algorithm 1 ([`PlanInputs::greedy`]), alongside the
+//!    baselines' strategies ([`PlanInputs::round_robin`],
+//!    [`PlanInputs::broadcast`]) and an exact DP yardstick
+//!    ([`PlanInputs::optimal`]).
 //!
 //! # Examples
 //!
 //! End-to-end: two occluded vehicles on a collision course, one byte budget.
 //!
 //! ```
-//! use erpd_core::{build_relevance_matrix, greedy_plan, RelevanceConfig, RelevanceInputs};
+//! use erpd_core::{
+//!     build_relevance_matrix_multi, ObjectHypotheses, PlanInputs, RelevanceConfig, DEFAULT_ALPHA,
+//! };
 //! use erpd_tracking::{predict_ctrv, ObjectId, ObjectKind, PredictorConfig};
 //! use erpd_geometry::Vec2;
 //! use std::collections::BTreeMap;
 //!
 //! let cfg = PredictorConfig::default();
-//! let trajs = vec![
-//!     predict_ctrv(ObjectId(1), ObjectKind::Vehicle, Vec2::new(-20.0, 0.0),
-//!                  10.0, 0.0, 0.0, 4.5, cfg),
-//!     predict_ctrv(ObjectId(2), ObjectKind::Vehicle, Vec2::new(0.0, -20.0),
-//!                  10.0, std::f64::consts::FRAC_PI_2, 0.0, 4.5, cfg),
+//! let objects = vec![
+//!     ObjectHypotheses::single(predict_ctrv(ObjectId(1), ObjectKind::Vehicle,
+//!         Vec2::new(-20.0, 0.0), 10.0, 0.0, 0.0, 4.5, cfg)),
+//!     ObjectHypotheses::single(predict_ctrv(ObjectId(2), ObjectKind::Vehicle,
+//!         Vec2::new(0.0, -20.0), 10.0, std::f64::consts::FRAC_PI_2, 0.0, 4.5, cfg)),
 //! ];
 //! let receivers = [ObjectId(1), ObjectId(2)];
-//! let inputs = RelevanceInputs {
-//!     trajectories: &trajs,
-//!     receivers: &receivers,
-//!     followers: &[],
-//!     alpha: erpd_core::DEFAULT_ALPHA,
-//!     config: RelevanceConfig::default(),
-//! };
-//! let matrix = build_relevance_matrix(&inputs, |_, _| false).unwrap(); // mutual occlusion
+//! let matrix = build_relevance_matrix_multi(
+//!     &objects, &receivers, &[], DEFAULT_ALPHA, RelevanceConfig::default(),
+//!     |_, _| false, // mutual occlusion
+//! ).unwrap();
 //! let sizes = BTreeMap::from([(ObjectId(1), 4000u64), (ObjectId(2), 4000u64)]);
-//! let plan = greedy_plan(&matrix, &sizes, 10_000);
+//! let plan = PlanInputs { matrix: &matrix, sizes: &sizes, receivers: &receivers }.greedy(10_000);
 //! assert_eq!(plan.assignments.len(), 2); // each learns about the other
 //! ```
 
@@ -56,10 +55,7 @@ mod knapsack;
 mod matrix;
 mod relevance;
 
-pub use dissemination::{
-    broadcast_plan, greedy_plan, optimal_plan, round_robin_plan, Assignment, DisseminationPlan,
-    PlanInputs,
-};
+pub use dissemination::{Assignment, DisseminationPlan, PlanInputs};
 pub use error::Error;
 pub use handover::{PoseSample, Region, TrackSnapshot, VehicleHandover};
 pub use following::{
@@ -69,10 +65,7 @@ pub use following::{
 pub use knapsack::{
     brute_force_knapsack, dp_knapsack, greedy_knapsack, KnapsackItem, KnapsackSolution,
 };
-pub use matrix::{
-    build_relevance_matrix, build_relevance_matrix_multi, ObjectHypotheses, RelevanceInputs,
-    RelevanceMatrix,
-};
+pub use matrix::{build_relevance_matrix_multi, ObjectHypotheses, RelevanceMatrix};
 pub use relevance::{
     joint_gaussian_relevance, trajectory_relevance, RelevanceBreakdown, RelevanceConfig,
     RelevanceMode,

@@ -80,33 +80,6 @@ impl RelevanceMatrix {
             .map(|(&(_, o), &v)| (o, v))
             .collect()
     }
-
-    /// The maximum relevance any receiver assigns to `object`.
-    pub fn max_for_object(&self, object: ObjectId) -> f64 {
-        self.entries
-            .iter()
-            .filter(|(&(_, o), _)| o == object)
-            .map(|(_, &v)| v)
-            .fold(0.0, f64::max)
-    }
-}
-
-/// Inputs to [`build_relevance_matrix`].
-#[derive(Debug)]
-pub struct RelevanceInputs<'a> {
-    /// Predicted trajectories (Rule 1 leaders, Rule 2 vehicles, and crowd
-    /// representatives). These are both the candidate perception objects and
-    /// the receivers' own motion.
-    pub trajectories: &'a [PredictedTrajectory],
-    /// Connected vehicles that can receive disseminated data.
-    pub receivers: &'a [ObjectId],
-    /// Car-following links from Rule 1, ordered leader-first within each
-    /// lane (as produced by `erpd_tracking::apply_rules`).
-    pub followers: &'a [FollowerLink],
-    /// Relevance decay factor α for followers.
-    pub alpha: f64,
-    /// Relevance-estimation configuration.
-    pub config: RelevanceConfig,
 }
 
 /// A tracked object with one or more predicted trajectory hypotheses.
@@ -162,11 +135,22 @@ impl ObjectHypotheses {
     }
 }
 
-/// Hypothesis-aware relevance-matrix construction: like
-/// [`build_relevance_matrix`] but taking the max relevance over all
-/// trajectory-hypothesis combinations per pair, and applying the
-/// staleness discount of [`RelevanceConfig::staleness_discount`] to
-/// objects with a positive observation age.
+/// Builds the relevance matrix of paper §III-A, hypothesis-aware: the
+/// relevance of a pair is the max over all trajectory-hypothesis
+/// combinations (the paper's single-trajectory formula is the
+/// [`ObjectHypotheses::single`] case), with the staleness discount of
+/// [`RelevanceConfig::staleness_discount`] applied to objects with a
+/// positive observation age.
+///
+/// `objects` are both the candidate perception objects and the receivers'
+/// own motion; `receivers` are the connected vehicles that can receive
+/// disseminated data. `visible(receiver, object)` must return true when the
+/// receiver's own LiDAR already perceives the object — such pairs get
+/// relevance 0 ("it is unnecessary to disseminate the perception data
+/// related to those objects"). `followers` are the car-following links from
+/// Rule 1, ordered leader-first within each lane (as produced by
+/// `erpd_tracking::apply_rules`): a follower that violates a car-following
+/// criterion inherits `α^depth · R_leader`.
 ///
 /// Receiver rows are independent, so they are assembled on `erpd-par`'s
 /// fork-join threads — `visible` therefore has to be `Fn + Sync` rather
@@ -219,18 +203,8 @@ pub fn build_relevance_matrix_multi(
             m.try_set(receiver, object, r)?;
         }
     }
-    let mut visible_mut = |r, o| visible(r, o);
-    propagate_followers(&mut m, followers, alpha, &receiver_set, &mut visible_mut)?;
-    Ok(m)
-}
-
-fn propagate_followers(
-    m: &mut RelevanceMatrix,
-    followers: &[FollowerLink],
-    alpha: f64,
-    receiver_set: &std::collections::BTreeSet<ObjectId>,
-    visible: &mut impl FnMut(ObjectId, ObjectId) -> bool,
-) -> Result<(), Error> {
+    // Follower propagation: links arrive leader-first per lane, so the
+    // immediate leader's row (possibly itself propagated) is already final.
     for link in followers {
         if !receiver_set.contains(&link.follower) || !follower_at_risk(link) {
             continue;
@@ -245,46 +219,6 @@ fn propagate_followers(
             }
         }
     }
-    Ok(())
-}
-
-/// Builds the relevance matrix of paper §III-A.
-///
-/// `visible(receiver, object)` must return true when the receiver's own
-/// LiDAR already perceives the object — such pairs get relevance 0 ("it is
-/// unnecessary to disseminate the perception data related to those
-/// objects"). Follower propagation assigns `α^depth · R_leader` to
-/// followers that violate a car-following criterion.
-///
-/// # Errors
-///
-/// [`Error::NonFiniteRelevance`] if any pairwise relevance evaluates to
-/// NaN or infinity (degenerate trajectory inputs).
-pub fn build_relevance_matrix(
-    inputs: &RelevanceInputs<'_>,
-    mut visible: impl FnMut(ObjectId, ObjectId) -> bool,
-) -> Result<RelevanceMatrix, Error> {
-    let mut m = RelevanceMatrix::new();
-    let receiver_set: std::collections::BTreeSet<ObjectId> =
-        inputs.receivers.iter().copied().collect();
-
-    // Direct trajectory-pair relevance for predicted receivers.
-    for recv in inputs.trajectories {
-        if !receiver_set.contains(&recv.object) {
-            continue;
-        }
-        for obj in inputs.trajectories {
-            if obj.object == recv.object || visible(recv.object, obj.object) {
-                continue;
-            }
-            let r = trajectory_relevance(obj, recv, inputs.config).relevance;
-            m.try_set(recv.object, obj.object, r)?;
-        }
-    }
-
-    // Follower propagation: links arrive leader-first per lane, so the
-    // immediate leader's row (possibly itself propagated) is already final.
-    propagate_followers(&mut m, inputs.followers, inputs.alpha, &receiver_set, &mut visible)?;
     Ok(m)
 }
 
@@ -316,6 +250,29 @@ mod tests {
         ]
     }
 
+    /// The paper's single-trajectory matrix: one hypothesis per object.
+    fn build(
+        trajectories: &[PredictedTrajectory],
+        receivers: &[ObjectId],
+        followers: &[FollowerLink],
+        visible: impl Fn(ObjectId, ObjectId) -> bool + Sync,
+    ) -> RelevanceMatrix {
+        let objects: Vec<ObjectHypotheses> = trajectories
+            .iter()
+            .cloned()
+            .map(ObjectHypotheses::single)
+            .collect();
+        build_relevance_matrix_multi(
+            &objects,
+            receivers,
+            followers,
+            DEFAULT_ALPHA,
+            RelevanceConfig::default(),
+            visible,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn matrix_basic_ops() {
         let mut m = RelevanceMatrix::new();
@@ -326,7 +283,6 @@ mod tests {
         assert_eq!(m.get(ObjectId(1), ObjectId(3)), 0.0);
         assert_eq!(m.len(), 1);
         assert_eq!(m.row(ObjectId(1)), vec![(ObjectId(2), 0.7)]);
-        assert_eq!(m.max_for_object(ObjectId(2)), 0.7);
         m.set(ObjectId(1), ObjectId(2), -1.0);
         assert!(m.is_empty());
     }
@@ -335,14 +291,7 @@ mod tests {
     fn build_symmetric_conflict() {
         let trajs = crossing_pair();
         let receivers = [ObjectId(1), ObjectId(2)];
-        let inputs = RelevanceInputs {
-            trajectories: &trajs,
-            receivers: &receivers,
-            followers: &[],
-            alpha: DEFAULT_ALPHA,
-            config: RelevanceConfig::default(),
-        };
-        let m = build_relevance_matrix(&inputs, |_, _| false).unwrap();
+        let m = build(&trajs, &receivers, &[], |_, _| false);
         assert!(m.get(ObjectId(1), ObjectId(2)) > 0.5);
         assert!(m.get(ObjectId(2), ObjectId(1)) > 0.5);
         // Never self-relevant.
@@ -353,16 +302,10 @@ mod tests {
     fn visible_objects_are_zero() {
         let trajs = crossing_pair();
         let receivers = [ObjectId(1), ObjectId(2)];
-        let inputs = RelevanceInputs {
-            trajectories: &trajs,
-            receivers: &receivers,
-            followers: &[],
-            alpha: DEFAULT_ALPHA,
-            config: RelevanceConfig::default(),
-        };
         // Vehicle 1 already sees vehicle 2 (but not vice versa).
-        let m =
-            build_relevance_matrix(&inputs, |r, o| r == ObjectId(1) && o == ObjectId(2)).unwrap();
+        let m = build(&trajs, &receivers, &[], |r, o| {
+            r == ObjectId(1) && o == ObjectId(2)
+        });
         assert_eq!(m.get(ObjectId(1), ObjectId(2)), 0.0);
         assert!(m.get(ObjectId(2), ObjectId(1)) > 0.5);
     }
@@ -371,14 +314,7 @@ mod tests {
     fn non_receivers_get_no_rows() {
         let trajs = crossing_pair();
         let receivers = [ObjectId(2)];
-        let inputs = RelevanceInputs {
-            trajectories: &trajs,
-            receivers: &receivers,
-            followers: &[],
-            alpha: DEFAULT_ALPHA,
-            config: RelevanceConfig::default(),
-        };
-        let m = build_relevance_matrix(&inputs, |_, _| false).unwrap();
+        let m = build(&trajs, &receivers, &[], |_, _| false);
         assert!(m.row(ObjectId(1)).is_empty());
         assert!(!m.row(ObjectId(2)).is_empty());
     }
@@ -397,14 +333,7 @@ mod tests {
             follower_speed: 10.0,
             leader_speed: 10.0,
         }];
-        let inputs = RelevanceInputs {
-            trajectories: &trajs,
-            receivers: &receivers,
-            followers: &links,
-            alpha: DEFAULT_ALPHA,
-            config: RelevanceConfig::default(),
-        };
-        let m = build_relevance_matrix(&inputs, |_, _| false).unwrap();
+        let m = build(&trajs, &receivers, &links, |_, _| false);
         let leader_r = m.get(ObjectId(1), ObjectId(2));
         let follower_r = m.get(ObjectId(3), ObjectId(2));
         assert!(leader_r > 0.0);
@@ -424,14 +353,7 @@ mod tests {
             follower_speed: 10.0,
             leader_speed: 10.0,
         }];
-        let inputs = RelevanceInputs {
-            trajectories: &trajs,
-            receivers: &receivers,
-            followers: &links,
-            alpha: DEFAULT_ALPHA,
-            config: RelevanceConfig::default(),
-        };
-        let m = build_relevance_matrix(&inputs, |_, _| false).unwrap();
+        let m = build(&trajs, &receivers, &links, |_, _| false);
         assert_eq!(m.get(ObjectId(3), ObjectId(2)), 0.0);
     }
 
@@ -457,14 +379,7 @@ mod tests {
                 leader_speed: 10.0,
             },
         ];
-        let inputs = RelevanceInputs {
-            trajectories: &trajs,
-            receivers: &receivers,
-            followers: &links,
-            alpha: DEFAULT_ALPHA,
-            config: RelevanceConfig::default(),
-        };
-        let m = build_relevance_matrix(&inputs, |_, _| false).unwrap();
+        let m = build(&trajs, &receivers, &links, |_, _| false);
         let r1 = m.get(ObjectId(1), ObjectId(2));
         let r3 = m.get(ObjectId(3), ObjectId(2));
         let r4 = m.get(ObjectId(4), ObjectId(2));
@@ -484,15 +399,9 @@ mod tests {
             follower_speed: 10.0,
             leader_speed: 10.0,
         }];
-        let inputs = RelevanceInputs {
-            trajectories: &trajs,
-            receivers: &receivers,
-            followers: &links,
-            alpha: DEFAULT_ALPHA,
-            config: RelevanceConfig::default(),
-        };
-        let m =
-            build_relevance_matrix(&inputs, |r, o| r == ObjectId(3) && o == ObjectId(2)).unwrap();
+        let m = build(&trajs, &receivers, &links, |r, o| {
+            r == ObjectId(3) && o == ObjectId(2)
+        });
         assert_eq!(m.get(ObjectId(3), ObjectId(2)), 0.0);
     }
 
@@ -534,15 +443,7 @@ mod tests {
         .unwrap();
         let multi = m.get(ObjectId(2), ObjectId(1));
         // Equals the single-hypothesis relevance of the conflicting path.
-        let single_inputs = RelevanceInputs {
-            trajectories: &[straight, recv.clone()],
-            receivers: &[ObjectId(2)],
-            followers: &[],
-            alpha: DEFAULT_ALPHA,
-            config: RelevanceConfig::default(),
-        };
-        let single = build_relevance_matrix(&single_inputs, |_, _| false)
-            .unwrap()
+        let single = build(&[straight, recv.clone()], &[ObjectId(2)], &[], |_, _| false)
             .get(ObjectId(2), ObjectId(1));
         assert!(multi > 0.0);
         assert!((multi - single).abs() < 1e-12);

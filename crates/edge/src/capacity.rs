@@ -21,10 +21,9 @@
 use crate::daemon::{DaemonConfig, EdgeDaemon};
 use crate::transport::TcpTransport;
 use crate::wire::WireMessage;
-use crate::{percentile, SystemConfig, Upload, VehicleSide};
+use crate::{percentile, SystemConfig, Upload, VehicleFleet};
 use erpd_geometry::{Pose2, Vec2, Vec3};
 use erpd_sim::{IntersectionMap, Scenario, ScenarioConfig};
-use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
@@ -98,21 +97,12 @@ pub struct Corpus {
 /// records every upload — the raw material every synthetic client replays.
 pub fn build_corpus(scenario: ScenarioConfig, system: &SystemConfig, frames: u64) -> Corpus {
     let mut s = Scenario::build(scenario);
-    let mut sides: BTreeMap<u64, VehicleSide> = BTreeMap::new();
+    let mut fleet = VehicleFleet::new();
     let mut out = Vec::new();
     for _ in 0..frames {
-        let lframes = s.world.scan_connected();
-        let positions: Vec<(u64, Vec2)> = lframes
-            .iter()
-            .map(|f| (f.vehicle_id, f.sensor_pose.position))
-            .collect();
-        let mut uploads = Vec::with_capacity(lframes.len());
-        for f in &lframes {
-            let side = sides
-                .entry(f.vehicle_id)
-                .or_insert_with(|| VehicleSide::new(system.strategy, f.sensor_height));
-            uploads.push(side.process(f, &positions, &system.network));
-        }
+        let uploads = fleet
+            .process(system.strategy, &s.world.scan_connected(), &system.network)
+            .expect("a scan names each connected vehicle once");
         if !uploads.is_empty() {
             out.push(uploads);
         }

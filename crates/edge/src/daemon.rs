@@ -9,7 +9,8 @@
 //!   socket with short read timeouts (a partial frame survives a timeout —
 //!   the [`crate::TcpTransport`] buffer keeps sync). A decoded upload
 //!   lands in the shared pending map; `Hello` registers the vehicle for
-//!   plan delivery; `Bye` or EOF retires the connection.
+//!   plan delivery (a repeated `Hello` renames it); `Bye` or EOF retires
+//!   the connection.
 //! * **serve** — one thread closing frames. A frame closes once every
 //!   registered vehicle has submitted (the common case under light load —
 //!   this is what keeps p95 latency far below the frame period), else
@@ -179,7 +180,8 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Frames the serve loop has closed and broadcast so far.
+    /// Frames the serve loop has closed and served so far (a frame counts
+    /// from the moment its broadcast starts).
     pub fn frames_served(&self) -> u64 {
         self.shared.frames_served.load(Ordering::Relaxed)
     }
@@ -251,11 +253,18 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
         match transport.recv_message(Duration::from_millis(50)) {
             Ok(Some(WireMessage::Hello { vehicle_id })) => {
                 let mut ingest = shared.ingest.lock().expect("daemon lock poisoned");
-                ingest.conns.push(Conn {
-                    conn_id,
-                    vehicle: vehicle_id,
-                    writer: Arc::clone(&writer),
-                });
+                // One `Conn` per connection: a repeated `Hello` renames the
+                // vehicle this connection speaks for. A second entry would
+                // deliver every plan twice and leave the old id registered
+                // but silent, so no frame could close all-in again.
+                match ingest.conns.iter_mut().find(|c| c.conn_id == conn_id) {
+                    Some(conn) => conn.vehicle = vehicle_id,
+                    None => ingest.conns.push(Conn {
+                        conn_id,
+                        vehicle: vehicle_id,
+                        writer: Arc::clone(&writer),
+                    }),
+                }
                 registered = true;
             }
             Ok(Some(WireMessage::Upload { frame, upload })) => {
@@ -346,6 +355,9 @@ fn serve_loop(config: DaemonConfig, mut core: ServingCore, shared: Arc<Shared>) 
         };
 
         let msg = WireMessage::Plan { frame, acks, plan };
+        // Counted before the broadcast, so whoever holds a plan already
+        // sees its frame in `frames_served`.
+        shared.frames_served.fetch_add(1, Ordering::Relaxed);
         let mut dead: Vec<u64> = Vec::new();
         for (conn_id, writer) in &writers {
             let mut w = writer.lock().expect("daemon lock poisoned");
@@ -358,7 +370,6 @@ fn serve_loop(config: DaemonConfig, mut core: ServingCore, shared: Arc<Shared>) 
             ingest.conns.retain(|c| !dead.contains(&c.conn_id));
         }
         frame += 1;
-        shared.frames_served.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -403,6 +414,37 @@ mod tests {
             other => panic!("expected a plan, got {other:?}"),
         }
         assert_eq!(handle.frames_served(), 1);
+        client.send_message(&WireMessage::Bye).unwrap();
+        handle.shutdown();
+    }
+
+    #[test]
+    fn repeated_hello_renames_the_connection() {
+        let mut handle = EdgeDaemon::spawn(
+            DaemonConfig::default(),
+            IntersectionMap::default(),
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let mut client = TcpTransport::connect(handle.addr()).unwrap();
+        for vehicle_id in [7, 8] {
+            client
+                .send_message(&WireMessage::Hello { vehicle_id })
+                .unwrap();
+        }
+        client
+            .send_message(&WireMessage::Upload {
+                frame: 2,
+                upload: upload(8),
+            })
+            .unwrap();
+        // One connection is read in order, so by the time the plan acking
+        // the upload arrives both `Hello`s have been processed.
+        match client.recv_message(Duration::from_secs(5)).unwrap() {
+            Some(WireMessage::Plan { acks, .. }) => assert_eq!(acks, vec![(8, 2)]),
+            other => panic!("expected a plan, got {other:?}"),
+        }
+        assert_eq!(handle.connected_vehicles(), 1);
         client.send_message(&WireMessage::Bye).unwrap();
         handle.shutdown();
     }

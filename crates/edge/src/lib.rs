@@ -1,8 +1,9 @@
 //! The edge-assisted relevance-aware perception dissemination **system**:
 //! everything between the simulated LiDAR and the alerted driver.
 //!
-//! * [`VehicleSide`] — vehicle-side processing per strategy (ours / EMP /
-//!   unlimited),
+//! * [`VehicleSide`] / [`VehicleFleet`] — vehicle-side processing per
+//!   strategy (ours / EMP / unlimited), for one vehicle and for a frame's
+//!   worth of scans,
 //! * [`Stage`] / [`PipelineBuilder`] — the typed stage graph of the server
 //!   pipeline (merge → associate → track → predict → relevance →
 //!   disseminate) with swappable stage implementations,
@@ -17,8 +18,9 @@
 //!   evaluation metrics (safe passage, min distance, bandwidths, latency,
 //!   delivery ratio, staleness),
 //! * [`WireMessage`] / [`Transport`] — the versioned binary wire protocol
-//!   and the carrier seam between vehicles and the serving core (loopback,
-//!   in-process codec round-trip, or real TCP),
+//!   and the carrier seam between vehicles and the serving core (loopback
+//!   or in-process codec round-trip; [`TcpTransport`] is the framed socket
+//!   endpoint the daemon's clients use),
 //! * [`EdgeDaemon`] / [`capacity`] — the streaming TCP daemon serving the
 //!   same [`ServingCore`] the in-process [`System`] runs, and the load
 //!   generator that measures how many vehicle clients one daemon sustains.
@@ -76,7 +78,7 @@ pub use system::{
 pub use transport::{LoopbackTransport, ServingCore, TcpTransport, Transport, WireTransport};
 pub use wire::{truncate_on_wire, WireMessage, MAX_PAYLOAD_BYTES, WIRE_MAGIC, WIRE_VERSION};
 pub use upload::{
-    object_bytes, Strategy, Upload, UploadedObject, VehicleScratch, VehicleSide,
+    Strategy, Upload, UploadedObject, VehicleFleet, VehicleScratch, VehicleSide,
     EMP_CLUTTER_FRACTION,
     EXTRACTION_TIME_SCALE, MIN_DETECTABLE_POINTS,
 };

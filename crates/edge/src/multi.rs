@@ -58,7 +58,7 @@ use crate::wire::WireMessage;
 use crate::Strategy;
 use erpd_core::{Error, Region};
 use erpd_geometry::Vec2;
-use erpd_sim::{LidarFrame, RoadNetwork, World};
+use erpd_sim::{LidarFrame, World};
 use std::collections::BTreeMap;
 
 /// What happens to a vehicle near a coverage boundary.
@@ -85,24 +85,8 @@ pub enum Coverage {
     /// Vertical strips of equal width spanning the world map's extent —
     /// the arterial-corridor default when only an edge count is given.
     Strips,
-    /// Explicit rectangles, one per edge (e.g. one per intersection of a
-    /// [`RoadNetwork`], via [`Coverage::network`]).
+    /// Explicit rectangles, one per edge.
     Regions(Vec<Region>),
-}
-
-impl Coverage {
-    /// One region per intersection of a road network: the lattice cell
-    /// centred on each intersection.
-    pub fn network(net: &RoadNetwork) -> Self {
-        Coverage::Regions(
-            (0..net.len())
-                .map(|k| {
-                    let (lo, hi) = net.cell(k);
-                    Region::new(lo, hi)
-                })
-                .collect(),
-        )
-    }
 }
 
 /// Builds a [`Deployment`] — the entry point is [`Deployment::builder`].
@@ -345,11 +329,6 @@ impl Deployment {
         &self.regions
     }
 
-    /// The boundary policy.
-    pub fn policy(&self) -> HandoverPolicy {
-        self.policy
-    }
-
     /// Total handovers performed since construction.
     pub fn handovers(&self) -> u64 {
         self.handovers
@@ -447,8 +426,8 @@ impl Deployment {
             });
         };
         self.edges[to].import_vehicle(&handover);
-        if let Some(side) = self.edges[from].take_vehicle_side(vehicle_id) {
-            self.edges[to].put_vehicle_side(vehicle_id, side);
+        if let Some(side) = self.edges[from].fleet.take(vehicle_id) {
+            self.edges[to].fleet.put(vehicle_id, side);
         }
         Ok(())
     }
@@ -709,17 +688,5 @@ mod tests {
             s.world.step();
         }
         assert!(lost > 0, "the faulty channel must lose uploads");
-    }
-
-    #[test]
-    fn network_coverage_builds_one_region_per_intersection() {
-        let net = RoadNetwork::corridor(4, 300.0);
-        let Coverage::Regions(regions) = Coverage::network(&net) else {
-            panic!("network coverage must be explicit regions");
-        };
-        assert_eq!(regions.len(), 4);
-        for (k, region) in regions.iter().enumerate() {
-            assert!(region.contains(net.center(k)));
-        }
     }
 }

@@ -93,11 +93,6 @@ impl NetworkConfig {
     pub fn downlink_time(&self, bytes: u64) -> f64 {
         self.base_latency + bytes as f64 * 8.0 / self.downlink_bps
     }
-
-    /// Converts a per-frame byte count into a bandwidth in Mbit/s.
-    pub fn bytes_per_frame_to_mbps(&self, bytes: u64) -> f64 {
-        bytes as f64 * 8.0 / self.frame_period / 1e6
-    }
 }
 
 #[cfg(test)]
@@ -121,12 +116,5 @@ mod tests {
         assert!((t_big - (0.008 + 0.2)).abs() < 1e-9);
         // Downlink is the slower shared pipe.
         assert!(n.downlink_time(100_000) > n.uplink_time(100_000));
-    }
-
-    #[test]
-    fn mbps_round_trip() {
-        let n = NetworkConfig::default();
-        // 500 kB per 100 ms frame = 40 Mbit/s.
-        assert!((n.bytes_per_frame_to_mbps(500_000) - 40.0).abs() < 1e-9);
     }
 }

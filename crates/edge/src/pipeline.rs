@@ -419,8 +419,8 @@ impl CentroidGrid {
 ///
 /// Association matches each uploaded object to the *first* existing
 /// cluster (in insertion order) whose running centroid lies within
-/// [`ServerConfig::detection_match_radius`] — accelerated by a
-/// [`CentroidGrid`] spatial hash, bit-identical to the linear scan it
+/// [`ServerConfig::detection_match_radius`] — accelerated by a spatial
+/// hash of the cluster centroids, bit-identical to the linear scan it
 /// replaced.
 #[derive(Debug)]
 pub struct AssociateStage {
@@ -611,22 +611,12 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
             let (velocity, turn_rate) = history_kinematics(h);
             let mut state = ObjectState::new(id, ObjectKind::Vehicle, u.pose.position, velocity);
             state.heading = u.pose.heading();
-            rule_inputs.push(RuleInput {
+            file_rule_input(
+                &self.map,
                 state,
-                lane: self
-                    .map
-                    .lane_of(u.pose.position, u.pose.heading())
-                    .map(to_lane_position),
-                in_intersection: self.map.in_intersection(u.pose.position),
-            });
-            kinematics.insert(
-                id,
-                Kinematics {
-                    position: u.pose.position,
-                    speed: velocity.norm(),
-                    heading: u.pose.heading(),
-                    turn_rate,
-                },
+                turn_rate,
+                &mut rule_inputs,
+                &mut kinematics,
             );
             let bytes = *sizes.entry(id).or_insert_with(|| {
                 input
@@ -660,22 +650,12 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
                 receivers.push(id);
                 let mut state = ObjectState::new(id, ObjectKind::Vehicle, position, velocity);
                 state.heading = pose.heading();
-                rule_inputs.push(RuleInput {
+                file_rule_input(
+                    &self.map,
                     state,
-                    lane: self
-                        .map
-                        .lane_of(position, pose.heading())
-                        .map(to_lane_position),
-                    in_intersection: self.map.in_intersection(position),
-                });
-                kinematics.insert(
-                    id,
-                    Kinematics {
-                        position,
-                        speed: velocity.norm(),
-                        heading: pose.heading(),
-                        turn_rate,
-                    },
+                    turn_rate,
+                    &mut rule_inputs,
+                    &mut kinematics,
                 );
                 sizes
                     .entry(id)
@@ -696,31 +676,18 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
                 continue; // not observed this frame, nothing to coast
             }
             let id = ObjectId(TRACK_ID_BASE + track.id().0);
-            let velocity = track.velocity();
             let position = if track.misses() > 0 {
                 track.coasted_position(now)
             } else {
                 track.position()
             };
-            let state = ObjectState::new(id, track.kind(), position, velocity);
-            let heading = state.heading;
-            rule_inputs.push(RuleInput {
+            let state = ObjectState::new(id, track.kind(), position, track.velocity());
+            file_rule_input(
+                &self.map,
                 state,
-                lane: if track.kind() == ObjectKind::Vehicle {
-                    self.map.lane_of(position, heading).map(to_lane_position)
-                } else {
-                    None
-                },
-                in_intersection: self.map.in_intersection(position),
-            });
-            kinematics.insert(
-                id,
-                Kinematics {
-                    position,
-                    speed: velocity.norm(),
-                    heading,
-                    turn_rate: track.turn_rate(),
-                },
+                track.turn_rate(),
+                &mut rule_inputs,
+                &mut kinematics,
             );
             if track.misses() > 0 {
                 ages.insert(id, age);
@@ -1363,12 +1330,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Builds the five-stage server pipeline, dropping any dissemination
-    /// stage (useful for V2V on-board fusion, which never disseminates).
-    pub fn build_server(self) -> crate::EdgeServer {
-        self.build_with_default(|| Box::new(GreedyDissemination)).0
-    }
-
     /// Builds the server plus the dissemination stage, defaulting the
     /// latter to [`GreedyDissemination`].
     pub fn build(self) -> (crate::EdgeServer, BoxedDisseminationStage) {
@@ -1403,6 +1364,37 @@ impl PipelineBuilder {
             disseminate,
         )
     }
+}
+
+/// Files one object as a rule input plus its kinematics — the shape
+/// uploaders, coasted vehicles and tracks share. Only vehicles are mapped
+/// to a lane.
+fn file_rule_input(
+    map: &IntersectionMap,
+    state: ObjectState,
+    turn_rate: f64,
+    rule_inputs: &mut Vec<RuleInput>,
+    kinematics: &mut BTreeMap<ObjectId, Kinematics>,
+) {
+    rule_inputs.push(RuleInput {
+        state,
+        lane: if state.kind == ObjectKind::Vehicle {
+            map.lane_of(state.position, state.heading)
+                .map(to_lane_position)
+        } else {
+            None
+        },
+        in_intersection: map.in_intersection(state.position),
+    });
+    kinematics.insert(
+        state.id,
+        Kinematics {
+            position: state.position,
+            speed: state.velocity.norm(),
+            heading: state.heading,
+            turn_rate,
+        },
+    );
 }
 
 /// Converts the sim map's lane lookup into the tracking crate's type.
@@ -1664,9 +1656,10 @@ mod tests {
             }
         }
         let uploads = crowded_uploads(2);
-        let mut server = PipelineBuilder::new(ServerConfig::default(), IntersectionMap::default())
-            .with_merge_stage(Box::new(NullMerge))
-            .build_server();
+        let (mut server, _) =
+            PipelineBuilder::new(ServerConfig::default(), IntersectionMap::default())
+                .with_merge_stage(Box::new(NullMerge))
+                .build();
         let f = server.process(0.0, &uploads).unwrap();
         assert_eq!(f.map_points, 0, "swapped merge stage must be in effect");
         // Downstream stages still ran over the same uploads.

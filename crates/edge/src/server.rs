@@ -219,7 +219,7 @@ impl EdgeServer {
     /// Creates a server with the default (paper) stages for a given HD map.
     /// Use a [`PipelineBuilder`] to swap individual stages.
     pub fn new(config: ServerConfig, map: IntersectionMap) -> Self {
-        PipelineBuilder::new(config, map).build_server()
+        PipelineBuilder::new(config, map).build().0
     }
 
     pub(crate) fn from_stages(

@@ -96,11 +96,6 @@ impl StageTimes {
         ]
     }
 
-    /// Total wall time across all stages, seconds.
-    pub fn total_seconds(&self) -> f64 {
-        self.iter().iter().map(|(_, s)| s.seconds).sum()
-    }
-
     /// Folds another frame's server-side stages in (concurrent V2V
     /// servers): durations take the maximum, item counts add.
     pub fn fold_max(&mut self, other: &StageTimes) {
@@ -143,18 +138,5 @@ mod tests {
         a.fold_max(&b);
         assert_eq!(a.merge, StageSample::new(0.005, 7));
         assert_eq!(a.tracking, StageSample::new(0.001, 2));
-    }
-
-    #[test]
-    fn total_seconds_sums_all_stages() {
-        let t = StageTimes {
-            extraction: StageSample::new(0.001, 1),
-            merge: StageSample::new(0.002, 1),
-            tracking: StageSample::new(0.003, 1),
-            prediction: StageSample::new(0.004, 1),
-            relevance: StageSample::new(0.005, 1),
-            knapsack: StageSample::new(0.006, 1),
-        };
-        assert!((t.total_seconds() - 0.021).abs() < 1e-12);
     }
 }

@@ -8,7 +8,7 @@ use crate::pipeline::{
 };
 use crate::stages::{StageSample, StageTimes};
 use crate::transport::{LoopbackTransport, ServingCore, Transport};
-use crate::{EdgeServer, NetworkConfig, ServerConfig, ServerFrame, Strategy, Upload, VehicleSide};
+use crate::{EdgeServer, NetworkConfig, ServerConfig, ServerFrame, Strategy, Upload, VehicleFleet};
 use erpd_core::{DisseminationPlan, Error, VehicleHandover};
 use erpd_geometry::Vec2;
 use erpd_sim::{LidarFrame, World};
@@ -288,7 +288,8 @@ impl Default for SystemConfig {
 ///
 /// Every part is optional: an unset pipeline defaults to the paper's stage
 /// graph over the world's map, an unset dissemination stage defaults per
-/// strategy ([`default_dissemination`]), and an unset transport defaults to
+/// strategy (the relevance-greedy knapsack for `Ours`, round robin for
+/// `Emp`, broadcast for `Unlimited`), and an unset transport defaults to
 /// the in-process [`LoopbackTransport`]. The same `pipeline`/`transport`
 /// vocabulary is shared by [`crate::DeploymentBuilder`], which builds one
 /// [`System`] per edge.
@@ -326,11 +327,7 @@ impl SystemBuilder {
     /// through. The default [`LoopbackTransport`] passes values untouched
     /// (bit-identical to calling the serving core directly); a
     /// [`crate::WireTransport`] round-trips every message through the v1
-    /// wire codec in process. Those two are the only useful choices: the
-    /// system sends *and* receives on this one object, so a socket
-    /// endpoint such as [`crate::TcpTransport`] yields no arrivals and
-    /// every tick fails with [`Error::Codec`] ("transport delivered no
-    /// dissemination plan"). To serve over TCP run an
+    /// wire codec in process. To serve over TCP run an
     /// [`crate::EdgeDaemon`].
     pub fn transport(mut self, transport: Box<dyn Transport>) -> Self {
         self.transport = Some(transport);
@@ -350,7 +347,7 @@ impl SystemBuilder {
         System {
             config,
             dispatch: Dispatch::of(config.strategy),
-            vehicle_sides: BTreeMap::new(),
+            fleet: VehicleFleet::new(),
             core: ServingCore::new(server, disseminate),
             transport: self
                 .transport
@@ -362,7 +359,6 @@ impl SystemBuilder {
             frame_index: 0,
             outages: BTreeSet::new(),
             deferred: Vec::new(),
-            vehicle_scratch: Vec::new(),
         }
     }
 }
@@ -372,15 +368,17 @@ impl SystemBuilder {
 pub struct System {
     config: SystemConfig,
     dispatch: Dispatch,
-    vehicle_sides: BTreeMap<u64, VehicleSide>,
+    /// The vehicle side of every vehicle this edge has scanned;
+    /// [`crate::Deployment`] moves a vehicle's state between edges' fleets
+    /// at handover.
+    pub(crate) fleet: VehicleFleet,
     /// The serving half of the edge path: the five-stage server plus the
     /// swappable dissemination stage — the same [`ServingCore`] the
     /// streaming daemon drives over TCP.
     core: ServingCore,
     /// The carrier between the fault layer's arrivals and the serving
     /// core. Loopback (identity) by default, or a [`crate::WireTransport`]
-    /// to round-trip every frame through the v1 codec — in-process
-    /// carriers only (see [`SystemBuilder::transport`]).
+    /// to round-trip every frame through the v1 codec.
     transport: Box<dyn Transport>,
     /// Receiver-local fusion state for the V2V strategy (one "server" per
     /// vehicle, running on board).
@@ -399,11 +397,6 @@ pub struct System {
     outages: BTreeSet<u64>,
     /// Jitter-delayed uploads waiting to arrive next frame.
     deferred: Vec<Upload>,
-    /// Per-worker vehicle-side working memory, persistent across frames
-    /// (see [`crate::VehicleScratch`]): one slot per extraction worker,
-    /// so consecutive vehicles reuse warm, already-grown buffers instead
-    /// of each dragging a cold set through the cache every tick.
-    vehicle_scratch: Vec<crate::VehicleScratch>,
 }
 
 impl System {
@@ -418,14 +411,9 @@ impl System {
         }
     }
 
-    /// The active transport's diagnostic name ("loopback", "wire", "tcp").
+    /// The active transport's diagnostic name ("loopback" or "wire").
     pub fn transport_name(&self) -> &'static str {
         self.transport.name()
-    }
-
-    /// The configured strategy.
-    pub fn strategy(&self) -> Strategy {
-        self.config.strategy
     }
 
     /// The last server frame (for inspection by tests and examples).
@@ -438,11 +426,6 @@ impl System {
         &self.outages
     }
 
-    /// The configuration the system was built with.
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
     /// The dissemination plan of the last edge-path frame.
     pub fn last_plan(&self) -> &DisseminationPlan {
         &self.last_plan
@@ -453,7 +436,7 @@ impl System {
     /// forgets the parts that must not linger: the outage entry and any
     /// jitter-deferred upload (a late packet addressed to the old edge is
     /// lost, not teleported). The vehicle-side state travels out of band
-    /// via [`System::take_vehicle_side`] (it never crosses the wire).
+    /// between the edges' [`VehicleFleet`]s (it never crosses the wire).
     pub(crate) fn export_vehicle(&mut self, vehicle_id: u64) -> VehicleHandover {
         let mut handover = self.core.export_handover(vehicle_id);
         handover.in_outage = self.outages.remove(&vehicle_id);
@@ -470,19 +453,6 @@ impl System {
         } else {
             self.outages.remove(&handover.vehicle_id);
         }
-    }
-
-    /// Removes the vehicle-side processing state for a departing vehicle
-    /// (handed to the next edge out of band — it lives on the vehicle, not
-    /// the edge, so it never crosses the inter-edge wire).
-    pub(crate) fn take_vehicle_side(&mut self, vehicle_id: u64) -> Option<VehicleSide> {
-        self.vehicle_sides.remove(&vehicle_id)
-    }
-
-    /// Installs vehicle-side state for an arriving vehicle, replacing any
-    /// ghost state a dual-report upload may have created here.
-    pub(crate) fn put_vehicle_side(&mut self, vehicle_id: u64, side: VehicleSide) {
-        self.vehicle_sides.insert(vehicle_id, side);
     }
 
     /// Runs the fault layer over one frame of uploads: decides each
@@ -510,73 +480,66 @@ impl System {
         };
         for (i, u) in uploads.iter().enumerate() {
             let v = u.vehicle_id;
-            let primary = i < n_primary;
             // Churn state machine: a vehicle in outage transmits nothing
             // until its reconnect draw succeeds; a connected vehicle may
             // drop out this frame.
-            if self.outages.contains(&v) {
-                if fault.uniform(frame, v, FaultStream::Reconnect) < fault.reconnect_prob {
+            let in_outage = if self.outages.contains(&v) {
+                let back = fault.uniform(frame, v, FaultStream::Reconnect) < fault.reconnect_prob;
+                if back {
                     self.outages.remove(&v);
-                } else {
-                    plan.outcomes.push(LinkOutcome::Lost);
-                    if primary {
-                        plan.lost += 1;
-                    }
-                    continue;
                 }
+                !back
             } else if fault.churn_prob > 0.0
                 && fault.uniform(frame, v, FaultStream::Churn) < fault.churn_prob
             {
                 self.outages.insert(v);
-                plan.outcomes.push(LinkOutcome::Lost);
-                if primary {
-                    plan.lost += 1;
-                }
-                continue;
-            }
-            // From here on the vehicle transmits: its bytes hit the air and
-            // count toward the uplink time, whatever the channel does next.
-            let delay = fault.jitter_delay(frame, v);
-            let tx = network.uplink_time(u.bytes) + delay;
-            if fault.loss_prob > 0.0 && fault.uniform(frame, v, FaultStream::Loss) < fault.loss_prob
-            {
-                if primary {
-                    plan.upload_bytes.push(u.bytes);
-                    plan.upload_tx = plan.upload_tx.max(tx);
-                    plan.lost += 1;
-                }
-                plan.outcomes.push(LinkOutcome::Lost);
-                continue;
-            }
-            // Jitter-induced lateness: only an active jitter model can push
-            // an upload past the frame boundary (large ideal uploads keep
-            // the seed's same-frame semantics).
-            if fault.jitter > 0.0 && tx > network.frame_period {
-                if primary {
-                    plan.upload_bytes.push(u.bytes);
-                    plan.upload_tx = plan.upload_tx.max(tx);
-                    plan.late += 1;
-                }
-                plan.outcomes.push(LinkOutcome::Late);
-                continue;
-            }
-            if fault.truncate_prob > 0.0
-                && fault.uniform(frame, v, FaultStream::Truncate) < fault.truncate_prob
-            {
-                if primary {
+                true
+            } else {
+                false
+            };
+            // The channel's verdict, plus what the vehicle put on the air
+            // getting there: `(bytes, transmission time)`. A transmitting
+            // vehicle's bytes hit the air and count toward the uplink time
+            // whatever the channel does next.
+            let (outcome, on_air) = if in_outage {
+                (LinkOutcome::Lost, None)
+            } else {
+                let delay = fault.jitter_delay(frame, v);
+                let tx = network.uplink_time(u.bytes) + delay;
+                if fault.loss_prob > 0.0
+                    && fault.uniform(frame, v, FaultStream::Loss) < fault.loss_prob
+                {
+                    (LinkOutcome::Lost, Some((u.bytes, tx)))
+                } else if fault.jitter > 0.0 && tx > network.frame_period {
+                    // Jitter-induced lateness: only an active jitter model
+                    // can push an upload past the frame boundary (large
+                    // ideal uploads keep the seed's same-frame semantics).
+                    (LinkOutcome::Late, Some((u.bytes, tx)))
+                } else if fault.truncate_prob > 0.0
+                    && fault.uniform(frame, v, FaultStream::Truncate) < fault.truncate_prob
+                {
                     let kept = (u.bytes as f64 * fault.truncate_keep).ceil() as u64;
-                    plan.upload_bytes.push(kept);
-                    plan.upload_tx = plan.upload_tx.max(network.uplink_time(kept) + delay);
-                    plan.truncated += 1;
+                    (
+                        LinkOutcome::Truncate,
+                        Some((kept, network.uplink_time(kept) + delay)),
+                    )
+                } else {
+                    (LinkOutcome::Deliver, Some((u.bytes, tx)))
                 }
-                plan.outcomes.push(LinkOutcome::Truncate);
-                continue;
+            };
+            if i < n_primary {
+                if let Some((bytes, tx)) = on_air {
+                    plan.upload_bytes.push(bytes);
+                    plan.upload_tx = plan.upload_tx.max(tx);
+                }
+                match outcome {
+                    LinkOutcome::Lost => plan.lost += 1,
+                    LinkOutcome::Late => plan.late += 1,
+                    LinkOutcome::Truncate => plan.truncated += 1,
+                    LinkOutcome::Deliver => {}
+                }
             }
-            if primary {
-                plan.upload_bytes.push(u.bytes);
-                plan.upload_tx = plan.upload_tx.max(tx);
-            }
-            plan.outcomes.push(LinkOutcome::Deliver);
+            plan.outcomes.push(outcome);
         }
         plan
     }
@@ -619,38 +582,10 @@ impl System {
         }
         let network = self.config.network;
         network.fault.validate()?;
-        let connected_positions: Vec<(u64, Vec2)> = frames
-            .iter()
-            .map(|f| (f.vehicle_id, f.sensor_pose.position))
-            .collect();
-
-        // --- Vehicle side: each vehicle's extraction is independent, so the
-        // scanned frames fan out across worker threads and the uploads come
-        // back in scan order (bit-identical to the sequential loop). The
-        // per-vehicle state is threaded through as `&mut` work items.
-        for frame in &frames {
-            self.vehicle_sides
-                .entry(frame.vehicle_id)
-                .or_insert_with(|| VehicleSide::new(self.config.strategy, frame.sensor_height));
-        }
-        let mut sides: BTreeMap<u64, &mut VehicleSide> = self
-            .vehicle_sides
-            .iter_mut()
-            .map(|(&id, s)| (id, s))
-            .collect();
-        let mut jobs: Vec<(_, &mut VehicleSide)> = Vec::with_capacity(frames.len());
-        for f in &frames {
-            let side = sides
-                .remove(&f.vehicle_id)
-                .ok_or(Error::MissingVehicleState(f.vehicle_id))?;
-            jobs.push((f, side));
-        }
-        drop(sides);
-        let connected = &connected_positions;
-        let uploads: Vec<Upload> =
-            erpd_par::par_map_reuse(jobs, &mut self.vehicle_scratch, |scratch, (frame, side)| {
-                side.process_in(frame, connected, &network, scratch).0
-            });
+        // --- Vehicle side: scans in, uploads out, in scan order.
+        let uploads = self
+            .fleet
+            .process(self.config.strategy, &frames, &network)?;
         let mut extraction = 0.0f64;
         let mut clustered = 0usize;
         for u in &uploads {

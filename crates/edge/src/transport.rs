@@ -3,7 +3,7 @@
 //!
 //! A [`Transport`] carries uploads from the vehicle side to the server
 //! and the frame's dissemination plan back. The abstraction exists so the
-//! exact serving code has interchangeable carriers:
+//! exact serving code has interchangeable in-process carriers:
 //!
 //! * [`LoopbackTransport`] — in-process queues, values pass through
 //!   untouched. The default inside [`crate::System`]; bit-identical to
@@ -13,8 +13,12 @@
 //!   every message round-trips the exact v1 codec the TCP path puts on a
 //!   socket, so the whole test/bench suite can exercise the daemon's
 //!   byte path without opening one.
-//! * [`TcpTransport`] — one endpoint of a real TCP link, speaking the
-//!   same frames to a remote peer (an [`crate::EdgeDaemon`] or a client).
+//!
+//! [`TcpTransport`] is not a [`Transport`]: it is the framed socket
+//! endpoint — [`send_message`](TcpTransport::send_message) /
+//! [`recv_message`](TcpTransport::recv_message) of whole [`WireMessage`]s —
+//! that the [`crate::EdgeDaemon`]'s readers and its clients speak the same
+//! frames over.
 //!
 //! [`ServingCore`] is the code every carrier feeds: the composed edge
 //! stage graph plus the swappable dissemination stage. `System` routes
@@ -33,13 +37,12 @@ use std::time::{Duration, Instant};
 /// Carries uploads from the vehicle side to the edge server and
 /// dissemination plans back.
 ///
-/// A transport is a *pair of directed channels*, not a server: the
-/// in-process impls hold both ends (send on one side, receive on the
-/// other, same process), while [`TcpTransport`] is one end of a socket —
-/// a client calls `send_upload`/`recv_plans`, the daemon's connection
-/// handler calls `recv_uploads`/`send_plan`.
+/// A transport is a *pair of directed channels*, not a server, and holds
+/// both ends: [`crate::System`] sends on one side and receives on the
+/// other, in the same process. The impls are [`LoopbackTransport`] and
+/// [`WireTransport`].
 pub trait Transport: fmt::Debug + Send {
-    /// Diagnostic name ("loopback", "wire", "tcp"). Defaults to
+    /// Diagnostic name ("loopback", "wire"). Defaults to
     /// `"custom"`, so third-party transports only implement the four
     /// channel methods and [`crate::System::transport_name`] needs no
     /// special cases.
@@ -105,8 +108,8 @@ impl Transport for LoopbackTransport {
 
 /// In-process transport that round-trips every message through the v1
 /// wire codec: `send_*` encodes a complete wire frame, `recv_*` decodes
-/// it — the same bytes [`TcpTransport`] would put on a socket, without
-/// the socket. Decoded uploads therefore carry the point-cloud codec's
+/// it — the same bytes [`TcpTransport`] puts on a socket, without the
+/// socket. Decoded uploads therefore carry the point-cloud codec's
 /// quantisation, exactly like uploads served by the daemon.
 #[derive(Debug, Default)]
 pub struct WireTransport {
@@ -175,19 +178,11 @@ impl Transport for WireTransport {
     }
 }
 
-fn io_to_codec(_: io::Error) -> Error {
-    Error::Codec {
-        reason: "tcp transport i/o failure",
-    }
-}
-
 /// One endpoint of a TCP link speaking the v1 wire protocol.
 ///
 /// Reads are buffered: partial frames survive read timeouts without
 /// losing sync, and [`recv_message`](Self::recv_message) only yields
-/// complete, validated messages. Messages of the "wrong" kind for a
-/// `recv_uploads`/`recv_plans` call are kept in an inbox rather than
-/// dropped, so a mixed stream loses nothing.
+/// complete, validated messages.
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
@@ -210,11 +205,6 @@ impl TcpTransport {
         }
     }
 
-    /// The underlying stream (e.g. to `try_clone` a write half).
-    pub fn stream(&self) -> &TcpStream {
-        &self.stream
-    }
-
     /// Decodes as many complete frames as the buffer holds into the inbox.
     fn drain_buffer(&mut self) -> io::Result<()> {
         loop {
@@ -229,24 +219,6 @@ impl TcpTransport {
                 }
             }
         }
-    }
-
-    /// Pulls whatever bytes are available without blocking.
-    fn fill_nonblocking(&mut self) -> io::Result<()> {
-        self.stream.set_nonblocking(true)?;
-        let mut chunk = [0u8; 16 * 1024];
-        let res = loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => break Ok(()),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => break Err(e),
-            }
-        };
-        self.stream.set_nonblocking(false)?;
-        res?;
-        self.drain_buffer()
     }
 
     /// Receives the next message, blocking up to `timeout`.
@@ -296,54 +268,6 @@ impl TcpTransport {
     /// Sends one message.
     pub fn send_message(&mut self, msg: &WireMessage) -> io::Result<()> {
         write_message(&mut self.stream, msg)
-    }
-}
-
-impl Transport for TcpTransport {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn send_upload(&mut self, frame: u64, upload: Upload) -> Result<(), Error> {
-        self.send_message(&WireMessage::Upload { frame, upload })
-            .map_err(io_to_codec)
-    }
-
-    fn recv_uploads(&mut self) -> Result<Vec<Upload>, Error> {
-        self.fill_nonblocking().map_err(io_to_codec)?;
-        let mut out = Vec::new();
-        let mut keep = VecDeque::with_capacity(self.inbox.len());
-        while let Some(msg) = self.inbox.pop_front() {
-            match msg {
-                WireMessage::Upload { upload, .. } => out.push(upload),
-                other => keep.push_back(other),
-            }
-        }
-        self.inbox = keep;
-        Ok(out)
-    }
-
-    fn send_plan(&mut self, frame: u64, plan: DisseminationPlan) -> Result<(), Error> {
-        self.send_message(&WireMessage::Plan {
-            frame,
-            acks: Vec::new(),
-            plan,
-        })
-        .map_err(io_to_codec)
-    }
-
-    fn recv_plans(&mut self) -> Result<Vec<(u64, DisseminationPlan)>, Error> {
-        self.fill_nonblocking().map_err(io_to_codec)?;
-        let mut out = Vec::new();
-        let mut keep = VecDeque::with_capacity(self.inbox.len());
-        while let Some(msg) = self.inbox.pop_front() {
-            match msg {
-                WireMessage::Plan { frame, plan, .. } => out.push((frame, plan)),
-                other => keep.push_back(other),
-            }
-        }
-        self.inbox = keep;
-        Ok(out)
     }
 }
 
@@ -461,9 +385,19 @@ mod tests {
     fn tcp_transport_carries_frames_both_ways() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
+        let sent = WireMessage::Plan {
+            frame: 2,
+            acks: Vec::new(),
+            plan: plan(),
+        };
         let client_thread = std::thread::spawn(move || {
             let mut client = TcpTransport::connect(addr).unwrap();
-            client.send_upload(1, upload(5)).unwrap();
+            client
+                .send_message(&WireMessage::Upload {
+                    frame: 1,
+                    upload: upload(5),
+                })
+                .unwrap();
             client
                 .recv_message(Duration::from_secs(5))
                 .unwrap()
@@ -471,19 +405,11 @@ mod tests {
         });
         let (server_stream, _) = listener.accept().unwrap();
         let mut server = TcpTransport::from_stream(server_stream);
-        let got = loop {
-            let u = server.recv_uploads().unwrap();
-            if !u.is_empty() {
-                break u;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        };
-        assert_eq!(got[0].vehicle_id, 5);
-        server.send_plan(2, plan()).unwrap();
-        let msg = client_thread.join().unwrap();
-        assert_eq!(
-            msg,
-            WireMessage::Plan { frame: 2, acks: Vec::new(), plan: plan() }
-        );
+        match server.recv_message(Duration::from_secs(5)).unwrap() {
+            Some(WireMessage::Upload { frame: 1, upload }) => assert_eq!(upload.vehicle_id, 5),
+            other => panic!("expected the upload, got {other:?}"),
+        }
+        server.send_message(&sent).unwrap();
+        assert_eq!(client_thread.join().unwrap(), sent);
     }
 }

@@ -9,12 +9,13 @@
 //! * **Unlimited** — raw frames, no reduction, no cap.
 
 use crate::NetworkConfig;
+use erpd_core::Error;
 use erpd_geometry::{Pose2, Transform3, Vec2};
 use erpd_pointcloud::{
     ExtractionConfig, ExtractionScratch, GroundFilter, MovingObjectExtractor, PointCloud,
-    POINT_WIRE_BYTES,
 };
 use erpd_sim::LidarFrame;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Which system's vehicle-side behaviour to use.
@@ -29,12 +30,13 @@ pub enum Strategy {
     Emp,
     /// Raw upload, full-map broadcast.
     Unlimited,
-    /// Infrastructure-less V2V sharing in the spirit of AUTOCAST [41]:
-    /// each connected vehicle broadcasts its extracted moving objects to
-    /// neighbours on a shared ad-hoc channel, and every receiver fuses and
-    /// evaluates relevance locally — no edge server. The paper excludes
-    /// AUTOCAST from its comparison (it assumes known trajectories); this
-    /// variant is our extension for studying the edge server's value.
+    /// Infrastructure-less V2V sharing in the spirit of AUTOCAST (the
+    /// paper's reference 41): each connected vehicle broadcasts its
+    /// extracted moving objects to neighbours on a shared ad-hoc channel,
+    /// and every receiver fuses and evaluates relevance locally — no edge
+    /// server. The paper excludes AUTOCAST from its comparison (it assumes
+    /// known trajectories); this variant is our extension for studying the
+    /// edge server's value.
     V2v,
 }
 
@@ -105,19 +107,12 @@ impl VehicleScratch {
     }
 }
 
-/// Per-vehicle upload processor (holds the stateful extractor for `Ours`
-/// and a fallback [`VehicleScratch`] for the convenience
-/// [`process`](Self::process) path).
+/// Per-vehicle upload processor (holds the stateful extractor for `Ours`).
 #[derive(Debug)]
 pub struct VehicleSide {
     strategy: Strategy,
     ground: GroundFilter,
     extractor: MovingObjectExtractor,
-    /// Owned scratch backing [`process`](Self::process) /
-    /// [`process_with_host_time`](Self::process_with_host_time); fleet
-    /// drivers share one [`VehicleScratch`] via
-    /// [`process_in`](Self::process_in) instead.
-    scratch: VehicleScratch,
 }
 
 impl VehicleSide {
@@ -127,48 +122,23 @@ impl VehicleSide {
             strategy,
             ground: GroundFilter::new(sensor_height, 0.1),
             extractor: MovingObjectExtractor::new(ExtractionConfig::default()),
-            scratch: VehicleScratch::new(),
         }
     }
 
-    /// Processes one LiDAR frame into an upload.
+    /// Processes one LiDAR frame into an upload, drawing working memory
+    /// from a caller-supplied [`VehicleScratch`] — bit-identical output
+    /// whatever state the scratch arrives in.
     ///
     /// `connected_positions` are the current positions of all connected
     /// vehicles (needed by EMP's Voronoi partition); `network` supplies the
     /// uplink cap.
-    pub fn process(
-        &mut self,
-        frame: &LidarFrame,
-        connected_positions: &[(u64, Vec2)],
-        network: &NetworkConfig,
-    ) -> Upload {
-        self.process_with_host_time(frame, connected_positions, network)
-            .0
-    }
-
-    /// Like [`process`](Self::process) but also returns the raw
-    /// host-measured seconds *before* the [`EXTRACTION_TIME_SCALE`]
-    /// Jetson scaling — the seam the scaling regression tests observe.
-    /// Every strategy that computes on the OBU (Ours, V2V, EMP) reports
+    ///
+    /// Also returns the raw host-measured seconds *before* the
+    /// [`EXTRACTION_TIME_SCALE`] Jetson scaling — the seam the scaling
+    /// regression tests observe. Every strategy that computes on the OBU
+    /// (Ours, V2V, EMP) reports
     /// `processing_time == host_seconds * EXTRACTION_TIME_SCALE`; Single
     /// and Unlimited do no on-board processing and report zero.
-    pub fn process_with_host_time(
-        &mut self,
-        frame: &LidarFrame,
-        connected_positions: &[(u64, Vec2)],
-        network: &NetworkConfig,
-    ) -> (Upload, f64) {
-        // Loan out the owned scratch (cheap Vec moves) so `process_in`
-        // can borrow it alongside `self`.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let out = self.process_in(frame, connected_positions, network, &mut scratch);
-        self.scratch = scratch;
-        out
-    }
-
-    /// Like [`process_with_host_time`](Self::process_with_host_time), but
-    /// drawing working memory from a caller-supplied [`VehicleScratch`] —
-    /// bit-identical output whatever state the scratch arrives in.
     pub fn process_in(
         &mut self,
         frame: &LidarFrame,
@@ -348,9 +318,79 @@ impl VehicleSide {
     }
 }
 
-/// Convenience: the wire size of an uploaded object.
-pub fn object_bytes(o: &UploadedObject) -> u64 {
-    (o.points.len() * POINT_WIRE_BYTES) as u64
+/// The vehicle side of a frame for a whole fleet: one [`VehicleSide`] per
+/// vehicle, created on first scan, plus the per-worker working memory,
+/// persistent across frames (see [`VehicleScratch`]): one slot per
+/// extraction worker, so consecutive vehicles reuse warm, already-grown
+/// buffers instead of each dragging a cold set through the cache every
+/// frame.
+#[derive(Debug, Default)]
+pub struct VehicleFleet {
+    sides: BTreeMap<u64, VehicleSide>,
+    scratch: Vec<VehicleScratch>,
+}
+
+impl VehicleFleet {
+    /// An empty fleet; vehicles join the first time they are scanned.
+    pub fn new() -> Self {
+        VehicleFleet::default()
+    }
+
+    /// Turns one frame of scans into uploads. Each vehicle's extraction is
+    /// independent, so the scanned frames fan out across worker threads and
+    /// the uploads come back in scan order (bit-identical to the sequential
+    /// loop). The per-vehicle state is threaded through as `&mut` work
+    /// items.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::MissingVehicleState`] when two scans carry the same
+    /// vehicle id.
+    pub fn process(
+        &mut self,
+        strategy: Strategy,
+        frames: &[LidarFrame],
+        network: &NetworkConfig,
+    ) -> Result<Vec<Upload>, Error> {
+        let connected_positions: Vec<(u64, Vec2)> = frames
+            .iter()
+            .map(|f| (f.vehicle_id, f.sensor_pose.position))
+            .collect();
+        for frame in frames {
+            self.sides
+                .entry(frame.vehicle_id)
+                .or_insert_with(|| VehicleSide::new(strategy, frame.sensor_height));
+        }
+        let mut sides: BTreeMap<u64, &mut VehicleSide> =
+            self.sides.iter_mut().map(|(&id, s)| (id, s)).collect();
+        let mut jobs: Vec<(_, &mut VehicleSide)> = Vec::with_capacity(frames.len());
+        for f in frames {
+            let side = sides
+                .remove(&f.vehicle_id)
+                .ok_or(Error::MissingVehicleState(f.vehicle_id))?;
+            jobs.push((f, side));
+        }
+        drop(sides);
+        let connected = &connected_positions;
+        Ok(erpd_par::par_map_reuse(
+            jobs,
+            &mut self.scratch,
+            |scratch, (frame, side)| side.process_in(frame, connected, network, scratch).0,
+        ))
+    }
+
+    /// Removes the processing state of a departing vehicle (handed to the
+    /// next edge out of band — it lives on the vehicle, not the edge, so it
+    /// never crosses the inter-edge wire).
+    pub(crate) fn take(&mut self, vehicle_id: u64) -> Option<VehicleSide> {
+        self.sides.remove(&vehicle_id)
+    }
+
+    /// Installs the processing state of an arriving vehicle, replacing any
+    /// ghost state a dual-report scan may have created here.
+    pub(crate) fn put(&mut self, vehicle_id: u64, side: VehicleSide) {
+        self.sides.insert(vehicle_id, side);
+    }
 }
 
 #[cfg(test)]
@@ -369,19 +409,44 @@ mod tests {
         scan(&LidarConfig::default(), 1, sensor, 1.8, &targets, &[])
     }
 
+    fn process(
+        side: &mut VehicleSide,
+        frame: &LidarFrame,
+        positions: &[(u64, Vec2)],
+        net: &NetworkConfig,
+    ) -> Upload {
+        side.process_in(frame, positions, net, &mut VehicleScratch::new())
+            .0
+    }
+
     #[test]
     fn ours_uploads_moving_objects_only() {
         let mut side = VehicleSide::new(Strategy::Ours, 1.8);
         let net = NetworkConfig::default();
         // Frame 1: warm-up (everything static by definition).
-        let u1 = side.process(&frame_with_car_at(20.0, Pose2::identity()), &[], &net);
+        let u1 = process(
+            &mut side,
+            &frame_with_car_at(20.0, Pose2::identity()),
+            &[],
+            &net,
+        );
         assert!(u1.objects.is_empty());
         // Frame 2: the car moved 1 m -> uploaded.
-        let u2 = side.process(&frame_with_car_at(21.0, Pose2::identity()), &[], &net);
+        let u2 = process(
+            &mut side,
+            &frame_with_car_at(21.0, Pose2::identity()),
+            &[],
+            &net,
+        );
         assert_eq!(u2.objects.len(), 1);
         assert!((u2.objects[0].centroid - Vec2::new(21.0, 0.0)).norm() < 1.5);
         // Frame 3: the car stops -> dropped again.
-        let u3 = side.process(&frame_with_car_at(21.0, Pose2::identity()), &[], &net);
+        let u3 = process(
+            &mut side,
+            &frame_with_car_at(21.0, Pose2::identity()),
+            &[],
+            &net,
+        );
         assert!(u3.objects.is_empty());
         // Upload size matches the paper's "< 20 KB" claim.
         assert!(u2.bytes < 20_000, "bytes = {}", u2.bytes);
@@ -392,7 +457,12 @@ mod tests {
         let mut side = VehicleSide::new(Strategy::Ours, 1.8);
         let net = NetworkConfig::default();
         // The sensor vehicle moves while the target stays put: no upload.
-        side.process(&frame_with_car_at(20.0, Pose2::identity()), &[], &net);
+        process(
+            &mut side,
+            &frame_with_car_at(20.0, Pose2::identity()),
+            &[],
+            &net,
+        );
         let moved = Pose2::new(Vec2::new(2.0, 0.0), 0.0);
         // The target is still at world (20, 0); the frame is captured from
         // the new sensor pose.
@@ -403,7 +473,7 @@ mod tests {
             is_static: false,
         }];
         let frame = scan(&LidarConfig::default(), 1, moved, 1.8, &targets, &[]);
-        let u = side.process(&frame, &[], &net);
+        let u = process(&mut side, &frame, &[], &net);
         assert!(u.objects.is_empty(), "static object must not be uploaded after ego motion");
     }
 
@@ -419,7 +489,7 @@ mod tests {
         }];
         let frame = scan(&LidarConfig::default(), 1, Pose2::identity(), 1.8, &targets, &[]);
         let me = (1u64, Vec2::ZERO);
-        let u = side.process(&frame, &[me], &net);
+        let u = process(&mut side, &frame, &[me], &net);
         assert_eq!(u.objects.len(), 1, "EMP does not filter static objects");
         // And its bytes include the clutter share, near the uplink cap.
         assert!(u.bytes > net.uplink_budget_bytes() / 2);
@@ -433,11 +503,11 @@ mod tests {
         // Another connected vehicle sits right next to the object: the
         // object is in *its* cell, so we must not upload it.
         let positions = [(1u64, Vec2::ZERO), (2u64, Vec2::new(28.0, 0.0))];
-        let u = side.process(&frame, &positions, &net);
+        let u = process(&mut side, &frame, &positions, &net);
         assert!(u.objects.is_empty());
         // Without the rival, we upload it.
         let mut side = VehicleSide::new(Strategy::Emp, 1.8);
-        let u = side.process(&frame, &[(1u64, Vec2::ZERO)], &net);
+        let u = process(&mut side, &frame, &[(1u64, Vec2::ZERO)], &net);
         assert_eq!(u.objects.len(), 1);
     }
 
@@ -450,7 +520,7 @@ mod tests {
             ..NetworkConfig::default()
         };
         let frame = frame_with_car_at(45.0, Pose2::identity()); // few points at range
-        let u = side.process(&frame, &[(1, Vec2::ZERO)], &net);
+        let u = process(&mut side, &frame, &[(1, Vec2::ZERO)], &net);
         assert_eq!(u.bytes, net.uplink_budget_bytes());
         // The far object's handful of points got subsampled away.
         assert!(u.objects.is_empty(), "object should be lost under cap pressure");
@@ -461,7 +531,7 @@ mod tests {
         let mut side = VehicleSide::new(Strategy::Unlimited, 1.8);
         let net = NetworkConfig::default();
         let frame = frame_with_car_at(20.0, Pose2::identity());
-        let u = side.process(&frame, &[], &net);
+        let u = process(&mut side, &frame, &[], &net);
         assert_eq!(u.bytes, frame.raw_size_bytes() as u64);
         assert_eq!(u.objects.len(), 1);
         assert!(u.bytes > 2_000_000, "raw frames are MB-scale");
@@ -478,7 +548,7 @@ mod tests {
         for strategy in [Strategy::Ours, Strategy::V2v, Strategy::Emp] {
             let mut side = VehicleSide::new(strategy, 1.8);
             let (u, host) =
-                side.process_with_host_time(&frame, &[(1, Vec2::ZERO)], &net);
+                side.process_in(&frame, &[(1, Vec2::ZERO)], &net, &mut VehicleScratch::new());
             assert!(host > 0.0, "{strategy:?} does on-board work");
             assert_eq!(
                 u.processing_time,
@@ -489,7 +559,7 @@ mod tests {
         for strategy in [Strategy::Single, Strategy::Unlimited] {
             let mut side = VehicleSide::new(strategy, 1.8);
             let (u, host) =
-                side.process_with_host_time(&frame, &[(1, Vec2::ZERO)], &net);
+                side.process_in(&frame, &[(1, Vec2::ZERO)], &net, &mut VehicleScratch::new());
             assert_eq!(host, 0.0, "{strategy:?} has no OBU compute");
             assert_eq!(u.processing_time, 0.0);
         }
@@ -500,7 +570,7 @@ mod tests {
         let net = NetworkConfig::default();
         let frame = frame_with_car_at(20.0, Pose2::identity());
         let mut ours = VehicleSide::new(Strategy::Ours, 1.8);
-        let u = ours.process(&frame, &[], &net);
+        let u = process(&mut ours, &frame, &[], &net);
         // The DBSCAN input is the ground-free frame: every object point
         // survives, the ground sample does not.
         let expected: usize = frame.objects.iter().map(|o| o.points.len()).sum();
@@ -508,7 +578,7 @@ mod tests {
         assert!(u.clustered_points > 0);
         for strategy in [Strategy::Single, Strategy::Emp, Strategy::Unlimited] {
             let mut side = VehicleSide::new(strategy, 1.8);
-            let u = side.process(&frame, &[(1, Vec2::ZERO)], &net);
+            let u = process(&mut side, &frame, &[(1, Vec2::ZERO)], &net);
             assert_eq!(u.clustered_points, 0, "{strategy:?} does not cluster on board");
         }
     }
@@ -534,10 +604,75 @@ mod tests {
     }
 
     #[test]
+    fn fleet_matches_per_vehicle_processing() {
+        use erpd_sim::{Scenario, ScenarioConfig};
+        let net = NetworkConfig::default();
+        let mut s = Scenario::build(ScenarioConfig {
+            n_vehicles: 16,
+            connected_fraction: 0.5,
+            n_pedestrians: 2,
+            ..ScenarioConfig::default()
+        });
+        let scans: Vec<Vec<LidarFrame>> = (0..4)
+            .map(|_| {
+                let frames = s.world.scan_connected();
+                s.world.step();
+                frames
+            })
+            .collect();
+        assert!(
+            scans[0].len() >= 4,
+            "enough vehicles to occupy four workers"
+        );
+        // processing_time is wall clock — the only non-deterministic field.
+        let zeroed = |mut uploads: Vec<Upload>| {
+            for u in &mut uploads {
+                u.processing_time = 0.0;
+            }
+            uploads
+        };
+        for strategy in [Strategy::Ours, Strategy::Emp] {
+            // Reference: one `VehicleSide` per vehicle, called one at a time.
+            let mut sides: BTreeMap<u64, VehicleSide> = BTreeMap::new();
+            let expected: Vec<Vec<Upload>> = scans
+                .iter()
+                .map(|frames| {
+                    let positions: Vec<(u64, Vec2)> = frames
+                        .iter()
+                        .map(|f| (f.vehicle_id, f.sensor_pose.position))
+                        .collect();
+                    let uploads = frames.iter().map(|f| {
+                        let side = sides
+                            .entry(f.vehicle_id)
+                            .or_insert_with(|| VehicleSide::new(strategy, f.sensor_height));
+                        process(side, f, &positions, &net)
+                    });
+                    zeroed(uploads.collect())
+                })
+                .collect();
+            assert!(expected.iter().flatten().any(|u| !u.objects.is_empty()));
+            for threads in [1, 4] {
+                erpd_par::set_max_threads(threads);
+                let mut fleet = VehicleFleet::new();
+                for (frames, want) in scans.iter().zip(&expected) {
+                    let got = zeroed(fleet.process(strategy, frames, &net).unwrap());
+                    assert_eq!(&got, want, "{strategy:?} at {threads} threads");
+                }
+            }
+        }
+        erpd_par::set_max_threads(0); // restore the default for the rest of the binary
+    }
+
+    #[test]
     fn single_uploads_nothing() {
         let mut side = VehicleSide::new(Strategy::Single, 1.8);
         let net = NetworkConfig::default();
-        let u = side.process(&frame_with_car_at(20.0, Pose2::identity()), &[], &net);
+        let u = process(
+            &mut side,
+            &frame_with_car_at(20.0, Pose2::identity()),
+            &[],
+            &net,
+        );
         assert_eq!(u.bytes, 0);
         assert!(u.objects.is_empty());
     }
@@ -547,12 +682,12 @@ mod tests {
         let net = NetworkConfig::default();
         let mk_frame = |x: f64| frame_with_car_at(x, Pose2::identity());
         let mut ours = VehicleSide::new(Strategy::Ours, 1.8);
-        ours.process(&mk_frame(20.0), &[], &net);
-        let b_ours = ours.process(&mk_frame(21.0), &[], &net).bytes;
+        process(&mut ours, &mk_frame(20.0), &[], &net);
+        let b_ours = process(&mut ours, &mk_frame(21.0), &[], &net).bytes;
         let mut emp = VehicleSide::new(Strategy::Emp, 1.8);
-        let b_emp = emp.process(&mk_frame(21.0), &[(1, Vec2::ZERO)], &net).bytes;
+        let b_emp = process(&mut emp, &mk_frame(21.0), &[(1, Vec2::ZERO)], &net).bytes;
         let mut unl = VehicleSide::new(Strategy::Unlimited, 1.8);
-        let b_unl = unl.process(&mk_frame(21.0), &[], &net).bytes;
+        let b_unl = process(&mut unl, &mk_frame(21.0), &[], &net).bytes;
         assert!(b_ours < b_emp, "ours {b_ours} vs emp {b_emp}");
         assert!(b_emp < b_unl, "emp {b_emp} vs unlimited {b_unl}");
     }

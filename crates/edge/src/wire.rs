@@ -36,7 +36,7 @@ use crate::{Upload, UploadedObject};
 use erpd_core::{DisseminationPlan, Error, VehicleHandover};
 use erpd_geometry::{Pose2, Vec2};
 use erpd_pointcloud::{compress, decompress, DecodeError};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Magic bytes opening every wire frame.
 pub const WIRE_MAGIC: [u8; 4] = *b"ERPW";
@@ -364,42 +364,6 @@ pub fn write_message<W: Write>(w: &mut W, msg: &WireMessage) -> io::Result<()> {
     w.write_all(&msg.encode())
 }
 
-/// Reads one complete message from a blocking stream. Returns `Ok(None)`
-/// on a clean end-of-stream (the peer closed between frames); an EOF in
-/// the middle of a frame is an error.
-pub fn read_message<R: Read>(r: &mut R) -> io::Result<Option<WireMessage>> {
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    let mut got = 0;
-    while got < header.len() {
-        let n = r.read(&mut header[got..])?;
-        if n == 0 {
-            if got == 0 {
-                return Ok(None);
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "stream closed inside a wire-frame header",
-            ));
-        }
-        got += n;
-    }
-    // Validate the header via the streaming decoder before trusting the
-    // declared length.
-    let peek = WireMessage::decode_frame(&header)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    if let Some((msg, _)) = peek {
-        return Ok(Some(msg)); // zero-payload frame, fully decoded
-    }
-    let len = u32::from_le_bytes(header[6..10].try_into().expect("sized")) as usize;
-    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + len);
-    frame.extend_from_slice(&header);
-    frame.resize(FRAME_HEADER_BYTES + len, 0);
-    r.read_exact(&mut frame[FRAME_HEADER_BYTES..])?;
-    let (msg, _) = WireMessage::decode(&frame)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok(Some(msg))
-}
-
 /// Applies the channel's partial-upload truncation the way a real link
 /// does: encodes the upload as its v1 wire frame, clips the frame to the
 /// surviving `keep` fraction of its bytes, and runs the decoder's
@@ -616,11 +580,13 @@ mod tests {
         for m in &msgs {
             write_message(&mut buf, m).unwrap();
         }
-        let mut r = io::Cursor::new(buf);
         let mut got = Vec::new();
-        while let Some(m) = read_message(&mut r).unwrap() {
+        let mut at = 0;
+        while let Some((m, used)) = WireMessage::decode_frame(&buf[at..]).unwrap() {
             got.push(m);
+            at += used;
         }
+        assert_eq!(at, buf.len());
         assert_eq!(got.len(), 3);
         assert_eq!(got[0], msgs[0]);
         assert_eq!(got[2], msgs[2]);

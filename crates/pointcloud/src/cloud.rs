@@ -73,19 +73,6 @@ impl PointCloud {
         cloud
     }
 
-    /// Builds a cloud directly from coordinate lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lanes differ in length.
-    pub fn from_lanes(xs: Vec<f64>, ys: Vec<f64>, zs: Vec<f64>) -> Self {
-        assert!(
-            xs.len() == ys.len() && ys.len() == zs.len(),
-            "lane lengths differ"
-        );
-        PointCloud { xs, ys, zs }
-    }
-
     /// Number of points.
     #[inline]
     pub fn len(&self) -> usize {
@@ -227,42 +214,14 @@ impl PointCloud {
         self.zs.truncate(keep);
     }
 
-    /// Filter and transform fused into one pass: returns the transformed
-    /// image of every point satisfying the predicate, in one allocation —
-    /// equivalent to `self.filtered(f).transformed(t)` (bit-identical,
-    /// since the same `t.apply` runs on the same surviving points in the
-    /// same order) without the intermediate cloud.
-    pub fn filter_transform<F: FnMut(&Vec3) -> bool>(&self, f: F, t: &Transform3) -> PointCloud {
-        let mut out = PointCloud::new();
-        self.filter_transform_into(f, t, &mut out);
-        out
-    }
-
-    /// Appends the fused filter+transform image of this cloud to `out`
-    /// (which is *not* cleared, so several source clouds can be funnelled
-    /// into one reused scratch buffer with zero steady-state allocation).
-    pub fn filter_transform_into<F: FnMut(&Vec3) -> bool>(
-        &self,
-        mut f: F,
-        t: &Transform3,
-        out: &mut PointCloud,
-    ) {
-        for i in 0..self.len() {
-            let p = self.point(i);
-            if f(&p) {
-                out.push(t.apply(p));
-            }
-        }
-    }
-
     /// Fused `z > min_z` filter + rigid transform, appended to `out` —
     /// the ground-removal hot path, specialized so the filter runs on the
     /// contiguous `z` lane alone (the `x`/`y` lanes are only touched for
     /// survivors) and the lanes are reserved exactly once per call.
     ///
-    /// Bit-identical to `filter_transform_into(|p| p.z > min_z, t, out)`:
-    /// the same `Transform3::apply` products and sums run on the same
-    /// surviving points in the same order.
+    /// Bit-identical to `out.merge_from(&self.filtered(|p| p.z > min_z)
+    /// .transformed(t))`: the same `Transform3::apply` products and sums
+    /// run on the same surviving points in the same order.
     pub fn filter_above_transform_into(&self, min_z: f64, t: &Transform3, out: &mut PointCloud) {
         let survivors = self.zs.iter().filter(|&&z| z > min_z).count();
         out.xs.reserve(survivors);
@@ -453,14 +412,6 @@ mod tests {
         assert_eq!(c.xs(), &[1.0, 4.0]);
         assert_eq!(c.ys(), &[2.0, 5.0]);
         assert_eq!(c.zs(), &[3.0, 6.0]);
-        let d = PointCloud::from_lanes(vec![1.0, 4.0], vec![2.0, 5.0], vec![3.0, 6.0]);
-        assert_eq!(c, d);
-    }
-
-    #[test]
-    #[should_panic(expected = "lane lengths differ")]
-    fn from_lanes_rejects_mismatch() {
-        let _ = PointCloud::from_lanes(vec![1.0], vec![], vec![1.0]);
     }
 
     #[test]
@@ -471,27 +422,6 @@ mod tests {
         assert!((w.point(0) - Vec3::new(11.0, 0.0, 2.0)).norm() < 1e-12);
         // Original is untouched.
         assert_eq!(c.point(0), Vec3::new(1.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn filter_transform_fuses_filtered_then_transformed() {
-        let c = PointCloud::from_points(vec![
-            Vec3::new(1.0, 2.0, -1.8),
-            Vec3::new(3.0, -4.0, 0.5),
-            Vec3::new(-2.0, 7.0, 1.2),
-        ]);
-        let t = Transform3::lidar_to_world(Vec2::new(12.0, -3.0), 0.7, 1.8);
-        let keep = |p: &Vec3| p.z > -1.0;
-        let expected = c.filtered(keep).transformed(&t);
-        assert_eq!(c.filter_transform(keep, &t), expected);
-        // The appending variant funnels several sources into one scratch.
-        let mut out = PointCloud::new();
-        c.filter_transform_into(keep, &t, &mut out);
-        c.filter_transform_into(keep, &t, &mut out);
-        assert_eq!(out.len(), 2 * expected.len());
-        for i in 0..expected.len() {
-            assert_eq!(out.point(i), expected.point(i));
-        }
     }
 
     #[test]

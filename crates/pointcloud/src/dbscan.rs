@@ -976,12 +976,6 @@ impl DbscanScratch {
         false
     }
 
-    /// Number of points in the last run.
-    #[inline]
-    pub fn point_count(&self) -> usize {
-        self.labels.len()
-    }
-
     /// Number of clusters found by the last run.
     #[inline]
     pub fn n_clusters(&self) -> usize {
@@ -1167,7 +1161,6 @@ mod tests {
             let expected = dbscan(pts, params);
             assert_eq!(scratch.to_result(), expected);
             assert_eq!(scratch.noise_count(), expected.noise().len());
-            assert_eq!(scratch.point_count(), pts.len());
         }
     }
 

@@ -80,14 +80,7 @@ impl GroundFilter {
 
     /// Ground removal and rigid transform fused into one pass — the
     /// vehicle-side hot path's replacement for
-    /// `self.apply(cloud).transformed(t)`, bit-identical to it with one
-    /// allocation instead of two.
-    pub fn apply_transformed(&self, cloud: &PointCloud, t: &Transform3) -> PointCloud {
-        let thr = self.threshold();
-        cloud.filter_transform(|p| p.z > thr, t)
-    }
-
-    /// Appends the fused ground-removal + transform image of `cloud` to
+    /// `self.apply(cloud).transformed(t)`, bit-identical to it. Appends to
     /// `out` without clearing it, so several sensor sub-clouds can stream
     /// into one reused world-frame scratch with zero steady-state
     /// allocation.
@@ -157,7 +150,6 @@ mod tests {
         let c = cloud_with_ground();
         let t = Transform3::lidar_to_world(Vec2::new(30.0, -12.0), 1.1, 1.8);
         let expected = f.apply(&c).transformed(&t);
-        assert_eq!(f.apply_transformed(&c, &t), expected);
         let mut out = PointCloud::new();
         f.apply_transformed_into(&c, &t, &mut out);
         assert_eq!(out, expected);

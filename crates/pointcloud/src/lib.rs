@@ -41,8 +41,7 @@ mod motion;
 
 pub use cloud::{IntoPoints, PointCloud, Points, POINT_WIRE_BYTES};
 pub use compress::{
-    compress, compression_ratio, decompress, max_quantization_error, DecodeError,
-    COMPRESSED_POINT_BYTES,
+    compress, decompress, max_quantization_error, DecodeError, COMPRESSED_POINT_BYTES,
 };
 pub use dbscan::{dbscan, DbscanParams, DbscanResult, DbscanScratch};
 pub use ground::GroundFilter;

@@ -135,18 +135,6 @@ impl PointCloudMerger {
         self.voxels.len()
     }
 
-    /// Occupied voxel keys in first-seen order.
-    #[inline]
-    pub fn voxel_keys(&self) -> &[VoxelKey] {
-        &self.order
-    }
-
-    /// Contributing point count of voxel `k`, if occupied.
-    #[inline]
-    pub fn voxel_count(&self, k: VoxelKey) -> Option<usize> {
-        self.voxels.get(&k).map(|&(_, n)| n)
-    }
-
     /// Empties the merger for reuse, keeping allocations.
     pub fn reset(&mut self) {
         self.voxels.clear();
@@ -574,11 +562,9 @@ mod tests {
         full.absorb_from(&b2);
         assert_eq!(inc.output_points(), full.output_points());
         assert_eq!(inc.input_points(), full.input_points());
-        let counts = inc.voxel_counts();
-        for (k, n) in &counts {
-            assert_eq!(full.voxel_count(*k), Some(*n));
-        }
-        assert_eq!(counts.len(), full.output_points());
+        let mut rebuild = IncrementalMerger::new(0.5);
+        rebuild.absorb_partial(&full);
+        assert_eq!(inc.voxel_counts(), rebuild.voxel_counts());
     }
 
     #[test]

@@ -77,15 +77,6 @@ pub struct ExtractionOutput {
 }
 
 impl ExtractionOutput {
-    /// The points of all moving objects, i.e. what the vehicle uploads.
-    pub fn moving_cloud(&self) -> PointCloud {
-        let mut out = PointCloud::new();
-        for o in self.objects.iter().filter(|o| o.moving) {
-            out.merge_from(&o.points);
-        }
-        out
-    }
-
     /// Number of moving objects.
     pub fn moving_count(&self) -> usize {
         self.objects.iter().filter(|o| o.moving).count()
@@ -329,7 +320,6 @@ mod tests {
         assert_eq!(out.objects.len(), 1);
         assert!(!out.objects[0].moving);
         assert_eq!(out.moving_count(), 0);
-        assert!(out.moving_cloud().is_empty());
     }
 
     #[test]
@@ -363,7 +353,7 @@ mod tests {
         let moving: Vec<_> = out.objects.iter().filter(|o| o.moving).collect();
         assert!((moving[0].centroid.x - 1.7).abs() < 0.5);
         // The upload excludes the building's points.
-        assert_eq!(out.moving_cloud().len(), 10);
+        assert_eq!(moving[0].points.len(), 10);
     }
 
     #[test]

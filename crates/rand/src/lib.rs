@@ -1,7 +1,7 @@
 //! Std-only deterministic randomness for the ERPD workspace.
 //!
 //! This crate keeps the workspace hermetic: it replaces the external
-//! `rand` dependency (and, through the [`proptest`] module, the external
+//! `rand` dependency (and, through the [`mod@proptest`] module, the external
 //! `proptest` dependency) with ~no code beyond what the simulator and the
 //! test suites actually use:
 //!
@@ -10,7 +10,7 @@
 //!   `Rng::gen_range`), so migrating a call site is an import change.
 //! * [`Rng::shuffle`] / [`Rng::gen_bool`] — the two convenience draws the
 //!   scenario generator needs.
-//! * [`proptest`] — a property-testing harness with seeded case
+//! * [`mod@proptest`] — a property-testing harness with seeded case
 //!   generation, shrinking-lite, and failure-seed reporting.
 //!
 //! The generator is SplitMix64: the state advances by the golden-ratio

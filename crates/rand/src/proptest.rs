@@ -292,7 +292,7 @@ fn case_seed(base: u64, index: u64) -> u64 {
 
 /// Generates one `#[test]` function per `fn name(pat in strategy, ...)`
 /// item, running the body over strategy-drawn cases. See the
-/// [module docs](crate::proptest) for semantics.
+/// [module docs](mod@crate::proptest) for semantics.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {

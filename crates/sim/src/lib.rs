@@ -36,14 +36,12 @@
 mod lidar;
 mod map;
 mod pedestrian;
-mod road;
 mod scenario;
 mod vehicle;
 mod world;
 
 pub use lidar::{scan, LidarConfig, LidarFrame, LidarTarget, SensedObject};
 pub use map::{Approach, IntersectionMap, LaneLocation, Route, RouteSpec, Turn};
-pub use road::RoadNetwork;
 pub use pedestrian::PedestrianAgent;
 pub use scenario::{Scenario, ScenarioConfig, ScenarioKind};
 pub use vehicle::{Vehicle, VehicleParams};

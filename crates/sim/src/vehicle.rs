@@ -140,11 +140,6 @@ impl Vehicle {
         Obb2::new(self.pose(), self.params.length, self.params.width)
     }
 
-    /// True once the vehicle has cleared the intersection box.
-    pub fn passed_intersection(&self) -> bool {
-        self.s > self.route.exit_s
-    }
-
     /// True when the route is fully driven.
     pub fn finished(&self) -> bool {
         self.s >= self.route.path.length() - 1e-6
@@ -353,11 +348,9 @@ mod tests {
     }
 
     #[test]
-    fn passes_intersection_flag() {
+    fn finished_at_route_end() {
         let mut v = car(15.0);
-        assert!(!v.passed_intersection());
-        v.s = v.route.exit_s + 1.0;
-        assert!(v.passed_intersection());
+        assert!(!v.finished());
         v.s = v.route.path.length();
         assert!(v.finished());
     }

@@ -8,9 +8,9 @@
 //!    objects actually need a predicted trajectory — lane leaders,
 //!    in-intersection vehicles, and one representative per pedestrian
 //!    [`Crowd`], and
-//! 3. predicts those trajectories with [`predict_ctrv`] /
-//!    [`predict_from_track`], producing [`PredictedTrajectory`] values the
-//!    relevance estimator consumes.
+//! 3. predicts those trajectories with [`predict_ctrv`] (or along a map
+//!    route, [`PredictedTrajectory::from_path`]), producing
+//!    [`PredictedTrajectory`] values the relevance estimator consumes.
 //!
 //! # Examples
 //!
@@ -43,6 +43,6 @@ mod track;
 pub use crowd::{cluster_crowds, cluster_dbscan, Crowd, CrowdParams, Pedestrian};
 pub use deviation::{crowd_final_deviations, final_position, mean_final_deviation};
 pub use object::{ObjectId, ObjectKind, ObjectState};
-pub use predict::{predict_ctrv, predict_from_track, PredictedTrajectory, PredictorConfig};
+pub use predict::{predict_ctrv, PredictedTrajectory, PredictorConfig};
 pub use rules::{apply_rules, FollowerLink, LanePosition, RuleInput, TrackingSelection};
 pub use track::{Detection, Track, TrackedDetection, Tracker, TrackerConfig};

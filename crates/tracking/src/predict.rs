@@ -8,7 +8,7 @@
 //! grows linearly with the prediction horizon — the downstream relevance
 //! computation is agnostic to the predictor family.
 
-use crate::{ObjectId, ObjectKind, Track};
+use crate::{ObjectId, ObjectKind};
 use erpd_geometry::{BivariateGaussian, Circle, Interval, Polyline2, Vec2};
 
 /// Configuration for the predictor.
@@ -153,12 +153,6 @@ impl PredictedTrajectory {
         self.path.as_ref()
     }
 
-    /// True when the object is predicted not to move.
-    #[inline]
-    pub fn is_stationary(&self) -> bool {
-        self.path.is_none()
-    }
-
     /// Predicted position at time `t` (clamped to `[0, horizon]`).
     pub fn position_at(&self, t: f64) -> Vec2 {
         match &self.path {
@@ -254,22 +248,6 @@ pub fn predict_ctrv(
     }
 }
 
-/// Predicts a trajectory from a live [`Track`], using its velocity and
-/// turn-rate estimates.
-pub fn predict_from_track(track: &Track, length: f64, config: PredictorConfig) -> PredictedTrajectory {
-    let v = track.velocity();
-    predict_ctrv(
-        track.id(),
-        track.kind(),
-        track.position(),
-        v.norm(),
-        if v.norm() > 1e-9 { v.angle() } else { 0.0 },
-        track.turn_rate(),
-        length,
-        config,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,7 +296,7 @@ mod tests {
     #[test]
     fn slow_object_is_stationary() {
         let t = straight(0.05);
-        assert!(t.is_stationary());
+        assert!(t.path().is_none());
         assert_eq!(t.position_at(3.0), Vec2::ZERO);
         assert_eq!(t.speed(), 0.0);
     }
@@ -375,28 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_from_track_matches_motion() {
-        use crate::{Detection, Tracker, TrackerConfig};
-        let mut tr = Tracker::new(TrackerConfig::default());
-        for i in 0..8 {
-            let t = i as f64 * 0.1;
-            tr.update(
-                t,
-                &[Detection {
-                    position: Vec2::new(8.0 * t, 0.0),
-                    kind: ObjectKind::Vehicle,
-                }],
-            );
-        }
-        let traj = predict_from_track(&tr.tracks()[0], 4.5, PredictorConfig::default());
-        assert!(!traj.is_stationary());
-        assert!((traj.speed() - 8.0).abs() < 0.2);
-        // One second ahead of the last observation (x = 5.6) is x ~ 13.6.
-        let p = traj.position_at(1.0);
-        assert!((p.x - 13.6).abs() < 0.5, "p = {p}");
-    }
-
-    #[test]
     fn from_path_follows_the_map_route() {
         let path = Polyline2::new(vec![
             Vec2::new(0.0, 0.0),
@@ -429,7 +385,7 @@ mod tests {
             4.5,
             PredictorConfig::default(),
         );
-        assert!(t.is_stationary());
+        assert!(t.path().is_none());
         assert_eq!(t.position_at(2.0), Vec2::new(1.0, 2.0));
     }
 

@@ -72,14 +72,6 @@ pub struct TrackingSelection {
 }
 
 impl TrackingSelection {
-    /// Ids of the predicted pedestrian representatives, in crowd order.
-    pub fn predicted_pedestrians(&self) -> Vec<ObjectId> {
-        self.crowds
-            .iter()
-            .map(|c| self.pedestrians[c.representative].id)
-            .collect()
-    }
-
     /// Total number of trajectories that will be predicted.
     pub fn predicted_count(&self) -> usize {
         self.predicted_vehicles.len() + self.crowds.len()
@@ -284,7 +276,6 @@ mod tests {
         }
         let sel = apply_rules(&inputs, &CrowdParams::default());
         assert_eq!(sel.crowds.len(), 2);
-        assert_eq!(sel.predicted_pedestrians().len(), 2);
         // 1 vehicle + 2 representatives.
         assert_eq!(sel.predicted_count(), 3);
     }

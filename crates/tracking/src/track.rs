@@ -70,12 +70,6 @@ impl Track {
         self.misses
     }
 
-    /// Number of stored observations.
-    #[inline]
-    pub fn observations(&self) -> usize {
-        self.history.len()
-    }
-
     /// The stored observation history, oldest first.
     pub fn history(&self) -> impl Iterator<Item = (f64, Vec2)> + '_ {
         self.history.iter().copied()
@@ -492,7 +486,7 @@ mod tests {
         for i in 0..20 {
             tr.update(i as f64 * 0.1, &[det(i as f64, 0.0)]);
         }
-        assert_eq!(tr.tracks()[0].observations(), 4);
+        assert_eq!(tr.tracks()[0].history().count(), 4);
     }
 
     #[test]
@@ -524,11 +518,11 @@ mod tests {
         let r = dest.update(0.4, &[det(2.0, 0.0)]);
         assert_eq!(r[0].id, id);
         assert_eq!(dest.tracks().len(), 1);
-        assert_eq!(dest.tracks()[0].observations(), history.len() + 1);
+        assert_eq!(dest.tracks()[0].history().count(), history.len() + 1);
         // Adopting a fresher snapshot replaces in place, never duplicates.
         dest.adopt(track.clone());
         assert_eq!(dest.tracks().len(), 1);
-        assert_eq!(dest.remove(id).unwrap().observations(), history.len());
+        assert_eq!(dest.remove(id).unwrap().history().count(), history.len());
         assert!(dest.remove(id).is_none());
     }
 

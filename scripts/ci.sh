@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI: exactly what a PR must pass, in the order a failure is cheapest.
 #
-#   scripts/ci.sh            # build + tests + clippy
+#   scripts/ci.sh            # build + tests + docs + clippy
 #   scripts/ci.sh --quick    # skip clippy (e.g. while iterating)
 #
 # The tier-1 gate is the first two steps; clippy is kept at -D warnings so
@@ -46,6 +46,9 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> benchmark/run.sh --smoke"
 benchmark/run.sh --smoke
+
+echo "==> cargo doc --no-deps --offline --workspace (dangling doc links are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"

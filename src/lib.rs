@@ -91,9 +91,8 @@ pub use erpd_tracking as tracking;
 /// ```
 pub mod prelude {
     pub use erpd_core::{
-        broadcast_plan, build_relevance_matrix, build_relevance_matrix_multi, greedy_plan,
-        optimal_plan, round_robin_plan, Assignment, DisseminationPlan, ObjectHypotheses,
-        PlanInputs, Region, RelevanceConfig, RelevanceMatrix, RelevanceMode, VehicleHandover,
+        build_relevance_matrix_multi, Assignment, DisseminationPlan, ObjectHypotheses, PlanInputs,
+        Region, RelevanceConfig, RelevanceMatrix, RelevanceMode, VehicleHandover,
     };
     pub use erpd_edge::{
         run, run_seeds, truncate_on_wire, AveragedResult, BoxedDisseminationStage,
@@ -110,7 +109,7 @@ pub mod prelude {
     pub use erpd_pointcloud::{
         compress, decompress, ExtractionConfig, GroundFilter, MovingObjectExtractor, PointCloud,
     };
-    pub use erpd_sim::{RoadNetwork, Scenario, ScenarioConfig, ScenarioKind, World};
+    pub use erpd_sim::{Scenario, ScenarioConfig, ScenarioKind, World};
     pub use erpd_tracking::{
         cluster_crowds, cluster_dbscan, mean_final_deviation, CrowdParams, ObjectId, ObjectKind,
         Pedestrian, PredictorConfig,

@@ -35,10 +35,10 @@ fn arbitrary_problem() -> impl Strategy<Value = (RelevanceMatrix, BTreeMap<Objec
 proptest! {
     #[test]
     fn greedy_plan_is_feasible_and_positive(
-        (matrix, sizes, _recv) in arbitrary_problem(),
+        (matrix, sizes, recv) in arbitrary_problem(),
         budget in 0u64..20_000,
     ) {
-        let plan = greedy_plan(&matrix, &sizes, budget);
+        let plan = PlanInputs { matrix: &matrix, sizes: &sizes, receivers: &recv }.greedy(budget);
         prop_assert!(plan.total_bytes <= budget);
         for a in &plan.assignments {
             prop_assert!(a.relevance > 0.0, "never send irrelevant data");
@@ -55,11 +55,12 @@ proptest! {
 
     #[test]
     fn optimal_dominates_greedy(
-        (matrix, sizes, _recv) in arbitrary_problem(),
+        (matrix, sizes, recv) in arbitrary_problem(),
         budget in 1000u64..20_000,
     ) {
-        let greedy = greedy_plan(&matrix, &sizes, budget);
-        let optimal = optimal_plan(&matrix, &sizes, budget, 10);
+        let inputs = PlanInputs { matrix: &matrix, sizes: &sizes, receivers: &recv };
+        let greedy = inputs.greedy(budget);
+        let optimal = inputs.optimal(budget, 10);
         // DP with rounded-up weights is still feasible...
         prop_assert!(optimal.total_bytes <= budget);
         // ...and greedy cannot beat the exact optimum by more than the
@@ -76,11 +77,12 @@ proptest! {
         let max_size = sizes.values().copied().max().unwrap_or(0);
         let budget = max_size.max(1) * 2;
         // Run enough frames to guarantee every pair is served.
-        let n_pairs = sizes.len() * recv.len();
+        let inputs = PlanInputs { matrix: &matrix, sizes: &sizes, receivers: &recv };
+        let n_pairs = inputs.candidate_pairs();
         let mut offset = 0usize;
         let mut served = std::collections::BTreeSet::new();
         for _ in 0..(n_pairs * 2 + 4) {
-            let (plan, next) = round_robin_plan(&sizes, &recv, &matrix, budget, offset);
+            let (plan, next) = inputs.round_robin(budget, offset);
             prop_assert!(plan.total_bytes <= budget);
             for a in &plan.assignments {
                 served.insert((a.receiver, a.object));
@@ -99,8 +101,9 @@ proptest! {
         (matrix, sizes, recv) in arbitrary_problem(),
         budget in 0u64..50_000,
     ) {
-        let broadcast = broadcast_plan(&sizes, &recv, &matrix);
-        let greedy = greedy_plan(&matrix, &sizes, budget);
+        let inputs = PlanInputs { matrix: &matrix, sizes: &sizes, receivers: &recv };
+        let broadcast = inputs.broadcast();
+        let greedy = inputs.greedy(budget);
         prop_assert!(broadcast.total_bytes >= greedy.total_bytes);
         prop_assert!(broadcast.total_relevance >= greedy.total_relevance - 1e-9);
         prop_assert_eq!(

@@ -1,6 +1,7 @@
-//! Experiment harness regenerating every table and figure of the paper's
+//! Paper-figure harness: regenerates every table and figure of the paper's
 //! evaluation (see DESIGN.md §5 for the experiment index), plus the
-//! ablations of §6.
+//! ablations of §6. Per-layer timing lives in `benchmark/`
+//! (`benchmark/run.sh --trace 1`), not here.
 //!
 //! The `experiments` binary drives everything:
 //!
@@ -17,7 +18,6 @@ pub mod ablation;
 pub mod bandwidth;
 pub mod fig04;
 mod harness;
-pub mod runner;
 pub mod safety;
 mod table;
 

@@ -35,12 +35,11 @@ pub enum RelevanceMode {
     Gaussian,
 }
 
-/// Configuration for relevance estimation.
+/// Configuration for relevance estimation. The horizon `T` of the `R_ttc`
+/// formula is not configured here: it is the horizon the scored
+/// trajectories were predicted over ([`PredictedTrajectory::horizon`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RelevanceConfig {
-    /// The maximum prediction horizon `T` of the `R_ttc` formula, seconds.
-    /// Must match the predictor's horizon.
-    pub horizon: f64,
     /// Which relevance definition to use.
     pub mode: RelevanceMode,
     /// Exponential age-discount rate for stale (coasted) perception data,
@@ -53,7 +52,6 @@ pub struct RelevanceConfig {
 impl Default for RelevanceConfig {
     fn default() -> Self {
         RelevanceConfig {
-            horizon: 5.0,
             mode: RelevanceMode::Combined,
             staleness_decay: 0.0,
         }
@@ -61,12 +59,6 @@ impl Default for RelevanceConfig {
 }
 
 impl RelevanceConfig {
-    /// Returns the configuration with the prediction horizon `T` replaced.
-    pub fn with_horizon(mut self, horizon: f64) -> Self {
-        self.horizon = horizon;
-        self
-    }
-
     /// Returns the configuration with the relevance definition replaced.
     pub fn with_mode(mut self, mode: RelevanceMode) -> Self {
         self.mode = mode;
@@ -121,6 +113,13 @@ impl RelevanceBreakdown {
     }
 }
 
+/// The horizon `T` a pair is scored over: the one both trajectories were
+/// predicted over (the shorter, should they ever differ — nothing is
+/// predicted beyond it).
+fn shared_horizon(a: &PredictedTrajectory, b: &PredictedTrajectory) -> f64 {
+    a.horizon().min(b.horizon())
+}
+
 /// Scores one candidate collision area against both trajectories.
 fn score_area(
     a: &PredictedTrajectory,
@@ -173,9 +172,9 @@ pub fn trajectory_relevance(
     b: &PredictedTrajectory,
     config: RelevanceConfig,
 ) -> RelevanceBreakdown {
-    let horizon = config.horizon;
+    let horizon = shared_horizon(a, b);
     if config.mode == RelevanceMode::Gaussian {
-        let g = joint_gaussian_relevance(a, b, config);
+        let g = joint_gaussian_relevance(a, b);
         let mut out = RelevanceBreakdown::none(horizon);
         out.relevance = g;
         return out;
@@ -232,11 +231,7 @@ pub fn trajectory_relevance(
 ///
 /// Kept for the ablation benchmark; the paper argues this underestimates
 /// risk because it ignores object extent.
-pub fn joint_gaussian_relevance(
-    a: &PredictedTrajectory,
-    b: &PredictedTrajectory,
-    config: RelevanceConfig,
-) -> f64 {
+pub fn joint_gaussian_relevance(a: &PredictedTrajectory, b: &PredictedTrajectory) -> f64 {
     let (pa, pb) = match (a.path(), b.path()) {
         (Some(pa), Some(pb)) => (pa, pb),
         _ => return 0.0,
@@ -249,14 +244,15 @@ pub fn joint_gaussian_relevance(
     }
     let ta = crossing.s_self / a.speed();
     let tb = crossing.s_other / b.speed();
-    if ta > config.horizon || tb > config.horizon {
+    let horizon = shared_horizon(a, b);
+    if ta > horizon || tb > horizon {
         return 0.0;
     }
     // A collision requires both objects at the crossing point at the SAME
     // instant: evaluate both distributions at the midpoint of the two
     // arrival times, so a time mismatch shows up as each mean being offset
     // from the crossing point.
-    let t_star = ((ta + tb) / 2.0).clamp(0.0, config.horizon);
+    let t_star = ((ta + tb) / 2.0).clamp(0.0, horizon);
     let ga = a.gaussian_at(t_star);
     let gb = b.gaussian_at(t_star);
     let joint = ga.pdf(crossing.point) * gb.pdf(crossing.point);
@@ -412,22 +408,21 @@ mod tests {
         assert!((ci.relevance - combined.r_ci).abs() < 1e-12);
         assert!((ttc.relevance - combined.r_ttc).abs() < 1e-12);
         assert!((combined.relevance - (combined.r_ci + combined.r_ttc) / 2.0).abs() < 1e-12);
-        assert!((gauss.relevance - joint_gaussian_relevance(&a, &b, base)).abs() < 1e-12);
+        assert!((gauss.relevance - joint_gaussian_relevance(&a, &b)).abs() < 1e-12);
     }
 
     #[test]
     fn gaussian_baseline_orders_like_risk() {
-        let cfg = RelevanceConfig::default();
         let a = vehicle(1, Vec2::new(-20.0, 0.0), 10.0, 0.0);
         let sync = vehicle(2, Vec2::new(0.0, -20.0), 10.0, FRAC_PI_2);
         let late = vehicle(3, Vec2::new(0.0, -45.0), 10.0, FRAC_PI_2);
-        let g_sync = joint_gaussian_relevance(&a, &sync, cfg);
-        let g_late = joint_gaussian_relevance(&a, &late, cfg);
+        let g_sync = joint_gaussian_relevance(&a, &sync);
+        let g_late = joint_gaussian_relevance(&a, &late);
         assert!(g_sync > 0.9, "peak joint density at synchronised crossing");
         assert!(g_sync > g_late);
         // Parallel paths have no crossing at all.
         let par = vehicle(4, Vec2::new(0.0, 5.0), 10.0, 0.0);
-        assert_eq!(joint_gaussian_relevance(&a, &par, cfg), 0.0);
+        assert_eq!(joint_gaussian_relevance(&a, &par), 0.0);
     }
 
     #[test]
@@ -450,7 +445,7 @@ mod tests {
         let a = vehicle(1, Vec2::new(-20.0, 0.0), 10.0, 0.0);
         let b = vehicle(2, Vec2::new(0.0, -28.0), 10.0, FRAC_PI_2);
         let ours = trajectory_relevance(&a, &b, cfg).relevance;
-        let gauss = joint_gaussian_relevance(&a, &b, cfg);
+        let gauss = joint_gaussian_relevance(&a, &b);
         assert!(ours > 0.0);
         assert!(gauss < ours, "gaussian {gauss} vs ours {ours}");
     }

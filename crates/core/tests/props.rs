@@ -71,7 +71,7 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&r.r_ci));
         prop_assert!((0.0..=1.0).contains(&r.r_ttc));
         prop_assert!((r.relevance - (r.r_ci + r.r_ttc) / 2.0).abs() < 1e-9);
-        prop_assert!(r.ttc >= 0.0 && r.ttc <= rc.horizon + 1e-9);
+        prop_assert!(r.ttc >= 0.0 && r.ttc <= cfg.horizon + 1e-9);
         // Order of arguments does not change the outcome.
         let r2 = trajectory_relevance(&b, &a, rc);
         prop_assert!((r.relevance - r2.relevance).abs() < 1e-9);

@@ -21,7 +21,8 @@
 use crate::daemon::{DaemonConfig, EdgeDaemon};
 use crate::transport::TcpTransport;
 use crate::wire::WireMessage;
-use crate::{percentile, SystemConfig, Upload, VehicleFleet};
+use crate::{SystemConfig, Upload, VehicleFleet};
+use erpd_geometry::stats::quantile;
 use erpd_geometry::{Pose2, Vec2, Vec3};
 use erpd_sim::{IntersectionMap, Scenario, ScenarioConfig};
 use std::io;
@@ -286,7 +287,7 @@ pub fn measure_against(
     let (p50, p95) = if latencies.is_empty() {
         (f64::NAN, f64::NAN)
     } else {
-        (percentile(&mut latencies, 0.50), percentile(&mut latencies, 0.95))
+        (quantile(&mut latencies, 0.50), quantile(&mut latencies, 0.95))
     };
     Ok(CapacityPoint {
         clients: config.clients,

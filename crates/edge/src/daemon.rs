@@ -7,10 +7,11 @@
 //!   spawning a reader per connection.
 //! * **readers** — one thread per connection, decoding wire frames off the
 //!   socket with short read timeouts (a partial frame survives a timeout —
-//!   the [`crate::TcpTransport`] buffer keeps sync). A decoded upload
-//!   lands in the shared pending map; `Hello` registers the vehicle for
-//!   plan delivery (a repeated `Hello` renames it); `Bye` or EOF retires
-//!   the connection.
+//!   the [`crate::TcpTransport`] buffer keeps sync). `Hello` registers the
+//!   vehicle for plan delivery (a repeated `Hello` renames it); a decoded
+//!   upload lands in the shared pending map if it names that vehicle, and
+//!   is dropped and counted otherwise; `Bye` or EOF retires the
+//!   connection.
 //! * **serve** — one thread closing frames. A frame closes once every
 //!   registered vehicle has submitted (the common case under light load —
 //!   this is what keeps p95 latency far below the frame period), else
@@ -113,6 +114,9 @@ struct Shared {
     arrivals: Condvar,
     shutdown: AtomicBool,
     frames_served: AtomicU64,
+    /// Uploads dropped for naming a vehicle other than the one their
+    /// connection registered.
+    rejected_uploads: AtomicU64,
     next_conn_id: AtomicU64,
     /// Reader threads park their handles here for the shutdown join.
     readers: Mutex<Vec<JoinHandle<()>>>,
@@ -145,6 +149,7 @@ impl EdgeDaemon {
             arrivals: Condvar::new(),
             shutdown: AtomicBool::new(false),
             frames_served: AtomicU64::new(0),
+            rejected_uploads: AtomicU64::new(0),
             next_conn_id: AtomicU64::new(0),
             readers: Mutex::new(Vec::new()),
         });
@@ -184,6 +189,13 @@ impl ServerHandle {
     /// from the moment its broadcast starts).
     pub fn frames_served(&self) -> u64 {
         self.shared.frames_served.load(Ordering::Relaxed)
+    }
+
+    /// Uploads dropped so far because they named a vehicle other than the
+    /// one their connection registered with `Hello` (or arrived before any
+    /// `Hello`): one connection cannot file data under another's id.
+    pub fn rejected_uploads(&self) -> u64 {
+        self.shared.rejected_uploads.load(Ordering::Relaxed)
     }
 
     /// Vehicles currently registered (completed the `Hello` handshake).
@@ -245,7 +257,8 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
     };
     let mut transport = TcpTransport::from_stream(stream);
     let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-    let mut registered = false;
+    // The vehicle this connection speaks for, once it said `Hello`.
+    let mut registered: Option<u64> = None;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
@@ -265,15 +278,21 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
                         writer: Arc::clone(&writer),
                     }),
                 }
-                registered = true;
+                registered = Some(vehicle_id);
             }
             Ok(Some(WireMessage::Upload { frame, upload })) => {
-                shared
-                    .ingest
-                    .lock()
-                    .expect("daemon lock poisoned")
-                    .submit(frame, upload);
-                shared.arrivals.notify_all();
+                if registered == Some(upload.vehicle_id) {
+                    shared
+                        .ingest
+                        .lock()
+                        .expect("daemon lock poisoned")
+                        .submit(frame, upload);
+                    shared.arrivals.notify_all();
+                } else {
+                    // Filing it would overwrite the named vehicle's own
+                    // pending upload and ack a frame it never sent.
+                    shared.rejected_uploads.fetch_add(1, Ordering::Relaxed);
+                }
             }
             // A client has no business sending plans or handovers (those
             // flow edge-to-edge); ignore rather than kill the connection.
@@ -285,7 +304,7 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
             Err(_) => break,
         }
     }
-    if registered {
+    if registered.is_some() {
         let mut ingest = shared.ingest.lock().expect("daemon lock poisoned");
         ingest.conns.retain(|c| c.conn_id != conn_id);
     }
@@ -445,6 +464,44 @@ mod tests {
             other => panic!("expected a plan, got {other:?}"),
         }
         assert_eq!(handle.connected_vehicles(), 1);
+        client.send_message(&WireMessage::Bye).unwrap();
+        handle.shutdown();
+    }
+
+    #[test]
+    fn upload_under_another_vehicles_id_is_rejected() {
+        let mut handle = EdgeDaemon::spawn(
+            DaemonConfig::default(),
+            IntersectionMap::default(),
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let mut client = TcpTransport::connect(handle.addr()).unwrap();
+        client
+            .send_message(&WireMessage::Hello { vehicle_id: 7 })
+            .unwrap();
+        for (frame, vehicle) in [(5, 8), (6, 7)] {
+            client
+                .send_message(&WireMessage::Upload {
+                    frame,
+                    upload: upload(vehicle),
+                })
+                .unwrap();
+        }
+        // One connection is read in order, so the plan acking (7, 6) is
+        // served after the forged upload was seen; no plan may ack 8.
+        loop {
+            match client.recv_message(Duration::from_secs(5)).unwrap() {
+                Some(WireMessage::Plan { acks, .. }) => {
+                    assert!(acks.iter().all(|&(v, _)| v == 7), "acks = {acks:?}");
+                    if acks.contains(&(7, 6)) {
+                        break;
+                    }
+                }
+                other => panic!("expected a plan, got {other:?}"),
+            }
+        }
+        assert_eq!(handle.rejected_uploads(), 1);
         client.send_message(&WireMessage::Bye).unwrap();
         handle.shutdown();
     }

@@ -6,7 +6,7 @@
 //!   worth of scans,
 //! * [`Stage`] / [`PipelineBuilder`] — the typed stage graph of the server
 //!   pipeline (merge → associate → track → predict → relevance →
-//!   disseminate) with swappable stage implementations,
+//!   disseminate; the last hop is the swappable one),
 //! * [`EdgeServer`] — the composed server half of that graph: traffic map,
 //!   tracking, rule-based prediction, relevance matrix,
 //! * [`System`] — one object wiring scans → uploads → faulty links →
@@ -63,9 +63,9 @@ pub use pipeline::{
     AssociateStage, AssociatedDetections, BoxedDisseminationStage, BroadcastDissemination,
     FrameCx, GreedyDissemination, Kinematics, MergeStage, PipelineBuilder, PlanRequest,
     PredictStage, Predictions, RelevanceStage, RoundRobinDissemination, Stage, Staged,
-    TrackStage, Tracks, TrafficMap,
+    TrackStage, Tracks, TrafficMap, POSE_HISTORY_LEN,
 };
-pub use metrics::{percentile, run, run_seeds, AveragedResult, RunConfig, RunResult};
+pub use metrics::{run, run_seeds, AveragedResult, RunConfig, RunResult};
 pub use multi::{
     Coverage, Deployment, DeploymentBuilder, DeploymentReport, FleetReport, HandoverPolicy,
 };

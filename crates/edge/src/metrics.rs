@@ -3,6 +3,7 @@
 
 use crate::{ModuleTimes, Strategy, System, SystemConfig};
 use erpd_core::Error;
+use erpd_geometry::stats::quantile;
 use erpd_sim::{EntityKind, Scenario, ScenarioConfig};
 
 /// Configuration of one evaluation run.
@@ -27,12 +28,6 @@ impl RunConfig {
             duration: 15.0,
             system: SystemConfig::new(strategy),
         }
-    }
-
-    /// Returns the configuration with the scenario replaced.
-    pub fn with_scenario(mut self, scenario: ScenarioConfig) -> Self {
-        self.scenario = scenario;
-        self
     }
 
     /// Returns the configuration with the simulated duration replaced.
@@ -180,19 +175,10 @@ pub fn run(config: RunConfig) -> Result<RunResult, Error> {
         } else {
             delivered_uploads as f64 / expected_uploads as f64
         },
-        staleness_p95: percentile(&mut staleness, 0.95),
+        staleness_p95: quantile(&mut staleness, 0.95),
         coasted_objects: coasted_sum as f64 / nf,
         module_times: times.scaled(1.0 / nf),
     })
-}
-
-/// The `q`-quantile of `samples` (sorted in place); 0 for an empty set.
-///
-/// Nearest-rank, delegating to the one shared implementation in
-/// [`erpd_geometry::stats::quantile`]. Kept as a re-export here because
-/// every consumer of this crate's run metrics already imports it.
-pub fn percentile(samples: &mut [f64], q: f64) -> f64 {
-    erpd_geometry::stats::quantile(samples, q)
 }
 
 /// Runs `seeds` runs and returns the fraction with safe passage plus the
@@ -355,30 +341,6 @@ mod tests {
         );
         let cfg = RunConfig::new(Strategy::Ours, sc).with_system(system);
         assert!(matches!(run(cfg), Err(Error::InvalidConfig { .. })));
-    }
-
-    #[test]
-    fn percentile_uses_nearest_rank() {
-        // 20 samples 1..=20: p95 is the 19th order statistic (ceil(0.95·20)
-        // = rank 19), NOT the maximum — the old truncating index returned
-        // 20.0 here.
-        let mut s: Vec<f64> = (1..=20).map(f64::from).collect();
-        assert_eq!(percentile(&mut s, 0.95), 19.0);
-        assert_eq!(percentile(&mut s, 0.5), 10.0);
-        assert_eq!(percentile(&mut s, 1.0), 20.0);
-        // Tiny q clamps to the minimum, not below it.
-        assert_eq!(percentile(&mut s, 0.001), 1.0);
-
-        // 10 samples: p95 → rank ceil(9.5) = 10 → the maximum is correct
-        // here; p50 → rank 5.
-        let mut s: Vec<f64> = (1..=10).map(f64::from).collect();
-        assert_eq!(percentile(&mut s, 0.95), 10.0);
-        assert_eq!(percentile(&mut s, 0.5), 5.0);
-
-        // Unsorted input is sorted in place; empty input reports 0.
-        let mut s = vec![3.0, 1.0, 2.0];
-        assert_eq!(percentile(&mut s, 0.5), 2.0);
-        assert_eq!(percentile(&mut [], 0.95), 0.0);
     }
 
     #[test]

@@ -51,7 +51,6 @@
 //! assert_eq!(report.per_edge.len(), 2);
 //! ```
 
-use crate::pipeline::PipelineBuilder;
 use crate::system::{FrameReport, System, SystemConfig};
 use crate::transport::Transport;
 use crate::wire::WireMessage;
@@ -217,8 +216,7 @@ impl DeploymentBuilder {
             let config = self
                 .config
                 .with_server(self.config.server.with_track_id_base((k as u64) << 32));
-            let mut builder = System::builder(config)
-                .pipeline(PipelineBuilder::new(config.server, world.map.clone()));
+            let mut builder = System::builder(config);
             if k < transports.len() {
                 // Drain in edge order without disturbing later entries.
                 builder = builder.transport(transports.remove(0));

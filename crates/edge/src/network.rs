@@ -21,8 +21,6 @@ pub struct NetworkConfig {
     /// the constraint that makes the scheduling problem non-trivial (and
     /// that EMP's relevance-blind round robin trips over).
     pub downlink_bps: f64,
-    /// One-way base latency (scheduling + propagation), seconds.
-    pub base_latency: f64,
     /// LiDAR frame period, seconds.
     pub frame_period: f64,
     /// Channel impairments (loss, jitter, churn, truncation). Ideal — no
@@ -35,29 +33,19 @@ impl Default for NetworkConfig {
         NetworkConfig {
             uplink_bps: 40e6,   // 40 Mbit/s per vehicle
             downlink_bps: 8e6, // 8 Mbit/s shared broadcast budget
-            base_latency: 0.008,
             frame_period: 0.1,
             fault: FaultModel::default(),
         }
     }
 }
 
-impl NetworkConfig {
-    /// Returns the configuration with the per-vehicle uplink rate replaced.
-    pub fn with_uplink_bps(mut self, uplink_bps: f64) -> Self {
-        self.uplink_bps = uplink_bps;
-        self
-    }
+/// One-way base latency (scheduling + propagation), seconds.
+const BASE_LATENCY: f64 = 0.008;
 
+impl NetworkConfig {
     /// Returns the configuration with the shared downlink rate replaced.
     pub fn with_downlink_bps(mut self, downlink_bps: f64) -> Self {
         self.downlink_bps = downlink_bps;
-        self
-    }
-
-    /// Returns the configuration with the one-way base latency replaced.
-    pub fn with_base_latency(mut self, base_latency: f64) -> Self {
-        self.base_latency = base_latency;
         self
     }
 
@@ -86,12 +74,12 @@ impl NetworkConfig {
 
     /// Transmission time of a payload on the uplink, seconds.
     pub fn uplink_time(&self, bytes: u64) -> f64 {
-        self.base_latency + bytes as f64 * 8.0 / self.uplink_bps
+        BASE_LATENCY + bytes as f64 * 8.0 / self.uplink_bps
     }
 
     /// Transmission time of a payload on the downlink, seconds.
     pub fn downlink_time(&self, bytes: u64) -> f64 {
-        self.base_latency + bytes as f64 * 8.0 / self.downlink_bps
+        BASE_LATENCY + bytes as f64 * 8.0 / self.downlink_bps
     }
 }
 
@@ -113,7 +101,7 @@ mod tests {
         let t_big = n.uplink_time(1_000_000);
         assert!(t_big > t_small);
         // 1 MB at 40 Mbit/s = 0.2 s plus base latency.
-        assert!((t_big - (0.008 + 0.2)).abs() < 1e-9);
+        assert!((t_big - (BASE_LATENCY + 0.2)).abs() < 1e-9);
         // Downlink is the slower shared pipe.
         assert!(n.downlink_time(100_000) > n.uplink_time(100_000));
     }

@@ -11,33 +11,40 @@
 //!
 //! where `Uploads` rides in the per-frame [`FrameCx`] so every stage can
 //! see the raw arrivals. [`crate::EdgeServer::process`] composes the five
-//! server stages; [`crate::System`] appends one dissemination stage. A
-//! [`PipelineBuilder`] swaps any stage implementation — the Single / EMP /
-//! Unlimited baselines are alternative dissemination stages
-//! ([`GreedyDissemination`], [`RoundRobinDissemination`],
-//! [`BroadcastDissemination`]) rather than `match` arms.
+//! server stages — one implementation each, held as plain fields;
+//! [`crate::System`] appends one dissemination stage, the only swappable
+//! hop: the EMP / Unlimited baselines are alternative dissemination stages
+//! ([`RoundRobinDissemination`], [`BroadcastDissemination`] beside the
+//! paper's [`GreedyDissemination`]) that a [`PipelineBuilder`] plugs in,
+//! rather than `match` arms.
 //!
 //! The `erpd-par` fork-join fan-out lives *inside* the stages
 //! that use it (map merge in [`MergeStage`], trajectory fan-out in
-//! [`PredictStage`]), so swapping a stage never changes the threading of
-//! its neighbours.
+//! [`PredictStage`]).
+//!
+//! Parameters the paper gives once and nothing varies are constants beside
+//! the stage that reads them ([`POSE_HISTORY_LEN`] and the private radii
+//! and sizes below); [`ServerConfig`] carries only what some caller sets.
 
 use crate::server::{DetectionSummary, ServerConfig, ServerFrame, TRACK_ID_BASE};
 use crate::stages::{StageSample, StageTimer};
 use crate::{Upload, UploadedObject};
 use erpd_core::{
     build_relevance_matrix_multi, DisseminationPlan, Error, ObjectHypotheses, PlanInputs,
+    RelevanceConfig,
 };
 use erpd_geometry::{Pose2, Vec2};
 use erpd_pointcloud::{IncrementalMerger, PointCloud, PointCloudMerger};
 use erpd_sim::{IntersectionMap, LaneLocation, Turn};
 use erpd_tracking::{
-    apply_rules, predict_ctrv, Detection, FollowerLink, LanePosition, ObjectId, ObjectKind,
-    ObjectState, PredictedTrajectory, RuleInput, Tracker, TrackerConfig,
+    apply_rules, predict_ctrv, CrowdParams, Detection, FollowerLink, LanePosition, ObjectId,
+    ObjectKind, ObjectState, PredictedTrajectory, PredictorConfig, RuleInput, Tracker,
+    TrackerConfig,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
+
 
 /// Read-only per-frame context handed to every stage: the frame time and
 /// the uploads that arrived (the `Uploads` artifact of the stage graph).
@@ -65,9 +72,6 @@ pub struct Staged<T> {
 /// needs (the tracker, pose histories, a round-robin offset, ...) and
 /// time themselves with [`StageTimer`].
 pub trait Stage<In, Out>: fmt::Debug + Send {
-    /// Short diagnostic name.
-    fn name(&self) -> &'static str;
-
     /// Runs the stage over one frame.
     ///
     /// # Errors
@@ -222,7 +226,6 @@ pub type BoxedDisseminationStage = Box<dyn for<'a> Stage<PlanRequest<'a>, Dissem
 /// property in `crates/pointcloud/tests/soa_reference.rs`).
 #[derive(Debug)]
 pub struct MergeStage {
-    voxel_size: f64,
     map: IncrementalMerger,
     cache: HashMap<u64, VehiclePartial>,
 }
@@ -258,25 +261,22 @@ fn upload_digest(u: &Upload) -> u64 {
     h
 }
 
+/// Voxel size of the merged traffic map, metres.
+const VOXEL_SIZE: f64 = 0.3;
+
 impl MergeStage {
-    /// A merge stage with the configured voxel size.
-    pub fn new(config: &ServerConfig) -> Self {
+    /// An empty merge stage (nothing in the configuration concerns it).
+    pub fn new(_config: &ServerConfig) -> Self {
         MergeStage {
-            voxel_size: config.voxel_size,
-            map: IncrementalMerger::new(config.voxel_size),
+            map: IncrementalMerger::new(VOXEL_SIZE),
             cache: HashMap::new(),
         }
     }
 }
 
 impl Stage<(), TrafficMap> for MergeStage {
-    fn name(&self) -> &'static str {
-        "merge"
-    }
-
     fn run(&mut self, cx: &FrameCx<'_>, _input: ()) -> Result<Staged<TrafficMap>, Error> {
         let t = StageTimer::start();
-        let voxel_size = self.voxel_size;
         for p in self.cache.values_mut() {
             p.live = false;
         }
@@ -300,7 +300,7 @@ impl Stage<(), TrafficMap> for MergeStage {
         }
         let misses = changed.len();
         let partials = erpd_par::par_map(changed, |(u, digest): (&Upload, u64)| {
-            let mut m = PointCloudMerger::new(voxel_size);
+            let mut m = PointCloudMerger::new(VOXEL_SIZE);
             for o in &u.objects {
                 m.add(&o.points);
             }
@@ -419,46 +419,41 @@ impl CentroidGrid {
 ///
 /// Association matches each uploaded object to the *first* existing
 /// cluster (in insertion order) whose running centroid lies within
-/// [`ServerConfig::detection_match_radius`] — accelerated by a spatial
-/// hash of the cluster centroids, bit-identical to the linear scan it
-/// replaced.
+/// `DETECTION_MATCH_RADIUS` (2 m) — accelerated by a spatial hash of the
+/// cluster centroids, bit-identical to the linear scan it replaced.
 #[derive(Debug)]
-pub struct AssociateStage {
-    config: ServerConfig,
-}
+pub struct AssociateStage;
+
+/// Radius for merging the same object uploaded by several vehicles, metres
+/// (also the cell size of the centroid hash).
+const DETECTION_MATCH_RADIUS: f64 = 2.0;
+/// Radius around a self-reported pose within which sensed detections are
+/// the reporter itself, metres.
+const SELF_REPORT_RADIUS: f64 = 3.0;
+/// Planar extent below which a detection is classified as a pedestrian,
+/// metres.
+const PEDESTRIAN_EXTENT: f64 = 1.6;
 
 impl AssociateStage {
-    /// An association stage with the server's radii and extents.
-    pub fn new(config: &ServerConfig) -> Self {
-        AssociateStage { config: *config }
+    /// An association stage (nothing in the configuration concerns it).
+    pub fn new(_config: &ServerConfig) -> Self {
+        AssociateStage
     }
 }
 
 impl Stage<TrafficMap, AssociatedDetections> for AssociateStage {
-    fn name(&self) -> &'static str {
-        "associate"
-    }
-
     fn run(
         &mut self,
         cx: &FrameCx<'_>,
         input: TrafficMap,
     ) -> Result<Staged<AssociatedDetections>, Error> {
         let t = StageTimer::start();
-        let radius = self.config.detection_match_radius;
+        let radius = DETECTION_MATCH_RADIUS;
         let mut clusters: Vec<(Vec2, PointCloud)> = Vec::new();
-        // A non-positive radius degenerates to exact-position matching;
-        // the grid needs a positive cell size, so fall back to the scan.
-        let mut grid = (radius > 0.0).then(|| CentroidGrid::new(radius));
+        let mut grid = CentroidGrid::new(radius);
         for u in cx.uploads {
             for o in &u.objects {
-                let hit = match &grid {
-                    Some(g) => g.first_match(o.centroid, radius, &clusters),
-                    None => clusters
-                        .iter()
-                        .position(|(c, _)| c.distance(o.centroid) <= radius),
-                };
-                match hit {
+                match grid.first_match(o.centroid, radius, &clusters) {
                     Some(i) => {
                         let (c, cloud) = &mut clusters[i];
                         let old = *c;
@@ -467,16 +462,12 @@ impl Stage<TrafficMap, AssociatedDetections> for AssociateStage {
                         let n_new = o.points.len() as f64;
                         *c = (*c * n_old + o.centroid * n_new) / (n_old + n_new).max(1.0);
                         cloud.merge_from(&o.points);
-                        if let Some(g) = &mut grid {
-                            g.relocate(i, old, *c);
-                        }
+                        grid.relocate(i, old, *c);
                     }
                     None => {
                         let i = clusters.len();
                         clusters.push((o.centroid, o.points.clone()));
-                        if let Some(g) = &mut grid {
-                            g.insert(i, o.centroid);
-                        }
+                        grid.insert(i, o.centroid);
                     }
                 }
             }
@@ -486,7 +477,7 @@ impl Stage<TrafficMap, AssociatedDetections> for AssociateStage {
         let mut self_report_bytes: BTreeMap<u64, u64> = BTreeMap::new();
         clusters.retain(|(c, cloud)| {
             for u in cx.uploads {
-                if u.pose.position.distance(*c) <= self.config.self_report_radius {
+                if u.pose.position.distance(*c) <= SELF_REPORT_RADIUS {
                     let e = self_report_bytes.entry(u.vehicle_id).or_insert(0);
                     *e += cloud.wire_size_bytes() as u64;
                     return false;
@@ -502,7 +493,7 @@ impl Stage<TrafficMap, AssociatedDetections> for AssociateStage {
                 let extent = planar_extent(cloud);
                 Detection {
                     position: *c,
-                    kind: if extent < self.config.pedestrian_extent {
+                    kind: if extent < PEDESTRIAN_EXTENT {
                         ObjectKind::Pedestrian
                     } else {
                         ObjectKind::Vehicle
@@ -530,10 +521,12 @@ impl Stage<TrafficMap, AssociatedDetections> for AssociateStage {
 /// [`ServerConfig::coast_horizon`] — coasted vehicles and tracks.
 ///
 /// Owns the server's cross-frame mutable state: the [`Tracker`], the
-/// per-vehicle pose histories, and the last known wire sizes.
+/// per-vehicle pose histories, and the last known wire sizes — all three
+/// forget what they can no longer be asked about, so a long-running
+/// server's memory follows the traffic, not its uptime.
 #[derive(Debug)]
 pub struct TrackStage {
-    config: ServerConfig,
+    coast_horizon: f64,
     map: Arc<IntersectionMap>,
     tracker: Tracker,
     pose_history: BTreeMap<u64, VecDeque<(f64, Pose2)>>,
@@ -546,13 +539,18 @@ pub struct TrackStage {
 /// snapshots tracks: objects it is plausibly the best observer of.
 const HANDOVER_TRACK_RADIUS_M: f64 = 100.0;
 
+/// Poses retained per connected vehicle for finite-difference velocity /
+/// turn-rate estimation (and coasting anchors); also the depth of the pose
+/// history a handover message carries.
+pub const POSE_HISTORY_LEN: usize = 4;
+
 impl TrackStage {
     /// A fresh tracking stage bound to the HD map. Fresh track ids start
     /// at [`ServerConfig::track_id_base`], so multi-edge deployments can
     /// give every edge a disjoint id namespace.
     pub fn new(config: &ServerConfig, map: Arc<IntersectionMap>) -> Self {
         TrackStage {
-            config: *config,
+            coast_horizon: config.coast_horizon,
             map,
             tracker: Tracker::with_id_base(TrackerConfig::default(), config.track_id_base),
             pose_history: BTreeMap::new(),
@@ -562,10 +560,6 @@ impl TrackStage {
 }
 
 impl Stage<AssociatedDetections, Tracks> for TrackStage {
-    fn name(&self) -> &'static str {
-        "tracking"
-    }
-
     fn run(
         &mut self,
         cx: &FrameCx<'_>,
@@ -596,7 +590,7 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
         for u in uploads {
             let h = self.pose_history.entry(u.vehicle_id).or_default();
             h.push_back((now, u.pose));
-            while h.len() > self.config.pose_history_len {
+            while h.len() > POSE_HISTORY_LEN {
                 h.pop_front();
             }
         }
@@ -632,7 +626,7 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
         // staleness horizon they stay receivers (and rule inputs),
         // advanced from their last reported pose by their last known
         // velocity.
-        let coast_horizon = self.config.coast_horizon;
+        let coast_horizon = self.coast_horizon;
         if coast_horizon > 0.0 {
             let uploaded: BTreeSet<u64> = uploads.iter().map(|u| u.vehicle_id).collect();
             for (&vid, h) in &self.pose_history {
@@ -662,10 +656,17 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
                     .or_insert_with(|| self.last_bytes.get(&id).copied().unwrap_or(600));
                 ages.insert(id, age);
             }
-            // Histories beyond the horizon can never coast again.
-            self.pose_history
-                .retain(|_, h| now - h.back().expect("non-empty").0 <= coast_horizon);
         }
+        // A history past the coasting horizon can never coast again; with
+        // coasting off, one older than the prediction horizon `T` says
+        // nothing about where its vehicle is now.
+        let pose_ttl = if coast_horizon > 0.0 {
+            coast_horizon
+        } else {
+            PredictorConfig::default().horizon
+        };
+        self.pose_history
+            .retain(|_, h| now - h.back().expect("non-empty").0 <= pose_ttl);
 
         // Tracked objects become rule inputs too. Unobserved tracks are
         // coasted along their velocity while inside the staleness horizon;
@@ -701,6 +702,18 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
                 });
             }
         }
+
+        // Sizes are only ever looked up for a track the tracker still holds
+        // or a vehicle that still has a pose history.
+        let live_tracks: BTreeSet<ObjectId> = self
+            .tracker
+            .tracks()
+            .iter()
+            .map(|t| ObjectId(TRACK_ID_BASE + t.id().0))
+            .collect();
+        let pose_history = &self.pose_history;
+        self.last_bytes
+            .retain(|id, _| live_tracks.contains(id) || pose_history.contains_key(&id.0));
 
         let items = rule_inputs.len();
         Ok(Staged {
@@ -768,7 +781,7 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
                 .iter()
                 .map(|p| (p.t, Pose2::new(p.position, p.heading)))
                 .collect();
-            while h.len() > self.config.pose_history_len {
+            while h.len() > POSE_HISTORY_LEN {
                 h.pop_front();
             }
             self.pose_history.insert(handover.vehicle_id, h);
@@ -795,17 +808,24 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
 /// CTRV) for the selected objects. Each object's hypothesis set depends
 /// only on shared read-only state (map, kinematics, lanes), so the
 /// predictions fan out across workers and come back in selection order.
+///
+/// The predictor parameters (horizon `T` = 5 s, ...) and the crowd
+/// thresholds (β = 2 m, γ = 5°) are the paper's, stated once as
+/// `erpd-tracking`'s defaults.
 #[derive(Debug)]
 pub struct PredictStage {
-    config: ServerConfig,
+    predictor: PredictorConfig,
+    crowd: CrowdParams,
     map: Arc<IntersectionMap>,
 }
 
 impl PredictStage {
-    /// A prediction stage bound to the HD map.
-    pub fn new(config: &ServerConfig, map: Arc<IntersectionMap>) -> Self {
+    /// A prediction stage bound to the HD map (nothing in the
+    /// configuration concerns it).
+    pub fn new(_config: &ServerConfig, map: Arc<IntersectionMap>) -> Self {
         PredictStage {
-            config: *config,
+            predictor: PredictorConfig::default(),
+            crowd: CrowdParams::default(),
             map,
         }
     }
@@ -843,7 +863,7 @@ impl PredictStage {
             if lat > 3.0 {
                 continue;
             }
-            let reach = s0 + speed * self.config.predictor.horizon + 5.0;
+            let reach = s0 + speed * self.predictor.horizon + 5.0;
             if let Some(path) = route.path.slice(s0, reach) {
                 out.push(PredictedTrajectory::from_path(
                     id,
@@ -851,7 +871,7 @@ impl PredictStage {
                     path,
                     speed,
                     4.5,
-                    self.config.predictor,
+                    self.predictor,
                 ));
             }
         }
@@ -893,7 +913,7 @@ impl PredictStage {
                     {
                         continue;
                     }
-                    let reach = s0 + speed * self.config.predictor.horizon + 5.0;
+                    let reach = s0 + speed * self.predictor.horizon + 5.0;
                     if let Some(path) = route.path.slice(s0, reach) {
                         out.push(PredictedTrajectory::from_path(
                             id,
@@ -901,7 +921,7 @@ impl PredictStage {
                             path,
                             speed,
                             4.5,
-                            self.config.predictor,
+                            self.predictor,
                         ));
                     }
                 }
@@ -912,15 +932,11 @@ impl PredictStage {
 }
 
 impl Stage<Tracks, Predictions> for PredictStage {
-    fn name(&self) -> &'static str {
-        "prediction"
-    }
-
     fn run(&mut self, _cx: &FrameCx<'_>, input: Tracks) -> Result<Staged<Predictions>, Error> {
         let t = StageTimer::start();
 
         // Rules 1-3 select what to predict.
-        let selection = apply_rules(&input.rule_inputs, &self.config.crowd);
+        let selection = apply_rules(&input.rule_inputs, &self.crowd);
         let lane_by_id: BTreeMap<ObjectId, Option<LanePosition>> = input
             .rule_inputs
             .iter()
@@ -961,7 +977,7 @@ impl Stage<Tracks, Predictions> for PredictStage {
                 heading,
                 turn_rate,
                 4.5,
-                this.config.predictor,
+                this.predictor,
             )];
             let lane = lanes.get(&id).copied().flatten();
             let near_box = this.map.in_intersection(pos)
@@ -1008,7 +1024,7 @@ impl Stage<Tracks, Predictions> for PredictStage {
                 rep.orientation,
                 0.0,
                 0.6,
-                self.config.predictor,
+                self.predictor,
             )));
             // Crowd members share the representative's data relevance: give
             // each member a copy of the representative's trajectory so their
@@ -1026,7 +1042,7 @@ impl Stage<Tracks, Predictions> for PredictStage {
                     rep.orientation,
                     0.0,
                     0.6,
-                    self.config.predictor,
+                    self.predictor,
                 )));
             }
         }
@@ -1053,21 +1069,21 @@ impl Stage<Tracks, Predictions> for PredictStage {
 /// upload-visibility suppression) and finishes the [`ServerFrame`].
 #[derive(Debug)]
 pub struct RelevanceStage {
-    config: ServerConfig,
+    alpha: f64,
+    relevance: RelevanceConfig,
 }
 
 impl RelevanceStage {
     /// A relevance stage with the configured α and relevance parameters.
     pub fn new(config: &ServerConfig) -> Self {
-        RelevanceStage { config: *config }
+        RelevanceStage {
+            alpha: config.alpha,
+            relevance: config.relevance,
+        }
     }
 }
 
 impl Stage<Predictions, ServerFrame> for RelevanceStage {
-    fn name(&self) -> &'static str {
-        "relevance"
-    }
-
     fn run(
         &mut self,
         cx: &FrameCx<'_>,
@@ -1107,8 +1123,8 @@ impl Stage<Predictions, ServerFrame> for RelevanceStage {
             &input.objects,
             &input.receivers,
             &input.followers,
-            self.config.alpha,
-            self.config.relevance,
+            self.alpha,
+            self.relevance,
             visible,
         )?;
         let items = input.objects.len();
@@ -1143,10 +1159,6 @@ impl Stage<Predictions, ServerFrame> for RelevanceStage {
 pub struct GreedyDissemination;
 
 impl<'a> Stage<PlanRequest<'a>, DisseminationPlan> for GreedyDissemination {
-    fn name(&self) -> &'static str {
-        "knapsack"
-    }
-
     fn run(
         &mut self,
         _cx: &FrameCx<'_>,
@@ -1178,10 +1190,6 @@ impl RoundRobinDissemination {
 }
 
 impl<'a> Stage<PlanRequest<'a>, DisseminationPlan> for RoundRobinDissemination {
-    fn name(&self) -> &'static str {
-        "round_robin"
-    }
-
     fn run(
         &mut self,
         _cx: &FrameCx<'_>,
@@ -1215,10 +1223,6 @@ impl<'a> Stage<PlanRequest<'a>, DisseminationPlan> for RoundRobinDissemination {
 pub struct BroadcastDissemination;
 
 impl<'a> Stage<PlanRequest<'a>, DisseminationPlan> for BroadcastDissemination {
-    fn name(&self) -> &'static str {
-        "broadcast"
-    }
-
     fn run(
         &mut self,
         _cx: &FrameCx<'_>,
@@ -1239,28 +1243,24 @@ impl<'a> Stage<PlanRequest<'a>, DisseminationPlan> for BroadcastDissemination {
 // Builder
 // ---------------------------------------------------------------------------
 
-/// Composes the edge pipeline, stage by stage. Every stage defaults to
-/// the paper's implementation; `with_*_stage` swaps one in isolation.
+/// Pairs the edge server with its dissemination stage — the one hop of
+/// the graph with more than one implementation. The server's five stages
+/// are fixed (see [`crate::EdgeServer`]).
 ///
 /// ```
 /// use erpd_edge::{BroadcastDissemination, PipelineBuilder, ServerConfig};
 /// use erpd_sim::IntersectionMap;
 ///
-/// let (server, _disseminate) =
+/// let (mut server, _disseminate) =
 ///     PipelineBuilder::new(ServerConfig::default(), IntersectionMap::default())
 ///         .with_dissemination_stage(Box::new(BroadcastDissemination))
 ///         .build();
-/// assert_eq!(server.config().voxel_size, 0.3);
+/// assert!(server.process(0.0, &[]).unwrap().receivers.is_empty());
 /// ```
 #[derive(Debug)]
 pub struct PipelineBuilder {
     config: ServerConfig,
-    map: Arc<IntersectionMap>,
-    merge: Option<Box<dyn Stage<(), TrafficMap>>>,
-    associate: Option<Box<dyn Stage<TrafficMap, AssociatedDetections>>>,
-    track: Option<Box<dyn Stage<AssociatedDetections, Tracks>>>,
-    predict: Option<Box<dyn Stage<Tracks, Predictions>>>,
-    relevance: Option<Box<dyn Stage<Predictions, ServerFrame>>>,
+    map: IntersectionMap,
     disseminate: Option<BoxedDisseminationStage>,
 }
 
@@ -1269,58 +1269,9 @@ impl PipelineBuilder {
     pub fn new(config: ServerConfig, map: IntersectionMap) -> Self {
         PipelineBuilder {
             config,
-            map: Arc::new(map),
-            merge: None,
-            associate: None,
-            track: None,
-            predict: None,
-            relevance: None,
+            map,
             disseminate: None,
         }
-    }
-
-    /// The HD map shared by the stages this builder creates.
-    pub fn map(&self) -> &Arc<IntersectionMap> {
-        &self.map
-    }
-
-    /// Replaces the traffic-map merge stage.
-    pub fn with_merge_stage(mut self, stage: Box<dyn Stage<(), TrafficMap>>) -> Self {
-        self.merge = Some(stage);
-        self
-    }
-
-    /// Replaces the cross-vehicle association stage.
-    pub fn with_association_stage(
-        mut self,
-        stage: Box<dyn Stage<TrafficMap, AssociatedDetections>>,
-    ) -> Self {
-        self.associate = Some(stage);
-        self
-    }
-
-    /// Replaces the tracking stage.
-    pub fn with_tracking_stage(
-        mut self,
-        stage: Box<dyn Stage<AssociatedDetections, Tracks>>,
-    ) -> Self {
-        self.track = Some(stage);
-        self
-    }
-
-    /// Replaces the prediction stage.
-    pub fn with_prediction_stage(mut self, stage: Box<dyn Stage<Tracks, Predictions>>) -> Self {
-        self.predict = Some(stage);
-        self
-    }
-
-    /// Replaces the relevance stage.
-    pub fn with_relevance_stage(
-        mut self,
-        stage: Box<dyn Stage<Predictions, ServerFrame>>,
-    ) -> Self {
-        self.relevance = Some(stage);
-        self
     }
 
     /// Replaces the dissemination stage (defaults to [`GreedyDissemination`];
@@ -1341,27 +1292,9 @@ impl PipelineBuilder {
         self,
         fallback: impl FnOnce() -> BoxedDisseminationStage,
     ) -> (crate::EdgeServer, BoxedDisseminationStage) {
-        let config = self.config;
-        let map = self.map;
-        let merge = self
-            .merge
-            .unwrap_or_else(|| Box::new(MergeStage::new(&config)));
-        let associate = self
-            .associate
-            .unwrap_or_else(|| Box::new(AssociateStage::new(&config)));
-        let track = self
-            .track
-            .unwrap_or_else(|| Box::new(TrackStage::new(&config, Arc::clone(&map))));
-        let predict = self
-            .predict
-            .unwrap_or_else(|| Box::new(PredictStage::new(&config, Arc::clone(&map))));
-        let relevance = self
-            .relevance
-            .unwrap_or_else(|| Box::new(RelevanceStage::new(&config)));
-        let disseminate = self.disseminate.unwrap_or_else(fallback);
         (
-            crate::EdgeServer::from_stages(config, merge, associate, track, predict, relevance),
-            disseminate,
+            crate::EdgeServer::new(self.config, self.map),
+            self.disseminate.unwrap_or_else(fallback),
         )
     }
 }
@@ -1517,8 +1450,7 @@ mod tests {
     #[test]
     fn grid_association_matches_linear_scan_on_crowded_frame() {
         let uploads = crowded_uploads(10);
-        let config = ServerConfig::default();
-        let reference = linear_associate(&uploads, config.detection_match_radius);
+        let reference = linear_associate(&uploads, DETECTION_MATCH_RADIUS);
         // Sanity: the frame really is crowded and really merges clusters.
         let total: usize = uploads.iter().map(|u| u.objects.len()).sum();
         assert!(total > 150, "want a crowded frame, got {total} objects");
@@ -1528,7 +1460,7 @@ mod tests {
             reference.len()
         );
 
-        let mut stage = AssociateStage::new(&config);
+        let mut stage = AssociateStage::new(&ServerConfig::default());
         let cx = FrameCx {
             now: 0.0,
             uploads: &uploads,
@@ -1551,8 +1483,7 @@ mod tests {
     fn grid_matches_at_exactly_the_radius_across_cells() {
         // Two centroids exactly `radius` apart, guaranteed to land in
         // different grid cells: the second must still merge into the first.
-        let config = ServerConfig::default();
-        let r = config.detection_match_radius;
+        let r = DETECTION_MATCH_RADIUS;
         let objects = vec![
             UploadedObject {
                 centroid: Vec2::new(r - 0.01, 0.0),
@@ -1571,7 +1502,7 @@ mod tests {
             processing_time: 0.0,
             clustered_points: 0,
         }];
-        let mut stage = AssociateStage::new(&config);
+        let mut stage = AssociateStage::new(&ServerConfig::default());
         let cx = FrameCx {
             now: 0.0,
             uploads: &uploads,
@@ -1593,7 +1524,6 @@ mod tests {
         let total: usize = uploads.iter().map(|u| u.objects.len()).sum();
         assert_eq!(m.sample.items, total);
         assert!(m.artifact.map_points > 0);
-        assert_eq!(merge.name(), "merge");
 
         let mut assoc = AssociateStage::new(&config);
         let a = assoc.run(&cx, m.artifact).unwrap();
@@ -1636,33 +1566,51 @@ mod tests {
     }
 
     #[test]
-    fn builder_swaps_a_single_stage() {
-        /// A merge stage that reports an empty map regardless of uploads.
-        #[derive(Debug)]
-        struct NullMerge;
-        impl Stage<(), TrafficMap> for NullMerge {
-            fn name(&self) -> &'static str {
-                "null-merge"
-            }
-            fn run(
-                &mut self,
-                _cx: &FrameCx<'_>,
-                _input: (),
-            ) -> Result<Staged<TrafficMap>, Error> {
-                Ok(Staged {
-                    artifact: TrafficMap::default(),
-                    sample: StageSample::new(0.0, 0),
-                })
-            }
+    fn track_stage_state_stays_bounded() {
+        // Churn: every frame a never-seen vehicle reports one never-seen
+        // object, then falls silent. Coasting is off (the default).
+        let dt = 0.1;
+        let mut stage = TrackStage::new(
+            &ServerConfig::default(),
+            Arc::new(IntersectionMap::default()),
+        );
+        for k in 0..300u64 {
+            let at = Vec2::new(10.0 * k as f64, 400.0);
+            let uploads = [Upload {
+                vehicle_id: k + 1,
+                pose: Pose2::new(Vec2::new(10.0 * k as f64, -400.0), 0.0),
+                objects: Vec::new(),
+                bytes: 100,
+                processing_time: 0.0,
+                clustered_points: 0,
+            }];
+            let input = AssociatedDetections {
+                clusters: vec![(at, cloud_at(at.x, at.y, 8, 0.5))],
+                classified: vec![Detection {
+                    position: at,
+                    kind: ObjectKind::Pedestrian,
+                }],
+                ..Default::default()
+            };
+            let cx = FrameCx {
+                now: k as f64 * dt,
+                uploads: &uploads,
+            };
+            stage.run(&cx, input).unwrap();
         }
-        let uploads = crowded_uploads(2);
-        let (mut server, _) =
-            PipelineBuilder::new(ServerConfig::default(), IntersectionMap::default())
-                .with_merge_stage(Box::new(NullMerge))
-                .build();
-        let f = server.process(0.0, &uploads).unwrap();
-        assert_eq!(f.map_points, 0, "swapped merge stage must be in effect");
-        // Downstream stages still ran over the same uploads.
-        assert!(!f.detections.is_empty());
+        // Vehicles heard within the horizon `T`, plus the tracks the
+        // tracker has not yet aged out — independent of the frame count.
+        let vehicles = (PredictorConfig::default().horizon / dt) as usize + 2;
+        let tracks = TrackerConfig::default().max_misses + 2;
+        assert!(
+            stage.pose_history.len() <= vehicles,
+            "{} pose histories",
+            stage.pose_history.len()
+        );
+        assert!(
+            stage.last_bytes.len() <= vehicles + tracks,
+            "{} sizes",
+            stage.last_bytes.len()
+        );
     }
 }

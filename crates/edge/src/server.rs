@@ -2,9 +2,8 @@
 //! trajectory prediction, and relevance-matrix assembly (paper Fig. 2,
 //! server side).
 //!
-//! Since the stage-graph refactor the server is a thin driver: it owns
-//! five boxed [`Stage`]s (built by [`crate::PipelineBuilder`]) and
-//! [`EdgeServer::process`] is pure composition —
+//! The server is a thin driver: it owns the five server [`Stage`]s as
+//! plain fields and [`EdgeServer::process`] is pure composition —
 //! `merge → associate → track → predict → relevance` — folding each
 //! stage's self-reported [`StageSample`] into the frame's [`StageTimes`].
 //!
@@ -14,48 +13,37 @@
 //! ids, offset by [`TRACK_ID_BASE`] to keep the spaces disjoint.
 
 use crate::pipeline::{
-    AssociatedDetections, FrameCx, PipelineBuilder, Predictions, Stage, TrafficMap, Tracks,
+    AssociateStage, FrameCx, MergeStage, PredictStage, RelevanceStage, Stage, TrackStage,
 };
 use crate::stages::{StageSample, StageTimes};
 use crate::Upload;
 use erpd_core::{Error, RelevanceConfig, RelevanceMatrix};
 use erpd_geometry::Vec2;
 use erpd_sim::IntersectionMap;
-use erpd_tracking::{CrowdParams, ObjectId, ObjectKind, PredictorConfig};
+use erpd_tracking::{ObjectId, ObjectKind};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Offset separating tracker-assigned object ids from vehicle network ids.
 pub const TRACK_ID_BASE: u64 = 1_000_000;
 
-/// Server-side configuration.
+/// Server-side configuration: the parameters some caller sets to a second
+/// value. Everything the paper gives once (predictor horizon `T`, crowd
+/// thresholds β and γ, voxel size, association radii, pose-history depth)
+/// is a constant beside the stage that reads it (`pipeline.rs`; the one a
+/// caller must name is [`crate::POSE_HISTORY_LEN`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Trajectory-prediction parameters (horizon `T` etc.).
-    pub predictor: PredictorConfig,
-    /// Relevance-estimation parameters (must share the horizon).
+    /// Relevance-estimation parameters.
     pub relevance: RelevanceConfig,
     /// Follower relevance decay α (paper: 0.8).
     pub alpha: f64,
-    /// Crowd-clustering thresholds (β, γ).
-    pub crowd: CrowdParams,
-    /// Voxel size of the merged traffic map, metres.
-    pub voxel_size: f64,
-    /// Radius for merging the same object uploaded by several vehicles.
-    pub detection_match_radius: f64,
-    /// Radius around a self-reported pose within which sensed detections
-    /// are the reporter itself.
-    pub self_report_radius: f64,
-    /// Planar extent below which a detection is classified as a pedestrian.
-    pub pedestrian_extent: f64,
     /// Staleness horizon for **coasting**, seconds: how long an object
     /// whose source upload went missing is kept alive — advanced by the
     /// trajectory predictor from its last observation — before being
     /// dropped. `0.0` (the default) disables coasting, reproducing the
     /// ideal-network behaviour exactly.
     pub coast_horizon: f64,
-    /// Poses retained per connected vehicle for finite-difference
-    /// velocity / turn-rate estimation (and coasting anchors).
-    pub pose_history_len: usize,
     /// First tracker-local id this server assigns to a fresh track. A
     /// multi-edge deployment gives edge `k` the base `k << 32`, so track
     /// identities stay unique fleet-wide and survive cross-edge handover.
@@ -66,28 +54,15 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            predictor: PredictorConfig::default(),
             relevance: RelevanceConfig::default(),
             alpha: erpd_core::DEFAULT_ALPHA,
-            crowd: CrowdParams::default(),
-            voxel_size: 0.3,
-            detection_match_radius: 2.0,
-            self_report_radius: 3.0,
-            pedestrian_extent: 1.6,
             coast_horizon: 0.0,
-            pose_history_len: 4,
             track_id_base: 0,
         }
     }
 }
 
 impl ServerConfig {
-    /// Returns the configuration with the predictor parameters replaced.
-    pub fn with_predictor(mut self, predictor: PredictorConfig) -> Self {
-        self.predictor = predictor;
-        self
-    }
-
     /// Returns the configuration with the relevance parameters replaced.
     pub fn with_relevance(mut self, relevance: RelevanceConfig) -> Self {
         self.relevance = relevance;
@@ -100,46 +75,10 @@ impl ServerConfig {
         self
     }
 
-    /// Returns the configuration with the crowd thresholds replaced.
-    pub fn with_crowd(mut self, crowd: CrowdParams) -> Self {
-        self.crowd = crowd;
-        self
-    }
-
-    /// Returns the configuration with the traffic-map voxel size replaced.
-    pub fn with_voxel_size(mut self, voxel_size: f64) -> Self {
-        self.voxel_size = voxel_size;
-        self
-    }
-
-    /// Returns the configuration with the detection match radius replaced.
-    pub fn with_detection_match_radius(mut self, radius: f64) -> Self {
-        self.detection_match_radius = radius;
-        self
-    }
-
-    /// Returns the configuration with the self-report radius replaced.
-    pub fn with_self_report_radius(mut self, radius: f64) -> Self {
-        self.self_report_radius = radius;
-        self
-    }
-
-    /// Returns the configuration with the pedestrian extent replaced.
-    pub fn with_pedestrian_extent(mut self, extent: f64) -> Self {
-        self.pedestrian_extent = extent;
-        self
-    }
-
     /// Returns the configuration with the coasting staleness horizon
     /// replaced.
     pub fn with_coast_horizon(mut self, coast_horizon: f64) -> Self {
         self.coast_horizon = coast_horizon;
-        self
-    }
-
-    /// Returns the configuration with the pose-history depth replaced.
-    pub fn with_pose_history_len(mut self, pose_history_len: usize) -> Self {
-        self.pose_history_len = pose_history_len;
         self
     }
 
@@ -204,45 +143,27 @@ impl ServerFrame {
     }
 }
 
-/// The edge server: a composed five-stage pipeline.
+/// The edge server: the paper's fixed five-stage chain (Fig. 2).
 #[derive(Debug)]
 pub struct EdgeServer {
-    config: ServerConfig,
-    merge: Box<dyn Stage<(), TrafficMap>>,
-    associate: Box<dyn Stage<TrafficMap, AssociatedDetections>>,
-    track: Box<dyn Stage<AssociatedDetections, Tracks>>,
-    predict: Box<dyn Stage<Tracks, Predictions>>,
-    relevance: Box<dyn Stage<Predictions, ServerFrame>>,
+    merge: MergeStage,
+    associate: AssociateStage,
+    track: TrackStage,
+    predict: PredictStage,
+    relevance: RelevanceStage,
 }
 
 impl EdgeServer {
-    /// Creates a server with the default (paper) stages for a given HD map.
-    /// Use a [`PipelineBuilder`] to swap individual stages.
+    /// Creates a server for a given HD map.
     pub fn new(config: ServerConfig, map: IntersectionMap) -> Self {
-        PipelineBuilder::new(config, map).build().0
-    }
-
-    pub(crate) fn from_stages(
-        config: ServerConfig,
-        merge: Box<dyn Stage<(), TrafficMap>>,
-        associate: Box<dyn Stage<TrafficMap, AssociatedDetections>>,
-        track: Box<dyn Stage<AssociatedDetections, Tracks>>,
-        predict: Box<dyn Stage<Tracks, Predictions>>,
-        relevance: Box<dyn Stage<Predictions, ServerFrame>>,
-    ) -> Self {
+        let map = Arc::new(map);
         EdgeServer {
-            config,
-            merge,
-            associate,
-            track,
-            predict,
-            relevance,
+            merge: MergeStage::new(&config),
+            associate: AssociateStage::new(&config),
+            track: TrackStage::new(&config, Arc::clone(&map)),
+            predict: PredictStage::new(&config, map),
+            relevance: RelevanceStage::new(&config),
         }
-    }
-
-    /// The server configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
     }
 
     /// Processes one frame of uploads by running the stage graph:
@@ -285,24 +206,16 @@ impl EdgeServer {
         Ok(frame)
     }
 
-    /// Collects every stage's share of a cross-edge handover message for
-    /// `vehicle_id` (in practice only the tracking stage holds per-vehicle
-    /// state, but the seam asks all five so swapped-in stages can join).
+    /// Fills in the server's share of a cross-edge handover message for
+    /// `handover.vehicle_id` — the tracking stage's, the one stage that
+    /// holds per-vehicle state.
     pub fn export_handover(&mut self, handover: &mut erpd_core::VehicleHandover) {
-        self.merge.export_handover(handover);
-        self.associate.export_handover(handover);
         self.track.export_handover(handover);
-        self.predict.export_handover(handover);
-        self.relevance.export_handover(handover);
     }
 
-    /// Offers a handover message from another edge to every stage.
+    /// Absorbs a handover message from another edge.
     pub fn import_handover(&mut self, handover: &erpd_core::VehicleHandover) {
-        self.merge.import_handover(handover);
-        self.associate.import_handover(handover);
         self.track.import_handover(handover);
-        self.predict.import_handover(handover);
-        self.relevance.import_handover(handover);
     }
 }
 
@@ -511,23 +424,5 @@ mod tests {
         let f = s.process(0.0, &[u]).unwrap();
         assert!(f.object_near(Vec2::new(21.0, 1.0), 4.0).is_some());
         assert!(f.object_near(Vec2::new(90.0, 0.0), 4.0).is_none());
-    }
-
-    #[test]
-    fn pose_history_len_bounds_history_depth() {
-        // A length-2 history estimates velocity over one frame only; the
-        // default 4 smooths over three. Both must produce a working server,
-        // and the default must match the historical magic constant.
-        assert_eq!(ServerConfig::default().pose_history_len, 4);
-        let mut s = EdgeServer::new(
-            ServerConfig::default().with_pose_history_len(2),
-            IntersectionMap::default(),
-        );
-        for step in 0..6 {
-            let t = step as f64 * 0.1;
-            let u = upload(1, Pose2::new(Vec2::new(-30.0 + 10.0 * t, -1.75), 0.0), vec![]);
-            let f = s.process(t, &[u]).unwrap();
-            assert_eq!(f.receivers.len(), 1);
-        }
     }
 }

@@ -312,12 +312,12 @@ pub struct SystemBuilder {
 }
 
 impl SystemBuilder {
-    /// Replaces the stage graph the system's server and dissemination
-    /// stages are built from — swap any stage while keeping the frame
-    /// loop, fault layer, and alert delivery identical. When a pipeline is
-    /// set, `build`'s world is not consulted for the map (the pipeline
-    /// carries its own). The V2V strategy's per-vehicle on-board pipelines
-    /// always use the default stages.
+    /// Replaces the pipeline the system's server and dissemination stage
+    /// are built from — swap the dissemination stage while keeping the
+    /// frame loop, fault layer, and alert delivery identical. When a
+    /// pipeline is set, `build`'s world is not consulted for the map (the
+    /// pipeline carries its own). The V2V strategy's per-vehicle on-board
+    /// servers are unaffected.
     pub fn pipeline(mut self, pipeline: PipelineBuilder) -> Self {
         self.pipeline = Some(pipeline);
         self

@@ -6,7 +6,7 @@
 //! handover states.
 
 use erpd_core::{PoseSample, TrackSnapshot, VehicleHandover};
-use erpd_edge::{PipelineBuilder, ServerConfig, ServingCore, WireMessage};
+use erpd_edge::{PipelineBuilder, ServerConfig, ServingCore, WireMessage, POSE_HISTORY_LEN};
 use erpd_geometry::Vec2;
 use erpd_rand::proptest::prelude::*;
 use erpd_rand::rngs::StdRng;
@@ -23,9 +23,9 @@ fn random_handover(seed: u64) -> VehicleHandover {
     let coord = |rng: &mut StdRng, span: f64| (rng.next_unit_f64() - 0.5) * 2.0 * span;
     let center = Vec2::new(coord(&mut rng, 200.0), coord(&mut rng, 200.0));
 
-    // Pose history no deeper than `ServerConfig::pose_history_len`, so the
+    // Pose history no deeper than `POSE_HISTORY_LEN`, so the
     // importing edge keeps every sample instead of aging the oldest out.
-    let n_pose = rng.gen_range(1..=ServerConfig::default().pose_history_len);
+    let n_pose = rng.gen_range(1..=POSE_HISTORY_LEN);
     let pose_history: Vec<PoseSample> = (0..n_pose)
         .map(|k| PoseSample {
             t: k as f64 * 0.1 + rng.next_unit_f64() * 0.05,

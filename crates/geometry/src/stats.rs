@@ -11,17 +11,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation of a slice; `0.0` for fewer than two
-/// samples.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
-    var.sqrt()
-}
-
 /// Standard deviation of a set of points about their centroid
 /// (root-mean-square distance to the centroid); `0.0` for fewer than two
 /// points.
@@ -37,31 +26,13 @@ pub fn location_std(points: &[Vec2]) -> f64 {
     var.sqrt()
 }
 
-/// Median of a slice (averaging the two middle values for even lengths);
-/// `0.0` for an empty slice.
-pub fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
-
 /// The `q`-quantile (`0 ≤ q ≤ 1`) of `samples`, sorted in place; `0.0` for
 /// an empty slice.
 ///
 /// This is the one nearest-rank implementation in the workspace — the
 /// smallest sample such that at least `q·n` samples are ≤ it, i.e. index
-/// `ceil(q·n) - 1` after sorting. Both [`percentile`] and
-/// `erpd_edge::percentile` delegate here; a truncating index
-/// (`(q·n) as usize`) is biased one rank high — for 20 samples it reports
-/// the maximum as the p95.
+/// `ceil(q·n) - 1` after sorting. A truncating index (`(q·n) as usize`) is
+/// biased one rank high — for 20 samples it reports the maximum as the p95.
 ///
 /// # Panics
 ///
@@ -77,32 +48,15 @@ pub fn quantile(samples: &mut [f64], q: f64) -> f64 {
     samples[rank.clamp(1, n) - 1]
 }
 
-/// Percentile (0–100) using nearest-rank; `0.0` for an empty slice.
-///
-/// Convenience wrapper over [`quantile`] that clones instead of sorting the
-/// input in place.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 100]`.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    assert!((0.0..=100.0).contains(&p), "percentile out of range");
-    quantile(&mut xs.to_vec(), p / 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std() {
+    fn mean_of_slice() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0]), 2.0);
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(std_dev(&[]), 0.0);
-        assert_eq!(std_dev(&[5.0]), 0.0);
-        // Population std of {1,3} about mean 2 is 1.
-        assert!((std_dev(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -117,22 +71,6 @@ mod tests {
             Vec2::new(0.0, -1.0),
         ];
         assert!((location_std(&pts) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn median_odd_even() {
-        assert_eq!(median(&[]), 0.0);
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
-        assert_eq!(percentile(&xs, 50.0), 5.0);
-        assert_eq!(percentile(&xs, 100.0), 10.0);
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 
     #[test]
@@ -159,11 +97,5 @@ mod tests {
     #[should_panic(expected = "quantile out of range")]
     fn quantile_rejects_out_of_range() {
         let _ = quantile(&mut [1.0], 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile out of range")]
-    fn percentile_rejects_out_of_range() {
-        let _ = percentile(&[1.0], 101.0);
     }
 }

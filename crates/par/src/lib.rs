@@ -77,37 +77,8 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let threads = max_threads().min(items.len());
-    if threads <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-
-    let n = items.len();
-    let base = n / threads;
-    let extra = n % threads;
-    let mut rest = items;
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-    for i in 0..threads {
-        let take = base + usize::from(i < extra);
-        let tail = rest.split_off(take);
-        chunks.push(std::mem::replace(&mut rest, tail));
-    }
-
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        let mut out = Vec::with_capacity(n);
-        for h in handles {
-            match h.join() {
-                Ok(part) => out.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    })
+    // A unit scratch: `Vec<()>` never allocates.
+    par_map_reuse(items, &mut Vec::<()>::new(), |_, t| f(t))
 }
 
 /// Like [`par_map`], but each worker thread loans one slot of `states` as

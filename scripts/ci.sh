@@ -19,14 +19,26 @@ for arg in "$@"; do
     esac
 done
 
+# Path dependencies only: `cargo metadata` must name no package (or
+# dependency edge) with a non-null source — registry, sparse index or git.
+hermetic() {
+    local meta
+    meta="$(cargo metadata --offline --format-version 1 "$@")"
+    if grep -o '"source":"[^"]*"' <<<"$meta" | sort -u | grep .; then
+        echo "hermeticity: the sources above are not in this tree" >&2
+        exit 1
+    fi
+}
+
+echo "==> hermeticity: no package from a registry (workspace, benchmark/)"
+hermetic
+hermetic --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
 echo "==> cargo test -q --offline"
 cargo test -q --offline
-
-echo "==> cargo build --release --offline --benches --workspace"
-cargo build --release --offline --benches --workspace
 
 echo "==> cargo build --release --offline --workspace --bins"
 cargo build --release --offline --workspace --bins

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Reproduces the full evaluation: tests, every paper figure, micro-benches.
+# Reproduces the full evaluation: tests, every paper figure, the benchmark.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,7 +12,7 @@ cargo test --workspace 2>&1 | tee test_output.txt
 echo "== regenerating every figure (CSVs in results/, tables in EXPERIMENTS.md) =="
 cargo run --release -p erpd-bench --bin experiments
 
-echo "== Criterion micro-benches =="
-cargo bench --workspace 2>&1 | tee bench_output.txt
+echo "== benchmark: four workloads, untraced then traced (results in benchmark/out/) =="
+benchmark/run.sh
 
-echo "done; see EXPERIMENTS.md, results/, test_output.txt, bench_output.txt"
+echo "done; see EXPERIMENTS.md, results/, test_output.txt, benchmark/out/"

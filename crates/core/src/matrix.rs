@@ -143,11 +143,13 @@ impl ObjectHypotheses {
 /// positive observation age.
 ///
 /// `objects` are both the candidate perception objects and the receivers'
-/// own motion; `receivers` are the connected vehicles that can receive
-/// disseminated data. `visible(receiver, object)` must return true when the
-/// receiver's own LiDAR already perceives the object — such pairs get
-/// relevance 0 ("it is unnecessary to disseminate the perception data
-/// related to those objects"). `followers` are the car-following links from
+/// own motion, one entry per identity; `receivers` are the connected
+/// vehicles that can receive disseminated data. `visible(receiver, object)`
+/// must return true when the receiver's own LiDAR already perceives the
+/// object — such pairs get relevance 0 ("it is unnecessary to disseminate
+/// the perception data related to those objects"); it is a pure function of
+/// the pair and is asked only about pairs that would otherwise be relevant.
+/// `followers` are the car-following links from
 /// Rule 1, ordered leader-first within each lane (as produced by
 /// `erpd_tracking::apply_rules`): a follower that violates a car-following
 /// criterion inherits `α^depth · R_leader`.
@@ -178,8 +180,8 @@ pub fn build_relevance_matrix_multi(
     let rows: Vec<(ObjectId, Vec<(ObjectId, f64)>)> = erpd_par::par_map(recvs, |recv| {
         let row = objects
             .iter()
-            .filter(|obj| obj.object != recv.object && !visible(recv.object, obj.object))
-            .map(|obj| {
+            .filter(|obj| obj.object != recv.object)
+            .filter_map(|obj| {
                 let mut r = 0.0f64;
                 // Object side: body trajectories only. Receiver side: body
                 // trajectories plus the receiver-only extras.
@@ -191,7 +193,13 @@ pub fn build_relevance_matrix_multi(
                 // Stale (coasted) perception data is worth less: the
                 // discount is exactly 1.0 for fresh objects, keeping the
                 // zero-fault pipeline bit-identical.
-                (obj.object, r * config.staleness_discount(obj.age))
+                let r = r * config.staleness_discount(obj.age);
+                // A zero never enters the matrix, seen or unseen, so only
+                // the few pairs that scored (or went non-finite, which
+                // `try_set` must still reject) ask whether the receiver
+                // already sees the object.
+                let scored = r > 0.0 || r.is_nan();
+                (scored && !visible(recv.object, obj.object)).then_some((obj.object, r))
             })
             .collect();
         (recv.object, row)

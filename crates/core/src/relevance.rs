@@ -16,7 +16,7 @@
 //! paper argues *against* (it "underestimates the probability since it takes
 //! objects as points"); it is kept as an ablation baseline.
 
-use erpd_geometry::Circle;
+use erpd_geometry::{Circle, Polyline2, Vec2};
 use erpd_tracking::PredictedTrajectory;
 
 /// Which relevance definition to use — the paper's combined formula by
@@ -120,6 +120,18 @@ fn shared_horizon(a: &PredictedTrajectory, b: &PredictedTrajectory) -> f64 {
     a.horizon().min(b.horizon())
 }
 
+/// `path.distance_to_point(p) <= r`, asked of the path's bounding box first:
+/// a point farther than `r` outside that box is farther than `r` from
+/// every segment, so most stationary pairs never walk the path.
+fn passes_within(path: &Polyline2, p: Vec2, r: f64) -> bool {
+    let (min, max) = path.bounds();
+    p.x >= min.x - r
+        && p.x <= max.x + r
+        && p.y >= min.y - r
+        && p.y <= max.y + r
+        && path.distance_to_point(p) <= r
+}
+
 /// Scores one candidate collision area against both trajectories.
 fn score_area(
     a: &PredictedTrajectory,
@@ -206,13 +218,13 @@ pub fn trajectory_relevance(
             // Stationary object b: the collision area sits on b if a's path
             // comes close enough.
             let pos = b.position_at(0.0);
-            if pa.distance_to_point(pos) <= radius_len {
+            if passes_within(pa, pos, radius_len) {
                 consider(Circle::new(pos, radius_len));
             }
         }
         (None, Some(pb)) => {
             let pos = a.position_at(0.0);
-            if pb.distance_to_point(pos) <= radius_len {
+            if passes_within(pb, pos, radius_len) {
                 consider(Circle::new(pos, radius_len));
             }
         }

@@ -37,11 +37,11 @@
 
 use crate::system::default_dissemination;
 use crate::transport::{ServingCore, TcpTransport};
-use crate::wire::{write_message, WireMessage};
+use crate::wire::WireMessage;
 use crate::{PipelineBuilder, SystemConfig, Upload};
 use erpd_sim::IntersectionMap;
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -373,14 +373,15 @@ fn serve_loop(config: DaemonConfig, mut core: ServingCore, shared: Arc<Shared>) 
             Err(_) => continue 'frames,
         };
 
-        let msg = WireMessage::Plan { frame, acks, plan };
+        // Encoded once: every connection is sent the same bytes.
+        let bytes = WireMessage::Plan { frame, acks, plan }.encode();
         // Counted before the broadcast, so whoever holds a plan already
         // sees its frame in `frames_served`.
         shared.frames_served.fetch_add(1, Ordering::Relaxed);
         let mut dead: Vec<u64> = Vec::new();
         for (conn_id, writer) in &writers {
             let mut w = writer.lock().expect("daemon lock poisoned");
-            if write_message(&mut *w, &msg).is_err() {
+            if w.write_all(&bytes).is_err() {
                 dead.push(*conn_id);
             }
         }

@@ -61,7 +61,7 @@ pub use erpd_core::Error;
 pub use fault::FaultModel;
 pub use pipeline::{
     AssociateStage, AssociatedDetections, BoxedDisseminationStage, BroadcastDissemination,
-    FrameCx, GreedyDissemination, Kinematics, MergeStage, PipelineBuilder, PlanRequest,
+    ClusterExtent, FrameCx, GreedyDissemination, Kinematics, MergeStage, PipelineBuilder, PlanRequest,
     PredictStage, Predictions, RelevanceStage, RoundRobinDissemination, Stage, Staged,
     TrackStage, Tracks, TrafficMap, POSE_HISTORY_LEN,
 };

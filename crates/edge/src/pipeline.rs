@@ -28,13 +28,13 @@
 
 use crate::server::{DetectionSummary, ServerConfig, ServerFrame, TRACK_ID_BASE};
 use crate::stages::{StageSample, StageTimer};
-use crate::{Upload, UploadedObject};
+use crate::Upload;
 use erpd_core::{
     build_relevance_matrix_multi, DisseminationPlan, Error, ObjectHypotheses, PlanInputs,
     RelevanceConfig,
 };
-use erpd_geometry::{Pose2, Vec2};
-use erpd_pointcloud::{IncrementalMerger, PointCloud, PointCloudMerger};
+use erpd_geometry::{Pose2, Vec2, Vec3};
+use erpd_pointcloud::{IncrementalMerger, PointCloud, PointCloudMerger, POINT_WIRE_BYTES};
 use erpd_sim::{IntersectionMap, LaneLocation, Turn};
 use erpd_tracking::{
     apply_rules, predict_ctrv, CrowdParams, Detection, FollowerLink, LanePosition, ObjectId,
@@ -113,15 +113,82 @@ pub struct TrafficMap {
 pub struct AssociatedDetections {
     /// The traffic map, carried through.
     pub map: TrafficMap,
-    /// Running centroid and merged cloud per cluster, in first-upload
+    /// Running centroid and merged extent per cluster, in first-upload
     /// order (self-reports already suppressed).
-    pub clusters: Vec<(Vec2, PointCloud)>,
+    pub clusters: Vec<(Vec2, ClusterExtent)>,
     /// Classified detection per cluster, same order.
     pub classified: Vec<Detection>,
     /// Bytes of suppressed self-report clusters, per reporting vehicle.
     pub self_report_bytes: BTreeMap<u64, u64>,
     /// Objects across all uploads before association.
     pub uploaded_objects: usize,
+}
+
+/// What the server reads of a cluster's merged cloud: how many points it
+/// holds and the box around them. The points themselves are already in the
+/// traffic map ([`MergeStage`]); association only weighs centroids by point
+/// count, sizes the cluster on the wire and classifies it by extent, all of
+/// which are functions of exactly these three values — and the box of a
+/// union is the fold of its parts' boxes, so no point is copied.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClusterExtent {
+    /// Points across every uploaded object merged into the cluster.
+    pub points: usize,
+    /// Componentwise minimum over those points (`+∞` while there are none).
+    pub min: Vec3,
+    /// Componentwise maximum over those points (`−∞` while there are none).
+    pub max: Vec3,
+}
+
+impl ClusterExtent {
+    /// The extent of one cloud: its `len()` and `bounds()`.
+    pub fn of(cloud: &PointCloud) -> Self {
+        let inf = Vec3::new(f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        let (min, max) = cloud.bounds().unwrap_or((inf, -inf));
+        ClusterExtent {
+            points: cloud.len(),
+            min,
+            max,
+        }
+    }
+
+    /// Folds another cloud's extent in — the extent of the concatenation.
+    fn absorb(&mut self, other: ClusterExtent) {
+        self.points += other.points;
+        self.min = Vec3::new(
+            self.min.x.min(other.min.x),
+            self.min.y.min(other.min.y),
+            self.min.z.min(other.min.z),
+        );
+        self.max = Vec3::new(
+            self.max.x.max(other.max.x),
+            self.max.y.max(other.max.y),
+            self.max.z.max(other.max.z),
+        );
+    }
+
+    /// The box `(min, max)` around the points, or `None` when there are
+    /// none — what `PointCloud::bounds` says of the merged cloud.
+    pub fn bounds(&self) -> Option<(Vec3, Vec3)> {
+        (self.points > 0).then_some((self.min, self.max))
+    }
+
+    /// Size of the merged cloud when transmitted uncompressed, in bytes.
+    pub fn wire_size_bytes(&self) -> usize {
+        self.points * POINT_WIRE_BYTES
+    }
+
+    /// Planar bounding-box diagonal, metres (0 without points).
+    pub fn planar_extent(&self) -> f64 {
+        match self.bounds() {
+            None => 0.0,
+            Some((min, max)) => {
+                let dx = max.x - min.x;
+                let dy = max.y - min.y;
+                (dx * dx + dy * dy).sqrt()
+            }
+        }
+    }
 }
 
 /// Planar kinematic state of one object, as estimated by the tracking
@@ -351,19 +418,22 @@ impl Stage<(), TrafficMap> for MergeStage {
     }
 }
 
-/// Spatial hash over cluster centroids, cell size = the match radius, so
-/// a query only probes the 3×3 cell neighbourhood that can contain a
-/// centroid within the radius.
+/// Spatial hash over indexed points (cluster centroids, upload poses) for
+/// first-within-radius queries: a query only probes the 3×3 cell
+/// neighbourhood that can contain a point within the radius.
 #[derive(Debug)]
-struct CentroidGrid {
+struct PointGrid {
     cell: f64,
     buckets: HashMap<(i64, i64), Vec<usize>>,
 }
 
-impl CentroidGrid {
-    fn new(cell: f64) -> Self {
-        CentroidGrid {
-            cell,
+impl PointGrid {
+    /// A grid for queries of the given radius. The cell is a hair wider
+    /// than the radius, so rounding in the key division can never put two
+    /// points within the radius two cells apart.
+    fn new(radius: f64) -> Self {
+        PointGrid {
+            cell: radius * (1.0 + 1e-9),
             buckets: HashMap::new(),
         }
     }
@@ -376,7 +446,7 @@ impl CentroidGrid {
         self.buckets.entry(self.key(p)).or_default().push(idx);
     }
 
-    /// Moves a cluster whose running centroid crossed a cell boundary.
+    /// Moves a point that crossed a cell boundary.
     fn relocate(&mut self, idx: usize, old: Vec2, new: Vec2) {
         let (ko, kn) = (self.key(old), self.key(new));
         if ko == kn {
@@ -388,23 +458,25 @@ impl CentroidGrid {
         self.buckets.entry(kn).or_default().push(idx);
     }
 
-    /// The lowest-index cluster within `radius` of `p` — the same cluster
-    /// a linear `iter().find(..)` over insertion order would return.
+    /// The lowest index whose point (`position(index)`) lies within
+    /// `radius` of `p` — the same one a linear `find(..)` over the indices
+    /// in order would return.
     fn first_match(
         &self,
         p: Vec2,
         radius: f64,
-        clusters: &[(Vec2, PointCloud)],
+        position: impl Fn(usize) -> Vec2,
     ) -> Option<usize> {
         let (kx, ky) = self.key(p);
         let mut best: Option<usize> = None;
         for dx in -1..=1 {
             for dy in -1..=1 {
-                let Some(bucket) = self.buckets.get(&(kx + dx, ky + dy)) else {
+                let cell = (kx.wrapping_add(dx), ky.wrapping_add(dy));
+                let Some(bucket) = self.buckets.get(&cell) else {
                     continue;
                 };
                 for &i in bucket {
-                    if clusters[i].0.distance(p) <= radius && best.is_none_or(|b| i < b) {
+                    if best.is_none_or(|b| i < b) && position(i).distance(p) <= radius {
                         best = Some(i);
                     }
                 }
@@ -419,8 +491,11 @@ impl CentroidGrid {
 ///
 /// Association matches each uploaded object to the *first* existing
 /// cluster (in insertion order) whose running centroid lies within
-/// `DETECTION_MATCH_RADIUS` (2 m) — accelerated by a spatial hash of the
-/// cluster centroids, bit-identical to the linear scan it replaced.
+/// `DETECTION_MATCH_RADIUS` (2 m), and a cluster is a self-report of the
+/// *first* uploader (in arrival order) posed within `SELF_REPORT_RADIUS`
+/// of it — both found through a spatial hash, bit-identical to the
+/// linear scans. A cluster is carried as its [`ClusterExtent`]; no point
+/// is copied.
 #[derive(Debug)]
 pub struct AssociateStage;
 
@@ -449,24 +524,25 @@ impl Stage<TrafficMap, AssociatedDetections> for AssociateStage {
     ) -> Result<Staged<AssociatedDetections>, Error> {
         let t = StageTimer::start();
         let radius = DETECTION_MATCH_RADIUS;
-        let mut clusters: Vec<(Vec2, PointCloud)> = Vec::new();
-        let mut grid = CentroidGrid::new(radius);
+        let mut clusters: Vec<(Vec2, ClusterExtent)> = Vec::new();
+        let mut grid = PointGrid::new(radius);
         for u in cx.uploads {
             for o in &u.objects {
-                match grid.first_match(o.centroid, radius, &clusters) {
+                let extent = ClusterExtent::of(&o.points);
+                match grid.first_match(o.centroid, radius, |i| clusters[i].0) {
                     Some(i) => {
-                        let (c, cloud) = &mut clusters[i];
+                        let (c, merged) = &mut clusters[i];
                         let old = *c;
                         // Running centroid update.
-                        let n_old = cloud.len() as f64;
-                        let n_new = o.points.len() as f64;
+                        let n_old = merged.points as f64;
+                        let n_new = extent.points as f64;
                         *c = (*c * n_old + o.centroid * n_new) / (n_old + n_new).max(1.0);
-                        cloud.merge_from(&o.points);
+                        merged.absorb(extent);
                         grid.relocate(i, old, *c);
                     }
                     None => {
                         let i = clusters.len();
-                        clusters.push((o.centroid, o.points.clone()));
+                        clusters.push((o.centroid, extent));
                         grid.insert(i, o.centroid);
                     }
                 }
@@ -474,31 +550,31 @@ impl Stage<TrafficMap, AssociatedDetections> for AssociateStage {
         }
 
         // Self-reports are authoritative: drop matching detections.
+        let mut poses = PointGrid::new(SELF_REPORT_RADIUS);
+        for (i, u) in cx.uploads.iter().enumerate() {
+            poses.insert(i, u.pose.position);
+        }
         let mut self_report_bytes: BTreeMap<u64, u64> = BTreeMap::new();
-        clusters.retain(|(c, cloud)| {
-            for u in cx.uploads {
-                if u.pose.position.distance(*c) <= SELF_REPORT_RADIUS {
-                    let e = self_report_bytes.entry(u.vehicle_id).or_insert(0);
-                    *e += cloud.wire_size_bytes() as u64;
-                    return false;
-                }
+        clusters.retain(|(c, extent)| {
+            let reporter =
+                poses.first_match(*c, SELF_REPORT_RADIUS, |i| cx.uploads[i].pose.position);
+            if let Some(i) = reporter {
+                let e = self_report_bytes.entry(cx.uploads[i].vehicle_id).or_insert(0);
+                *e += extent.wire_size_bytes() as u64;
             }
-            true
+            reporter.is_none()
         });
 
         // Classify what survives.
         let classified: Vec<Detection> = clusters
             .iter()
-            .map(|(c, cloud)| {
-                let extent = planar_extent(cloud);
-                Detection {
-                    position: *c,
-                    kind: if extent < PEDESTRIAN_EXTENT {
-                        ObjectKind::Pedestrian
-                    } else {
-                        ObjectKind::Vehicle
-                    },
-                }
+            .map(|(c, extent)| Detection {
+                position: *c,
+                kind: if extent.planar_extent() < PEDESTRIAN_EXTENT {
+                    ObjectKind::Pedestrian
+                } else {
+                    ObjectKind::Vehicle
+                },
             })
             .collect();
 
@@ -573,9 +649,9 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
         let assigned = self.tracker.update(now, &input.classified);
         let mut detections = Vec::new();
         let mut sizes: BTreeMap<ObjectId, u64> = BTreeMap::new();
-        for (td, (_, cloud)) in assigned.iter().zip(&input.clusters) {
+        for (td, (_, extent)) in assigned.iter().zip(&input.clusters) {
             let id = ObjectId(TRACK_ID_BASE + td.id.0);
-            let bytes = cloud.wire_size_bytes() as u64;
+            let bytes = extent.wire_size_bytes() as u64;
             sizes.insert(id, bytes);
             self.last_bytes.insert(id, bytes);
             detections.push(DetectionSummary {
@@ -1093,29 +1169,20 @@ impl Stage<Predictions, ServerFrame> for RelevanceStage {
 
         // Visibility from uploads: receiver r already perceives o if r
         // uploaded a cluster at o's position (paper §III-A).
-        let upload_centroids: BTreeMap<u64, Vec<Vec2>> = cx
-            .uploads
-            .iter()
-            .map(|u| {
-                (
-                    u.vehicle_id,
-                    u.objects.iter().map(|o: &UploadedObject| o.centroid).collect(),
-                )
-            })
-            .collect();
-        let positions: BTreeMap<ObjectId, Vec2> = input
-            .kinematics
-            .iter()
-            .map(|(&id, k)| (id, k.position))
-            .collect();
+        let uploads_by_vehicle: BTreeMap<u64, &Upload> =
+            cx.uploads.iter().map(|u| (u.vehicle_id, u)).collect();
+        let kinematics = &input.kinematics;
         let visible = |receiver: ObjectId, object: ObjectId| -> bool {
-            let Some(centroids) = upload_centroids.get(&receiver.0) else {
+            let Some(upload) = uploads_by_vehicle.get(&receiver.0) else {
                 return false;
             };
-            let Some(&pos) = positions.get(&object) else {
+            let Some(at) = kinematics.get(&object) else {
                 return false;
             };
-            centroids.iter().any(|c| c.distance(pos) <= 2.5)
+            upload
+                .objects
+                .iter()
+                .any(|o| o.centroid.distance(at.position) <= 2.5)
         };
 
         // Relevance matrix (with follower propagation).
@@ -1354,22 +1421,10 @@ fn history_kinematics(h: &VecDeque<(f64, Pose2)>) -> (Vec2, f64) {
     (v, w)
 }
 
-/// Planar bounding-box diagonal of a cloud.
-fn planar_extent(cloud: &PointCloud) -> f64 {
-    match cloud.bounds() {
-        None => 0.0,
-        Some((min, max)) => {
-            let dx = max.x - min.x;
-            let dy = max.y - min.y;
-            (dx * dx + dy * dy).sqrt()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use erpd_geometry::Vec3;
+    use crate::UploadedObject;
 
     fn cloud_at(x: f64, y: f64, n: usize, spread: f64) -> PointCloud {
         (0..n)
@@ -1466,8 +1521,10 @@ mod tests {
             uploads: &uploads,
         };
         let out = stage.run(&cx, TrafficMap::default()).unwrap().artifact;
+        // No uploader is posed near the field, so every cluster survives
+        // self-report suppression.
         assert_eq!(out.clusters.len(), reference.len());
-        for (i, ((gc, gcloud), (rc, rcloud))) in
+        for (i, ((gc, extent), (rc, rcloud))) in
             out.clusters.iter().zip(&reference).enumerate()
         {
             assert_eq!(
@@ -1475,8 +1532,71 @@ mod tests {
                 (rc.x.to_bits(), rc.y.to_bits()),
                 "cluster {i} centroid drifted"
             );
-            assert_eq!(gcloud.len(), rcloud.len(), "cluster {i} cloud size");
+            // The folded extent is the concatenated cloud's, bit for bit.
+            assert_eq!(extent.points, rcloud.len(), "cluster {i} cloud size");
+            let bits = |b: Option<(Vec3, Vec3)>| {
+                b.map(|(lo, hi)| [lo.x, lo.y, lo.z, hi.x, hi.y, hi.z].map(f64::to_bits))
+            };
+            assert_eq!(bits(extent.bounds()), bits(rcloud.bounds()), "cluster {i} bounds");
+            assert_eq!(extent.wire_size_bytes(), rcloud.wire_size_bytes());
         }
+        let reference_classified: Vec<Detection> = reference
+            .iter()
+            .map(|(c, cloud)| {
+                let (min, max) = cloud.bounds().expect("clusters hold points");
+                let (dx, dy) = (max.x - min.x, max.y - min.y);
+                Detection {
+                    position: *c,
+                    kind: if (dx * dx + dy * dy).sqrt() < PEDESTRIAN_EXTENT {
+                        ObjectKind::Pedestrian
+                    } else {
+                        ObjectKind::Vehicle
+                    },
+                }
+            })
+            .collect();
+        assert_eq!(out.classified, reference_classified);
+    }
+
+    #[test]
+    fn self_reports_go_to_the_first_uploader_in_range() {
+        // Uploaders parked on the object field: the linear scan over
+        // uploads in arrival order is the reference for the pose grid.
+        let mut uploads = crowded_uploads(10);
+        for (k, u) in uploads.iter_mut().enumerate() {
+            let k = k as f64;
+            // Two rows of poses ~1.4 m apart, so most clusters are within
+            // range of several uploaders and ties go to the earliest; the
+            // last pose sits exactly on the radius of a chain cluster.
+            u.pose = Pose2::new(Vec2::new(3.1 * k, 6.0 * (k % 3.0) + 0.4), 0.0);
+        }
+        uploads[9].pose = Pose2::new(Vec2::new(60.4, -19.6 + SELF_REPORT_RADIUS), 0.0);
+
+        let mut reference = linear_associate(&uploads, DETECTION_MATCH_RADIUS);
+        let mut reference_bytes: BTreeMap<u64, u64> = BTreeMap::new();
+        reference.retain(|(c, cloud)| {
+            for u in &uploads {
+                if u.pose.position.distance(*c) <= SELF_REPORT_RADIUS {
+                    *reference_bytes.entry(u.vehicle_id).or_insert(0) +=
+                        cloud.wire_size_bytes() as u64;
+                    return false;
+                }
+            }
+            true
+        });
+        assert!(reference_bytes.len() >= 4, "want several reporters: {reference_bytes:?}");
+        assert!(!reference.is_empty(), "want survivors too");
+
+        let mut stage = AssociateStage::new(&ServerConfig::default());
+        let cx = FrameCx {
+            now: 0.0,
+            uploads: &uploads,
+        };
+        let out = stage.run(&cx, TrafficMap::default()).unwrap().artifact;
+        assert_eq!(out.self_report_bytes, reference_bytes);
+        let survivors: Vec<Vec2> = out.clusters.iter().map(|(c, _)| *c).collect();
+        let reference_survivors: Vec<Vec2> = reference.iter().map(|(c, _)| *c).collect();
+        assert_eq!(survivors, reference_survivors);
     }
 
     #[test]
@@ -1585,7 +1705,7 @@ mod tests {
                 clustered_points: 0,
             }];
             let input = AssociatedDetections {
-                clusters: vec![(at, cloud_at(at.x, at.y, 8, 0.5))],
+                clusters: vec![(at, ClusterExtent::of(&cloud_at(at.x, at.y, 8, 0.5)))],
                 classified: vec![Detection {
                     position: at,
                     kind: ObjectKind::Pedestrian,

@@ -5,9 +5,37 @@
 //! polylines and with circles) lives here.
 
 use crate::{Circle, Segment2, Vec2};
+use std::ops::ControlFlow;
+
+/// Slack of every box reject below, metres. A box test may skip only work
+/// whose result [`Segment2::intersect`] / [`Circle::segment_inside`] would
+/// report as `None`: exact geometry separates the operands by at least this
+/// much, which is orders of magnitude above the rounding of either
+/// predicate (DESIGN §"Stage graph" has the bound and its one caveat).
+const REJECT_MARGIN: f64 = 1e-3;
+
+/// An axis-aligned box `(min, max)`.
+type Box2 = (Vec2, Vec2);
+
+/// True when the boxes are separated along some axis.
+#[inline]
+fn apart(a: &Box2, b: &Box2) -> bool {
+    a.1.x < b.0.x || b.1.x < a.0.x || a.1.y < b.0.y || b.1.y < a.0.y
+}
+
+/// The box of a segment, grown by `pad` on every side.
+#[inline]
+fn segment_box(s: &Segment2, pad: f64) -> Box2 {
+    (
+        Vec2::new(s.a.x.min(s.b.x) - pad, s.a.y.min(s.b.y) - pad),
+        Vec2::new(s.a.x.max(s.b.x) + pad, s.a.y.max(s.b.y) + pad),
+    )
+}
 
 /// A polyline through two or more vertices, with cached cumulative
-/// arc-lengths for O(log n) interpolation.
+/// arc-lengths for O(log n) interpolation and a cached bounding box for
+/// the broad phase of [`Polyline2::crossings`] and
+/// [`Polyline2::visit_circle_intervals`].
 ///
 /// # Examples
 ///
@@ -26,6 +54,7 @@ use crate::{Circle, Segment2, Vec2};
 pub struct Polyline2 {
     points: Vec<Vec2>,
     cumulative: Vec<f64>,
+    bounds: Box2,
 }
 
 /// A crossing between two polylines.
@@ -53,7 +82,27 @@ impl Polyline2 {
             acc += w[0].distance(w[1]);
             cumulative.push(acc);
         }
-        Some(Polyline2 { points, cumulative })
+        let (mut min, mut max) = (points[0], points[0]);
+        for p in &points[1..] {
+            min = Vec2::new(min.x.min(p.x), min.y.min(p.y));
+            max = Vec2::new(max.x.max(p.x), max.y.max(p.y));
+        }
+        let pad = Vec2::new(REJECT_MARGIN, REJECT_MARGIN);
+        Some(Polyline2 {
+            points,
+            cumulative,
+            bounds: (min - pad, max + pad),
+        })
+    }
+
+    /// A conservative axis-aligned box `(min, max)` around the polyline:
+    /// the vertices' extent grown by a millimetre on every side, so that
+    /// "outside the box" is a safe reason to skip an exact test (a point
+    /// farther than `r` outside it is farther than `r` from the polyline,
+    /// rounding included). Cached at construction.
+    #[inline]
+    pub fn bounds(&self) -> (Vec2, Vec2) {
+        self.bounds
     }
 
     /// The vertices of the polyline.
@@ -108,10 +157,25 @@ impl Polyline2 {
     }
 
     /// All crossings with another polyline, ordered by `s_self`.
+    ///
+    /// Segment pairs are intersected only where the boxes overlap —
+    /// polyline against polyline, then segment against polyline, then
+    /// segment against segment — which skips nothing
+    /// [`Segment2::intersect`] would report.
     pub fn crossings(&self, other: &Polyline2) -> Vec<PolylineCrossing> {
         let mut out = Vec::new();
+        if apart(&self.bounds, &other.bounds) {
+            return out;
+        }
         for (i, sa) in self.segments().enumerate() {
+            let box_a = segment_box(&sa, REJECT_MARGIN);
+            if apart(&box_a, &other.bounds) {
+                continue;
+            }
             for (j, sb) in other.segments().enumerate() {
+                if apart(&box_a, &segment_box(&sb, 0.0)) {
+                    continue;
+                }
                 if let Some(hit) = sa.intersect(&sb) {
                     out.push(PolylineCrossing {
                         point: hit.point,
@@ -134,21 +198,51 @@ impl Polyline2 {
     /// inside the given circle, merged across segment boundaries and ordered
     /// by `s_enter`.
     pub fn circle_intervals(&self, circle: &Circle) -> Vec<(f64, f64)> {
-        let mut out: Vec<(f64, f64)> = Vec::new();
+        let mut out = Vec::new();
+        let _ = self.visit_circle_intervals(circle, |s0, s1| {
+            out.push((s0, s1));
+            ControlFlow::<()>::Continue(())
+        });
+        out
+    }
+
+    /// The walk behind [`Polyline2::circle_intervals`]: hands `visit` each
+    /// interval `(s_enter, s_exit)` — merged across segment boundaries,
+    /// degenerate ones dropped, in order of `s_enter` — until it breaks, and
+    /// returns what it broke with. Allocates nothing; a caller that wants
+    /// only the first interval stops there.
+    pub fn visit_circle_intervals<B>(
+        &self,
+        circle: &Circle,
+        mut visit: impl FnMut(f64, f64) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let r = Vec2::new(circle.radius, circle.radius);
+        let circle_box = (circle.center - r, circle.center + r);
+        if apart(&circle_box, &self.bounds) {
+            return ControlFlow::Continue(());
+        }
+        // The interval still open to merging with the next segment's.
+        let mut open: Option<(f64, f64)> = None;
+        let mut close = |iv: Option<(f64, f64)>| match iv {
+            Some((s0, s1)) if s1 - s0 > 1e-12 => visit(s0, s1),
+            _ => ControlFlow::Continue(()),
+        };
         for (i, seg) in self.segments().enumerate() {
-            let seg_len = seg.length();
+            if apart(&circle_box, &segment_box(&seg, REJECT_MARGIN)) {
+                continue;
+            }
             if let Some((t0, t1)) = circle.segment_inside(&seg) {
+                let seg_len = seg.length();
                 let s0 = self.cumulative[i] + t0 * seg_len;
                 let s1 = self.cumulative[i] + t1 * seg_len;
-                match out.last_mut() {
+                match &mut open {
                     // Contiguous with the previous segment's interval: merge.
                     Some(last) if s0 <= last.1 + 1e-9 => last.1 = last.1.max(s1),
-                    _ => out.push((s0, s1)),
+                    _ => close(open.replace((s0, s1)))?,
                 }
             }
         }
-        out.retain(|(s0, s1)| s1 - s0 > 1e-12);
-        out
+        close(open)
     }
 
     /// Closest distance from the polyline to a point.

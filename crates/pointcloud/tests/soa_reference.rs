@@ -1,61 +1,16 @@
-//! Differential suite for the struct-of-arrays `PointCloud` layout: every
-//! per-point pass must be *bit-identical* to the former array-of-structs
-//! implementation, and the incremental voxel map must stay integer-exact
-//! against a full rebuild under arbitrary per-vehicle upload churn.
-//!
-//! The references below are the pre-SoA implementations kept verbatim on a
-//! plain `Vec<Vec3>` (same iteration order, same scalar ops through
-//! `Transform3::apply`), so "the layout change changed no result" is
-//! proved at the unit level, not only through the end-to-end pipeline
-//! fingerprints in `tests/stage_graph_determinism.rs`.
+//! What is left of the struct-of-arrays differential suite now that the
+//! verbatim array-of-structs references have been retired (they held for
+//! the PR that introduced the layout and several after it): the lane seam
+//! of DBSCAN, and the property `MergeStage` leans on — the incremental
+//! voxel map stays integer-exact against a full rebuild under arbitrary
+//! per-vehicle upload churn. End to end the layout is pinned by the
+//! pipeline fingerprints in `tests/stage_graph_determinism.rs`.
 
-use erpd_geometry::{Transform3, Vec2, Vec3};
-use erpd_pointcloud::{DbscanParams, DbscanScratch, GroundFilter, PointCloud, PointCloudMerger};
+use erpd_geometry::{Vec2, Vec3};
+use erpd_pointcloud::{DbscanParams, DbscanScratch, PointCloud, PointCloudMerger};
 use erpd_rand::proptest::prelude::*;
 use erpd_rand::rngs::StdRng;
 use erpd_rand::{Rng, RngCore, SeedableRng};
-
-// --- The original array-of-structs cloud passes, verbatim ---------------
-
-/// `PointCloud::transformed` as it was on `Vec<Vec3>`.
-fn ref_transformed(points: &[Vec3], t: &Transform3) -> Vec<Vec3> {
-    points.iter().map(|p| t.apply(*p)).collect()
-}
-
-/// `GroundFilter::apply` as it was: `filtered(|p| p.z > thr)`.
-fn ref_ground(points: &[Vec3], thr: f64) -> Vec<Vec3> {
-    points.iter().copied().filter(|p| p.z > thr).collect()
-}
-
-/// The fused `filter_transform_into` as it was: filter, then transform,
-/// appended to `out` without clearing.
-fn ref_ground_transform_into(points: &[Vec3], thr: f64, t: &Transform3, out: &mut Vec<Vec3>) {
-    out.extend(points.iter().filter(|p| p.z > thr).map(|p| t.apply(*p)));
-}
-
-/// `PointCloud::bounds` as it was: a single `Vec3`-at-a-time min/max fold.
-fn ref_bounds(points: &[Vec3]) -> Option<(Vec3, Vec3)> {
-    let first = *points.first()?;
-    let mut min = first;
-    let mut max = first;
-    for p in &points[1..] {
-        min.x = min.x.min(p.x);
-        min.y = min.y.min(p.y);
-        min.z = min.z.min(p.z);
-        max.x = max.x.max(p.x);
-        max.y = max.y.max(p.y);
-        max.z = max.z.max(p.z);
-    }
-    Some((min, max))
-}
-
-/// `PointCloud::centroid` as it was: `Vec3` sum, then one divide.
-fn ref_centroid(points: &[Vec3]) -> Option<Vec3> {
-    if points.is_empty() {
-        return None;
-    }
-    Some(points.iter().copied().sum::<Vec3>() / points.len() as f64)
-}
 
 // --- Generators ---------------------------------------------------------
 
@@ -78,85 +33,8 @@ fn random_frame(seed: u64) -> Vec<Vec3> {
         .collect()
 }
 
-fn random_pose(rng: &mut StdRng) -> Transform3 {
-    let p = Vec2::new(
-        (rng.next_unit_f64() - 0.5) * 400.0,
-        (rng.next_unit_f64() - 0.5) * 400.0,
-    );
-    Transform3::lidar_to_world(p, (rng.next_unit_f64() - 0.5) * 6.4, 1.8)
-}
-
-fn assert_bits_eq(got: &PointCloud, want: &[Vec3]) {
-    assert_eq!(got.len(), want.len(), "point counts differ");
-    for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
-        assert_eq!(a.x.to_bits(), b.x.to_bits(), "x of point {i}");
-        assert_eq!(a.y.to_bits(), b.y.to_bits(), "y of point {i}");
-        assert_eq!(a.z.to_bits(), b.z.to_bits(), "z of point {i}");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Ground removal, the rigid transform, and their fused form on the
-    /// SoA lanes are bit-identical to the verbatim AoS reference —
-    /// including the z-lane-specialized `apply_transformed_into` hot path
-    /// and its append-without-clearing semantics.
-    #[test]
-    fn ground_and_transform_match_aos_reference(seed in 0u64..5_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let raw = random_frame(seed);
-        let cloud = PointCloud::from_points(raw.clone());
-        let t = random_pose(&mut rng);
-        let filter = GroundFilter::default();
-        let thr = filter.threshold();
-
-        assert_bits_eq(&filter.apply(&cloud), &ref_ground(&raw, thr));
-        assert_bits_eq(&cloud.transformed(&t), &ref_transformed(&raw, &t));
-
-        // Fused hot path, appended twice into the same scratch.
-        let mut out = PointCloud::new();
-        let mut ref_out = Vec::new();
-        filter.apply_transformed_into(&cloud, &t, &mut out);
-        ref_ground_transform_into(&raw, thr, &t, &mut ref_out);
-        let t2 = random_pose(&mut rng);
-        filter.apply_transformed_into(&cloud, &t2, &mut out);
-        ref_ground_transform_into(&raw, thr, &t2, &mut ref_out);
-        assert_bits_eq(&out, &ref_out);
-
-        // In-place removal leaves the same surviving points in order.
-        let mut in_place = cloud.clone();
-        filter.apply_in_place(&mut in_place);
-        assert_bits_eq(&in_place, &ref_ground(&raw, thr));
-    }
-
-    /// Whole-cloud folds (`bounds`, `centroid`) run per lane now but must
-    /// keep the AoS fold's exact results, and the round trip through
-    /// `from_points` / `iter` / `point` is the identity.
-    #[test]
-    fn folds_and_round_trip_match_aos_reference(seed in 0u64..5_000) {
-        let raw = random_frame(seed ^ 1);
-        let cloud = PointCloud::from_points(raw.clone());
-
-        match (cloud.bounds(), ref_bounds(&raw)) {
-            (None, None) => {}
-            (Some((gmin, gmax)), Some((wmin, wmax))) => {
-                assert_bits_eq(&PointCloud::from_points(vec![gmin, gmax]), &[wmin, wmax]);
-            }
-            (got, want) => panic!("bounds disagree on emptiness: {got:?} vs {want:?}"),
-        }
-        match (cloud.centroid(), ref_centroid(&raw)) {
-            (None, None) => {}
-            (Some(g), Some(w)) => assert_bits_eq(&PointCloud::from_points(vec![g]), &[w]),
-            (got, want) => panic!("centroid disagrees on emptiness: {got:?} vs {want:?}"),
-        }
-
-        assert_bits_eq(&cloud, &raw);
-        for (i, p) in raw.iter().enumerate() {
-            assert_eq!(cloud.point(i), *p);
-        }
-        assert_eq!(cloud.clone().into_points(), raw);
-    }
 
     /// `DbscanScratch::run_lanes` over the cloud's raw x/y lanes labels
     /// exactly as `run` over the materialized `Vec2` projection — the seam

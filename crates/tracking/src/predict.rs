@@ -10,6 +10,7 @@
 
 use crate::{ObjectId, ObjectKind};
 use erpd_geometry::{BivariateGaussian, Circle, Interval, Polyline2, Vec2};
+use std::ops::ControlFlow;
 
 /// Configuration for the predictor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -173,36 +174,47 @@ impl PredictedTrajectory {
     /// inside `circle` — the *passing times* of the paper's relevance
     /// formula.
     pub fn passing_intervals(&self, circle: &Circle) -> Vec<Interval> {
-        match &self.path {
-            None => {
-                if circle.contains(self.start) {
-                    vec![Interval::new(0.0, self.horizon).expect("valid horizon")]
-                } else {
-                    Vec::new()
-                }
-            }
-            Some(path) => {
-                let mut out = Vec::new();
-                for (s0, s1) in path.circle_intervals(circle) {
-                    let t0 = s0 / self.speed;
-                    let t1 = s1 / self.speed;
-                    if t0 >= self.horizon {
-                        continue;
-                    }
-                    if let Some(iv) = Interval::new(t0.max(0.0), t1.min(self.horizon)) {
-                        if iv.length() > 1e-9 {
-                            out.push(iv);
-                        }
-                    }
-                }
-                out
-            }
+        let mut out = Vec::new();
+        let _ = self.visit_passing_intervals(circle, |iv| {
+            out.push(iv);
+            ControlFlow::<()>::Continue(())
+        });
+        out
+    }
+
+    /// The first passing interval through `circle`, if any — the walk
+    /// stops there and allocates nothing.
+    pub fn first_passing_interval(&self, circle: &Circle) -> Option<Interval> {
+        match self.visit_passing_intervals(circle, ControlFlow::Break) {
+            ControlFlow::Break(iv) => Some(iv),
+            ControlFlow::Continue(()) => None,
         }
     }
 
-    /// The first passing interval through `circle`, if any.
-    pub fn first_passing_interval(&self, circle: &Circle) -> Option<Interval> {
-        self.passing_intervals(circle).into_iter().next()
+    /// Hands `visit` each passing interval in time order until it breaks.
+    fn visit_passing_intervals<B>(
+        &self,
+        circle: &Circle,
+        mut visit: impl FnMut(Interval) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let Some(path) = &self.path else {
+            return if circle.contains(self.start) {
+                visit(Interval::new(0.0, self.horizon).expect("valid horizon"))
+            } else {
+                ControlFlow::Continue(())
+            };
+        };
+        path.visit_circle_intervals(circle, |s0, s1| {
+            let t0 = s0 / self.speed;
+            let t1 = s1 / self.speed;
+            if t0 >= self.horizon {
+                return ControlFlow::Continue(());
+            }
+            match Interval::new(t0.max(0.0), t1.min(self.horizon)) {
+                Some(iv) if iv.length() > 1e-9 => visit(iv),
+                _ => ControlFlow::Continue(()),
+            }
+        })
     }
 }
 

@@ -9,7 +9,7 @@
 
 use crate::{ObjectId, ObjectKind};
 use erpd_geometry::Vec2;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// One detection fed to the tracker (no identity attached).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -269,20 +269,40 @@ impl Tracker {
 
         // Greedy globally-nearest association: collect all (dist, track, det)
         // pairs under the gate, sort, and assign each side at most once.
+        // The candidates of a track are the detections in the 3×3 cells
+        // around its predicted position, the cell a hair wider than the
+        // gate so rounding in the key division cannot hide a gated pair.
+        let cell = gate * (1.0 + 1e-9);
+        let key = |p: Vec2| ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64);
+        let mut grid: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
+        for (di, det) in detections.iter().enumerate() {
+            grid.entry(key(det.position)).or_default().push(di);
+        }
         let mut pairs: Vec<(f64, usize, usize)> = Vec::new();
         for (ti, track) in self.tracks.iter().enumerate() {
             let predicted = track.position() + track.velocity() * dt;
-            for (di, det) in detections.iter().enumerate() {
-                if det.kind != track.kind {
-                    continue;
-                }
-                let d = predicted.distance(det.position);
-                if d <= gate {
-                    pairs.push((d, ti, di));
+            let (kx, ky) = key(predicted);
+            for cx in [kx.wrapping_sub(1), kx, kx.wrapping_add(1)] {
+                for cy in [ky.wrapping_sub(1), ky, ky.wrapping_add(1)] {
+                    for &di in grid.get(&(cx, cy)).into_iter().flatten() {
+                        let det = &detections[di];
+                        if det.kind != track.kind {
+                            continue;
+                        }
+                        let d = predicted.distance(det.position);
+                        if d <= gate {
+                            pairs.push((d, ti, di));
+                        }
+                    }
                 }
             }
         }
-        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"));
+        // Nearest first, ties by (track, detection): the order a stable
+        // sort by distance gives the pairs of a track-major double loop.
+        pairs.sort_unstable_by(|a, b| {
+            let by_distance = a.0.partial_cmp(&b.0).expect("finite distances");
+            by_distance.then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
+        });
 
         let mut track_used = vec![false; self.tracks.len()];
         let mut det_assigned: Vec<Option<usize>> = vec![None; detections.len()];

@@ -95,19 +95,24 @@ proptest! {
     }
 
     /// Passing intervals are always within the prediction horizon and
-    /// properly ordered.
+    /// properly ordered, and the early-exit walk returns the first of them
+    /// (turning paths can pass through the circle more than once).
     #[test]
     fn passing_intervals_well_formed(
-        speed in 0.5f64..20.0,
+        speed in 0.5f64..20.0, omega in -1.5f64..1.5,
         cx in -60.0f64..60.0, cy in -20.0f64..20.0, r in 0.5f64..10.0,
     ) {
         use erpd_geometry::Circle;
         let cfg = PredictorConfig::default();
-        let t = predict_ctrv(ObjectId(1), ObjectKind::Vehicle, Vec2::ZERO, speed, 0.0, 0.0, 4.5, cfg);
-        for iv in t.passing_intervals(&Circle::new(Vec2::new(cx, cy), r)) {
+        let t = predict_ctrv(ObjectId(1), ObjectKind::Vehicle, Vec2::ZERO, speed, 0.0, omega, 4.5, cfg);
+        let circle = Circle::new(Vec2::new(cx, cy), r);
+        let all = t.passing_intervals(&circle);
+        for iv in &all {
             prop_assert!(iv.start() >= -1e-9);
             prop_assert!(iv.end() <= cfg.horizon + 1e-9);
             prop_assert!(iv.length() >= 0.0);
         }
+        prop_assert!(all.windows(2).all(|w| w[0].end() < w[1].start()));
+        prop_assert_eq!(t.first_passing_interval(&circle), all.first().copied());
     }
 }

@@ -46,9 +46,10 @@ cargo build --release --offline --workspace --bins
 echo "==> cargo test -q --offline -p erpd-edge"
 cargo test -q --offline -p erpd-edge
 
-echo "==> SoA differential + steady-state-allocation suites (erpd-pointcloud)"
-cargo test -q --offline -p erpd-pointcloud \
-    --test soa_reference --test dbscan_reference --test steady_state_alloc
+echo "==> differential + steady-state-allocation suites, by name"
+cargo test -q --offline -p erpd-pointcloud --test soa_reference --test steady_state_alloc
+cargo test -q --offline -p erpd-core --test relevance_broad_phase
+cargo test -q --offline -p erpd-tracking --test tracker_gate_grid
 
 echo "==> smoke capacity check (8 clients x 20 frames)"
 ./target/release/erpd-loadgen --clients 8 --frames 20

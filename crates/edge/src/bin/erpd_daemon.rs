@@ -58,10 +58,14 @@ fn main() {
         std::thread::sleep(Duration::from_secs(5));
         let served = handle.frames_served();
         println!(
-            "erpd-daemon: {} vehicles connected, {} frames served (+{})",
+            "erpd-daemon: {} vehicles connected, {} frames served (+{}); \
+             {} uploads rejected, {} frames dropped, {} connections retired",
             handle.connected_vehicles(),
             served,
-            served - last
+            served - last,
+            handle.rejected_uploads(),
+            handle.dropped_frames(),
+            handle.retired_connections()
         );
         last = served;
     }

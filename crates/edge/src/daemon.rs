@@ -4,14 +4,16 @@
 //! # Threading model
 //!
 //! * **accept** — one thread on a non-blocking [`std::net::TcpListener`],
-//!   spawning a reader per connection.
+//!   spawning a reader per connection and joining the readers whose
+//!   connections have ended, so the daemon holds one handle per live
+//!   connection however many have come and gone.
 //! * **readers** — one thread per connection, decoding wire frames off the
 //!   socket with short read timeouts (a partial frame survives a timeout —
 //!   the [`crate::TcpTransport`] buffer keeps sync). `Hello` registers the
 //!   vehicle for plan delivery (a repeated `Hello` renames it); a decoded
 //!   upload lands in the shared pending map if it names that vehicle, and
 //!   is dropped and counted otherwise; `Bye` or EOF retires the
-//!   connection.
+//!   connection, and the retirement is counted.
 //! * **serve** — one thread closing frames. A frame closes once every
 //!   registered vehicle has submitted (the common case under light load —
 //!   this is what keeps p95 latency far below the frame period), else
@@ -29,6 +31,10 @@
 //! backpressure policy is to drop the superseded frame. Vehicles that miss
 //! a deadline are simply absent from that frame (the serving core's
 //! coasting covers them) and their upload rides the next one.
+//!
+//! What the daemon swallows it counts: [`ServerHandle::rejected_uploads`],
+//! [`ServerHandle::dropped_frames`] and
+//! [`ServerHandle::retired_connections`].
 //!
 //! Simulation time advances `frame_period` per served frame
 //! (`now = frame * frame_period`), matching the in-process `System`'s
@@ -117,9 +123,30 @@ struct Shared {
     /// Uploads dropped for naming a vehicle other than the one their
     /// connection registered.
     rejected_uploads: AtomicU64,
+    /// Frames whose uploads were taken but never answered: the serving
+    /// core returned an error.
+    dropped_frames: AtomicU64,
+    /// Registered connections unregistered again, by their reader (`Bye`,
+    /// EOF, protocol error) or by a failed plan write.
+    retired_connections: AtomicU64,
     next_conn_id: AtomicU64,
-    /// Reader threads park their handles here for the shutdown join.
+    /// One handle per reader thread not yet joined: the accept thread
+    /// joins the finished ones as it goes, shutdown joins the rest.
     readers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Shared {
+    /// Unregisters the connections `gone` picks and counts them. A
+    /// connection is counted once however many sides notice it died: only
+    /// the side that finds it still registered removes it.
+    fn retire(&self, gone: impl Fn(&Conn) -> bool) {
+        let mut ingest = self.ingest.lock().expect("daemon lock poisoned");
+        let before = ingest.conns.len();
+        ingest.conns.retain(|c| !gone(c));
+        let retired = before - ingest.conns.len();
+        self.retired_connections
+            .fetch_add(retired as u64, Ordering::Relaxed);
+    }
 }
 
 /// The streaming edge daemon. Construct with [`EdgeDaemon::spawn`]; the
@@ -150,6 +177,8 @@ impl EdgeDaemon {
             shutdown: AtomicBool::new(false),
             frames_served: AtomicU64::new(0),
             rejected_uploads: AtomicU64::new(0),
+            dropped_frames: AtomicU64::new(0),
+            retired_connections: AtomicU64::new(0),
             next_conn_id: AtomicU64::new(0),
             readers: Mutex::new(Vec::new()),
         });
@@ -198,6 +227,21 @@ impl ServerHandle {
         self.shared.rejected_uploads.load(Ordering::Relaxed)
     }
 
+    /// Frames dropped so far: their uploads were taken off the pending
+    /// map, the serving core returned an error (non-finite relevance from
+    /// degenerate input), and no plan was broadcast for them.
+    pub fn dropped_frames(&self) -> u64 {
+        self.shared.dropped_frames.load(Ordering::Relaxed)
+    }
+
+    /// Registered connections retired so far — on `Bye`, EOF or a protocol
+    /// error seen by their reader, or on a failed plan write — each counted
+    /// once. A connection that never said `Hello` was never registered and
+    /// is not counted.
+    pub fn retired_connections(&self) -> u64 {
+        self.shared.retired_connections.load(Ordering::Relaxed)
+    }
+
     /// Vehicles currently registered (completed the `Hello` handshake).
     pub fn connected_vehicles(&self) -> usize {
         self.shared.ingest.lock().expect("daemon lock poisoned").conns.len()
@@ -226,9 +270,11 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Accepts connections until shutdown, spawning a reader per connection.
+/// Accepts connections until shutdown, spawning a reader per connection
+/// and reaping the readers that have finished.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
+        reap_finished(&mut shared.readers.lock().expect("daemon lock poisoned"));
         match listener.accept() {
             Ok((stream, _)) => {
                 let reader_shared = Arc::clone(&shared);
@@ -244,6 +290,15 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             }
             Err(_) => break,
         }
+    }
+}
+
+/// Joins the readers whose connections have ended. Without this a
+/// long-lived daemon grows by one handle per connection ever made.
+fn reap_finished(readers: &mut Vec<JoinHandle<()>>) {
+    for finished in readers.extract_if(.., |r| r.is_finished()) {
+        // A finished thread joins without blocking.
+        let _ = finished.join();
     }
 }
 
@@ -305,8 +360,7 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
         }
     }
     if registered.is_some() {
-        let mut ingest = shared.ingest.lock().expect("daemon lock poisoned");
-        ingest.conns.retain(|c| c.conn_id != conn_id);
+        shared.retire(|c| c.conn_id == conn_id);
     }
 }
 
@@ -369,8 +423,11 @@ fn serve_loop(config: DaemonConfig, mut core: ServingCore, shared: Arc<Shared>) 
         let plan = match core.serve(now_sim, &uploads, budget) {
             Ok((_, planned)) => planned.artifact,
             // A degenerate frame (non-finite relevance from corrupt input)
-            // is dropped; the daemon keeps serving.
-            Err(_) => continue 'frames,
+            // is dropped and counted; the daemon keeps serving.
+            Err(_) => {
+                shared.dropped_frames.fetch_add(1, Ordering::Relaxed);
+                continue 'frames;
+            }
         };
 
         // Encoded once: every connection is sent the same bytes.
@@ -386,8 +443,7 @@ fn serve_loop(config: DaemonConfig, mut core: ServingCore, shared: Arc<Shared>) 
             }
         }
         if !dead.is_empty() {
-            let mut ingest = shared.ingest.lock().expect("daemon lock poisoned");
-            ingest.conns.retain(|c| !dead.contains(&c.conn_id));
+            shared.retire(|c| dead.contains(&c.conn_id));
         }
         frame += 1;
     }
@@ -505,6 +561,66 @@ mod tests {
         assert_eq!(handle.rejected_uploads(), 1);
         client.send_message(&WireMessage::Bye).unwrap();
         handle.shutdown();
+    }
+
+    /// Polls `done` until it holds; the test fails after ten seconds.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < give_up, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn reader_handles_are_reaped() {
+        const CYCLES: u64 = 200;
+        let mut handle = EdgeDaemon::spawn(
+            DaemonConfig::default(),
+            IntersectionMap::default(),
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        for vehicle_id in 0..CYCLES {
+            let mut client = TcpTransport::connect(handle.addr()).unwrap();
+            client
+                .send_message(&WireMessage::Hello { vehicle_id })
+                .unwrap();
+            client.send_message(&WireMessage::Bye).unwrap();
+        }
+        // Every connection was accepted, registered and retired …
+        wait_until("all readers retired", || {
+            handle.retired_connections() == CYCLES
+        });
+        assert_eq!(handle.connected_vehicles(), 0);
+        // … and the handle list is back to the live connections (none),
+        // give or take one the accept thread has yet to look at.
+        let held = || handle.shared.readers.lock().unwrap().len();
+        wait_until("finished readers joined", || held() <= 1);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn hang_up_after_hello_is_counted_once() {
+        let mut handle = EdgeDaemon::spawn(
+            DaemonConfig::default(),
+            IntersectionMap::default(),
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let mut client = TcpTransport::connect(handle.addr()).unwrap();
+        client
+            .send_message(&WireMessage::Hello { vehicle_id: 7 })
+            .unwrap();
+        wait_until("registered", || handle.connected_vehicles() == 1);
+        assert_eq!(handle.retired_connections(), 0);
+        drop(client); // no `Bye`: the reader sees EOF
+        wait_until("retired", || handle.retired_connections() == 1);
+        assert_eq!(handle.connected_vehicles(), 0);
+        // Every thread joined: nothing is left that could count it again.
+        handle.shutdown();
+        assert_eq!(handle.retired_connections(), 1);
+        assert_eq!(handle.dropped_frames(), 0);
     }
 
     #[test]

@@ -620,10 +620,8 @@ mod tests {
                 frames
             })
             .collect();
-        assert!(
-            scans[0].len() >= 4,
-            "enough vehicles to occupy four workers"
-        );
+        let full = scans.iter().map(Vec::len).min().unwrap();
+        assert!(full >= 8, "enough vehicles to occupy four workers");
         // processing_time is wall clock — the only non-deterministic field.
         let zeroed = |mut uploads: Vec<Upload>| {
             for u in &mut uploads {
@@ -631,32 +629,42 @@ mod tests {
             }
             uploads
         };
-        for strategy in [Strategy::Ours, Strategy::Emp] {
-            // Reference: one `VehicleSide` per vehicle, called one at a time.
-            let mut sides: BTreeMap<u64, VehicleSide> = BTreeMap::new();
-            let expected: Vec<Vec<Upload>> = scans
-                .iter()
-                .map(|frames| {
-                    let positions: Vec<(u64, Vec2)> = frames
-                        .iter()
-                        .map(|f| (f.vehicle_id, f.sensor_pose.position))
-                        .collect();
-                    let uploads = frames.iter().map(|f| {
-                        let side = sides
-                            .entry(f.vehicle_id)
-                            .or_insert_with(|| VehicleSide::new(strategy, f.sensor_height));
-                        process(side, f, &positions, &net)
-                    });
-                    zeroed(uploads.collect())
-                })
-                .collect();
-            assert!(expected.iter().flatten().any(|u| !u.objects.is_empty()));
-            for threads in [1, 4] {
-                erpd_par::set_max_threads(threads);
-                let mut fleet = VehicleFleet::new();
-                for (frames, want) in scans.iter().zip(&expected) {
-                    let got = zeroed(fleet.process(strategy, frames, &net).unwrap());
-                    assert_eq!(&got, want, "{strategy:?} at {threads} threads");
+        // Fleets of 1–3 run on the calling thread at any thread count; 5 is
+        // the first odd size that fans out (two workers at 4 threads).
+        for size in [1, 2, 3, 5, full] {
+            for strategy in [Strategy::Ours, Strategy::Emp] {
+                // Reference: one `VehicleSide` per vehicle, called one at a time.
+                let mut sides: BTreeMap<u64, VehicleSide> = BTreeMap::new();
+                let expected: Vec<Vec<Upload>> = scans
+                    .iter()
+                    .map(|frames| {
+                        let frames = &frames[..size];
+                        let positions: Vec<(u64, Vec2)> = frames
+                            .iter()
+                            .map(|f| (f.vehicle_id, f.sensor_pose.position))
+                            .collect();
+                        let uploads = frames.iter().map(|f| {
+                            let side = sides
+                                .entry(f.vehicle_id)
+                                .or_insert_with(|| VehicleSide::new(strategy, f.sensor_height));
+                            process(side, f, &positions, &net)
+                        });
+                        zeroed(uploads.collect())
+                    })
+                    .collect();
+                if size == full {
+                    assert!(expected.iter().flatten().any(|u| !u.objects.is_empty()));
+                }
+                for threads in [1, 4] {
+                    erpd_par::set_max_threads(threads);
+                    let mut fleet = VehicleFleet::new();
+                    for (frames, want) in scans.iter().zip(&expected) {
+                        let got = zeroed(fleet.process(strategy, &frames[..size], &net).unwrap());
+                        assert_eq!(
+                            &got, want,
+                            "{strategy:?}, {size} vehicles at {threads} threads"
+                        );
+                    }
                 }
             }
         }

@@ -8,12 +8,17 @@
 //! by a pure-per-item closure, and result order never depends on thread
 //! scheduling.
 //!
-//! The worker-thread count is a process-wide runtime setting: it defaults
-//! to the machine's available parallelism (overridable once via the
-//! `ERPD_THREADS` environment variable) and can be changed at any time
-//! with [`set_max_threads`]. Differential tests pin it to 1 and N and
-//! assert bit-identical pipeline outputs; benchmarks sweep it without
-//! rebuilding.
+//! The worker-thread limit is a process-wide runtime setting: the
+//! [`set_max_threads`] override if one is in force, else the
+//! `ERPD_THREADS` environment variable (read once), else the machine's
+//! available parallelism. Differential tests pin it to 1 and N and assert
+//! bit-identical pipeline outputs; benchmarks sweep it without rebuilding.
+//!
+//! The limit is not the whole rule. No worker is spawned for fewer than
+//! two items — a batch of `n` items runs on `limit.min(n / 2).max(1)`
+//! workers — so a batch of up to three items is the plain sequential
+//! `map` on the calling thread: creating a thread costs more than the
+//! items it would carry on a two-upload frame.
 //!
 //! # Examples
 //!
@@ -67,8 +72,9 @@ pub fn set_max_threads(n: usize) {
 /// Maps `f` over `items` on up to [`max_threads`] scoped threads,
 /// returning results in input order.
 ///
-/// Items are dealt out as contiguous chunks (within one item of equal
-/// size), so `par_map(v, f)` is observably identical to
+/// Items are dealt out as contiguous chunks of at least two (within one
+/// item of equal size; see the module docs for the worker count), so
+/// `par_map(v, f)` is observably identical to
 /// `v.into_iter().map(f).collect()` whenever `f` is deterministic per
 /// item. A panic in `f` propagates to the caller.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
@@ -84,11 +90,12 @@ where
 /// Like [`par_map`], but each worker thread loans one slot of `states` as
 /// reusable scratch for its whole contiguous chunk.
 ///
-/// The pool is grown (with `S::default()`) to the worker count on first
-/// use and handed back intact, so a caller that keeps `states` alive
-/// across calls gives every worker warm, already-grown scratch buffers —
-/// the point of the whole exercise for per-item pipelines whose scratch
-/// (grids, label arrays, staging clouds) dwarfs the items themselves.
+/// The pool is grown (with `S::default()`) to the workers this call uses
+/// — `max_threads().min(items.len() / 2).max(1)` — never shrunk, and
+/// handed back intact, so a caller that keeps `states` alive across calls
+/// gives every worker warm, already-grown scratch buffers — the point of
+/// the whole exercise for per-item pipelines whose scratch (grids, label
+/// arrays, staging clouds) dwarfs the items themselves.
 ///
 /// `f` must be deterministic per item *regardless of the scratch state it
 /// is handed* (the scratch contract: state is overwritten before it is
@@ -101,7 +108,8 @@ where
     S: Send + Default,
     F: Fn(&mut S, T) -> R + Sync,
 {
-    let threads = max_threads().min(items.len()).max(1);
+    // The grain: a worker carries at least two items, or is not spawned.
+    let threads = max_threads().min(items.len() / 2).max(1);
     if states.len() < threads {
         states.resize_with(threads, S::default);
     }
@@ -235,6 +243,57 @@ mod tests {
         let out = par_map_reuse(Vec::<u8>::new(), &mut pool, |_, x| x);
         assert!(out.is_empty());
         assert_eq!(pool.len(), 4);
+        set_max_threads(0);
+    }
+
+    #[test]
+    fn grain_boundary_worker_count_and_output() {
+        let _g = OVERRIDE_LOCK.lock().unwrap();
+        for threads in 1..=8usize {
+            set_max_threads(threads);
+            for len in 0..=9usize {
+                let input: Vec<usize> = (0..len).collect();
+                let expected: Vec<usize> = input.iter().map(|x| x * 7 + 1).collect();
+                let mut pool: Vec<u32> = Vec::new();
+                let got = par_map_reuse(input, &mut pool, |calls, x| {
+                    *calls += 1;
+                    x * 7 + 1
+                });
+                assert_eq!(got, expected, "threads = {threads}, len = {len}");
+                // The pool starts empty, so its length is the workers used.
+                let workers = threads.min(len / 2).max(1);
+                assert_eq!(pool.len(), workers, "threads = {threads}, len = {len}");
+                assert_eq!(pool.iter().sum::<u32>() as usize, len);
+                if workers > 1 {
+                    assert!(pool.iter().all(|&calls| calls >= 2), "{pool:?}");
+                }
+            }
+        }
+        set_max_threads(0);
+    }
+
+    #[test]
+    fn panic_in_any_chunk_propagates() {
+        let _g = OVERRIDE_LOCK.lock().unwrap();
+        for threads in 1..=8usize {
+            set_max_threads(threads);
+            for len in 1..=9usize {
+                for bad in 0..len {
+                    let caught = std::panic::catch_unwind(|| {
+                        par_map((0..len).collect(), |x| {
+                            if x == bad {
+                                // `resume_unwind` skips the panic hook: 360
+                                // expected panics print nothing.
+                                std::panic::resume_unwind(Box::new(x));
+                            }
+                            x
+                        })
+                    });
+                    let payload = caught.expect_err("the panic must reach the caller");
+                    assert_eq!(payload.downcast_ref::<usize>(), Some(&bad));
+                }
+            }
+        }
         set_max_threads(0);
     }
 

@@ -8,8 +8,11 @@
 //! (e.g. `zs` during planar projection) never enters the cache. Every
 //! per-point computation still goes through the same scalar ops on a
 //! reassembled [`Vec3`] — `sum`, `min`/`max`, `Transform3::apply` — so
-//! results are bit-identical to the former array-of-structs layout (the
-//! differential suite in `tests/soa_reference.rs` pins this).
+//! results are bit-identical to the former array-of-structs layout (a
+//! differential suite against that layout held while it was kept; what
+//! pins the results now is the pipeline fingerprints in
+//! `tests/stage_graph_determinism.rs`, and `tests/soa_reference.rs` keeps
+//! the DBSCAN lane seam).
 
 use erpd_geometry::{Transform3, Vec3};
 use std::fmt;

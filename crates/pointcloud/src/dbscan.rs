@@ -19,7 +19,10 @@
 //! [`dbscan`] function remains the one-shot convenience wrapper.
 //!
 //! The output is bit-identical to the original `HashMap`-grid
-//! implementation — proved label-for-label in `tests/dbscan_reference.rs`.
+//! implementation — proved label-for-label by a differential suite against
+//! that implementation while it was kept (since retired; the pipeline
+//! fingerprints in `tests/stage_graph_determinism.rs` pin the labelling
+//! end to end).
 //! This does *not* require reproducing the old neighbour enumeration
 //! order, because DBSCAN's labelling is enumeration-order-independent:
 //! each cluster is the density-reachable closure of its seed (a fixed set

@@ -43,13 +43,11 @@ cargo test -q --offline
 echo "==> cargo build --release --offline --workspace --bins"
 cargo build --release --offline --workspace --bins
 
-echo "==> cargo test -q --offline -p erpd-edge"
-cargo test -q --offline -p erpd-edge
-
-echo "==> differential + steady-state-allocation suites, by name"
-cargo test -q --offline -p erpd-pointcloud --test soa_reference --test steady_state_alloc
-cargo test -q --offline -p erpd-core --test relevance_broad_phase
-cargo test -q --offline -p erpd-tracking --test tracker_gate_grid
+# The tier-1 line above is the facade package only; this is every member's
+# unit, integration and doc tests (erpd-par's grain boundary, the daemon,
+# the differential and steady-state-allocation suites, ...).
+echo "==> cargo test -q --offline --workspace"
+cargo test -q --offline --workspace
 
 echo "==> smoke capacity check (8 clients x 20 frames)"
 ./target/release/erpd-loadgen --clients 8 --frames 20

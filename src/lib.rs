@@ -63,9 +63,11 @@
 //! There is one build flavour. The per-vehicle extraction, the edge
 //! server's map merge and trajectory prediction, the per-receiver
 //! relevance assembly, and the V2V per-receiver fusion all fan out on
-//! [`par`]'s fork-join threads; `ERPD_THREADS=1` or
-//! [`par::set_max_threads`]`(1)` runs them sequentially at run time, with
-//! bit-for-bit identical outputs (DESIGN.md §"Threading model").
+//! [`par`]'s fork-join threads, each worker carrying at least two items
+//! (a batch of up to three runs on the calling thread); `ERPD_THREADS=1`
+//! or [`par::set_max_threads`]`(1)` runs everything sequentially at run
+//! time, with bit-for-bit identical outputs (DESIGN.md §"Threading
+//! model").
 
 #![warn(missing_docs)]
 

@@ -1,9 +1,8 @@
 //! The relevance matrix `R_ij` and its construction from predicted
 //! trajectories, visibility, and car-following links.
 
-use crate::{
-    follower_at_risk, follower_relevance, trajectory_relevance, Error, RelevanceConfig,
-};
+use crate::relevance::{relevance_above, PairScratch};
+use crate::{follower_at_risk, follower_relevance, Error, RelevanceConfig};
 use erpd_tracking::{FollowerLink, ObjectId, PredictedTrajectory};
 use std::collections::BTreeMap;
 
@@ -177,33 +176,36 @@ pub fn build_relevance_matrix_multi(
         .filter(|recv| receiver_set.contains(&recv.object))
         .collect();
     let visible = &visible;
-    let rows: Vec<(ObjectId, Vec<(ObjectId, f64)>)> = erpd_par::par_map(recvs, |recv| {
-        let row = objects
-            .iter()
-            .filter(|obj| obj.object != recv.object)
-            .filter_map(|obj| {
-                let mut r = 0.0f64;
-                // Object side: body trajectories only. Receiver side: body
-                // trajectories plus the receiver-only extras.
-                for to in &obj.trajectories {
-                    for tr in recv.trajectories.iter().chain(&recv.receiver_extra) {
-                        r = r.max(trajectory_relevance(to, tr, config).relevance);
+    let mut scratch: Vec<PairScratch> = Vec::new();
+    let rows: Vec<(ObjectId, Vec<(ObjectId, f64)>)> =
+        erpd_par::par_map_reuse(recvs, &mut scratch, |scratch, recv| {
+            let row = objects
+                .iter()
+                .filter(|obj| obj.object != recv.object)
+                .filter_map(|obj| {
+                    let mut r = 0.0f64;
+                    // Object side: body trajectories only. Receiver side: body
+                    // trajectories plus the receiver-only extras. Only a score
+                    // above the best so far can change `r`.
+                    for to in &obj.trajectories {
+                        for tr in recv.trajectories.iter().chain(&recv.receiver_extra) {
+                            r = r.max(relevance_above(to, tr, config, r, scratch).relevance);
+                        }
                     }
-                }
-                // Stale (coasted) perception data is worth less: the
-                // discount is exactly 1.0 for fresh objects, keeping the
-                // zero-fault pipeline bit-identical.
-                let r = r * config.staleness_discount(obj.age);
-                // A zero never enters the matrix, seen or unseen, so only
-                // the few pairs that scored (or went non-finite, which
-                // `try_set` must still reject) ask whether the receiver
-                // already sees the object.
-                let scored = r > 0.0 || r.is_nan();
-                (scored && !visible(recv.object, obj.object)).then_some((obj.object, r))
-            })
-            .collect();
-        (recv.object, row)
-    });
+                    // Stale (coasted) perception data is worth less: the
+                    // discount is exactly 1.0 for fresh objects, keeping the
+                    // zero-fault pipeline bit-identical.
+                    let r = r * config.staleness_discount(obj.age);
+                    // A zero never enters the matrix, seen or unseen, so only
+                    // the few pairs that scored (or went non-finite, which
+                    // `try_set` must still reject) ask whether the receiver
+                    // already sees the object.
+                    let scored = r > 0.0 || r.is_nan();
+                    (scored && !visible(recv.object, obj.object)).then_some((obj.object, r))
+                })
+                .collect();
+            (recv.object, row)
+        });
 
     let mut m = RelevanceMatrix::new();
     for (receiver, row) in rows {

@@ -16,8 +16,8 @@
 //! paper argues *against* (it "underestimates the probability since it takes
 //! objects as points"); it is kept as an ablation baseline.
 
-use erpd_geometry::{Circle, Polyline2, Vec2};
-use erpd_tracking::PredictedTrajectory;
+use erpd_geometry::{Circle, Interval, Polyline2, PolylineCrossing, Vec2, REJECT_MARGIN};
+use erpd_tracking::{PredictedTrajectory, ProximityWindow};
 
 /// Which relevance definition to use — the paper's combined formula by
 /// default; the single-term and Gaussian variants exist for the ablation
@@ -132,20 +132,11 @@ fn passes_within(path: &Polyline2, p: Vec2, r: f64) -> bool {
         && path.distance_to_point(p) <= r
 }
 
-/// Scores one candidate collision area against both trajectories.
-fn score_area(
-    a: &PredictedTrajectory,
-    b: &PredictedTrajectory,
-    area: &Circle,
-    horizon: f64,
-) -> Option<RelevanceBreakdown> {
-    let t1 = a.first_passing_interval(area)?;
-    let t2 = b.first_passing_interval(area)?;
-    let overlap = t1.intersection(&t2);
-    let (ci, ttc) = match overlap {
-        Some(iv) if iv.length() > 1e-9 => (iv.length(), iv.start()),
-        _ => return Some(RelevanceBreakdown::none(horizon)),
-    };
+/// Scores two passing intervals through one collision area; `None` when
+/// they overlap by no more than a nanosecond (no conflict).
+fn score_intervals(t1: Interval, t2: Interval, horizon: f64) -> Option<RelevanceBreakdown> {
+    let overlap = t1.intersection(&t2).filter(|iv| iv.length() > 1e-9)?;
+    let (ci, ttc) = (overlap.length(), overlap.start());
     let r_ci = t1.iou(&t2);
     let r_ttc = (1.0 - ttc / horizon).clamp(0.0, 1.0);
     Some(RelevanceBreakdown {
@@ -157,11 +148,47 @@ fn score_area(
     })
 }
 
+/// What scoring one pair needs beyond the pair itself: its proximity
+/// windows, their regions and its crossings. One per worker, reused pair
+/// after pair; aligned to its own cache lines, because the workers' slots
+/// sit side by side in one pool and every pair rewrites their lengths.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct PairScratch {
+    windows: Vec<ProximityWindow>,
+    /// `regions[k]`: where a crossing can score during `windows[k]`.
+    regions: Vec<(Vec2, Vec2)>,
+    crossings: Vec<PolylineCrossing>,
+}
+
 /// Computes the paper's trajectory-pair relevance.
 ///
 /// Considers every crossing of the two predicted paths (plus the
 /// stationary-object cases) and returns the highest-relevance breakdown.
 /// Returns the zero breakdown when the trajectories never conflict.
+///
+/// # Cost
+///
+/// Exact, and cheap for pairs that cannot conflict, in four steps for two
+/// moving bodies (a parked body is one distance test against the other's
+/// path; the Gaussian baseline keeps only the crossing search):
+///
+/// 1. paths whose boxes are apart have no crossing — O(1);
+/// 2. a positive score needs both bodies inside one collision area of
+///    radius `R` at one instant, so within `2R` of each other: one merged
+///    walk over the two trajectories' vertex times
+///    ([`PredictedTrajectory::proximity_windows`], reach `2R` plus
+///    [`REJECT_MARGIN`]) finds the windows where they are, and a pair
+///    without one scores 0 — O(n + m) for n- and m-vertex paths;
+/// 3. crossings are enumerated only where both bodies can be during those
+///    windows ([`Polyline2::crossings_within`]), and one is scored only if
+///    both bodies can be inside its area at one instant of a window;
+/// 4. a surviving crossing walks the first body's path, and walks the
+///    second's only if that first interval leaves room to beat the best
+///    score so far, and then no further than the first interval's end.
+///
+/// Skipped work is work whose score is 0 or cannot beat an earlier one;
+/// the breakdown is bit-identical to scoring every crossing.
 ///
 /// # Examples
 ///
@@ -184,6 +211,20 @@ pub fn trajectory_relevance(
     b: &PredictedTrajectory,
     config: RelevanceConfig,
 ) -> RelevanceBreakdown {
+    relevance_above(a, b, config, 0.0, &mut PairScratch::default())
+}
+
+/// [`trajectory_relevance`] for a caller that keeps only a score above
+/// `floor` (the best of the hypothesis pairs scored so far): the breakdown
+/// is exact when its relevance exceeds `floor`, and otherwise one at or
+/// below `floor` — crossings that cannot beat it are not walked twice.
+pub(crate) fn relevance_above(
+    a: &PredictedTrajectory,
+    b: &PredictedTrajectory,
+    config: RelevanceConfig,
+    floor: f64,
+    scratch: &mut PairScratch,
+) -> RelevanceBreakdown {
     let horizon = shared_horizon(a, b);
     if config.mode == RelevanceMode::Gaussian {
         let g = joint_gaussian_relevance(a, b);
@@ -195,7 +236,26 @@ pub fn trajectory_relevance(
     let mut best = RelevanceBreakdown::none(horizon);
 
     let mut consider = |area: Circle| {
-        if let Some(mut r) = score_area(a, b, &area, horizon) {
+        let Some(t1) = a.first_passing_interval(&area) else {
+            return;
+        };
+        // What any overlap with `t1` could score: `r_ci ≤ 1`, and the
+        // overlap starts no earlier than `t1`.
+        let r_ttc_max = (1.0 - t1.start() / horizon).clamp(0.0, 1.0);
+        let ceiling = match config.mode {
+            RelevanceMode::Combined => (1.0 + r_ttc_max) / 2.0,
+            RelevanceMode::CiOnly => 1.0,
+            RelevanceMode::TtcOnly => r_ttc_max,
+            RelevanceMode::Gaussian => unreachable!("handled above"),
+        };
+        if ceiling <= best.relevance.max(floor) {
+            return;
+        }
+        // An interval entered after `t1` ends cannot overlap it.
+        let Some(t2) = b.first_passing_interval_before(&area, t1.end()) else {
+            return;
+        };
+        if let Some(mut r) = score_intervals(t1, t2, horizon) {
             r.relevance = match config.mode {
                 RelevanceMode::Combined => (r.r_ci + r.r_ttc) / 2.0,
                 RelevanceMode::CiOnly => r.r_ci,
@@ -210,8 +270,56 @@ pub fn trajectory_relevance(
 
     match (a.path(), b.path()) {
         (Some(pa), Some(pb)) => {
-            for crossing in pa.crossings(pb) {
-                consider(Circle::collision_area(crossing.point, a.length, b.length));
+            if boxes_apart(pa.bounds(), pb.bounds()) {
+                return best;
+            }
+            // A score needs an overlap of the passing intervals longer than
+            // a nanosecond, and throughout it both bodies are inside one
+            // circle of radius `radius_len`: no window at twice that reach,
+            // no score.
+            let windows = &mut scratch.windows;
+            a.proximity_windows(b, 2.0 * radius_len + REJECT_MARGIN, windows);
+            if windows.is_empty() {
+                return best;
+            }
+            // A scoring crossing is within `reach` of both bodies at one
+            // instant of some window, so inside that window's region.
+            let reach = radius_len + REJECT_MARGIN;
+            let regions = &mut scratch.regions;
+            regions.clear();
+            let mut union = (
+                Vec2::new(f64::INFINITY, f64::INFINITY),
+                Vec2::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+            );
+            for w in windows.iter() {
+                let (min, max) = window_region(w, reach);
+                union.0 = Vec2::new(union.0.x.min(min.x), union.0.y.min(min.y));
+                union.1 = Vec2::new(union.1.x.max(max.x), union.1.y.max(max.y));
+                regions.push((min, max));
+            }
+            let crossings = &mut scratch.crossings;
+            crossings.clear();
+            pa.crossings_within(pb, union, crossings);
+            'crossings: for crossing in crossings.iter() {
+                let p = crossing.point;
+                // The regions holding `p`, 64 at a time without branches;
+                // only their windows solve for a common instant.
+                for (windows, regions) in windows.chunks(64).zip(regions.chunks(64)) {
+                    let mut holding = 0u64;
+                    for (k, q) in regions.iter().enumerate() {
+                        let inside =
+                            (q.0.x <= p.x) & (p.x <= q.1.x) & (q.0.y <= p.y) & (p.y <= q.1.y);
+                        holding |= u64::from(inside) << k;
+                    }
+                    while holding != 0 {
+                        let w = &windows[holding.trailing_zeros() as usize];
+                        holding &= holding - 1;
+                        if w.both_within(p, reach) {
+                            consider(Circle::collision_area(p, a.length, b.length));
+                            continue 'crossings;
+                        }
+                    }
+                }
             }
         }
         (Some(pa), None) => {
@@ -234,6 +342,29 @@ pub fn trajectory_relevance(
         }
     }
     best
+}
+
+/// True when two boxes `(min, max)` are separated along some axis.
+fn boxes_apart(a: (Vec2, Vec2), b: (Vec2, Vec2)) -> bool {
+    a.1.x < b.0.x || b.1.x < a.0.x || a.1.y < b.0.y || b.1.y < a.0.y
+}
+
+/// Where a point within `reach` of both bodies at one instant of `w` can
+/// lie: the intersection of the boxes the two bodies sweep over the window,
+/// grown by `reach` (empty, min above max, when the grown boxes miss).
+fn window_region(w: &ProximityWindow, reach: f64) -> (Vec2, Vec2) {
+    let span = w.end - w.start;
+    let (a_end, b_end) = (w.a + w.a_velocity * span, w.b + w.b_velocity * span);
+    let min = Vec2::new(
+        w.a.x.min(a_end.x).max(w.b.x.min(b_end.x)),
+        w.a.y.min(a_end.y).max(w.b.y.min(b_end.y)),
+    );
+    let max = Vec2::new(
+        w.a.x.max(a_end.x).min(w.b.x.max(b_end.x)),
+        w.a.y.max(a_end.y).min(w.b.y.max(b_end.y)),
+    );
+    let grow = Vec2::new(reach, reach);
+    (min - grow, max + grow)
 }
 
 /// The point-Gaussian relevance baseline the paper improves upon: the joint

@@ -1,20 +1,22 @@
 //! Differential suite for the relevance broad phase: the matrix built
-//! through the box rejects, the early-exit circle walk and the
-//! ask-`visible`-last row assembly must equal, entry for entry and bit for
-//! bit, the matrix the brute-force implementation builds.
+//! through the box rejects, the time-window reject, the per-crossing
+//! common-instant filter, the early-exit and truncated circle walks, the
+//! score bound and the ask-`visible`-last row assembly must equal, entry for
+//! entry and bit for bit, the matrix the brute-force implementation builds.
 //!
 //! [`reference`] holds the implementation as it stood before the broad
 //! phase, verbatim: `build_relevance_matrix_multi`, `trajectory_relevance`
 //! (with `score_area` and the Gaussian baseline), `Polyline2::crossings`,
 //! `Polyline2::circle_intervals` and `passing_intervals(..).first()`. It is
-//! kept for one PR and then retired, like the DBSCAN and SoA references
-//! before it.
+//! the oracle of the time-window reject and its kernels, and it stays for
+//! exactly one more change after them; then it is retired, like the DBSCAN
+//! and SoA references before it.
 
 use erpd_core::{
     build_relevance_matrix_multi, trajectory_relevance, ObjectHypotheses, RelevanceConfig,
     RelevanceMatrix, RelevanceMode, DEFAULT_ALPHA,
 };
-use erpd_geometry::{Circle, Polyline2, Vec2};
+use erpd_geometry::{Circle, Polyline2, Vec2, REJECT_MARGIN};
 use erpd_rand::rngs::StdRng;
 use erpd_rand::{Rng, RngCore, SeedableRng};
 use erpd_tracking::{
@@ -523,22 +525,133 @@ fn stationary_case() -> Case {
     )
 }
 
-/// The pose-glitch frames of the replayed fleet: 300 m/s CTRV paths with
-/// turn rates high enough to fold back on themselves, all crossing all.
-fn scribble_case(rng: &mut StdRng) -> Case {
+/// An orbit like the ones the replayed fleet's re-mapping frames produce:
+/// 100–400 m/s with turn rates up to ±8 rad/s, folding back on itself.
+#[derive(Debug, Clone, Copy)]
+struct Orbit {
+    at: Vec2,
+    speed: f64,
+    heading: f64,
+    turn_rate: f64,
+}
+
+impl Orbit {
+    fn random(rng: &mut StdRng, at: Vec2) -> Self {
+        Orbit {
+            at,
+            speed: uniform(rng, 100.0, 400.0),
+            heading: uniform(rng, -PI, PI),
+            turn_rate: uniform(rng, -8.0, 8.0),
+        }
+    }
+
+    /// The CTRV prediction of this orbit, started `offset` away.
+    fn trajectory(&self, id: u64, offset: Vec2) -> PredictedTrajectory {
+        ctrv(
+            id,
+            self.at + offset,
+            self.speed,
+            self.heading,
+            self.turn_rate,
+        )
+    }
+}
+
+/// The replayed fleet's re-mapping frames: orbits all crossing all.
+fn orbit_case(rng: &mut StdRng) -> Case {
     let trajectories = (0..24u64)
         .map(|id| {
-            let at = Vec2::new(uniform(rng, -150.0, 150.0), uniform(rng, -150.0, 150.0));
-            ctrv(
-                id,
-                at,
-                300.0,
-                uniform(rng, -PI, PI),
-                uniform(rng, -6.0, 6.0),
-            )
+            let at = Vec2::new(uniform(rng, -40.0, 40.0), uniform(rng, -40.0, 40.0));
+            Orbit::random(rng, at).trajectory(id, Vec2::ZERO)
         })
         .collect();
-    Case::new("300 m/s scribbles", singles(trajectories))
+    Case::new("100-400 m/s orbits", singles(trajectories))
+}
+
+/// Four source orbits replicated over the fleet's ±20 m half-metre lattice
+/// (replica `i` replays source `i mod 4` at the offset the load generator
+/// gives it): many same-source pairs a few metres apart.
+fn lattice_case(rng: &mut StdRng) -> Case {
+    let sources: Vec<Orbit> = (0..4)
+        .map(|_| {
+            let at = Vec2::new(uniform(rng, -10.0, 10.0), uniform(rng, -10.0, 10.0));
+            Orbit::random(rng, at)
+        })
+        .collect();
+    let trajectories = (0..28usize)
+        .map(|i| {
+            let offset = Vec2::new(
+                ((i * 73) % 80) as f64 * 0.5 - 20.0,
+                ((i * 131) % 80) as f64 * 0.5 - 20.0,
+            );
+            sources[i % sources.len()].trajectory(i as u64, offset)
+        })
+        .collect();
+    Case::new("orbit replicas on the fleet lattice", singles(trajectories))
+}
+
+/// One source and its copies at offsets straddling `R` and `2R` (and `2R`
+/// plus the reject margin) in several directions: copies stay exactly that
+/// far apart at every instant, so whether the pair can score is decided at
+/// the reach of the time-window reject.
+fn straddle_case(rng: &mut StdRng) -> Case {
+    let radius = 4.5;
+    let source = Orbit {
+        turn_rate: 4.0,
+        ..Orbit::random(rng, Vec2::ZERO)
+    };
+    let mut trajectories = vec![source.trajectory(0, Vec2::ZERO)];
+    let distances = [
+        radius - 0.1,
+        radius,
+        radius + 0.1,
+        1.5 * radius,
+        2.0 * radius - 0.1,
+        2.0 * radius - 1e-6,
+        2.0 * radius,
+        2.0 * radius + 0.5 * REJECT_MARGIN,
+        2.0 * radius + 2.0 * REJECT_MARGIN,
+        2.0 * radius + 0.1,
+    ];
+    for (k, d) in distances.into_iter().enumerate() {
+        for dir in 0..6u64 {
+            let angle = dir as f64 * PI / 3.0 + 0.1;
+            let id = 1 + 10 * k as u64 + dir;
+            trajectories.push(source.trajectory(id, Vec2::from_angle(angle) * d));
+        }
+    }
+    Case::new(
+        "same-source copies straddling R and 2R",
+        singles(trajectories),
+    )
+}
+
+/// Orbiting objects with several hypotheses each, receiver-only extras and
+/// stale ages, scored in relevance mode `mode`.
+fn orbit_hypotheses_case(rng: &mut StdRng, mode: RelevanceMode) -> Case {
+    let objects: Vec<ObjectHypotheses> = (0..16u64)
+        .map(|id| {
+            let at = Vec2::new(uniform(rng, -30.0, 30.0), uniform(rng, -30.0, 30.0));
+            let orbit = |rng: &mut StdRng| Orbit::random(rng, at).trajectory(id, Vec2::ZERO);
+            let mut hypotheses = ObjectHypotheses::new(ObjectId(id), vec![orbit(rng)]);
+            for _ in 0..rng.gen_range(0..3u32) {
+                hypotheses.trajectories.push(orbit(rng));
+            }
+            if rng.gen_bool(0.4) {
+                hypotheses.receiver_extra.push(orbit(rng));
+            }
+            if rng.gen_bool(0.3) {
+                hypotheses.age = uniform(rng, 0.1, 1.5);
+            }
+            hypotheses
+        })
+        .collect();
+    let mut case = Case::new("orbit hypotheses", objects);
+    case.config = RelevanceConfig::default()
+        .with_mode(mode)
+        .with_staleness_decay(0.5);
+    case.receivers.retain(|id| id.0 % 4 != 0);
+    case
 }
 
 /// Multi-hypothesis objects: a CTRV body plus route alternatives, some with
@@ -625,10 +738,20 @@ fn cases(seed: u64) -> Vec<Case> {
         margin_case(),
         cutoff_case(),
         stationary_case(),
-        scribble_case(&mut rng),
+        orbit_case(&mut rng),
+        lattice_case(&mut rng),
+        straddle_case(&mut rng),
         hypotheses_case(&mut rng),
         visibility_and_followers_case(&mut rng),
     ];
+    for mode in [
+        RelevanceMode::Combined,
+        RelevanceMode::CiOnly,
+        RelevanceMode::TtcOnly,
+        RelevanceMode::Gaussian,
+    ] {
+        all.push(orbit_hypotheses_case(&mut rng, mode));
+    }
     // The ablation modes run over the same machinery.
     for mode in [
         RelevanceMode::CiOnly,
@@ -823,4 +946,114 @@ fn pairwise_pieces_equal_the_brute_force_reference() {
     assert!(crossings > 10_000, "{crossings} crossings compared");
     assert!(intervals > 10_000, "{intervals} passing intervals compared");
     assert!(scored > 1_000, "{scored} pairs scored above zero");
+}
+
+/// The time-window reject is sound: every pair it rejects — no instant at
+/// which the bodies are within `2R` plus the margin — is one the reference
+/// scores exactly zero, in every mode that scores collision areas.
+#[test]
+fn window_reject_fires_only_where_the_reference_scores_zero() {
+    let (mut rejected, mut scored) = (0usize, 0usize);
+    let mut windows = Vec::new();
+    for seed in 0..3u64 {
+        for case in cases(seed) {
+            if case.config.mode == RelevanceMode::Gaussian {
+                continue;
+            }
+            let all: Vec<&PredictedTrajectory> = trajectories_of(&case).collect();
+            for a in &all {
+                for b in &all {
+                    let reach = 2.0 * a.length.max(b.length) + REJECT_MARGIN;
+                    a.proximity_windows(b, reach, &mut windows);
+                    let want = reference::trajectory_relevance(a, b, case.config);
+                    if windows.is_empty() {
+                        assert_eq!(
+                            want.relevance.to_bits(),
+                            0f64.to_bits(),
+                            "case {:?}: {:?} vs {:?} rejected but scores {:?}",
+                            case.name,
+                            a.object,
+                            b.object,
+                            want
+                        );
+                        rejected += 1;
+                    }
+                    scored += usize::from(want.relevance > 0.0);
+                }
+            }
+        }
+    }
+    assert!(rejected > 20_000, "{rejected} pairs rejected");
+    assert!(scored > 5_000, "{scored} pairs scored");
+}
+
+/// The per-crossing filter asks one question of a window: is there one
+/// instant at which both bodies are within the radius of the crossing?
+/// Dense sampling of the window's own motion answers it too: a sampled
+/// instant with both inside a hair less than the radius must be a yes, and
+/// no sampled instant with both inside a hair more must be a no.
+#[test]
+fn both_within_means_both_inside_at_one_instant() {
+    // Bodies move at most 400 m/s, 4 cm per step: a common instant at the
+    // radius is within 2 cm of a sampled one.
+    let (step, tolerance) = (1e-4, 0.05);
+    let (mut yes, mut no, mut apart_in_time) = (0usize, 0usize, 0usize);
+    let mut windows = Vec::new();
+    for seed in 0..2u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_0b17);
+        // The straddling copies meet their source for the whole horizon:
+        // those pairs alone are thousands of windows.
+        let cases = [
+            (orbit_case(&mut rng), false),
+            (straddle_case(&mut rng), true),
+        ];
+        for (case, source_only) in &cases {
+            let all: Vec<&PredictedTrajectory> = trajectories_of(case).collect();
+            for (i, a) in all.iter().enumerate() {
+                for (j, b) in all.iter().enumerate() {
+                    let (Some(pa), Some(pb)) = (a.path(), b.path()) else {
+                        continue;
+                    };
+                    if *source_only && i != 0 && j != 0 {
+                        continue;
+                    }
+                    let radius = a.length.max(b.length) + REJECT_MARGIN;
+                    a.proximity_windows(b, 2.0 * radius, &mut windows);
+                    for crossing in reference::crossings(pa, pb).iter().take(4) {
+                        let c = crossing.point;
+                        for w in &windows {
+                            let span = w.end - w.start;
+                            let samples = (span / step).ceil() as usize;
+                            let (mut a_in, mut b_in, mut both) = (false, false, false);
+                            let mut close = false;
+                            for k in 0..=samples {
+                                let s = (k as f64 * step).min(span);
+                                let da = (w.a + w.a_velocity * s).distance(c);
+                                let db = (w.b + w.b_velocity * s).distance(c);
+                                a_in |= da <= radius + tolerance;
+                                b_in |= db <= radius + tolerance;
+                                both |= da.max(db) <= radius + tolerance;
+                                close |= da.max(db) <= radius - tolerance;
+                            }
+                            let got = w.both_within(c, radius);
+                            if close {
+                                assert!(got, "case {:?}: a common instant was missed", case.name);
+                                yes += 1;
+                            } else if !both {
+                                assert!(!got, "case {:?}: no common instant exists", case.name);
+                                no += 1;
+                                apart_in_time += usize::from(a_in && b_in);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(yes > 1_000, "{yes} windows with a common instant");
+    assert!(no > 1_000, "{no} windows without one");
+    assert!(
+        apart_in_time > 100,
+        "{apart_in_time} windows where each body is inside, but never both at once"
+    );
 }

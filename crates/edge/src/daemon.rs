@@ -21,7 +21,11 @@
 //!   its deadline (the network model's `frame_period`). The
 //!   pending uploads run through the serving core and the resulting plan
 //!   is broadcast to every connection, tagged with acks naming each
-//!   `(vehicle, client_frame)` the served frame consumed.
+//!   `(vehicle, client_frame)` the served frame consumed. Every plan write
+//!   gives up after two frame periods without progress — the wait after
+//!   which a client stops expecting the ack anyway — so a client that
+//!   stops reading costs the others at most that, once: its connection is
+//!   shut down and retired.
 //!
 //! # Backpressure and deadlines
 //!
@@ -48,7 +52,7 @@ use crate::{PipelineBuilder, SystemConfig, Upload};
 use erpd_sim::IntersectionMap;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -133,9 +137,30 @@ struct Shared {
     /// One handle per reader thread not yet joined: the accept thread
     /// joins the finished ones as it goes, shutdown joins the rest.
     readers: Mutex<Vec<JoinHandle<()>>>,
+    /// How long a plan write may make no progress before its connection
+    /// counts as dead: two frame periods.
+    write_timeout: Duration,
 }
 
 impl Shared {
+    fn new(config: &DaemonConfig) -> Self {
+        Shared {
+            ingest: Mutex::new(Ingest::default()),
+            arrivals: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            frames_served: AtomicU64::new(0),
+            rejected_uploads: AtomicU64::new(0),
+            dropped_frames: AtomicU64::new(0),
+            retired_connections: AtomicU64::new(0),
+            next_conn_id: AtomicU64::new(0),
+            readers: Mutex::new(Vec::new()),
+            // A client waits two periods for its ack (`capacity`'s
+            // clients do exactly that); a plan later than that is lost on
+            // it anyway.
+            write_timeout: Duration::from_secs_f64(config.system.network.frame_period) * 2,
+        }
+    }
+
     /// Unregisters the connections `gone` picks and counts them. A
     /// connection is counted once however many sides notice it died: only
     /// the side that finds it still registered removes it.
@@ -171,17 +196,7 @@ impl EdgeDaemon {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let shared = Arc::new(Shared {
-            ingest: Mutex::new(Ingest::default()),
-            arrivals: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            frames_served: AtomicU64::new(0),
-            rejected_uploads: AtomicU64::new(0),
-            dropped_frames: AtomicU64::new(0),
-            retired_connections: AtomicU64::new(0),
-            next_conn_id: AtomicU64::new(0),
-            readers: Mutex::new(Vec::new()),
-        });
+        let shared = Arc::new(Shared::new(&config));
         let (server, disseminate) = PipelineBuilder::new(config.system.server, map)
             .build_with_default(|| default_dissemination(config.system.strategy));
         let core = ServingCore::new(server, disseminate);
@@ -306,9 +321,8 @@ fn reap_finished(readers: &mut Vec<JoinHandle<()>>) {
 /// protocol error; registers the vehicle on `Hello` and retires the
 /// connection on exit.
 fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
+    let Ok(writer) = plan_writer(&stream, shared.write_timeout) else {
+        return;
     };
     let mut transport = TcpTransport::from_stream(stream);
     let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
@@ -361,6 +375,33 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
     }
     if registered.is_some() {
         shared.retire(|c| c.conn_id == conn_id);
+    }
+}
+
+/// The write half of an accepted connection, for the serve thread's plan
+/// broadcasts: a write that makes no progress for `timeout` fails.
+fn plan_writer(stream: &TcpStream, timeout: Duration) -> io::Result<Arc<Mutex<TcpStream>>> {
+    let writer = stream.try_clone()?;
+    writer.set_write_timeout(Some(timeout))?;
+    Ok(Arc::new(Mutex::new(writer)))
+}
+
+/// Sends `bytes` to every connection in `writers`, one after the other. A
+/// connection whose write fails — an error, or the write timeout — is dead:
+/// it is shut down, which ends its reader too, and retired once.
+fn broadcast(shared: &Shared, writers: &[(u64, Arc<Mutex<TcpStream>>)], bytes: &[u8]) {
+    let mut dead: Vec<u64> = Vec::new();
+    for (conn_id, writer) in writers {
+        let mut w = writer.lock().expect("daemon lock poisoned");
+        if w.write_all(bytes).is_err() {
+            // Part of a frame may be out: nothing after it could be
+            // decoded, so the connection is closed rather than reused.
+            let _ = w.shutdown(Shutdown::Both);
+            dead.push(*conn_id);
+        }
+    }
+    if !dead.is_empty() {
+        shared.retire(|c| dead.contains(&c.conn_id));
     }
 }
 
@@ -435,16 +476,7 @@ fn serve_loop(config: DaemonConfig, mut core: ServingCore, shared: Arc<Shared>) 
         // Counted before the broadcast, so whoever holds a plan already
         // sees its frame in `frames_served`.
         shared.frames_served.fetch_add(1, Ordering::Relaxed);
-        let mut dead: Vec<u64> = Vec::new();
-        for (conn_id, writer) in &writers {
-            let mut w = writer.lock().expect("daemon lock poisoned");
-            if w.write_all(&bytes).is_err() {
-                dead.push(*conn_id);
-            }
-        }
-        if !dead.is_empty() {
-            shared.retire(|c| dead.contains(&c.conn_id));
-        }
+        broadcast(&shared, &writers, &bytes);
         frame += 1;
     }
 }
@@ -621,6 +653,87 @@ mod tests {
         handle.shutdown();
         assert_eq!(handle.retired_connections(), 1);
         assert_eq!(handle.dropped_frames(), 0);
+    }
+
+    /// More bytes than one loopback connection holds in flight: both socket
+    /// buffers at the kernel's ceilings, and a mebibyte more.
+    fn more_than_a_connection_buffers() -> usize {
+        let ceiling = |path: &str| {
+            std::fs::read_to_string(path)
+                .ok()
+                .and_then(|s| s.split_whitespace().last()?.parse::<usize>().ok())
+                .unwrap_or(16 << 20)
+        };
+        ceiling("/proc/sys/net/ipv4/tcp_rmem") + ceiling("/proc/sys/net/ipv4/tcp_wmem") + (1 << 20)
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_is_retired_and_the_others_still_get_the_plan() {
+        use std::io::Read;
+        let shared = Shared::new(&DaemonConfig::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Two peers, each with its accepted side registered as a vehicle:
+        // the first never reads, the second drains on its own thread.
+        let stuck = TcpStream::connect(addr).unwrap();
+        let (stuck_side, _) = listener.accept().unwrap();
+        let mut reading = TcpStream::connect(addr).unwrap();
+        let (reading_side, _) = listener.accept().unwrap();
+        let writers: Vec<(u64, Arc<Mutex<TcpStream>>)> = [stuck_side, reading_side]
+            .iter()
+            .zip(0..)
+            .map(|(side, conn_id)| (conn_id, plan_writer(side, shared.write_timeout).unwrap()))
+            .collect();
+        for (conn_id, writer) in &writers {
+            shared.ingest.lock().unwrap().conns.push(Conn {
+                conn_id: *conn_id,
+                vehicle: 100 + conn_id,
+                writer: Arc::clone(writer),
+            });
+        }
+        let payload: Vec<u8> = (0..more_than_a_connection_buffers())
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let drain = std::thread::spawn(move || {
+            let (mut received, mut in_order) = (0usize, true);
+            let mut buf = vec![0u8; 1 << 16];
+            loop {
+                match reading.read(&mut buf) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => {
+                        for (k, &byte) in buf[..n].iter().enumerate() {
+                            in_order &= byte == ((received + k) % 251) as u8;
+                        }
+                        received += n;
+                    }
+                }
+            }
+            (received, in_order)
+        });
+
+        broadcast(&shared, &writers, &payload);
+
+        assert_eq!(shared.retired_connections.load(Ordering::Relaxed), 1);
+        let left: Vec<u64> = shared
+            .ingest
+            .lock()
+            .unwrap()
+            .conns
+            .iter()
+            .map(|c| c.conn_id)
+            .collect();
+        assert_eq!(left, vec![1], "only the reading peer stays registered");
+        // Close the reading peer's stream so its drain sees the end.
+        drop(writers);
+        shared.ingest.lock().unwrap().conns.clear();
+        let (received, in_order) = drain.join().unwrap();
+        assert_eq!(
+            received,
+            payload.len(),
+            "the reading peer got the whole plan"
+        );
+        assert!(in_order, "and byte for byte");
+        drop(stuck);
     }
 
     #[test]

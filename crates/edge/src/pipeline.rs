@@ -1480,125 +1480,6 @@ mod tests {
         uploads
     }
 
-    /// The pre-grid association: a linear first-match scan.
-    fn linear_associate(uploads: &[Upload], radius: f64) -> Vec<(Vec2, PointCloud)> {
-        let mut merged: Vec<(Vec2, PointCloud)> = Vec::new();
-        for u in uploads {
-            for o in &u.objects {
-                match merged
-                    .iter_mut()
-                    .find(|(c, _)| c.distance(o.centroid) <= radius)
-                {
-                    Some((c, cloud)) => {
-                        let n_old = cloud.len() as f64;
-                        let n_new = o.points.len() as f64;
-                        *c = (*c * n_old + o.centroid * n_new) / (n_old + n_new).max(1.0);
-                        cloud.merge_from(&o.points);
-                    }
-                    None => merged.push((o.centroid, o.points.clone())),
-                }
-            }
-        }
-        merged
-    }
-
-    #[test]
-    fn grid_association_matches_linear_scan_on_crowded_frame() {
-        let uploads = crowded_uploads(10);
-        let reference = linear_associate(&uploads, DETECTION_MATCH_RADIUS);
-        // Sanity: the frame really is crowded and really merges clusters.
-        let total: usize = uploads.iter().map(|u| u.objects.len()).sum();
-        assert!(total > 150, "want a crowded frame, got {total} objects");
-        assert!(
-            reference.len() < total / 2,
-            "association must actually merge: {} of {total}",
-            reference.len()
-        );
-
-        let mut stage = AssociateStage::new(&ServerConfig::default());
-        let cx = FrameCx {
-            now: 0.0,
-            uploads: &uploads,
-        };
-        let out = stage.run(&cx, TrafficMap::default()).unwrap().artifact;
-        // No uploader is posed near the field, so every cluster survives
-        // self-report suppression.
-        assert_eq!(out.clusters.len(), reference.len());
-        for (i, ((gc, extent), (rc, rcloud))) in
-            out.clusters.iter().zip(&reference).enumerate()
-        {
-            assert_eq!(
-                (gc.x.to_bits(), gc.y.to_bits()),
-                (rc.x.to_bits(), rc.y.to_bits()),
-                "cluster {i} centroid drifted"
-            );
-            // The folded extent is the concatenated cloud's, bit for bit.
-            assert_eq!(extent.points, rcloud.len(), "cluster {i} cloud size");
-            let bits = |b: Option<(Vec3, Vec3)>| {
-                b.map(|(lo, hi)| [lo.x, lo.y, lo.z, hi.x, hi.y, hi.z].map(f64::to_bits))
-            };
-            assert_eq!(bits(extent.bounds()), bits(rcloud.bounds()), "cluster {i} bounds");
-            assert_eq!(extent.wire_size_bytes(), rcloud.wire_size_bytes());
-        }
-        let reference_classified: Vec<Detection> = reference
-            .iter()
-            .map(|(c, cloud)| {
-                let (min, max) = cloud.bounds().expect("clusters hold points");
-                let (dx, dy) = (max.x - min.x, max.y - min.y);
-                Detection {
-                    position: *c,
-                    kind: if (dx * dx + dy * dy).sqrt() < PEDESTRIAN_EXTENT {
-                        ObjectKind::Pedestrian
-                    } else {
-                        ObjectKind::Vehicle
-                    },
-                }
-            })
-            .collect();
-        assert_eq!(out.classified, reference_classified);
-    }
-
-    #[test]
-    fn self_reports_go_to_the_first_uploader_in_range() {
-        // Uploaders parked on the object field: the linear scan over
-        // uploads in arrival order is the reference for the pose grid.
-        let mut uploads = crowded_uploads(10);
-        for (k, u) in uploads.iter_mut().enumerate() {
-            let k = k as f64;
-            // Two rows of poses ~1.4 m apart, so most clusters are within
-            // range of several uploaders and ties go to the earliest; the
-            // last pose sits exactly on the radius of a chain cluster.
-            u.pose = Pose2::new(Vec2::new(3.1 * k, 6.0 * (k % 3.0) + 0.4), 0.0);
-        }
-        uploads[9].pose = Pose2::new(Vec2::new(60.4, -19.6 + SELF_REPORT_RADIUS), 0.0);
-
-        let mut reference = linear_associate(&uploads, DETECTION_MATCH_RADIUS);
-        let mut reference_bytes: BTreeMap<u64, u64> = BTreeMap::new();
-        reference.retain(|(c, cloud)| {
-            for u in &uploads {
-                if u.pose.position.distance(*c) <= SELF_REPORT_RADIUS {
-                    *reference_bytes.entry(u.vehicle_id).or_insert(0) +=
-                        cloud.wire_size_bytes() as u64;
-                    return false;
-                }
-            }
-            true
-        });
-        assert!(reference_bytes.len() >= 4, "want several reporters: {reference_bytes:?}");
-        assert!(!reference.is_empty(), "want survivors too");
-
-        let mut stage = AssociateStage::new(&ServerConfig::default());
-        let cx = FrameCx {
-            now: 0.0,
-            uploads: &uploads,
-        };
-        let out = stage.run(&cx, TrafficMap::default()).unwrap().artifact;
-        assert_eq!(out.self_report_bytes, reference_bytes);
-        let survivors: Vec<Vec2> = out.clusters.iter().map(|(c, _)| *c).collect();
-        let reference_survivors: Vec<Vec2> = reference.iter().map(|(c, _)| *c).collect();
-        assert_eq!(survivors, reference_survivors);
-    }
-
     #[test]
     fn grid_matches_at_exactly_the_radius_across_cells() {
         // Two centroids exactly `radius` apart, guaranteed to land in

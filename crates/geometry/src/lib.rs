@@ -58,7 +58,7 @@ pub use circle::Circle;
 pub use gaussian::BivariateGaussian;
 pub use interval::Interval;
 pub use obb::Obb2;
-pub use polyline::{Polyline2, PolylineCrossing};
+pub use polyline::{Polyline2, PolylineCrossing, REJECT_MARGIN};
 pub use pose::Pose2;
 pub use segment::{Segment2, SegmentIntersection};
 pub use transform::Transform3;

@@ -7,35 +7,46 @@
 use crate::{Circle, Segment2, Vec2};
 use std::ops::ControlFlow;
 
-/// Slack of every box reject below, metres. A box test may skip only work
-/// whose result [`Segment2::intersect`] / [`Circle::segment_inside`] would
-/// report as `None`: exact geometry separates the operands by at least this
-/// much, which is orders of magnitude above the rounding of either
-/// predicate (DESIGN §"Stage graph" has the bound and its one caveat).
-const REJECT_MARGIN: f64 = 1e-3;
+/// Slack of every exact reject in the relevance broad phase, metres. A box
+/// test here may skip only work whose result [`Segment2::intersect`] /
+/// [`Circle::segment_inside`] would report as `None`: exact geometry
+/// separates the operands by at least this much, which is orders of
+/// magnitude above the rounding of either predicate. `erpd-core`'s
+/// time-window reject grows its reach by the same slack (DESIGN §"Stage
+/// graph" has both bounds and the one caveat).
+pub const REJECT_MARGIN: f64 = 1e-3;
 
 /// An axis-aligned box `(min, max)`.
 type Box2 = (Vec2, Vec2);
 
-/// True when the boxes are separated along some axis.
+/// True when the boxes are separated along some axis. Evaluated without
+/// short-circuits, so a loop over many boxes compiles without branches.
 #[inline]
 fn apart(a: &Box2, b: &Box2) -> bool {
-    a.1.x < b.0.x || b.1.x < a.0.x || a.1.y < b.0.y || b.1.y < a.0.y
+    (a.1.x < b.0.x) | (b.1.x < a.0.x) | (a.1.y < b.0.y) | (b.1.y < a.0.y)
 }
 
-/// The box of a segment, grown by `pad` on every side.
+/// The intersection of two boxes (min above max along an axis where they
+/// are apart).
 #[inline]
-fn segment_box(s: &Segment2, pad: f64) -> Box2 {
+fn clipped(a: &Box2, b: &Box2) -> Box2 {
     (
-        Vec2::new(s.a.x.min(s.b.x) - pad, s.a.y.min(s.b.y) - pad),
-        Vec2::new(s.a.x.max(s.b.x) + pad, s.a.y.max(s.b.y) + pad),
+        Vec2::new(a.0.x.max(b.0.x), a.0.y.max(b.0.y)),
+        Vec2::new(a.1.x.min(b.1.x), a.1.y.min(b.1.y)),
     )
 }
 
+/// `b` grown by `pad` on every side.
+#[inline]
+fn grown(b: &Box2, pad: f64) -> Box2 {
+    let pad = Vec2::new(pad, pad);
+    (b.0 - pad, b.1 + pad)
+}
+
 /// A polyline through two or more vertices, with cached cumulative
-/// arc-lengths for O(log n) interpolation and a cached bounding box for
-/// the broad phase of [`Polyline2::crossings`] and
-/// [`Polyline2::visit_circle_intervals`].
+/// arc-lengths for O(log n) interpolation, and a cached bounding box and
+/// per-segment boxes and lengths for the broad phase and the arithmetic of
+/// [`Polyline2::crossings_within`] and [`Polyline2::visit_circle_intervals`].
 ///
 /// # Examples
 ///
@@ -55,6 +66,18 @@ pub struct Polyline2 {
     points: Vec<Vec2>,
     cumulative: Vec<f64>,
     bounds: Box2,
+    /// One entry per segment, in one allocation.
+    spans: Vec<Span>,
+}
+
+/// What the crossing search and the circle walk read of one segment.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Span {
+    /// The segment's exact box (no margin).
+    bbox: Box2,
+    /// [`Segment2::length`], bit for bit: the vertex distance the
+    /// cumulative arc lengths add up (`hypot` ignores the direction).
+    length: f64,
 }
 
 /// A crossing between two polylines.
@@ -76,22 +99,31 @@ impl Polyline2 {
             return None;
         }
         let mut cumulative = Vec::with_capacity(points.len());
+        let mut spans = Vec::with_capacity(points.len() - 1);
         let mut acc = 0.0;
         cumulative.push(0.0);
         for w in points.windows(2) {
-            acc += w[0].distance(w[1]);
+            let length = w[0].distance(w[1]);
+            acc += length;
             cumulative.push(acc);
+            spans.push(Span {
+                bbox: (
+                    Vec2::new(w[0].x.min(w[1].x), w[0].y.min(w[1].y)),
+                    Vec2::new(w[0].x.max(w[1].x), w[0].y.max(w[1].y)),
+                ),
+                length,
+            });
         }
         let (mut min, mut max) = (points[0], points[0]);
         for p in &points[1..] {
             min = Vec2::new(min.x.min(p.x), min.y.min(p.y));
             max = Vec2::new(max.x.max(p.x), max.y.max(p.y));
         }
-        let pad = Vec2::new(REJECT_MARGIN, REJECT_MARGIN);
         Some(Polyline2 {
             points,
             cumulative,
-            bounds: (min - pad, max + pad),
+            bounds: grown(&(min, max), REJECT_MARGIN),
+            spans,
         })
     }
 
@@ -111,6 +143,13 @@ impl Polyline2 {
         &self.points
     }
 
+    /// The arc length at each vertex: `0.0` first, [`Polyline2::length`]
+    /// last.
+    #[inline]
+    pub fn arc_lengths(&self) -> &[f64] {
+        &self.cumulative
+    }
+
     /// Total arc length.
     #[inline]
     pub fn length(&self) -> f64 {
@@ -120,6 +159,12 @@ impl Polyline2 {
     /// Iterates over the constituent segments.
     pub fn segments(&self) -> impl Iterator<Item = Segment2> + '_ {
         self.points.windows(2).map(|w| Segment2::new(w[0], w[1]))
+    }
+
+    /// Segment `i`, from vertex `i` to vertex `i + 1`.
+    #[inline]
+    fn segment(&self, i: usize) -> Segment2 {
+        Segment2::new(self.points[i], self.points[i + 1])
     }
 
     /// Point at arc length `s`, clamped to `[0, length]`.
@@ -156,37 +201,77 @@ impl Polyline2 {
         (self.points[idx + 1] - self.points[idx]).angle()
     }
 
-    /// All crossings with another polyline, ordered by `s_self`.
+    /// All crossings with another polyline, ordered by `s_self` (stably:
+    /// equal `s_self` keep segment order).
+    pub fn crossings(&self, other: &Polyline2) -> Vec<PolylineCrossing> {
+        let everywhere = (
+            Vec2::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+            Vec2::new(f64::INFINITY, f64::INFINITY),
+        );
+        let mut out = Vec::new();
+        self.crossings_within(other, everywhere, &mut out);
+        out
+    }
+
+    /// Appends to `out` every crossing with `other` that lies in the box
+    /// `region = (min, max)` — and possibly some near it — as the
+    /// subsequence of [`Polyline2::crossings`] they form: same values, same
+    /// order. Allocates nothing beyond `out`'s growth, so a caller that
+    /// clears and reuses one buffer enumerates pair after pair for free.
     ///
     /// Segment pairs are intersected only where the boxes overlap —
-    /// polyline against polyline, then segment against polyline, then
-    /// segment against segment — which skips nothing
-    /// [`Segment2::intersect`] would report.
-    pub fn crossings(&self, other: &Polyline2) -> Vec<PolylineCrossing> {
-        let mut out = Vec::new();
+    /// polyline against polyline, then segment against polyline and
+    /// region, then segment against segment and region, the last one for a
+    /// whole row of `other`'s cached segment boxes at once, without
+    /// branches — which skips nothing [`Segment2::intersect`] would report
+    /// inside `region`. Arc lengths use the cached segment lengths.
+    pub fn crossings_within(
+        &self,
+        other: &Polyline2,
+        region: (Vec2, Vec2),
+        out: &mut Vec<PolylineCrossing>,
+    ) {
+        let first = out.len();
         if apart(&self.bounds, &other.bounds) {
-            return out;
+            return;
         }
-        for (i, sa) in self.segments().enumerate() {
-            let box_a = segment_box(&sa, REJECT_MARGIN);
-            if apart(&box_a, &other.bounds) {
+        let region = clipped(&region, &other.bounds);
+        for (i, span_a) in self.spans.iter().enumerate() {
+            // Where a crossing on segment `i` can lie: its box, grown by the
+            // margin, clipped to the region and to `other`'s box.
+            let clip = clipped(&grown(&span_a.bbox, REJECT_MARGIN), &region);
+            if (clip.0.x > clip.1.x) | (clip.0.y > clip.1.y) {
                 continue;
             }
-            for (j, sb) in other.segments().enumerate() {
-                if apart(&box_a, &segment_box(&sb, 0.0)) {
-                    continue;
+            let sa = self.segment(i);
+            for (row, spans) in other.spans.chunks(u64::BITS as usize).enumerate() {
+                let mut near = 0u64;
+                for (k, span_b) in spans.iter().enumerate() {
+                    near |= u64::from(!apart(&clip, &span_b.bbox)) << k;
                 }
-                if let Some(hit) = sa.intersect(&sb) {
-                    out.push(PolylineCrossing {
-                        point: hit.point,
-                        s_self: self.cumulative[i] + hit.t_self * sa.length(),
-                        s_other: other.cumulative[j] + hit.t_other * sb.length(),
-                    });
+                while near != 0 {
+                    let j = row * u64::BITS as usize + near.trailing_zeros() as usize;
+                    near &= near - 1;
+                    if let Some(hit) = sa.intersect(&other.segment(j)) {
+                        out.push(PolylineCrossing {
+                            point: hit.point,
+                            s_self: self.cumulative[i] + hit.t_self * span_a.length,
+                            s_other: other.cumulative[j] + hit.t_other * other.spans[j].length,
+                        });
+                    }
                 }
             }
         }
-        out.sort_by(|a, b| a.s_self.partial_cmp(&b.s_self).expect("finite"));
-        out
+        // A stable insertion sort: rows arrive in segment order, so the
+        // run is sorted but for hits that share a segment of `self`.
+        let found = &mut out[first..];
+        for k in 1..found.len() {
+            let mut m = k;
+            while m > 0 && found[m - 1].s_self > found[m].s_self {
+                found.swap(m - 1, m);
+                m -= 1;
+            }
+        }
     }
 
     /// The first crossing with another polyline (smallest `s_self`), if any.
@@ -199,7 +284,7 @@ impl Polyline2 {
     /// by `s_enter`.
     pub fn circle_intervals(&self, circle: &Circle) -> Vec<(f64, f64)> {
         let mut out = Vec::new();
-        let _ = self.visit_circle_intervals(circle, |s0, s1| {
+        let _ = self.visit_circle_intervals(circle, f64::INFINITY, |s0, s1| {
             out.push((s0, s1));
             ControlFlow::<()>::Continue(())
         });
@@ -211,9 +296,16 @@ impl Polyline2 {
     /// degenerate ones dropped, in order of `s_enter` — until it breaks, and
     /// returns what it broke with. Allocates nothing; a caller that wants
     /// only the first interval stops there.
+    ///
+    /// An interval is handed over as soon as the walk reaches a segment
+    /// that cannot extend it, and the walk ends early, with no interval
+    /// open, at the first segment that starts at arc length `before` or
+    /// later: a caller with no use for intervals entered that late passes
+    /// the bound, everyone else `f64::INFINITY`.
     pub fn visit_circle_intervals<B>(
         &self,
         circle: &Circle,
+        before: f64,
         mut visit: impl FnMut(f64, f64) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
         let r = Vec2::new(circle.radius, circle.radius);
@@ -221,20 +313,29 @@ impl Polyline2 {
         if apart(&circle_box, &self.bounds) {
             return ControlFlow::Continue(());
         }
+        let reach = grown(&circle_box, REJECT_MARGIN);
         // The interval still open to merging with the next segment's.
         let mut open: Option<(f64, f64)> = None;
         let mut close = |iv: Option<(f64, f64)>| match iv {
             Some((s0, s1)) if s1 - s0 > 1e-12 => visit(s0, s1),
             _ => ControlFlow::Continue(()),
         };
-        for (i, seg) in self.segments().enumerate() {
-            if apart(&circle_box, &segment_box(&seg, REJECT_MARGIN)) {
+        for (i, span) in self.spans.iter().enumerate() {
+            let start = self.cumulative[i];
+            // Every later chord enters at `start` or beyond, so one past
+            // the merge tolerance can no longer extend the open interval.
+            if open.is_some_and(|(_, s1)| start > s1 + 1e-9) {
+                close(open.take())?;
+            }
+            if open.is_none() && start >= before {
+                return ControlFlow::Continue(());
+            }
+            if apart(&reach, &span.bbox) {
                 continue;
             }
-            if let Some((t0, t1)) = circle.segment_inside(&seg) {
-                let seg_len = seg.length();
-                let s0 = self.cumulative[i] + t0 * seg_len;
-                let s1 = self.cumulative[i] + t1 * seg_len;
+            if let Some((t0, t1)) = circle.segment_inside(&self.segment(i)) {
+                let s0 = start + t0 * span.length;
+                let s1 = start + t1 * span.length;
                 match &mut open {
                     // Contiguous with the previous segment's interval: merge.
                     Some(last) if s0 <= last.1 + 1e-9 => last.1 = last.1.max(s1),

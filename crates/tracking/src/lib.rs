@@ -39,6 +39,7 @@ mod object;
 mod predict;
 mod rules;
 mod track;
+mod window;
 
 pub use crowd::{cluster_crowds, cluster_dbscan, Crowd, CrowdParams, Pedestrian};
 pub use deviation::{crowd_final_deviations, final_position, mean_final_deviation};
@@ -46,3 +47,4 @@ pub use object::{ObjectId, ObjectKind, ObjectState};
 pub use predict::{predict_ctrv, PredictedTrajectory, PredictorConfig};
 pub use rules::{apply_rules, FollowerLink, LanePosition, RuleInput, TrackingSelection};
 pub use track::{Detection, Track, TrackedDetection, Tracker, TrackerConfig};
+pub use window::ProximityWindow;

@@ -72,12 +72,51 @@ pub struct PredictedTrajectory {
     speed: f64,
     start: Vec2,
     path: Option<Polyline2>,
+    /// The body's velocity along each path segment (empty when stationary):
+    /// the motion is piecewise linear in time, which is what
+    /// [`PredictedTrajectory::proximity_windows`] walks.
+    velocities: Vec<Vec2>,
     horizon: f64,
     sigma0: f64,
     sigma_growth: f64,
 }
 
 impl PredictedTrajectory {
+    /// A trajectory along `path` at `speed` (at least the stationary
+    /// threshold).
+    fn moving(
+        object: ObjectId,
+        kind: ObjectKind,
+        path: Polyline2,
+        speed: f64,
+        length: f64,
+        config: PredictorConfig,
+    ) -> Self {
+        let (points, arc) = (path.points(), path.arc_lengths());
+        let velocities = (1..points.len())
+            .map(|i| {
+                let run = arc[i] - arc[i - 1];
+                if run > 0.0 {
+                    (points[i] - points[i - 1]) * (speed / run)
+                } else {
+                    Vec2::ZERO
+                }
+            })
+            .collect();
+        PredictedTrajectory {
+            object,
+            kind,
+            length,
+            speed,
+            start: points[0],
+            path: Some(path),
+            velocities,
+            horizon: config.horizon,
+            sigma0: config.sigma0,
+            sigma_growth: config.sigma_growth,
+        }
+    }
+
     /// A trajectory for an object that is not moving.
     pub fn stationary(
         object: ObjectId,
@@ -93,6 +132,7 @@ impl PredictedTrajectory {
             speed: 0.0,
             start: position,
             path: None,
+            velocities: Vec::new(),
             horizon: config.horizon,
             sigma0: config.sigma0,
             sigma_growth: config.sigma_growth,
@@ -123,17 +163,7 @@ impl PredictedTrajectory {
         // Trim the path to the reachable horizon.
         let reach = speed * config.horizon;
         let path = path.slice(0.0, reach.min(path.length())).unwrap_or(path);
-        PredictedTrajectory {
-            object,
-            kind,
-            length,
-            speed,
-            start: path.points()[0],
-            path: Some(path),
-            horizon: config.horizon,
-            sigma0: config.sigma0,
-            sigma_growth: config.sigma_growth,
-        }
+        PredictedTrajectory::moving(object, kind, path, speed, length, config)
     }
 
     /// Constant speed along the path, m/s (0 for stationary objects).
@@ -152,6 +182,12 @@ impl PredictedTrajectory {
     #[inline]
     pub fn path(&self) -> Option<&Polyline2> {
         self.path.as_ref()
+    }
+
+    /// The body's velocity along each path segment.
+    #[inline]
+    pub(crate) fn velocities(&self) -> &[Vec2] {
+        &self.velocities
     }
 
     /// Predicted position at time `t` (clamped to `[0, horizon]`).
@@ -175,7 +211,7 @@ impl PredictedTrajectory {
     /// formula.
     pub fn passing_intervals(&self, circle: &Circle) -> Vec<Interval> {
         let mut out = Vec::new();
-        let _ = self.visit_passing_intervals(circle, |iv| {
+        let _ = self.visit_passing_intervals(circle, f64::INFINITY, |iv| {
             out.push(iv);
             ControlFlow::<()>::Continue(())
         });
@@ -185,16 +221,27 @@ impl PredictedTrajectory {
     /// The first passing interval through `circle`, if any — the walk
     /// stops there and allocates nothing.
     pub fn first_passing_interval(&self, circle: &Circle) -> Option<Interval> {
-        match self.visit_passing_intervals(circle, ControlFlow::Break) {
+        self.first_passing_interval_before(circle, f64::INFINITY)
+    }
+
+    /// [`PredictedTrajectory::first_passing_interval`] for a caller that
+    /// can use the interval only if it starts before `until` seconds: it
+    /// may answer `None` instead of an interval starting at or after
+    /// `until`, and in exchange the walk ends at the first path segment
+    /// the object reaches that late.
+    pub fn first_passing_interval_before(&self, circle: &Circle, until: f64) -> Option<Interval> {
+        match self.visit_passing_intervals(circle, until, ControlFlow::Break) {
             ControlFlow::Break(iv) => Some(iv),
             ControlFlow::Continue(()) => None,
         }
     }
 
-    /// Hands `visit` each passing interval in time order until it breaks.
+    /// Hands `visit` each passing interval in time order until it breaks,
+    /// possibly skipping those that start at or after `until`.
     fn visit_passing_intervals<B>(
         &self,
         circle: &Circle,
+        until: f64,
         mut visit: impl FnMut(Interval) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
         let Some(path) = &self.path else {
@@ -204,7 +251,11 @@ impl PredictedTrajectory {
                 ControlFlow::Continue(())
             };
         };
-        path.visit_circle_intervals(circle, |s0, s1| {
+        // An interval entered at arc length `s` starts at `s / speed`. Past
+        // `before` that quotient is at least `until` whatever the rounding:
+        // the four ulps cover the product here and the division there.
+        let before = until * self.speed * (1.0 + 4.0 * f64::EPSILON);
+        path.visit_circle_intervals(circle, before, |s0, s1| {
             let t0 = s0 / self.speed;
             let t1 = s1 / self.speed;
             if t0 >= self.horizon {
@@ -247,17 +298,7 @@ pub fn predict_ctrv(
         points.push(pos);
     }
     let path = Polyline2::new(points).expect("at least two distinct waypoints");
-    PredictedTrajectory {
-        object,
-        kind,
-        length,
-        speed,
-        start: position,
-        path: Some(path),
-        horizon: config.horizon,
-        sigma0: config.sigma0,
-        sigma_growth: config.sigma_growth,
-    }
+    PredictedTrajectory::moving(object, kind, path, speed, length, config)
 }
 
 #[cfg(test)]

@@ -58,6 +58,10 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "==> benchmark/run.sh --smoke"
 benchmark/run.sh --smoke
 
+echo "==> scripts/ab.sh parses and answers --help"
+bash -n scripts/ab.sh
+scripts/ab.sh --help >/dev/null
+
 echo "==> cargo doc --no-deps --offline --workspace (dangling doc links are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 

@@ -5,7 +5,8 @@
 use crate::{f1, f3, HarnessConfig, Table};
 use erpd_geometry::Vec2;
 use erpd_tracking::{
-    cluster_crowds, cluster_dbscan, mean_final_deviation, CrowdParams, ObjectId, Pedestrian,
+    cluster_crowds, cluster_dbscan, mean_final_deviation, ObjectId, Pedestrian,
+    CROWD_LOCATION_EPS,
 };
 use erpd_rand::rngs::StdRng;
 use erpd_rand::{Rng, SeedableRng};
@@ -57,7 +58,6 @@ pub struct ClusterPoint {
 
 /// Runs the Fig. 4(c) sweep (β = 2, γ = 5 as in the paper).
 pub fn sweep(cfg: &HarnessConfig) -> Vec<ClusterPoint> {
-    let params = CrowdParams::default();
     let walk_time = 8.0;
     let mut out = Vec::new();
     for &n in &[10usize, 20, 30, 40, 50, 60] {
@@ -67,8 +67,8 @@ pub fn sweep(cfg: &HarnessConfig) -> Vec<ClusterPoint> {
         let mut k_base = 0.0;
         for &seed in &cfg.seeds {
             let peds = intersection_pedestrians(n, seed);
-            let ours = cluster_crowds(&peds, &params);
-            let base = cluster_dbscan(&peds, params.location_eps, 1);
+            let ours = cluster_crowds(&peds);
+            let base = cluster_dbscan(&peds, CROWD_LOCATION_EPS, 1);
             dev_ours += mean_final_deviation(&peds, &ours, walk_time);
             dev_base += mean_final_deviation(&peds, &base, walk_time);
             k_ours += ours.len() as f64;

@@ -23,16 +23,15 @@
 //! use erpd_core::{
 //!     build_relevance_matrix_multi, ObjectHypotheses, PlanInputs, RelevanceConfig, DEFAULT_ALPHA,
 //! };
-//! use erpd_tracking::{predict_ctrv, ObjectId, ObjectKind, PredictorConfig};
+//! use erpd_tracking::{predict_ctrv, ObjectId, ObjectKind};
 //! use erpd_geometry::Vec2;
 //! use std::collections::BTreeMap;
 //!
-//! let cfg = PredictorConfig::default();
 //! let objects = vec![
 //!     ObjectHypotheses::single(predict_ctrv(ObjectId(1), ObjectKind::Vehicle,
-//!         Vec2::new(-20.0, 0.0), 10.0, 0.0, 0.0, 4.5, cfg)),
+//!         Vec2::new(-20.0, 0.0), 10.0, 0.0, 0.0, 4.5)),
 //!     ObjectHypotheses::single(predict_ctrv(ObjectId(2), ObjectKind::Vehicle,
-//!         Vec2::new(0.0, -20.0), 10.0, std::f64::consts::FRAC_PI_2, 0.0, 4.5, cfg)),
+//!         Vec2::new(0.0, -20.0), 10.0, std::f64::consts::FRAC_PI_2, 0.0, 4.5)),
 //! ];
 //! let receivers = [ObjectId(1), ObjectId(2)];
 //! let matrix = build_relevance_matrix_multi(

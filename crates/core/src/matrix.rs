@@ -237,7 +237,7 @@ mod tests {
     use super::*;
     use crate::DEFAULT_ALPHA;
     use erpd_geometry::Vec2;
-    use erpd_tracking::{predict_ctrv, ObjectKind, PredictorConfig};
+    use erpd_tracking::{predict_ctrv, ObjectKind};
     use std::f64::consts::FRAC_PI_2;
 
     fn vehicle(id: u64, start: Vec2, speed: f64, heading: f64) -> PredictedTrajectory {
@@ -249,7 +249,6 @@ mod tests {
             heading,
             0.0,
             4.5,
-            PredictorConfig::default(),
         )
     }
 
@@ -418,7 +417,6 @@ mod tests {
     #[test]
     fn multi_hypothesis_takes_the_max() {
         use erpd_geometry::Polyline2;
-        let cfg = PredictorConfig::default();
         // Receiver 2 goes north through the intersection.
         let recv = vehicle(2, Vec2::new(0.0, -20.0), 10.0, FRAC_PI_2);
         // Object 1 approaches eastbound with two hypotheses: straight
@@ -436,7 +434,6 @@ mod tests {
             .unwrap(),
             10.0,
             4.5,
-            cfg,
         );
         let objects = vec![
             ObjectHypotheses::new(ObjectId(1), vec![right_turn.clone(), straight.clone()]),

@@ -17,7 +17,7 @@
 //! objects as points"); it is kept as an ablation baseline.
 
 use erpd_geometry::{Circle, Interval, Polyline2, PolylineCrossing, Vec2, REJECT_MARGIN};
-use erpd_tracking::{PredictedTrajectory, ProximityWindow};
+use erpd_tracking::{PredictedTrajectory, ProximityWindow, HORIZON};
 
 /// Which relevance definition to use — the paper's combined formula by
 /// default; the single-term and Gaussian variants exist for the ablation
@@ -36,8 +36,8 @@ pub enum RelevanceMode {
 }
 
 /// Configuration for relevance estimation. The horizon `T` of the `R_ttc`
-/// formula is not configured here: it is the horizon the scored
-/// trajectories were predicted over ([`PredictedTrajectory::horizon`]).
+/// formula is not configured here: it is the horizon every trajectory is
+/// predicted over ([`erpd_tracking::HORIZON`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RelevanceConfig {
     /// Which relevance definition to use.
@@ -113,13 +113,6 @@ impl RelevanceBreakdown {
     }
 }
 
-/// The horizon `T` a pair is scored over: the one both trajectories were
-/// predicted over (the shorter, should they ever differ — nothing is
-/// predicted beyond it).
-fn shared_horizon(a: &PredictedTrajectory, b: &PredictedTrajectory) -> f64 {
-    a.horizon().min(b.horizon())
-}
-
 /// `path.distance_to_point(p) <= r`, asked of the path's bounding box first:
 /// a point farther than `r` outside that box is farther than `r` from
 /// every segment, so most stationary pairs never walk the path.
@@ -134,11 +127,11 @@ fn passes_within(path: &Polyline2, p: Vec2, r: f64) -> bool {
 
 /// Scores two passing intervals through one collision area; `None` when
 /// they overlap by no more than a nanosecond (no conflict).
-fn score_intervals(t1: Interval, t2: Interval, horizon: f64) -> Option<RelevanceBreakdown> {
+fn score_intervals(t1: Interval, t2: Interval) -> Option<RelevanceBreakdown> {
     let overlap = t1.intersection(&t2).filter(|iv| iv.length() > 1e-9)?;
     let (ci, ttc) = (overlap.length(), overlap.start());
     let r_ci = t1.iou(&t2);
-    let r_ttc = (1.0 - ttc / horizon).clamp(0.0, 1.0);
+    let r_ttc = (1.0 - ttc / HORIZON).clamp(0.0, 1.0);
     Some(RelevanceBreakdown {
         r_ci,
         r_ttc,
@@ -194,15 +187,14 @@ pub(crate) struct PairScratch {
 ///
 /// ```
 /// use erpd_core::{trajectory_relevance, RelevanceConfig};
-/// use erpd_tracking::{predict_ctrv, ObjectId, ObjectKind, PredictorConfig};
+/// use erpd_tracking::{predict_ctrv, ObjectId, ObjectKind};
 /// use erpd_geometry::Vec2;
 ///
-/// let cfg = PredictorConfig::default();
 /// // Two vehicles on a collision course at a perpendicular intersection.
 /// let a = predict_ctrv(ObjectId(1), ObjectKind::Vehicle, Vec2::new(-20.0, 0.0),
-///                      10.0, 0.0, 0.0, 4.5, cfg);
+///                      10.0, 0.0, 0.0, 4.5);
 /// let b = predict_ctrv(ObjectId(2), ObjectKind::Vehicle, Vec2::new(0.0, -20.0),
-///                      10.0, std::f64::consts::FRAC_PI_2, 0.0, 4.5, cfg);
+///                      10.0, std::f64::consts::FRAC_PI_2, 0.0, 4.5);
 /// let r = trajectory_relevance(&a, &b, RelevanceConfig::default());
 /// assert!(r.relevance > 0.5); // simultaneous arrival: highly relevant
 /// ```
@@ -225,15 +217,14 @@ pub(crate) fn relevance_above(
     floor: f64,
     scratch: &mut PairScratch,
 ) -> RelevanceBreakdown {
-    let horizon = shared_horizon(a, b);
     if config.mode == RelevanceMode::Gaussian {
         let g = joint_gaussian_relevance(a, b);
-        let mut out = RelevanceBreakdown::none(horizon);
+        let mut out = RelevanceBreakdown::none(HORIZON);
         out.relevance = g;
         return out;
     }
     let radius_len = a.length.max(b.length);
-    let mut best = RelevanceBreakdown::none(horizon);
+    let mut best = RelevanceBreakdown::none(HORIZON);
 
     let mut consider = |area: Circle| {
         let Some(t1) = a.first_passing_interval(&area) else {
@@ -241,7 +232,7 @@ pub(crate) fn relevance_above(
         };
         // What any overlap with `t1` could score: `r_ci ≤ 1`, and the
         // overlap starts no earlier than `t1`.
-        let r_ttc_max = (1.0 - t1.start() / horizon).clamp(0.0, 1.0);
+        let r_ttc_max = (1.0 - t1.start() / HORIZON).clamp(0.0, 1.0);
         let ceiling = match config.mode {
             RelevanceMode::Combined => (1.0 + r_ttc_max) / 2.0,
             RelevanceMode::CiOnly => 1.0,
@@ -255,7 +246,7 @@ pub(crate) fn relevance_above(
         let Some(t2) = b.first_passing_interval_before(&area, t1.end()) else {
             return;
         };
-        if let Some(mut r) = score_intervals(t1, t2, horizon) {
+        if let Some(mut r) = score_intervals(t1, t2) {
             r.relevance = match config.mode {
                 RelevanceMode::Combined => (r.r_ci + r.r_ttc) / 2.0,
                 RelevanceMode::CiOnly => r.r_ci,
@@ -387,15 +378,14 @@ pub fn joint_gaussian_relevance(a: &PredictedTrajectory, b: &PredictedTrajectory
     }
     let ta = crossing.s_self / a.speed();
     let tb = crossing.s_other / b.speed();
-    let horizon = shared_horizon(a, b);
-    if ta > horizon || tb > horizon {
+    if ta > HORIZON || tb > HORIZON {
         return 0.0;
     }
     // A collision requires both objects at the crossing point at the SAME
     // instant: evaluate both distributions at the midpoint of the two
     // arrival times, so a time mismatch shows up as each mean being offset
     // from the crossing point.
-    let t_star = ((ta + tb) / 2.0).clamp(0.0, horizon);
+    let t_star = ((ta + tb) / 2.0).clamp(0.0, HORIZON);
     let ga = a.gaussian_at(t_star);
     let gb = b.gaussian_at(t_star);
     let joint = ga.pdf(crossing.point) * gb.pdf(crossing.point);
@@ -411,7 +401,7 @@ pub fn joint_gaussian_relevance(a: &PredictedTrajectory, b: &PredictedTrajectory
 mod tests {
     use super::*;
     use erpd_geometry::Vec2;
-    use erpd_tracking::{predict_ctrv, ObjectId, ObjectKind, PredictedTrajectory, PredictorConfig};
+    use erpd_tracking::{predict_ctrv, ObjectId, ObjectKind, PredictedTrajectory};
     use std::f64::consts::FRAC_PI_2;
 
     fn vehicle(id: u64, start: Vec2, speed: f64, heading: f64) -> PredictedTrajectory {
@@ -423,7 +413,6 @@ mod tests {
             heading,
             0.0,
             4.5,
-            PredictorConfig::default(),
         )
     }
 
@@ -487,14 +476,12 @@ mod tests {
 
     #[test]
     fn stationary_pedestrian_on_path_is_relevant() {
-        let cfg = PredictorConfig::default();
         let car = vehicle(1, Vec2::new(-20.0, 0.0), 10.0, 0.0);
         let ped = PredictedTrajectory::stationary(
             ObjectId(2),
             ObjectKind::Pedestrian,
             Vec2::new(5.0, 0.0),
             0.6,
-            cfg,
         );
         let r = trajectory_relevance(&car, &ped, RelevanceConfig::default());
         assert!(r.relevance > 0.0, "r = {r:?}");
@@ -505,14 +492,12 @@ mod tests {
 
     #[test]
     fn stationary_pedestrian_off_path_is_irrelevant() {
-        let cfg = PredictorConfig::default();
         let car = vehicle(1, Vec2::new(-20.0, 0.0), 10.0, 0.0);
         let ped = PredictedTrajectory::stationary(
             ObjectId(2),
             ObjectKind::Pedestrian,
             Vec2::new(5.0, 30.0),
             0.6,
-            cfg,
         );
         let r = trajectory_relevance(&car, &ped, RelevanceConfig::default());
         assert_eq!(r.relevance, 0.0);
@@ -520,9 +505,8 @@ mod tests {
 
     #[test]
     fn two_stationary_objects_zero() {
-        let cfg = PredictorConfig::default();
-        let a = PredictedTrajectory::stationary(ObjectId(1), ObjectKind::Vehicle, Vec2::ZERO, 4.5, cfg);
-        let b = PredictedTrajectory::stationary(ObjectId(2), ObjectKind::Vehicle, Vec2::new(1.0, 0.0), 4.5, cfg);
+        let a = PredictedTrajectory::stationary(ObjectId(1), ObjectKind::Vehicle, Vec2::ZERO, 4.5);
+        let b = PredictedTrajectory::stationary(ObjectId(2), ObjectKind::Vehicle, Vec2::new(1.0, 0.0), 4.5);
         assert_eq!(trajectory_relevance(&a, &b, RelevanceConfig::default()).relevance, 0.0);
     }
 

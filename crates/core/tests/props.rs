@@ -5,7 +5,7 @@ use erpd_core::{
     RelevanceConfig, RelevanceMode,
 };
 use erpd_geometry::Vec2;
-use erpd_tracking::{predict_ctrv, ObjectId, ObjectKind, PredictorConfig};
+use erpd_tracking::{predict_ctrv, ObjectId, ObjectKind, HORIZON};
 use erpd_rand::proptest::prelude::*;
 
 fn items() -> impl Strategy<Value = Vec<KnapsackItem>> {
@@ -61,17 +61,16 @@ proptest! {
         ax in -60.0f64..-5.0, sa in 1.0f64..18.0,
         by in -60.0f64..-5.0, sb in 1.0f64..18.0,
     ) {
-        let cfg = PredictorConfig::default();
         let rc = RelevanceConfig::default();
-        let a = predict_ctrv(ObjectId(1), ObjectKind::Vehicle, Vec2::new(ax, 0.0), sa, 0.0, 0.0, 4.5, cfg);
+        let a = predict_ctrv(ObjectId(1), ObjectKind::Vehicle, Vec2::new(ax, 0.0), sa, 0.0, 0.0, 4.5);
         let b = predict_ctrv(ObjectId(2), ObjectKind::Vehicle, Vec2::new(0.0, by), sb,
-                             std::f64::consts::FRAC_PI_2, 0.0, 4.5, cfg);
+                             std::f64::consts::FRAC_PI_2, 0.0, 4.5);
         let r = trajectory_relevance(&a, &b, rc);
         prop_assert!((0.0..=1.0).contains(&r.relevance));
         prop_assert!((0.0..=1.0).contains(&r.r_ci));
         prop_assert!((0.0..=1.0).contains(&r.r_ttc));
         prop_assert!((r.relevance - (r.r_ci + r.r_ttc) / 2.0).abs() < 1e-9);
-        prop_assert!(r.ttc >= 0.0 && r.ttc <= cfg.horizon + 1e-9);
+        prop_assert!(r.ttc >= 0.0 && r.ttc <= HORIZON + 1e-9);
         // Order of arguments does not change the outcome.
         let r2 = trajectory_relevance(&b, &a, rc);
         prop_assert!((r.relevance - r2.relevance).abs() < 1e-9);
@@ -83,9 +82,8 @@ proptest! {
     /// Vehicles on parallel lanes are never relevant, at any speeds.
     #[test]
     fn parallel_traffic_never_relevant(sa in 0.5f64..20.0, sb in 0.5f64..20.0, dy in 3.0f64..30.0) {
-        let cfg = PredictorConfig::default();
-        let a = predict_ctrv(ObjectId(1), ObjectKind::Vehicle, Vec2::ZERO, sa, 0.0, 0.0, 2.5, cfg);
-        let b = predict_ctrv(ObjectId(2), ObjectKind::Vehicle, Vec2::new(0.0, dy), sb, 0.0, 0.0, 2.5, cfg);
+        let a = predict_ctrv(ObjectId(1), ObjectKind::Vehicle, Vec2::ZERO, sa, 0.0, 0.0, 2.5);
+        let b = predict_ctrv(ObjectId(2), ObjectKind::Vehicle, Vec2::new(0.0, dy), sb, 0.0, 0.0, 2.5);
         let r = trajectory_relevance(&a, &b, RelevanceConfig::default());
         prop_assert_eq!(r.relevance, 0.0);
     }

@@ -19,9 +19,7 @@ use erpd_core::{
 use erpd_geometry::{Circle, Polyline2, Vec2, REJECT_MARGIN};
 use erpd_rand::rngs::StdRng;
 use erpd_rand::{Rng, RngCore, SeedableRng};
-use erpd_tracking::{
-    predict_ctrv, FollowerLink, ObjectId, ObjectKind, PredictedTrajectory, PredictorConfig,
-};
+use erpd_tracking::{predict_ctrv, FollowerLink, ObjectId, ObjectKind, PredictedTrajectory};
 use std::collections::BTreeSet;
 use std::f64::consts::{FRAC_PI_2, PI};
 
@@ -34,7 +32,7 @@ mod reference {
         RelevanceConfig, RelevanceMatrix, RelevanceMode,
     };
     use erpd_geometry::{Circle, Interval, Polyline2, PolylineCrossing};
-    use erpd_tracking::{FollowerLink, ObjectId, PredictedTrajectory};
+    use erpd_tracking::{FollowerLink, ObjectId, PredictedTrajectory, HORIZON};
 
     fn cumulative(p: &Polyline2) -> Vec<f64> {
         let mut cumulative = Vec::with_capacity(p.points().len());
@@ -88,7 +86,7 @@ mod reference {
         match this.path() {
             None => {
                 if circle.contains(this.position_at(0.0)) {
-                    vec![Interval::new(0.0, this.horizon()).expect("valid horizon")]
+                    vec![Interval::new(0.0, HORIZON).expect("valid horizon")]
                 } else {
                     Vec::new()
                 }
@@ -98,10 +96,10 @@ mod reference {
                 for (s0, s1) in circle_intervals(path, circle) {
                     let t0 = s0 / this.speed();
                     let t1 = s1 / this.speed();
-                    if t0 >= this.horizon() {
+                    if t0 >= HORIZON {
                         continue;
                     }
-                    if let Some(iv) = Interval::new(t0.max(0.0), t1.min(this.horizon())) {
+                    if let Some(iv) = Interval::new(t0.max(0.0), t1.min(HORIZON)) {
                         if iv.length() > 1e-9 {
                             out.push(iv);
                         }
@@ -116,8 +114,8 @@ mod reference {
         passing_intervals(this, circle).into_iter().next()
     }
 
-    fn shared_horizon(a: &PredictedTrajectory, b: &PredictedTrajectory) -> f64 {
-        a.horizon().min(b.horizon())
+    fn shared_horizon(_: &PredictedTrajectory, _: &PredictedTrajectory) -> f64 {
+        HORIZON
     }
 
     fn score_area(
@@ -317,7 +315,6 @@ fn uniform(rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
 }
 
 fn ctrv(id: u64, at: Vec2, speed: f64, heading: f64, turn_rate: f64) -> PredictedTrajectory {
-    let cfg = PredictorConfig::default();
     predict_ctrv(
         ObjectId(id),
         ObjectKind::Vehicle,
@@ -326,19 +323,16 @@ fn ctrv(id: u64, at: Vec2, speed: f64, heading: f64, turn_rate: f64) -> Predicte
         heading,
         turn_rate,
         4.5,
-        cfg,
     )
 }
 
 fn on_path(id: u64, points: Vec<Vec2>, speed: f64, length: f64) -> PredictedTrajectory {
     let path = Polyline2::new(points).expect("a valid path");
-    let cfg = PredictorConfig::default();
-    PredictedTrajectory::from_path(ObjectId(id), ObjectKind::Vehicle, path, speed, length, cfg)
+    PredictedTrajectory::from_path(ObjectId(id), ObjectKind::Vehicle, path, speed, length)
 }
 
 fn parked(id: u64, at: Vec2, length: f64) -> PredictedTrajectory {
-    let cfg = PredictorConfig::default();
-    PredictedTrajectory::stationary(ObjectId(id), ObjectKind::Pedestrian, at, length, cfg)
+    PredictedTrajectory::stationary(ObjectId(id), ObjectKind::Pedestrian, at, length)
 }
 
 fn singles(trajectories: Vec<PredictedTrajectory>) -> Vec<ObjectHypotheses> {

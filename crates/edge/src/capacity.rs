@@ -19,6 +19,7 @@
 //! table.
 
 use crate::daemon::{DaemonConfig, EdgeDaemon};
+use crate::system::delivery_ratio;
 use crate::transport::TcpTransport;
 use crate::wire::WireMessage;
 use crate::{SystemConfig, Upload, VehicleFleet};
@@ -294,11 +295,7 @@ pub fn measure_against(
         frames_per_client: config.frames,
         p50_ms: p50,
         p95_ms: p95,
-        delivery_ratio: if sent == 0 {
-            1.0
-        } else {
-            delivered as f64 / sent as f64
-        },
+        delivery_ratio: delivery_ratio(delivered as usize, sent as usize),
         frames_served: 0,
     })
 }

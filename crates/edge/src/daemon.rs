@@ -48,7 +48,7 @@
 use crate::system::default_dissemination;
 use crate::transport::{ServingCore, TcpTransport};
 use crate::wire::WireMessage;
-use crate::{PipelineBuilder, SystemConfig, Upload};
+use crate::{EdgeServer, SystemConfig, Upload};
 use erpd_sim::IntersectionMap;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -197,9 +197,10 @@ impl EdgeDaemon {
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared::new(&config));
-        let (server, disseminate) = PipelineBuilder::new(config.system.server, map)
-            .build_with_default(|| default_dissemination(config.system.strategy));
-        let core = ServingCore::new(server, disseminate);
+        let core = ServingCore::new(
+            EdgeServer::new(config.system.server, map),
+            default_dissemination(config.system.strategy),
+        );
 
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || accept_loop(listener, accept_shared));

@@ -174,6 +174,19 @@ impl FaultModel {
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
 
+    /// One step of the churn state machine: whether `vehicle` is in an
+    /// outage at `frame`, given whether it was one frame earlier. A vehicle
+    /// in outage stays out until its reconnect draw succeeds; a connected
+    /// vehicle may drop out.
+    pub(crate) fn next_outage(&self, in_outage: bool, frame: u64, vehicle: u64) -> bool {
+        if in_outage {
+            self.uniform(frame, vehicle, FaultStream::Reconnect) >= self.reconnect_prob
+        } else {
+            self.churn_prob > 0.0
+                && self.uniform(frame, vehicle, FaultStream::Churn) < self.churn_prob
+        }
+    }
+
     /// The latency jitter for one upload, seconds: exponential with mean
     /// [`FaultModel::jitter`] (exactly `0.0` when jitter is disabled).
     pub(crate) fn jitter_delay(&self, frame: u64, vehicle: u64) -> f64 {

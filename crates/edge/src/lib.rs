@@ -6,7 +6,7 @@
 //!   worth of scans,
 //! * [`Stage`] / [`PipelineBuilder`] — the typed stage graph of the server
 //!   pipeline (merge → associate → track → predict → relevance →
-//!   disseminate; the last hop is the swappable one),
+//!   disseminate; the last hop is the strategy's),
 //! * [`EdgeServer`] — the composed server half of that graph: traffic map,
 //!   tracking, rule-based prediction, relevance matrix,
 //! * [`System`] — one object wiring scans → uploads → faulty links →

@@ -1,10 +1,11 @@
 //! Run-level evaluation: drives a scenario under a strategy and aggregates
 //! the metrics every figure of the paper's evaluation plots.
 
+use crate::system::delivery_ratio;
 use crate::{ModuleTimes, Strategy, System, SystemConfig};
 use erpd_core::Error;
 use erpd_geometry::stats::quantile;
-use erpd_sim::{EntityKind, Scenario, ScenarioConfig};
+use erpd_sim::{EntityKind, Scenario, ScenarioConfig, FRAME_PERIOD};
 
 /// Configuration of one evaluation run.
 #[derive(Debug, Clone, Copy)]
@@ -88,7 +89,7 @@ pub fn run(config: RunConfig) -> Result<RunResult, Error> {
     let mut scenario = Scenario::build(config.scenario);
     let mut system = System::builder(config.system).build(&scenario.world);
 
-    let steps = (config.duration / scenario.world.config.dt).ceil() as usize;
+    let steps = (config.duration / FRAME_PERIOD).ceil() as usize;
     let mut min_distance = f64::INFINITY;
     let mut upload_bytes_sum = 0u64;
     let mut upload_samples = 0usize;
@@ -152,12 +153,11 @@ pub fn run(config: RunConfig) -> Result<RunResult, Error> {
         min_distance = 0.0;
     }
 
-    let frame_period = scenario.world.config.dt;
     let to_mbps = |bytes: f64, n: f64| {
         if n <= 0.0 {
             0.0
         } else {
-            bytes / n * 8.0 / frame_period / 1e6
+            bytes / n * 8.0 / FRAME_PERIOD / 1e6
         }
     };
     let nf = frames.max(1) as f64;
@@ -170,11 +170,7 @@ pub fn run(config: RunConfig) -> Result<RunResult, Error> {
         detected_objects: detected_sum / nf,
         predicted_trajectories: predicted_sum / nf,
         latency_ms: times.end_to_end() / nf * 1e3,
-        delivery_ratio: if expected_uploads == 0 {
-            1.0
-        } else {
-            delivered_uploads as f64 / expected_uploads as f64
-        },
+        delivery_ratio: delivery_ratio(delivered_uploads, expected_uploads),
         staleness_p95: quantile(&mut staleness, 0.95),
         coasted_objects: coasted_sum as f64 / nf,
         module_times: times.scaled(1.0 / nf),

@@ -51,7 +51,7 @@
 //! assert_eq!(report.per_edge.len(), 2);
 //! ```
 
-use crate::system::{FrameReport, System, SystemConfig};
+use crate::system::{delivery_ratio, FrameReport, System, SystemConfig};
 use crate::transport::Transport;
 use crate::wire::WireMessage;
 use crate::Strategy;
@@ -103,8 +103,8 @@ pub struct DeploymentBuilder {
 
 impl DeploymentBuilder {
     /// Replaces the per-edge system configuration (strategy, network
-    /// model, server parameters, alert threshold). Every edge runs the
-    /// same configuration; only the track-id namespace differs per edge.
+    /// model, server parameters). Every edge runs the same configuration;
+    /// only the track-id namespace differs per edge.
     pub fn config(mut self, config: SystemConfig) -> Self {
         self.config = config;
         self
@@ -278,11 +278,7 @@ impl FleetReport {
     /// Delivered / expected uploads across the fleet (1 when nothing was
     /// expected).
     pub fn delivery_ratio(&self) -> f64 {
-        if self.expected_uploads == 0 {
-            1.0
-        } else {
-            self.delivered_uploads as f64 / self.expected_uploads as f64
-        }
+        delivery_ratio(self.delivered_uploads, self.expected_uploads)
     }
 }
 
@@ -446,6 +442,7 @@ impl Deployment {
         let n = self.edges.len();
         let mut primaries: Vec<Vec<LidarFrame>> = (0..n).map(|_| Vec::new()).collect();
         let mut ghosts: Vec<Vec<LidarFrame>> = (0..n).map(|_| Vec::new()).collect();
+        let mut ghost_outages: Vec<Vec<bool>> = (0..n).map(|_| Vec::new()).collect();
         let mut handovers = 0usize;
         for frame in frames {
             let position = frame.sensor_pose.position;
@@ -457,6 +454,9 @@ impl Deployment {
                 }
             }
             if let Some(other) = self.dual_report_edge(position) {
+                // One radio, one churn state: the ghost's outage verdict is
+                // the owner's, stepped from its state before any edge ticks.
+                ghost_outages[other].push(self.edges[owner].next_outage(frame.vehicle_id));
                 ghosts[other].push(frame.clone());
             }
             primaries[owner].push(frame);
@@ -466,9 +466,8 @@ impl Deployment {
         let mut per_edge = Vec::with_capacity(n);
         for (k, system) in self.edges.iter_mut().enumerate() {
             let mut edge_frames = std::mem::take(&mut primaries[k]);
-            let n_primary = edge_frames.len();
             edge_frames.append(&mut ghosts[k]);
-            per_edge.push(system.tick_frames(world, edge_frames, n_primary)?);
+            per_edge.push(system.tick_frames(world, edge_frames, &ghost_outages[k])?);
         }
         let fleet = self.aggregate(&per_edge, n_connected);
         Ok(DeploymentReport {
@@ -686,5 +685,53 @@ mod tests {
             s.world.step();
         }
         assert!(lost > 0, "the faulty channel must lose uploads");
+    }
+
+    #[test]
+    fn a_ghost_takes_its_outage_state_from_the_owner() {
+        let mut s = scenario(1);
+        let fault = FaultModel::default()
+            .with_churn_prob(0.1)
+            .with_reconnect_prob(0.3)
+            .with_seed(1);
+        let cfg = SystemConfig::new(Strategy::Ours)
+            .with_network(NetworkConfig::default().with_fault(fault));
+        let mut dep = Deployment::builder()
+            .config(cfg)
+            .edges(4)
+            .handover(HandoverPolicy::DualReport { margin: 30.0 })
+            .build(&s.world)
+            .unwrap();
+        let (mut ghosted, mut in_outage, mut disagreements) = (0usize, 0usize, Vec::new());
+        for frame in 0..150 {
+            dep.tick(&mut s.world).unwrap();
+            for v in s
+                .world
+                .vehicles()
+                .iter()
+                .filter(|v| v.connected && !v.collided)
+            {
+                let Some(ghost) = dep.dual_report_edge(v.position()) else {
+                    continue;
+                };
+                let owner = dep.owner_of(v.id).expect("scanned this frame");
+                let out = dep.edge(owner).outages().contains(&v.id);
+                ghosted += 1;
+                in_outage += usize::from(out);
+                if dep.edge(ghost).outages().contains(&v.id) != out {
+                    disagreements.push((frame, v.id));
+                }
+            }
+            s.world.step();
+        }
+        assert!(
+            ghosted > 100 && in_outage > 10,
+            "{ghosted} ghosts, {in_outage} in outage"
+        );
+        assert!(
+            disagreements.is_empty(),
+            "{} (frame, vehicle) ghosts disagree with their owner: {disagreements:?}",
+            disagreements.len()
+        );
     }
 }

@@ -21,7 +21,7 @@ pub struct NetworkConfig {
     /// the constraint that makes the scheduling problem non-trivial (and
     /// that EMP's relevance-blind round robin trips over).
     pub downlink_bps: f64,
-    /// LiDAR frame period, seconds.
+    /// LiDAR frame period, seconds ([`erpd_sim::FRAME_PERIOD`] by default).
     pub frame_period: f64,
     /// Channel impairments (loss, jitter, churn, truncation). Ideal — no
     /// impairment at all — by default.
@@ -33,7 +33,7 @@ impl Default for NetworkConfig {
         NetworkConfig {
             uplink_bps: 40e6,   // 40 Mbit/s per vehicle
             downlink_bps: 8e6, // 8 Mbit/s shared broadcast budget
-            frame_period: 0.1,
+            frame_period: erpd_sim::FRAME_PERIOD,
             fault: FaultModel::default(),
         }
     }

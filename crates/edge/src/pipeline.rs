@@ -12,11 +12,10 @@
 //! where `Uploads` rides in the per-frame [`FrameCx`] so every stage can
 //! see the raw arrivals. [`crate::EdgeServer::process`] composes the five
 //! server stages — one implementation each, held as plain fields;
-//! [`crate::System`] appends one dissemination stage, the only swappable
-//! hop: the EMP / Unlimited baselines are alternative dissemination stages
+//! [`crate::System`] appends one dissemination stage, chosen by strategy:
+//! the EMP / Unlimited baselines are alternative dissemination stages
 //! ([`RoundRobinDissemination`], [`BroadcastDissemination`] beside the
-//! paper's [`GreedyDissemination`]) that a [`PipelineBuilder`] plugs in,
-//! rather than `match` arms.
+//! paper's [`GreedyDissemination`]) rather than `match` arms.
 //!
 //! The `erpd-par` fork-join fan-out lives *inside* the stages
 //! that use it (map merge in [`MergeStage`], trajectory fan-out in
@@ -37,9 +36,8 @@ use erpd_geometry::{Pose2, Vec2, Vec3};
 use erpd_pointcloud::{IncrementalMerger, PointCloud, PointCloudMerger, POINT_WIRE_BYTES};
 use erpd_sim::{IntersectionMap, LaneLocation, Turn};
 use erpd_tracking::{
-    apply_rules, predict_ctrv, CrowdParams, Detection, FollowerLink, LanePosition, ObjectId,
-    ObjectKind, ObjectState, PredictedTrajectory, PredictorConfig, RuleInput, Tracker,
-    TrackerConfig,
+    apply_rules, predict_ctrv, Detection, FollowerLink, LanePosition, ObjectId, ObjectKind,
+    ObjectState, PredictedTrajectory, RuleInput, Tracker, HORIZON,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
@@ -270,7 +268,7 @@ impl<'a> PlanRequest<'a> {
     }
 }
 
-/// A boxed, swappable dissemination stage (the last hop of the graph).
+/// A boxed dissemination stage (the last hop of the graph, one per strategy).
 pub type BoxedDisseminationStage = Box<dyn for<'a> Stage<PlanRequest<'a>, DisseminationPlan>>;
 
 // ---------------------------------------------------------------------------
@@ -628,7 +626,7 @@ impl TrackStage {
         TrackStage {
             coast_horizon: config.coast_horizon,
             map,
-            tracker: Tracker::with_id_base(TrackerConfig::default(), config.track_id_base),
+            tracker: Tracker::with_id_base(config.track_id_base),
             pose_history: BTreeMap::new(),
             last_bytes: BTreeMap::new(),
         }
@@ -739,7 +737,7 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
         let pose_ttl = if coast_horizon > 0.0 {
             coast_horizon
         } else {
-            PredictorConfig::default().horizon
+            HORIZON
         };
         self.pose_history
             .retain(|_, h| now - h.back().expect("non-empty").0 <= pose_ttl);
@@ -887,11 +885,9 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
 ///
 /// The predictor parameters (horizon `T` = 5 s, ...) and the crowd
 /// thresholds (β = 2 m, γ = 5°) are the paper's, stated once as
-/// `erpd-tracking`'s defaults.
+/// `erpd-tracking`'s constants ([`erpd_tracking::HORIZON`], ...).
 #[derive(Debug)]
 pub struct PredictStage {
-    predictor: PredictorConfig,
-    crowd: CrowdParams,
     map: Arc<IntersectionMap>,
 }
 
@@ -899,11 +895,7 @@ impl PredictStage {
     /// A prediction stage bound to the HD map (nothing in the
     /// configuration concerns it).
     pub fn new(_config: &ServerConfig, map: Arc<IntersectionMap>) -> Self {
-        PredictStage {
-            predictor: PredictorConfig::default(),
-            crowd: CrowdParams::default(),
-            map,
-        }
+        PredictStage { map }
     }
 
     /// Map-based route hypotheses for a vehicle on an approach lane.
@@ -939,7 +931,7 @@ impl PredictStage {
             if lat > 3.0 {
                 continue;
             }
-            let reach = s0 + speed * self.predictor.horizon + 5.0;
+            let reach = s0 + speed * HORIZON + 5.0;
             if let Some(path) = route.path.slice(s0, reach) {
                 out.push(PredictedTrajectory::from_path(
                     id,
@@ -947,7 +939,6 @@ impl PredictStage {
                     path,
                     speed,
                     4.5,
-                    self.predictor,
                 ));
             }
         }
@@ -989,7 +980,7 @@ impl PredictStage {
                     {
                         continue;
                     }
-                    let reach = s0 + speed * self.predictor.horizon + 5.0;
+                    let reach = s0 + speed * HORIZON + 5.0;
                     if let Some(path) = route.path.slice(s0, reach) {
                         out.push(PredictedTrajectory::from_path(
                             id,
@@ -997,7 +988,6 @@ impl PredictStage {
                             path,
                             speed,
                             4.5,
-                            self.predictor,
                         ));
                     }
                 }
@@ -1012,7 +1002,7 @@ impl Stage<Tracks, Predictions> for PredictStage {
         let t = StageTimer::start();
 
         // Rules 1-3 select what to predict.
-        let selection = apply_rules(&input.rule_inputs, &self.crowd);
+        let selection = apply_rules(&input.rule_inputs);
         let lane_by_id: BTreeMap<ObjectId, Option<LanePosition>> = input
             .rule_inputs
             .iter()
@@ -1053,7 +1043,6 @@ impl Stage<Tracks, Predictions> for PredictStage {
                 heading,
                 turn_rate,
                 4.5,
-                this.predictor,
             )];
             let lane = lanes.get(&id).copied().flatten();
             let near_box = this.map.in_intersection(pos)
@@ -1100,7 +1089,6 @@ impl Stage<Tracks, Predictions> for PredictStage {
                 rep.orientation,
                 0.0,
                 0.6,
-                self.predictor,
             )));
             // Crowd members share the representative's data relevance: give
             // each member a copy of the representative's trajectory so their
@@ -1118,7 +1106,6 @@ impl Stage<Tracks, Predictions> for PredictStage {
                     rep.orientation,
                     0.0,
                     0.6,
-                    self.predictor,
                 )));
             }
         }
@@ -1310,58 +1297,36 @@ impl<'a> Stage<PlanRequest<'a>, DisseminationPlan> for BroadcastDissemination {
 // Builder
 // ---------------------------------------------------------------------------
 
-/// Pairs the edge server with its dissemination stage — the one hop of
-/// the graph with more than one implementation. The server's five stages
-/// are fixed (see [`crate::EdgeServer`]).
+/// Pairs the edge server with the paper's dissemination stage,
+/// [`GreedyDissemination`]. The server's five stages are fixed (see
+/// [`crate::EdgeServer`]); [`crate::System`] and [`crate::EdgeDaemon`] pick
+/// the dissemination stage by strategy instead.
 ///
 /// ```
-/// use erpd_edge::{BroadcastDissemination, PipelineBuilder, ServerConfig};
+/// use erpd_edge::{PipelineBuilder, ServerConfig};
 /// use erpd_sim::IntersectionMap;
 ///
 /// let (mut server, _disseminate) =
-///     PipelineBuilder::new(ServerConfig::default(), IntersectionMap::default())
-///         .with_dissemination_stage(Box::new(BroadcastDissemination))
-///         .build();
+///     PipelineBuilder::new(ServerConfig::default(), IntersectionMap::default()).build();
 /// assert!(server.process(0.0, &[]).unwrap().receivers.is_empty());
 /// ```
 #[derive(Debug)]
 pub struct PipelineBuilder {
     config: ServerConfig,
     map: IntersectionMap,
-    disseminate: Option<BoxedDisseminationStage>,
 }
 
 impl PipelineBuilder {
     /// A builder for the default (paper) pipeline over the given map.
     pub fn new(config: ServerConfig, map: IntersectionMap) -> Self {
-        PipelineBuilder {
-            config,
-            map,
-            disseminate: None,
-        }
+        PipelineBuilder { config, map }
     }
 
-    /// Replaces the dissemination stage (defaults to [`GreedyDissemination`];
-    /// [`crate::System`] defaults it per strategy instead).
-    pub fn with_dissemination_stage(mut self, stage: BoxedDisseminationStage) -> Self {
-        self.disseminate = Some(stage);
-        self
-    }
-
-    /// Builds the server plus the dissemination stage, defaulting the
-    /// latter to [`GreedyDissemination`].
+    /// Builds the server plus the [`GreedyDissemination`] stage.
     pub fn build(self) -> (crate::EdgeServer, BoxedDisseminationStage) {
-        self.build_with_default(|| Box::new(GreedyDissemination))
-    }
-
-    /// Builds, filling an unset dissemination stage from `fallback`.
-    pub(crate) fn build_with_default(
-        self,
-        fallback: impl FnOnce() -> BoxedDisseminationStage,
-    ) -> (crate::EdgeServer, BoxedDisseminationStage) {
         (
             crate::EdgeServer::new(self.config, self.map),
-            self.disseminate.unwrap_or_else(fallback),
+            Box::new(GreedyDissemination),
         )
     }
 }
@@ -1600,9 +1565,10 @@ mod tests {
             stage.run(&cx, input).unwrap();
         }
         // Vehicles heard within the horizon `T`, plus the tracks the
-        // tracker has not yet aged out — independent of the frame count.
-        let vehicles = (PredictorConfig::default().horizon / dt) as usize + 2;
-        let tracks = TrackerConfig::default().max_misses + 2;
+        // tracker has not yet aged out (it drops a track after five missed
+        // frames) — independent of the frame count.
+        let vehicles = (HORIZON / dt) as usize + 2;
+        let tracks = 5 + 2;
         assert!(
             stage.pose_history.len() <= vehicles,
             "{} pose histories",

@@ -3,8 +3,7 @@
 
 use crate::fault::FaultStream;
 use crate::pipeline::{
-    BoxedDisseminationStage, BroadcastDissemination, GreedyDissemination, PipelineBuilder,
-    RoundRobinDissemination,
+    BoxedDisseminationStage, BroadcastDissemination, GreedyDissemination, RoundRobinDissemination,
 };
 use crate::stages::{StageSample, StageTimes};
 use crate::transport::{LoopbackTransport, ServingCore, Transport};
@@ -22,11 +21,15 @@ pub const V2V_RANGE_M: f64 = 200.0;
 /// frame are not heard (the scalability wall AUTOCAST engineers around).
 pub const V2V_CHANNEL_BPS: f64 = 6e6;
 
+/// Minimum relevance for a received object to trigger the driver alert
+/// (the receiver-side ADAS threshold).
+const ALERT_THRESHOLD: f64 = 0.02;
+
 /// Internal routing derived from the public [`Strategy`]: which of the
 /// three pipeline shapes a tick takes. On the edge path the dissemination
-/// schedule is built by the system's swappable dissemination [`crate::Stage`]
-/// (see [`default_dissemination`]), not by re-matching the strategy enum
-/// inside the frame loop.
+/// schedule is built by the strategy's dissemination [`crate::Stage`] (see
+/// [`default_dissemination`]), not by re-matching the strategy enum inside
+/// the frame loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Dispatch {
     /// No communication at all (the `Single` baseline).
@@ -47,8 +50,8 @@ impl Dispatch {
     }
 }
 
-/// The dissemination stage a strategy runs by default: the relevance-greedy
-/// knapsack for `Ours`, round robin for `Emp`, broadcast for `Unlimited`.
+/// The dissemination stage a strategy runs: the relevance-greedy knapsack
+/// for `Ours`, round robin for `Emp`, broadcast for `Unlimited`.
 pub(crate) fn default_dissemination(strategy: Strategy) -> BoxedDisseminationStage {
     match strategy {
         Strategy::Emp => Box::new(RoundRobinDissemination::new()),
@@ -177,11 +180,17 @@ impl FrameReport {
     /// Delivered / expected uploads for this frame (1 when nothing was
     /// expected). Can exceed 1 on a frame absorbing late arrivals.
     pub fn delivery_ratio(&self) -> f64 {
-        if self.expected_uploads == 0 {
-            1.0
-        } else {
-            self.delivered_uploads as f64 / self.expected_uploads as f64
-        }
+        delivery_ratio(self.delivered_uploads, self.expected_uploads)
+    }
+}
+
+/// `delivered / expected`, or 1 when nothing was expected: the one
+/// definition behind every delivery ratio the crate reports.
+pub(crate) fn delivery_ratio(delivered: usize, expected: usize) -> f64 {
+    if expected == 0 {
+        1.0
+    } else {
+        delivered as f64 / expected as f64
     }
 }
 
@@ -235,9 +244,6 @@ pub struct SystemConfig {
     pub network: NetworkConfig,
     /// Edge-server parameters.
     pub server: ServerConfig,
-    /// Minimum relevance for a received object to trigger the driver
-    /// alert (the receiver-side ADAS threshold).
-    pub alert_threshold: f64,
 }
 
 impl SystemConfig {
@@ -247,7 +253,6 @@ impl SystemConfig {
             strategy,
             network: NetworkConfig::default(),
             server: ServerConfig::default(),
-            alert_threshold: 0.02,
         }
     }
 
@@ -268,12 +273,6 @@ impl SystemConfig {
         self.server = server;
         self
     }
-
-    /// Returns the configuration with the alert threshold replaced.
-    pub fn with_alert_threshold(mut self, alert_threshold: f64) -> Self {
-        self.alert_threshold = alert_threshold;
-        self
-    }
 }
 
 impl Default for SystemConfig {
@@ -286,13 +285,12 @@ impl Default for SystemConfig {
 /// Builds a [`System`] piece by piece — the entry point is
 /// [`System::builder`].
 ///
-/// Every part is optional: an unset pipeline defaults to the paper's stage
-/// graph over the world's map, an unset dissemination stage defaults per
-/// strategy (the relevance-greedy knapsack for `Ours`, round robin for
-/// `Emp`, broadcast for `Unlimited`), and an unset transport defaults to
-/// the in-process [`LoopbackTransport`]. The same `pipeline`/`transport`
-/// vocabulary is shared by [`crate::DeploymentBuilder`], which builds one
-/// [`System`] per edge.
+/// The server is the paper's stage graph over the world's map, its
+/// dissemination stage is the strategy's (the relevance-greedy knapsack for
+/// `Ours`, round robin for `Emp`, broadcast for `Unlimited`), and an unset
+/// transport defaults to the in-process [`LoopbackTransport`]. The same
+/// `transport` vocabulary is shared by [`crate::DeploymentBuilder`], which
+/// builds one [`System`] per edge.
 ///
 /// ```no_run
 /// use erpd_edge::{Strategy, System, SystemConfig, WireTransport};
@@ -307,22 +305,10 @@ impl Default for SystemConfig {
 #[derive(Debug)]
 pub struct SystemBuilder {
     config: SystemConfig,
-    pipeline: Option<PipelineBuilder>,
     transport: Option<Box<dyn Transport>>,
 }
 
 impl SystemBuilder {
-    /// Replaces the pipeline the system's server and dissemination stage
-    /// are built from — swap the dissemination stage while keeping the
-    /// frame loop, fault layer, and alert delivery identical. When a
-    /// pipeline is set, `build`'s world is not consulted for the map (the
-    /// pipeline carries its own). The V2V strategy's per-vehicle on-board
-    /// servers are unaffected.
-    pub fn pipeline(mut self, pipeline: PipelineBuilder) -> Self {
-        self.pipeline = Some(pipeline);
-        self
-    }
-
     /// Replaces the carrier the edge path routes uploads and plans
     /// through. The default [`LoopbackTransport`] passes values untouched
     /// (bit-identical to calling the serving core directly); a
@@ -334,21 +320,18 @@ impl SystemBuilder {
         self
     }
 
-    /// Builds the system, defaulting any unset part: the pipeline from the
-    /// world's map, its dissemination stage per strategy, the transport to
-    /// loopback.
+    /// Builds the system: the server over the world's map, the strategy's
+    /// dissemination stage, and the transport (loopback unless set).
     pub fn build(self, world: &World) -> System {
         let config = self.config;
-        let pipeline = self
-            .pipeline
-            .unwrap_or_else(|| PipelineBuilder::new(config.server, world.map.clone()));
-        let (server, disseminate) =
-            pipeline.build_with_default(|| default_dissemination(config.strategy));
         System {
             config,
             dispatch: Dispatch::of(config.strategy),
             fleet: VehicleFleet::new(),
-            core: ServingCore::new(server, disseminate),
+            core: ServingCore::new(
+                EdgeServer::new(config.server, world.map.clone()),
+                default_dissemination(config.strategy),
+            ),
             transport: self
                 .transport
                 .unwrap_or_else(|| Box::new(LoopbackTransport::new())),
@@ -373,7 +356,7 @@ pub struct System {
     /// at handover.
     pub(crate) fleet: VehicleFleet,
     /// The serving half of the edge path: the five-stage server plus the
-    /// swappable dissemination stage — the same [`ServingCore`] the
+    /// strategy's dissemination stage — the same [`ServingCore`] the
     /// streaming daemon drives over TCP.
     core: ServingCore,
     /// The carrier between the fault layer's arrivals and the serving
@@ -400,13 +383,12 @@ pub struct System {
 }
 
 impl System {
-    /// Starts building a system: `System::builder(config)` then optional
-    /// [`SystemBuilder::pipeline`] / [`SystemBuilder::transport`], then
-    /// [`SystemBuilder::build`] against the world.
+    /// Starts building a system: `System::builder(config)` then an
+    /// optional [`SystemBuilder::transport`], then [`SystemBuilder::build`]
+    /// against the world.
     pub fn builder(config: SystemConfig) -> SystemBuilder {
         SystemBuilder {
             config,
-            pipeline: None,
             transport: None,
         }
     }
@@ -444,6 +426,18 @@ impl System {
         handover
     }
 
+    /// Whether `vehicle_id`'s radio is in an outage this frame, stepped
+    /// from this edge's churn state. [`crate::Deployment`] asks a vehicle's
+    /// owner before any edge ticks, and hands the verdict to the edge that
+    /// receives the vehicle's dual-report ghost.
+    pub(crate) fn next_outage(&self, vehicle_id: u64) -> bool {
+        let in_outage = self.outages.contains(&vehicle_id);
+        self.config
+            .network
+            .fault
+            .next_outage(in_outage, self.frame_index, vehicle_id)
+    }
+
     /// Adopts a handover exported by another edge: offers it to every
     /// stage of the serving core and takes over the churn state.
     pub(crate) fn import_vehicle(&mut self, handover: &VehicleHandover) {
@@ -461,12 +455,15 @@ impl System {
     /// [`crate::FaultModel`] every upload is `Deliver` and the byte/time tallies
     /// are bit-identical to the pre-fault pipeline.
     ///
-    /// Uploads at index `n_primary` onward are dual-report ghosts: the
+    /// The last `ghost_outages.len()` uploads are dual-report ghosts: the
     /// same physical transmission is accounted to its owning edge, so a
     /// ghost gets a channel outcome (fault draws are pure functions of
     /// `(seed, frame, vehicle)`, identical on every edge) but contributes
-    /// nothing to this edge's byte, time, or loss tallies.
-    fn plan_faults(&mut self, uploads: &[Upload], n_primary: usize) -> LinkPlan {
+    /// nothing to this edge's byte, time, or loss tallies. A ghost's radio
+    /// is its owner's: its outage verdict is the owner's, passed in
+    /// `ghost_outages` and copied into `self.outages`, never drawn here.
+    fn plan_faults(&mut self, uploads: &[Upload], ghost_outages: &[bool]) -> LinkPlan {
+        let n_primary = uploads.len() - ghost_outages.len();
         let network = &self.config.network;
         let fault = &network.fault;
         let frame = self.frame_index;
@@ -480,23 +477,16 @@ impl System {
         };
         for (i, u) in uploads.iter().enumerate() {
             let v = u.vehicle_id;
-            // Churn state machine: a vehicle in outage transmits nothing
-            // until its reconnect draw succeeds; a connected vehicle may
-            // drop out this frame.
-            let in_outage = if self.outages.contains(&v) {
-                let back = fault.uniform(frame, v, FaultStream::Reconnect) < fault.reconnect_prob;
-                if back {
-                    self.outages.remove(&v);
-                }
-                !back
-            } else if fault.churn_prob > 0.0
-                && fault.uniform(frame, v, FaultStream::Churn) < fault.churn_prob
-            {
-                self.outages.insert(v);
-                true
-            } else {
-                false
+            // Churn: a vehicle in outage transmits nothing this frame.
+            let in_outage = match i.checked_sub(n_primary) {
+                Some(ghost) => ghost_outages[ghost],
+                None => fault.next_outage(self.outages.contains(&v), frame, v),
             };
+            if in_outage {
+                self.outages.insert(v);
+            } else {
+                self.outages.remove(&v);
+            }
             // The channel's verdict, plus what the vehicle put on the air
             // getting there: `(bytes, transmission time)`. A transmitting
             // vehicle's bytes hit the air and count toward the uplink time
@@ -558,24 +548,23 @@ impl System {
             return Ok(FrameReport::default());
         }
         let frames = world.scan_connected();
-        let n_primary = frames.len();
-        self.tick_frames(world, frames, n_primary)
+        self.tick_frames(world, frames, &[])
     }
 
     /// Runs one frame over an explicit set of scanned frames — the seam
     /// [`crate::Deployment`] drives after routing each vehicle's scan to
-    /// its covering edge. Frames at index `n_primary` onward are
-    /// dual-report ghosts: they are processed (so this edge sees the
-    /// boundary vehicle and can serve it) but are excluded from the
-    /// expected/delivered upload accounting, never deferred when late, and
-    /// never tallied on this edge's uplink — the owning edge counts the
-    /// physical transmission. With `n_primary == frames.len()` this is
-    /// exactly [`System::tick`] after its scan, bit for bit.
+    /// its covering edge. The last `ghost_outages.len()` frames are
+    /// dual-report ghosts, each with its owner's outage verdict: they are
+    /// processed (so this edge sees the boundary vehicle and can serve it)
+    /// but are excluded from the expected/delivered upload accounting,
+    /// never deferred when late, and never tallied on this edge's uplink —
+    /// the owning edge counts the physical transmission. With no ghosts
+    /// this is exactly [`System::tick`] after its scan, bit for bit.
     pub(crate) fn tick_frames(
         &mut self,
         world: &mut World,
         frames: Vec<LidarFrame>,
-        n_primary: usize,
+        ghost_outages: &[bool],
     ) -> Result<FrameReport, Error> {
         if self.dispatch == Dispatch::Passive {
             return Ok(FrameReport::default());
@@ -595,7 +584,8 @@ impl System {
         let extraction_stage = StageSample::new(extraction, clustered);
 
         // --- The channel: every upload runs through the fault layer. ---
-        let plan = self.plan_faults(&uploads, n_primary);
+        let plan = self.plan_faults(&uploads, ghost_outages);
+        let n_primary = uploads.len() - ghost_outages.len();
         self.frame_index += 1;
 
         if self.dispatch == Dispatch::V2v {
@@ -660,7 +650,7 @@ impl System {
         let arrivals = self.transport.recv_uploads()?;
 
         // --- Server side: the five-stage graph, then the graph's last
-        // (swappable) stage — the dissemination decision.
+        // stage — the strategy's dissemination decision.
         let now = world.time();
         let budget = network.downlink_budget_bytes();
         let (sf, planned) = self.core.serve(now, &arrivals, budget)?;
@@ -685,7 +675,7 @@ impl System {
         // alerts are suppressed (graceful degradation, not a panic).
         let mut alerted = Vec::new();
         for a in &dplan.assignments {
-            if a.relevance >= self.config.alert_threshold {
+            if a.relevance >= ALERT_THRESHOLD {
                 let sim_id = a.receiver.0;
                 if self.outages.contains(&sim_id) {
                     continue;
@@ -804,7 +794,6 @@ impl System {
         drop(servers);
         let heard = &heard;
         let outages = &self.outages;
-        let alert_threshold = self.config.alert_threshold;
         let fused: Vec<Result<(u64, bool, ServerFrame), Error>> =
             erpd_par::par_map(jobs, |(me, server)| {
                 let rid = me.vehicle_id;
@@ -829,7 +818,7 @@ impl System {
                     .matrix
                     .row(ObjectId(rid))
                     .iter()
-                    .any(|&(_, r)| r >= alert_threshold);
+                    .any(|&(_, r)| r >= ALERT_THRESHOLD);
                 Ok((rid, relevant, sf))
             });
 

@@ -21,7 +21,7 @@
 //! frames over.
 //!
 //! [`ServingCore`] is the code every carrier feeds: the composed edge
-//! stage graph plus the swappable dissemination stage. `System` routes
+//! stage graph plus the strategy's dissemination stage. `System` routes
 //! through it in-process; the daemon serves it over TCP.
 
 use crate::pipeline::{BoxedDisseminationStage, FrameCx, PlanRequest};
@@ -272,7 +272,7 @@ impl TcpTransport {
 }
 
 /// The serving half every transport feeds: the composed edge stage graph
-/// plus the (swappable) dissemination stage. [`crate::System`] drives one
+/// plus the strategy's dissemination stage. [`crate::System`] drives one
 /// in-process; [`crate::EdgeDaemon`] drives one per daemon over TCP — by
 /// construction they run the same code on whatever uploads the transport
 /// delivered.

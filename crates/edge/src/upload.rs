@@ -396,7 +396,7 @@ impl VehicleFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use erpd_sim::{scan, LidarConfig, LidarTarget};
+    use erpd_sim::{scan, LidarTarget};
     use erpd_geometry::{Obb2, Pose2};
 
     fn frame_with_car_at(x: f64, sensor: Pose2) -> LidarFrame {
@@ -406,7 +406,7 @@ mod tests {
             height: 1.5,
             is_static: false,
         }];
-        scan(&LidarConfig::default(), 1, sensor, 1.8, &targets, &[])
+        scan(1, sensor, 1.8, &targets, &[])
     }
 
     fn process(
@@ -472,7 +472,7 @@ mod tests {
             height: 1.5,
             is_static: false,
         }];
-        let frame = scan(&LidarConfig::default(), 1, moved, 1.8, &targets, &[]);
+        let frame = scan(1, moved, 1.8, &targets, &[]);
         let u = process(&mut side, &frame, &[], &net);
         assert!(u.objects.is_empty(), "static object must not be uploaded after ego motion");
     }
@@ -487,7 +487,7 @@ mod tests {
             height: 3.5,
             is_static: true,
         }];
-        let frame = scan(&LidarConfig::default(), 1, Pose2::identity(), 1.8, &targets, &[]);
+        let frame = scan(1, Pose2::identity(), 1.8, &targets, &[]);
         let me = (1u64, Vec2::ZERO);
         let u = process(&mut side, &frame, &[me], &net);
         assert_eq!(u.objects.len(), 1, "EMP does not filter static objects");

@@ -2,7 +2,7 @@
 //!
 //! The paper defines the collision area as "a circular region around the
 //! intersection of object trajectories" whose radius is "the maximum length
-//! of the respective objects" (§III-A1). [`Circle::segment_crossings`] is the
+//! of the respective objects" (§III-A1). [`Circle::segment_inside`] is the
 //! primitive used to compute when a trajectory enters and leaves that region.
 
 use crate::{Segment2, Vec2};
@@ -90,34 +90,6 @@ impl Circle {
         let t1 = ((-b + sq) / (2.0 * a)).min(1.0);
         (t1 > t0).then_some((t0, t1))
     }
-
-    /// Parameters `t ∈ (0, 1)` at which the segment crosses the circle
-    /// boundary, in increasing order (0, 1 or 2 values).
-    pub fn segment_crossings(&self, seg: &Segment2) -> Vec<f64> {
-        let d = seg.delta();
-        let f = seg.a - self.center;
-        let a = d.norm_squared();
-        if a <= f64::EPSILON {
-            return Vec::new();
-        }
-        let b = 2.0 * f.dot(d);
-        let c = f.norm_squared() - self.radius * self.radius;
-        let disc = b * b - 4.0 * a * c;
-        if disc < 0.0 {
-            return Vec::new();
-        }
-        let sq = disc.sqrt();
-        let mut out = Vec::new();
-        for t in [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)] {
-            // Strict interior of the parameter range: an endpoint exactly on
-            // the boundary does not flip containment.
-            if t > 1e-12 && t < 1.0 - 1e-12 {
-                out.push(t);
-            }
-        }
-        out.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -145,39 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn chord_crossings() {
-        let c = Circle::new(Vec2::ZERO, 1.0);
-        let seg = Segment2::new(Vec2::new(-2.0, 0.0), Vec2::new(2.0, 0.0));
-        let ts = c.segment_crossings(&seg);
-        assert_eq!(ts.len(), 2);
-        assert!((ts[0] - 0.25).abs() < 1e-12);
-        assert!((ts[1] - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn segment_ending_inside_has_one_crossing() {
-        let c = Circle::new(Vec2::ZERO, 1.0);
-        let seg = Segment2::new(Vec2::new(-2.0, 0.0), Vec2::new(0.0, 0.0));
-        assert_eq!(c.segment_crossings(&seg).len(), 1);
-    }
-
-    #[test]
-    fn miss_has_no_crossing() {
-        let c = Circle::new(Vec2::ZERO, 1.0);
-        let seg = Segment2::new(Vec2::new(-2.0, 2.0), Vec2::new(2.0, 2.0));
-        assert!(c.segment_crossings(&seg).is_empty());
-    }
-
-    #[test]
-    fn tangent_grazes_are_dropped() {
-        let c = Circle::new(Vec2::ZERO, 1.0);
-        let seg = Segment2::new(Vec2::new(-2.0, 1.0), Vec2::new(2.0, 1.0));
-        // Tangent point is a double root; it does not flip containment so it
-        // must not be reported twice.
-        assert!(c.segment_crossings(&seg).len() <= 1);
-    }
-
-    #[test]
     fn circle_circle_intersection() {
         let a = Circle::new(Vec2::ZERO, 1.0);
         let b = Circle::new(Vec2::new(1.5, 0.0), 1.0);
@@ -190,12 +129,5 @@ mod tests {
     fn area() {
         let c = Circle::new(Vec2::ZERO, 2.0);
         assert!((c.area() - 4.0 * std::f64::consts::PI).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degenerate_segment_has_no_crossings() {
-        let c = Circle::new(Vec2::ZERO, 1.0);
-        let seg = Segment2::new(Vec2::new(0.5, 0.0), Vec2::new(0.5, 0.0));
-        assert!(c.segment_crossings(&seg).is_empty());
     }
 }

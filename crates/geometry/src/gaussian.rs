@@ -88,71 +88,6 @@ impl BivariateGaussian {
         let norm = 1.0 / (2.0 * std::f64::consts::PI * self.sigma_x * self.sigma_y * one_m_r2.sqrt());
         norm * (-0.5 * self.mahalanobis_squared(p)).exp()
     }
-
-    /// Probability mass inside a circle, approximated by treating the
-    /// distribution as the isotropic Gaussian whose sigma is the geometric
-    /// mean of the axes (closed-form Rayleigh CDF). Exact for isotropic
-    /// inputs centred on the circle; used as a cheap collision-probability
-    /// proxy.
-    pub fn mass_in_circle(&self, center: Vec2, radius: f64) -> f64 {
-        if radius <= 0.0 {
-            return 0.0;
-        }
-        let sigma = (self.sigma_x * self.sigma_y).sqrt();
-        let d = self.mean.distance(center);
-        // Rice-distribution CDF approximation via Marcum Q ~ use a simple
-        // shifted-Rayleigh bound: mass of an isotropic Gaussian in a circle
-        // offset by d, approximated by integrating the 1-D profile.
-        let r2 = radius * radius;
-        let s2 = 2.0 * sigma * sigma;
-        if d < 1e-9 {
-            return 1.0 - (-r2 / s2).exp();
-        }
-        // Numerical radial integration (few iterations, accurate to ~1e-4).
-        // The integrand r/sigma^2 * exp(-(r^2+d^2)/(2 sigma^2)) * I0(r d / sigma^2)
-        // is evaluated with the exponentially-scaled Bessel function so the
-        // exp(z) growth of I0 and the Gaussian decay cancel analytically and
-        // far offsets do not overflow.
-        let steps = 64;
-        let mut acc = 0.0;
-        for i in 0..steps {
-            let r = (i as f64 + 0.5) / steps as f64 * radius;
-            let z = r * d / (sigma * sigma);
-            let i0e = bessel_i0_scaled(z);
-            let log_term = -(r * r + d * d) / s2 + z;
-            acc += r / (sigma * sigma) * log_term.exp() * i0e * (radius / steps as f64);
-        }
-        acc.clamp(0.0, 1.0)
-    }
-
-    /// Grows the uncertainty with prediction horizon: returns a copy whose
-    /// sigmas are inflated by `factor` (≥ 1 keeps it valid).
-    pub fn inflated(&self, factor: f64) -> Option<BivariateGaussian> {
-        Self::new(self.mean, self.sigma_x * factor, self.sigma_y * factor, self.rho)
-    }
-}
-
-/// Exponentially-scaled modified Bessel function `I0(x) * exp(-|x|)`
-/// (Abramowitz & Stegun 9.8.1/9.8.2 polynomial fits).
-fn bessel_i0_scaled(x: f64) -> f64 {
-    let ax = x.abs();
-    if ax < 3.75 {
-        let t = (ax / 3.75).powi(2);
-        let i0 = 1.0
-            + t * (3.5156229
-                + t * (3.0899424 + t * (1.2067492 + t * (0.2659732 + t * (0.0360768 + t * 0.0045813)))));
-        i0 * (-ax).exp()
-    } else {
-        let t = 3.75 / ax;
-        (1.0 / ax.sqrt())
-            * (0.39894228
-                + t * (0.01328592
-                    + t * (0.00225319
-                        + t * (-0.00157565
-                            + t * (0.00916281
-                                + t * (-0.02057706
-                                    + t * (0.02635537 + t * (-0.01647633 + t * 0.00392377))))))))
-    }
 }
 
 #[cfg(test)]
@@ -208,54 +143,5 @@ mod tests {
         assert!((g.mahalanobis_squared(Vec2::new(2.0, 0.0)) - 1.0).abs() < 1e-12);
         assert!((g.mahalanobis_squared(Vec2::new(0.0, 1.0)) - 1.0).abs() < 1e-12);
         assert_eq!(g.mahalanobis_squared(Vec2::ZERO), 0.0);
-    }
-
-    #[test]
-    fn mass_in_circle_centered() {
-        let g = BivariateGaussian::isotropic(Vec2::ZERO, 1.0).unwrap();
-        // 1-sigma circle of an isotropic Gaussian holds 1 - e^{-1/2} ≈ 39.3 %.
-        let m = g.mass_in_circle(Vec2::ZERO, 1.0);
-        assert!((m - 0.3934).abs() < 1e-3, "mass = {m}");
-        // Huge circle holds everything.
-        assert!(g.mass_in_circle(Vec2::ZERO, 10.0) > 0.999);
-        // Zero radius holds nothing.
-        assert_eq!(g.mass_in_circle(Vec2::ZERO, 0.0), 0.0);
-    }
-
-    #[test]
-    fn mass_in_circle_offset_decreases_with_distance() {
-        let g = BivariateGaussian::isotropic(Vec2::ZERO, 1.0).unwrap();
-        let near = g.mass_in_circle(Vec2::new(1.0, 0.0), 1.0);
-        let far = g.mass_in_circle(Vec2::new(4.0, 0.0), 1.0);
-        assert!(near > far);
-        assert!(far < 0.01);
-    }
-
-    #[test]
-    fn inflation_grows_spread() {
-        let g = BivariateGaussian::isotropic(Vec2::ZERO, 1.0).unwrap();
-        let big = g.inflated(2.0).unwrap();
-        assert_eq!(big.sigma_x(), 2.0);
-        assert!(big.pdf(Vec2::ZERO) < g.pdf(Vec2::ZERO));
-    }
-
-    #[test]
-    fn bessel_i0_scaled_sanity() {
-        assert!((bessel_i0_scaled(0.0) - 1.0).abs() < 1e-9);
-        // I0(1) e^-1 ~ 1.2660658 * 0.367879 ~ 0.46576
-        assert!((bessel_i0_scaled(1.0) - 0.46576).abs() < 1e-4);
-        // I0(5) e^-5 ~ 27.2398 * 0.0067379 ~ 0.18354
-        assert!((bessel_i0_scaled(5.0) - 0.18354).abs() < 1e-4);
-        // Huge arguments stay finite (this is the overflow-regression test).
-        assert!(bessel_i0_scaled(5000.0).is_finite());
-    }
-
-    #[test]
-    fn mass_in_circle_far_offset_small_sigma_no_overflow() {
-        // Regression: sigma = 0.1, offset ~9.65, radius ~4.28 used to produce
-        // inf * 0 = NaN inside the radial integration.
-        let g = BivariateGaussian::isotropic(Vec2::ZERO, 0.1).unwrap();
-        let m = g.mass_in_circle(Vec2::new(9.654703989490544, 0.0), 4.284452108464636);
-        assert!((0.0..=1.0).contains(&m), "mass = {m}");
     }
 }

@@ -62,12 +62,6 @@ impl Interval {
         (self.start..=self.end).contains(&t)
     }
 
-    /// True when the intervals share at least one point.
-    #[inline]
-    pub fn overlaps(&self, other: &Interval) -> bool {
-        self.start <= other.end && other.start <= self.end
-    }
-
     /// The overlap of two intervals, if any. A single shared point yields a
     /// zero-length interval.
     pub fn intersection(&self, other: &Interval) -> Option<Interval> {
@@ -100,15 +94,6 @@ impl Interval {
             .map(|iv| iv.length())
             .unwrap_or(0.0);
         (i / u).clamp(0.0, 1.0)
-    }
-
-    /// Shifts the interval by `dt`.
-    #[inline]
-    pub fn shifted(&self, dt: f64) -> Interval {
-        Interval {
-            start: self.start + dt,
-            end: self.end + dt,
-        }
     }
 }
 
@@ -145,13 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_detection() {
-        assert!(iv(0.0, 2.0).overlaps(&iv(1.0, 3.0)));
-        assert!(iv(0.0, 2.0).overlaps(&iv(2.0, 3.0))); // touching
-        assert!(!iv(0.0, 2.0).overlaps(&iv(2.1, 3.0)));
-    }
-
-    #[test]
     fn intersection_cases() {
         assert_eq!(iv(0.0, 4.0).intersection(&iv(2.0, 6.0)), Some(iv(2.0, 4.0)));
         assert_eq!(iv(0.0, 2.0).intersection(&iv(2.0, 3.0)), Some(iv(2.0, 2.0)));
@@ -177,12 +155,6 @@ mod tests {
         assert_eq!(iv(0.0, 1.0).iou(&iv(5.0, 6.0)), 0.0);
         // Degenerate both-zero-length -> 0 (no NaN).
         assert_eq!(iv(1.0, 1.0).iou(&iv(1.0, 1.0)), 0.0);
-    }
-
-    #[test]
-    fn shifting() {
-        assert_eq!(iv(1.0, 2.0).shifted(3.0), iv(4.0, 5.0));
-        assert_eq!(iv(1.0, 2.0).shifted(-1.0), iv(0.0, 1.0));
     }
 
     #[test]

@@ -55,12 +55,6 @@ impl Pose2 {
         self.heading
     }
 
-    /// Sets the heading (normalising it).
-    #[inline]
-    pub fn set_heading(&mut self, heading: f64) {
-        self.heading = normalize_angle(heading);
-    }
-
     /// Unit vector in the facing direction.
     #[inline]
     pub fn forward(&self) -> Vec2 {
@@ -84,22 +78,6 @@ impl Pose2 {
     #[inline]
     pub fn to_local(&self, world: Vec2) -> Vec2 {
         (world - self.position).rotated(-self.heading)
-    }
-
-    /// Composition: applies `self` after `other` (i.e. `other` expressed in
-    /// `self`'s frame becomes world).
-    #[inline]
-    pub fn compose(&self, other: Pose2) -> Pose2 {
-        Pose2::new(
-            self.to_world(other.position),
-            self.heading + other.heading,
-        )
-    }
-
-    /// The inverse pose, such that `p.compose(p.inverse())` is the identity.
-    #[inline]
-    pub fn inverse(&self) -> Pose2 {
-        Pose2::new((-self.position).rotated(-self.heading), -self.heading)
     }
 
     /// Advances the pose `distance` metres along its heading.
@@ -150,8 +128,7 @@ mod tests {
     fn heading_is_normalized() {
         let p = Pose2::new(Vec2::ZERO, 3.0 * PI);
         assert!((p.heading() - PI).abs() < 1e-12);
-        let mut q = Pose2::identity();
-        q.set_heading(-3.0 * PI);
+        let q = Pose2::new(Vec2::ZERO, -3.0 * PI);
         assert!((q.heading().abs() - PI).abs() < 1e-12);
     }
 
@@ -160,20 +137,6 @@ mod tests {
         let p = Pose2::new(Vec2::ZERO, FRAC_PI_2);
         assert!(approx(p.forward(), Vec2::UNIT_Y));
         assert!(approx(p.left(), -Vec2::UNIT_X));
-    }
-
-    #[test]
-    fn compose_and_inverse() {
-        let a = Pose2::new(Vec2::new(1.0, 2.0), 0.3);
-        let b = Pose2::new(Vec2::new(-0.5, 4.0), -1.1);
-        let ab = a.compose(b);
-        // Composition maps the same as sequential mapping.
-        let pt = Vec2::new(0.7, -0.2);
-        assert!(approx(ab.to_world(pt), a.to_world(b.to_world(pt))));
-        // Inverse undoes.
-        let id = a.compose(a.inverse());
-        assert!(approx(id.position, Vec2::ZERO));
-        assert!(id.heading().abs() < 1e-12);
     }
 
     #[test]

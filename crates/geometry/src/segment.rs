@@ -58,12 +58,6 @@ impl Segment2 {
         self.a.lerp(self.b, t)
     }
 
-    /// Midpoint of the segment.
-    #[inline]
-    pub fn midpoint(&self) -> Vec2 {
-        self.point_at(0.5)
-    }
-
     /// Parameter in `[0, 1]` of the point on the segment closest to `p`.
     pub fn closest_t(&self, p: Vec2) -> f64 {
         let d = self.delta();
@@ -134,7 +128,6 @@ mod tests {
     fn basic_measurements() {
         let s = Segment2::new(Vec2::ZERO, Vec2::new(3.0, 4.0));
         assert_eq!(s.length(), 5.0);
-        assert_eq!(s.midpoint(), Vec2::new(1.5, 2.0));
         assert_eq!(s.point_at(0.0), s.a);
         assert_eq!(s.point_at(1.0), s.b);
     }

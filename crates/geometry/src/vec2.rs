@@ -140,17 +140,6 @@ impl Vec2 {
         self + (other - self) * t
     }
 
-    /// Projects `self` onto the (non-zero) direction `dir`.
-    #[inline]
-    pub fn project_onto(self, dir: Vec2) -> Vec2 {
-        let d2 = dir.norm_squared();
-        if d2 <= f64::EPSILON {
-            Vec2::ZERO
-        } else {
-            dir * (self.dot(dir) / d2)
-        }
-    }
-
     /// True if every component is finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -368,13 +357,6 @@ mod tests {
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
         assert_eq!(a.lerp(b, 0.5), Vec2::new(1.0, 2.0));
-    }
-
-    #[test]
-    fn projection() {
-        let v = Vec2::new(2.0, 2.0);
-        assert!(approx(v.project_onto(Vec2::UNIT_X), Vec2::new(2.0, 0.0)));
-        assert_eq!(v.project_onto(Vec2::ZERO), Vec2::ZERO);
     }
 
     #[test]

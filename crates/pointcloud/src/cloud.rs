@@ -142,11 +142,6 @@ impl PointCloud {
         }
     }
 
-    /// Consumes the cloud, returning the points as a vector.
-    pub fn into_points(self) -> Vec<Vec3> {
-        self.iter().collect()
-    }
-
     /// Size of the cloud when transmitted uncompressed, in bytes.
     #[inline]
     pub fn wire_size_bytes(&self) -> usize {
@@ -199,22 +194,6 @@ impl PointCloud {
             out.push(t.apply(self.point(i)));
         }
         out
-    }
-
-    /// Keeps only points satisfying the predicate.
-    pub fn retain<F: FnMut(&Vec3) -> bool>(&mut self, mut f: F) {
-        let mut keep = 0usize;
-        for i in 0..self.xs.len() {
-            if f(&self.point(i)) {
-                self.xs[keep] = self.xs[i];
-                self.ys[keep] = self.ys[i];
-                self.zs[keep] = self.zs[i];
-                keep += 1;
-            }
-        }
-        self.xs.truncate(keep);
-        self.ys.truncate(keep);
-        self.zs.truncate(keep);
     }
 
     /// Fused `z > min_z` filter + rigid transform, appended to `out` —
@@ -441,16 +420,16 @@ mod tests {
 
     #[test]
     fn filtering() {
-        let mut c = PointCloud::from_points(vec![
+        let c = PointCloud::from_points(vec![
             Vec3::new(0.0, 0.0, -1.0),
             Vec3::new(0.0, 0.0, 1.0),
             Vec3::new(0.0, 0.0, 2.0),
         ]);
         let above = c.filtered(|p| p.z > 0.0);
         assert_eq!(above.len(), 2);
-        c.retain(|p| p.z > 1.5);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.point(0), Vec3::new(0.0, 0.0, 2.0));
+        let top = c.filtered(|p| p.z > 1.5);
+        assert_eq!(top.len(), 1);
+        assert_eq!(top.point(0), Vec3::new(0.0, 0.0, 2.0));
     }
 
     #[test]
@@ -470,7 +449,6 @@ mod tests {
         assert_eq!(c.iter().len(), 2);
         assert_eq!((&c).into_iter().count(), 2);
         assert_eq!(c.clone().into_iter().count(), 2);
-        assert_eq!(c.into_points().len(), 2);
     }
 
     #[test]

@@ -72,12 +72,6 @@ impl GroundFilter {
         cloud.filtered(|p| p.z > thr)
     }
 
-    /// Removes ground points in place.
-    pub fn apply_in_place(&self, cloud: &mut PointCloud) {
-        let thr = self.threshold();
-        cloud.retain(|p| p.z > thr);
-    }
-
     /// Ground removal and rigid transform fused into one pass — the
     /// vehicle-side hot path's replacement for
     /// `self.apply(cloud).transformed(t)`, bit-identical to it. Appends to
@@ -117,15 +111,6 @@ mod tests {
         let kept = f.apply(&cloud_with_ground());
         assert_eq!(kept.len(), 2);
         assert!(kept.iter().all(|p| p.z > -1.7));
-    }
-
-    #[test]
-    fn in_place_matches_functional() {
-        let f = GroundFilter::new(1.8, 0.1);
-        let mut c = cloud_with_ground();
-        let expected = f.apply(&c);
-        f.apply_in_place(&mut c);
-        assert_eq!(c, expected);
     }
 
     #[test]

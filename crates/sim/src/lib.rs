@@ -40,9 +40,9 @@ mod scenario;
 mod vehicle;
 mod world;
 
-pub use lidar::{scan, LidarConfig, LidarFrame, LidarTarget, SensedObject};
+pub use lidar::{scan, LidarFrame, LidarTarget, SensedObject};
 pub use map::{Approach, IntersectionMap, LaneLocation, Route, RouteSpec, Turn};
 pub use pedestrian::PedestrianAgent;
 pub use scenario::{Scenario, ScenarioConfig, ScenarioKind};
 pub use vehicle::{Vehicle, VehicleParams};
-pub use world::{Building, EntityInfo, EntityKind, World, WorldConfig};
+pub use world::{Building, EntityInfo, EntityKind, World, FRAME_PERIOD};

@@ -14,40 +14,28 @@
 use erpd_geometry::{Obb2, Pose2, Segment2, Vec2, Vec3};
 use erpd_pointcloud::{PointCloud, POINT_WIRE_BYTES};
 
-/// LiDAR sensor parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LidarConfig {
-    /// Maximum perception range, metres (paper: 50).
-    pub range: f64,
-    /// Number of vertical channels (paper: 64).
-    pub channels: u32,
-    /// Vertical field of view, degrees.
-    pub vertical_fov_deg: f64,
-    /// Horizontal angular resolution, degrees.
-    pub horizontal_res_deg: f64,
-    /// Total returns per raw frame, for bandwidth accounting. Chosen so a
-    /// raw frame is ≈2.5 MB at 16 B/point, matching the paper's "several
-    /// megabytes (2–3 MB)".
-    pub raw_points_per_frame: usize,
-    /// Cap on synthesised points per object.
-    pub max_points_per_object: usize,
-    /// Number of ground points actually materialised per frame.
-    pub ground_sample_points: usize,
-}
+/// Maximum perception range, metres (paper: 50).
+const RANGE: f64 = 50.0;
 
-impl Default for LidarConfig {
-    fn default() -> Self {
-        LidarConfig {
-            range: 50.0,
-            channels: 64,
-            vertical_fov_deg: 26.8,
-            horizontal_res_deg: 0.2,
-            raw_points_per_frame: 160_000,
-            max_points_per_object: 320,
-            ground_sample_points: 256,
-        }
-    }
-}
+/// Number of vertical channels (paper: 64).
+const CHANNELS: u32 = 64;
+
+/// Vertical field of view, degrees.
+const VERTICAL_FOV_DEG: f64 = 26.8;
+
+/// Horizontal angular resolution, degrees.
+const HORIZONTAL_RES_DEG: f64 = 0.2;
+
+/// Total returns per raw frame, for bandwidth accounting. Chosen so a raw
+/// frame is ≈2.5 MB at 16 B/point, matching the paper's "several megabytes
+/// (2–3 MB)".
+const RAW_POINTS_PER_FRAME: usize = 160_000;
+
+/// Cap on synthesised points per object.
+const MAX_POINTS_PER_OBJECT: usize = 320;
+
+/// Number of ground points actually materialised per frame.
+const GROUND_SAMPLE_POINTS: usize = 256;
 
 /// Something a LiDAR can return points from.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,7 +137,6 @@ impl Scatter {
 /// sight lines, with the owning object's id so targets do not occlude
 /// themselves.
 pub fn scan(
-    config: &LidarConfig,
     vehicle_id: u64,
     sensor_pose: Pose2,
     sensor_height: f64,
@@ -166,7 +153,7 @@ pub fn scan(
         }
         let center = target.footprint.pose.position;
         let d = sensor.distance(center);
-        if d > config.range || d < 1e-6 {
+        if !(1e-6..=RANGE).contains(&d) {
             continue;
         }
         // Sample rays: centre plus two inset corners.
@@ -198,10 +185,9 @@ pub fn scan(
         // Point count from angular extents.
         let w_ang_deg = (2.0 * (target.footprint.circumradius() / d).atan()).to_degrees();
         let v_ang_deg = (2.0 * ((target.height / 2.0) / d).atan()).to_degrees();
-        let n_h = (w_ang_deg / config.horizontal_res_deg).max(1.0);
-        let n_v = (v_ang_deg / config.vertical_fov_deg * config.channels as f64)
-            .clamp(1.0, config.channels as f64);
-        let n = ((n_h * n_v) as usize).clamp(4, config.max_points_per_object);
+        let n_h = (w_ang_deg / HORIZONTAL_RES_DEG).max(1.0);
+        let n_v = (v_ang_deg / VERTICAL_FOV_DEG * CHANNELS as f64).clamp(1.0, CHANNELS as f64);
+        let n = ((n_h * n_v) as usize).clamp(4, MAX_POINTS_PER_OBJECT);
 
         // Scatter points on the sensor-facing half of the footprint at
         // heights within the body.
@@ -231,11 +217,11 @@ pub fn scan(
     }
 
     // Ground sample: a deterministic ring pattern on the road plane.
-    let mut ground = PointCloud::with_capacity(config.ground_sample_points);
+    let mut ground = PointCloud::with_capacity(GROUND_SAMPLE_POINTS);
     let rings = 8usize;
-    let per_ring = (config.ground_sample_points / rings).max(1);
+    let per_ring = (GROUND_SAMPLE_POINTS / rings).max(1);
     for r in 0..rings {
-        let radius = config.range * (r as f64 + 1.0) / rings as f64;
+        let radius = RANGE * (r as f64 + 1.0) / rings as f64;
         for k in 0..per_ring {
             let ang = std::f64::consts::TAU * k as f64 / per_ring as f64;
             ground.push(Vec3::new(
@@ -247,7 +233,7 @@ pub fn scan(
     }
     let materialized: usize =
         objects.iter().map(|o| o.points.len()).sum::<usize>() + ground.len();
-    let virtual_ground_points = config.raw_points_per_frame.saturating_sub(materialized);
+    let virtual_ground_points = RAW_POINTS_PER_FRAME.saturating_sub(materialized);
 
     LidarFrame {
         vehicle_id,
@@ -277,20 +263,9 @@ mod tests {
         (id, Obb2::new(Pose2::new(Vec2::new(x, y), 0.0), 8.0, 2.5), 3.5)
     }
 
-    fn cfg() -> LidarConfig {
-        LidarConfig::default()
-    }
-
     #[test]
     fn sees_unoccluded_object_in_range() {
-        let frame = scan(
-            &cfg(),
-            0,
-            Pose2::identity(),
-            1.8,
-            &[target_at(1, 20.0, 0.0)],
-            &[],
-        );
+        let frame = scan(0, Pose2::identity(), 1.8, &[target_at(1, 20.0, 0.0)], &[]);
         assert_eq!(frame.visible_ids, vec![1]);
         assert_eq!(frame.objects.len(), 1);
         assert!(frame.objects[0].points.len() >= 4);
@@ -298,14 +273,7 @@ mod tests {
 
     #[test]
     fn out_of_range_object_invisible() {
-        let frame = scan(
-            &cfg(),
-            0,
-            Pose2::identity(),
-            1.8,
-            &[target_at(1, 60.0, 0.0)],
-            &[],
-        );
+        let frame = scan(0, Pose2::identity(), 1.8, &[target_at(1, 60.0, 0.0)], &[]);
         assert!(frame.visible_ids.is_empty());
     }
 
@@ -313,7 +281,6 @@ mod tests {
     fn truck_occludes_object_behind_it() {
         // Sensor at origin, truck at 15 m, car at 30 m directly behind it.
         let frame = scan(
-            &cfg(),
             0,
             Pose2::identity(),
             1.8,
@@ -323,7 +290,6 @@ mod tests {
         assert!(frame.visible_ids.is_empty(), "car behind truck must be hidden");
         // The same car offset laterally is visible around the truck.
         let frame = scan(
-            &cfg(),
             0,
             Pose2::identity(),
             1.8,
@@ -338,7 +304,6 @@ mod tests {
         // A truck-mounted sensor (3 m) sees over a 1.5 m car.
         let low_car_occluder = (9u64, Obb2::new(Pose2::new(Vec2::new(15.0, 0.0), 0.0), 4.5, 1.8), 1.5);
         let frame = scan(
-            &cfg(),
             0,
             Pose2::identity(),
             3.0,
@@ -348,7 +313,6 @@ mod tests {
         assert_eq!(frame.visible_ids, vec![1]);
         // A car-mounted sensor (1.8 m) does not.
         let frame = scan(
-            &cfg(),
             0,
             Pose2::identity(),
             1.8,
@@ -367,21 +331,21 @@ mod tests {
             (0u64, Obb2::new(Pose2::identity(), 4.5, 1.8), 1.5),
             (1u64, target.footprint, 1.5),
         ];
-        let frame = scan(&cfg(), 0, Pose2::identity(), 1.8, &[target], &occluders);
+        let frame = scan(0, Pose2::identity(), 1.8, &[target], &occluders);
         assert_eq!(frame.visible_ids, vec![1]);
     }
 
     #[test]
     fn closer_objects_return_more_points() {
-        let near = scan(&cfg(), 0, Pose2::identity(), 1.8, &[target_at(1, 8.0, 0.0)], &[]);
-        let far = scan(&cfg(), 0, Pose2::identity(), 1.8, &[target_at(1, 45.0, 0.0)], &[]);
+        let near = scan(0, Pose2::identity(), 1.8, &[target_at(1, 8.0, 0.0)], &[]);
+        let far = scan(0, Pose2::identity(), 1.8, &[target_at(1, 45.0, 0.0)], &[]);
         assert!(near.objects[0].points.len() > far.objects[0].points.len());
     }
 
     #[test]
     fn points_survive_ground_filter() {
         use erpd_pointcloud::GroundFilter;
-        let frame = scan(&cfg(), 0, Pose2::identity(), 1.8, &[target_at(1, 20.0, 0.0)], &[]);
+        let frame = scan(0, Pose2::identity(), 1.8, &[target_at(1, 20.0, 0.0)], &[]);
         let filter = GroundFilter::new(1.8, 0.1);
         // Object returns sit above the ground threshold...
         let kept = filter.apply(&frame.objects[0].points);
@@ -393,7 +357,7 @@ mod tests {
     #[test]
     fn object_points_near_object_in_world_frame() {
         let pose = Pose2::new(Vec2::new(5.0, -3.0), 0.7);
-        let frame = scan(&cfg(), 0, pose, 1.8, &[target_at(1, 25.0, 5.0)], &[]);
+        let frame = scan(0, pose, 1.8, &[target_at(1, 25.0, 5.0)], &[]);
         for p in frame.objects[0].points.iter() {
             let world = pose.to_world(p.xy());
             assert!(world.distance(Vec2::new(25.0, 5.0)) < 5.0, "stray point at {world}");
@@ -402,7 +366,7 @@ mod tests {
 
     #[test]
     fn raw_size_matches_paper_magnitude() {
-        let frame = scan(&cfg(), 0, Pose2::identity(), 1.8, &[target_at(1, 20.0, 0.0)], &[]);
+        let frame = scan(0, Pose2::identity(), 1.8, &[target_at(1, 20.0, 0.0)], &[]);
         let mb = frame.raw_size_bytes() as f64 / 1e6;
         assert!((2.0..3.0).contains(&mb), "raw frame = {mb} MB");
         // The reduced (objects-only) upload is tiny by comparison: < 20 KB.
@@ -413,20 +377,20 @@ mod tests {
     #[test]
     fn frames_are_deterministic() {
         let t = [target_at(1, 20.0, 3.0), target_at(2, 10.0, -5.0)];
-        let a = scan(&cfg(), 0, Pose2::identity(), 1.8, &t, &[]);
-        let b = scan(&cfg(), 0, Pose2::identity(), 1.8, &t, &[]);
+        let a = scan(0, Pose2::identity(), 1.8, &t, &[]);
+        let b = scan(0, Pose2::identity(), 1.8, &t, &[]);
         assert_eq!(a, b);
     }
 
     #[test]
     fn sensing_vehicle_skips_itself() {
-        let frame = scan(&cfg(), 1, Pose2::new(Vec2::new(20.0, 0.0), 0.0), 1.8, &[target_at(1, 20.0, 0.0)], &[]);
+        let frame = scan(1, Pose2::new(Vec2::new(20.0, 0.0), 0.0), 1.8, &[target_at(1, 20.0, 0.0)], &[]);
         assert!(frame.visible_ids.is_empty());
     }
 
     #[test]
     fn full_cloud_combines_objects_and_ground() {
-        let frame = scan(&cfg(), 0, Pose2::identity(), 1.8, &[target_at(1, 20.0, 0.0)], &[]);
+        let frame = scan(0, Pose2::identity(), 1.8, &[target_at(1, 20.0, 0.0)], &[]);
         assert_eq!(
             frame.full_cloud().len(),
             frame.objects[0].points.len() + frame.ground_sample.len()

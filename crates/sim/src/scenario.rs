@@ -10,7 +10,7 @@
 //! and pedestrians on a crosswalk.
 
 use crate::{
-    Approach, IntersectionMap, RouteSpec, Turn, VehicleParams, World, WorldConfig,
+    Approach, IntersectionMap, RouteSpec, Turn, VehicleParams, World,
 };
 use erpd_geometry::Vec2;
 use erpd_rand::rngs::StdRng;
@@ -128,7 +128,7 @@ impl Scenario {
     pub fn build(config: ScenarioConfig) -> Scenario {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_mul(0x9E3779B9).wrapping_add(1));
         let map = IntersectionMap::default();
-        let mut world = World::new(map.clone(), WorldConfig::default());
+        let mut world = World::new(map.clone());
         for b in map.corner_buildings() {
             world.add_building(b, 12.0);
         }
@@ -209,7 +209,7 @@ impl Scenario {
         Self::assign_connectivity(config, world, rng, ego, hazard);
 
         Scenario {
-            world: std::mem::replace(world, World::new(map.clone(), WorldConfig::default())),
+            world: std::mem::replace(world, World::new(map.clone())),
             ego,
             hazard,
             bystander: None,
@@ -289,7 +289,7 @@ impl Scenario {
         Self::assign_connectivity(config, world, rng, ego, hazard);
 
         Scenario {
-            world: std::mem::replace(world, World::new(map.clone(), WorldConfig::default())),
+            world: std::mem::replace(world, World::new(map.clone())),
             ego,
             hazard,
             bystander: None,
@@ -369,7 +369,7 @@ impl Scenario {
 
         let conflict_point = Vec2::new(map.half_size() + 1.5, -1.75);
         Scenario {
-            world: std::mem::replace(world, World::new(map.clone(), WorldConfig::default())),
+            world: std::mem::replace(world, World::new(map.clone())),
             ego,
             hazard,
             bystander: Some(a),

@@ -1,42 +1,26 @@
 //! The simulation world: agents, dynamics, collisions, and LiDAR scans.
 
 use crate::{
-    scan, IntersectionMap, LidarConfig, LidarFrame, LidarTarget, PedestrianAgent, Route, Vehicle,
-    VehicleParams,
+    scan, IntersectionMap, LidarFrame, LidarTarget, PedestrianAgent, Route, Vehicle, VehicleParams,
 };
 use erpd_geometry::{angle::angle_dist, Obb2, Polyline2, Pose2, Vec2};
 
-/// World-level configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorldConfig {
-    /// Simulation (and LiDAR frame) period, seconds. The paper's sensors
-    /// run at 10 Hz.
-    pub dt: f64,
-    /// Human reaction time between a *disseminated* alert and braking,
-    /// seconds (paper: 1 s — the driver is primed by the HUD warning).
-    pub reaction_time: f64,
-    /// Reaction time to a hazard the driver merely *sees* (unexpected
-    /// event, no warning): substantially longer than the primed reaction.
-    pub self_sensing_reaction: f64,
-    /// How long one alert keeps the driver wary without a refresh, seconds.
-    /// Long enough to bridge flickering visibility/relevance, short enough
-    /// that traffic recovers once a conflict clears.
-    pub alert_hold: f64,
-    /// LiDAR sensor parameters.
-    pub lidar: LidarConfig,
-}
+/// Simulation (and LiDAR frame) period, seconds: the paper's sensors run at
+/// 10 Hz, and the edge closes one frame per period.
+pub const FRAME_PERIOD: f64 = 0.1;
 
-impl Default for WorldConfig {
-    fn default() -> Self {
-        WorldConfig {
-            dt: 0.1,
-            reaction_time: 1.0,
-            self_sensing_reaction: 2.0,
-            alert_hold: 1.5,
-            lidar: LidarConfig::default(),
-        }
-    }
-}
+/// Human reaction time between a *disseminated* alert and braking, seconds
+/// (paper §IV-C1: 1 s — the driver is primed by the HUD warning).
+const REACTION_TIME: f64 = 1.0;
+
+/// Reaction time to a hazard the driver merely *sees* (unexpected event, no
+/// warning), seconds: substantially longer than the primed reaction.
+const SELF_SENSING_REACTION: f64 = 2.0;
+
+/// How long one alert keeps the driver wary without a refresh, seconds.
+/// Long enough to bridge flickering visibility/relevance, short enough that
+/// traffic recovers once a conflict clears.
+const ALERT_HOLD: f64 = 1.5;
 
 /// A static building.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,8 +71,6 @@ pub struct EntityInfo {
 pub struct World {
     /// The HD map.
     pub map: IntersectionMap,
-    /// World configuration.
-    pub config: WorldConfig,
     vehicles: Vec<Vehicle>,
     pedestrians: Vec<PedestrianAgent>,
     buildings: Vec<Building>,
@@ -99,10 +81,9 @@ pub struct World {
 
 impl World {
     /// Creates an empty world.
-    pub fn new(map: IntersectionMap, config: WorldConfig) -> Self {
+    pub fn new(map: IntersectionMap) -> Self {
         World {
             map,
-            config,
             vehicles: Vec::new(),
             pedestrians: Vec::new(),
             buildings: Vec::new(),
@@ -287,14 +268,10 @@ impl World {
                 break;
             }
         }
-        let (now, reaction, hold) = (
-            self.time,
-            self.config.self_sensing_reaction,
-            self.config.alert_hold,
-        );
+        let now = self.time;
         for id in to_alert {
             if let Some(v) = self.vehicle_mut(id) {
-                v.alert(now, reaction, hold);
+                v.alert(now, SELF_SENSING_REACTION, ALERT_HOLD);
             }
         }
     }
@@ -302,7 +279,7 @@ impl World {
     /// Advances the world one step: vehicle and pedestrian dynamics, then
     /// collision detection.
     pub fn step(&mut self) {
-        let dt = self.config.dt;
+        let dt = FRAME_PERIOD;
         let now = self.time;
         self.self_sensing_alerts();
 
@@ -375,10 +352,10 @@ impl World {
 
     /// Delivers a dissemination alert to a connected vehicle.
     pub fn alert(&mut self, vehicle_id: u64) {
-        let (now, reaction, hold) = (self.time, self.config.reaction_time, self.config.alert_hold);
+        let now = self.time;
         if let Some(v) = self.vehicle_mut(vehicle_id) {
             if v.connected {
-                v.alert(now, reaction, hold);
+                v.alert(now, REACTION_TIME, ALERT_HOLD);
             }
         }
     }
@@ -430,7 +407,6 @@ impl World {
         let v = self.vehicle(vehicle_id)?;
         let pose = Pose2::new(v.position(), v.pose().heading());
         Some(scan(
-            &self.config.lidar,
             v.id,
             pose,
             v.params.sensor_height,
@@ -446,7 +422,6 @@ impl World {
             .filter(|v| v.connected && !v.collided)
             .map(|v| {
                 scan(
-                    &self.config.lidar,
                     v.id,
                     Pose2::new(v.position(), v.pose().heading()),
                     v.params.sensor_height,
@@ -523,7 +498,7 @@ mod tests {
     use crate::{Approach, RouteSpec, Turn};
 
     fn world() -> World {
-        World::new(IntersectionMap::default(), WorldConfig::default())
+        World::new(IntersectionMap::default())
     }
 
     fn route(map: &IntersectionMap, approach: Approach, lane: usize, turn: Turn) -> Route {

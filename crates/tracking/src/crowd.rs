@@ -28,27 +28,15 @@ pub struct Pedestrian {
     pub speed: f64,
 }
 
-/// Parameters of the crowd-clustering algorithm.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CrowdParams {
-    /// Radius of the initial location-only clustering, metres.
-    pub location_eps: f64,
-    /// Location standard-deviation threshold β, metres (paper: 2).
-    pub beta: f64,
-    /// Orientation standard-deviation threshold γ, degrees (paper: 5).
-    pub gamma_deg: f64,
-}
+/// Radius of the initial location-only clustering, metres (also the
+/// DBSCAN baseline's radius in Fig. 4).
+pub const CROWD_LOCATION_EPS: f64 = 2.5;
 
-impl Default for CrowdParams {
-    /// The thresholds the paper evaluates with: β = 2 m, γ = 5°.
-    fn default() -> Self {
-        CrowdParams {
-            location_eps: 2.5,
-            beta: 2.0,
-            gamma_deg: 5.0,
-        }
-    }
-}
+/// Location standard-deviation threshold β, metres (paper §II-D: 2).
+pub const CROWD_BETA: f64 = 2.0;
+
+/// Orientation standard-deviation threshold γ, degrees (paper §II-D: 5).
+pub const CROWD_GAMMA_DEG: f64 = 5.0;
 
 /// A cluster of pedestrians with a designated representative.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,30 +95,30 @@ impl Crowd {
     }
 }
 
-fn satisfies(members: &[usize], peds: &[Pedestrian], params: &CrowdParams) -> bool {
+fn satisfies(members: &[usize], peds: &[Pedestrian]) -> bool {
     if members.len() < 2 {
         return true;
     }
     let positions: Vec<Vec2> = members.iter().map(|&i| peds[i].position).collect();
-    if location_std(&positions) > params.beta {
+    if location_std(&positions) > CROWD_BETA {
         return false;
     }
     let orientations: Vec<f64> = members.iter().map(|&i| peds[i].orientation).collect();
-    circular_std_deg(&orientations) <= params.gamma_deg
+    circular_std_deg(&orientations) <= CROWD_GAMMA_DEG
 }
 
 /// Splits a violating cluster: members whose individual deviation exceeds a
 /// threshold are evicted into a new cluster; when eviction degenerates
 /// (all or none evicted) the cluster is bisected along its dominant
 /// deviation axis so progress is guaranteed.
-fn split(members: Vec<usize>, peds: &[Pedestrian], params: &CrowdParams) -> (Vec<usize>, Vec<usize>) {
+fn split(members: Vec<usize>, peds: &[Pedestrian]) -> (Vec<usize>, Vec<usize>) {
     let crowd = Crowd::from_members(members.clone(), peds);
-    let gamma_rad = deg_to_rad(params.gamma_deg);
+    let gamma_rad = deg_to_rad(CROWD_GAMMA_DEG);
     let (mut keep, mut evicted) = (Vec::new(), Vec::new());
     for &i in &members {
         let loc_dev = peds[i].position.distance(crowd.centroid);
         let ori_dev = angle_dist(peds[i].orientation, crowd.mean_orientation);
-        if loc_dev > params.beta || ori_dev > gamma_rad {
+        if loc_dev > CROWD_BETA || ori_dev > gamma_rad {
             evicted.push(i);
         } else {
             keep.push(i);
@@ -142,7 +130,7 @@ fn split(members: Vec<usize>, peds: &[Pedestrian], params: &CrowdParams) -> (Vec
     // Degenerate eviction: bisect. Prefer the orientation axis when the
     // orientation constraint is the one violated.
     let orientations: Vec<f64> = members.iter().map(|&i| peds[i].orientation).collect();
-    if circular_std_deg(&orientations) > params.gamma_deg {
+    if circular_std_deg(&orientations) > CROWD_GAMMA_DEG {
         let mean = crowd.mean_orientation;
         let (mut a, mut b): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
         for &i in &members {
@@ -192,7 +180,7 @@ fn split(members: Vec<usize>, peds: &[Pedestrian], params: &CrowdParams) -> (Vec
 /// # Examples
 ///
 /// ```
-/// use erpd_tracking::{cluster_crowds, CrowdParams, ObjectId, Pedestrian};
+/// use erpd_tracking::{cluster_crowds, ObjectId, Pedestrian};
 /// use erpd_geometry::Vec2;
 ///
 /// // Two pedestrians walking together, one walking the opposite way.
@@ -201,13 +189,13 @@ fn split(members: Vec<usize>, peds: &[Pedestrian], params: &CrowdParams) -> (Vec
 ///     Pedestrian { id: ObjectId(1), position: Vec2::new(0.5, 0.0), orientation: 0.02, speed: 1.2 },
 ///     Pedestrian { id: ObjectId(2), position: Vec2::new(1.0, 0.0), orientation: 3.14, speed: 1.2 },
 /// ];
-/// let crowds = cluster_crowds(&peds, &CrowdParams::default());
+/// let crowds = cluster_crowds(&peds);
 /// assert_eq!(crowds.len(), 2);
 /// ```
-pub fn cluster_crowds(peds: &[Pedestrian], params: &CrowdParams) -> Vec<Crowd> {
+pub fn cluster_crowds(peds: &[Pedestrian]) -> Vec<Crowd> {
     // Step 1: cluster solely on location. min_points = 1 so nobody is noise.
     let positions: Vec<Vec2> = peds.iter().map(|p| p.position).collect();
-    let initial = dbscan(&positions, DbscanParams::new(params.location_eps, 1));
+    let initial = dbscan(&positions, DbscanParams::new(CROWD_LOCATION_EPS, 1));
 
     let mut queue: Vec<Vec<usize>> = initial.clusters();
     let mut out = Vec::new();
@@ -216,10 +204,10 @@ pub fn cluster_crowds(peds: &[Pedestrian], params: &CrowdParams) -> Vec<Crowd> {
         if members.is_empty() {
             continue;
         }
-        if satisfies(&members, peds, params) {
+        if satisfies(&members, peds) {
             out.push(Crowd::from_members(members, peds));
         } else {
-            let (a, b) = split(members, peds, params);
+            let (a, b) = split(members, peds);
             queue.push(a);
             queue.push(b);
         }
@@ -260,7 +248,7 @@ mod tests {
         }
     }
 
-    fn check_invariants(peds: &[Pedestrian], crowds: &[Crowd], params: &CrowdParams) {
+    fn check_invariants(peds: &[Pedestrian], crowds: &[Crowd]) {
         // Partition: every pedestrian in exactly one crowd.
         let mut seen = vec![false; peds.len()];
         for c in crowds {
@@ -273,7 +261,7 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "pedestrian missing from crowds");
         // Constraints hold.
         for c in crowds {
-            assert!(satisfies(&c.members, peds, params), "constraint violated: {c:?}");
+            assert!(satisfies(&c.members, peds), "constraint violated: {c:?}");
         }
     }
 
@@ -282,10 +270,9 @@ mod tests {
         let peds: Vec<_> = (0..8)
             .map(|i| ped(i, (i % 4) as f64 * 0.5, (i / 4) as f64 * 0.5, 0.01 * i as f64))
             .collect();
-        let params = CrowdParams::default();
-        let crowds = cluster_crowds(&peds, &params);
+        let crowds = cluster_crowds(&peds);
         assert_eq!(crowds.len(), 1);
-        check_invariants(&peds, &crowds, &params);
+        check_invariants(&peds, &crowds);
     }
 
     #[test]
@@ -297,28 +284,24 @@ mod tests {
             peds.push(ped(i, i as f64 * 0.4, 0.0, 0.0));
             peds.push(ped(10 + i, i as f64 * 0.4, 0.5, PI));
         }
-        let params = CrowdParams::default();
-        let crowds = cluster_crowds(&peds, &params);
+        let crowds = cluster_crowds(&peds);
         assert_eq!(crowds.len(), 2);
-        check_invariants(&peds, &crowds, &params);
+        check_invariants(&peds, &crowds);
         // DBSCAN on location alone merges them into one cluster.
-        let base = cluster_dbscan(&peds, 2.5, 1);
+        let base = cluster_dbscan(&peds, CROWD_LOCATION_EPS, 1);
         assert_eq!(base.len(), 1);
     }
 
     #[test]
     fn spatially_spread_group_splits_on_beta() {
         // A long line of pedestrians, all heading the same way: orientation
-        // fine, location std too large.
+        // fine, one location cluster, but its location std (≈ 4.1 m) is
+        // above β.
         let peds: Vec<_> = (0..12).map(|i| ped(i, i as f64 * 1.2, 0.0, FRAC_PI_2)).collect();
-        let params = CrowdParams {
-            location_eps: 2.0,
-            beta: 1.5,
-            gamma_deg: 5.0,
-        };
-        let crowds = cluster_crowds(&peds, &params);
+        assert_eq!(cluster_dbscan(&peds, CROWD_LOCATION_EPS, 1).len(), 1);
+        let crowds = cluster_crowds(&peds);
         assert!(crowds.len() >= 2);
-        check_invariants(&peds, &crowds, &params);
+        check_invariants(&peds, &crowds);
     }
 
     #[test]
@@ -328,18 +311,16 @@ mod tests {
             peds.push(ped(i, i as f64 * 0.3, 0.0, 0.0));
             peds.push(ped(10 + i, 100.0 + i as f64 * 0.3, 0.0, 0.0));
         }
-        let params = CrowdParams::default();
-        let crowds = cluster_crowds(&peds, &params);
+        let crowds = cluster_crowds(&peds);
         assert_eq!(crowds.len(), 2);
-        check_invariants(&peds, &crowds, &params);
+        check_invariants(&peds, &crowds);
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
-        let params = CrowdParams::default();
-        assert!(cluster_crowds(&[], &params).is_empty());
+        assert!(cluster_crowds(&[]).is_empty());
         let one = [ped(0, 1.0, 1.0, 0.3)];
-        let crowds = cluster_crowds(&one, &params);
+        let crowds = cluster_crowds(&one);
         assert_eq!(crowds.len(), 1);
         assert_eq!(crowds[0].representative, 0);
     }
@@ -354,9 +335,8 @@ mod tests {
                 ped(i, (i / 2) as f64 * 0.3, 0.0, sign * 0.3)
             })
             .collect();
-        let params = CrowdParams::default();
-        let crowds = cluster_crowds(&peds, &params);
-        check_invariants(&peds, &crowds, &params);
+        let crowds = cluster_crowds(&peds);
+        check_invariants(&peds, &crowds);
         assert!(crowds.len() >= 2);
     }
 
@@ -367,7 +347,7 @@ mod tests {
             ped(1, 1.0, 0.0, 0.0),
             ped(2, 2.0, 0.0, 0.0),
         ];
-        let crowds = cluster_crowds(&peds, &CrowdParams::default());
+        let crowds = cluster_crowds(&peds);
         assert_eq!(crowds.len(), 1);
         assert_eq!(crowds[0].representative, 1); // the middle pedestrian
     }
@@ -385,9 +365,8 @@ mod tests {
         let peds: Vec<_> = (0..20)
             .map(|i| ped(i, (i % 5) as f64 * 0.7, (i / 5) as f64 * 0.7, (i % 3) as f64 * 0.2))
             .collect();
-        let params = CrowdParams::default();
-        let a = cluster_crowds(&peds, &params);
-        let b = cluster_crowds(&peds, &params);
+        let a = cluster_crowds(&peds);
+        let b = cluster_crowds(&peds);
         assert_eq!(a, b);
     }
 
@@ -400,7 +379,7 @@ mod tests {
                 ped(i, i as f64 * 0.3, 0.0, o)
             })
             .collect();
-        let crowds = cluster_crowds(&peds, &CrowdParams::default());
+        let crowds = cluster_crowds(&peds);
         assert_eq!(crowds.len(), 1);
     }
 }

@@ -47,7 +47,7 @@ pub fn mean_final_deviation(peds: &[Pedestrian], crowds: &[Crowd], t: f64) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cluster_crowds, cluster_dbscan, CrowdParams, ObjectId};
+    use crate::{cluster_crowds, cluster_dbscan, ObjectId};
     use std::f64::consts::PI;
 
     fn ped(i: u64, x: f64, y: f64, o: f64, v: f64) -> Pedestrian {
@@ -69,7 +69,7 @@ mod tests {
     #[test]
     fn coherent_crowd_has_small_final_deviation() {
         let peds: Vec<_> = (0..6).map(|i| ped(i, i as f64 * 0.3, 0.0, 0.5, 1.3)).collect();
-        let crowds = cluster_crowds(&peds, &CrowdParams::default());
+        let crowds = cluster_crowds(&peds);
         let dev = mean_final_deviation(&peds, &crowds, 10.0);
         // Identical headings and speeds: the spread never grows beyond the
         // initial ~0.5 m spatial std.
@@ -84,7 +84,7 @@ mod tests {
             peds.push(ped(10 + i, i as f64 * 0.4, 0.6, PI, 1.3));
         }
         let t = 10.0;
-        let ours = cluster_crowds(&peds, &CrowdParams::default());
+        let ours = cluster_crowds(&peds);
         let base = cluster_dbscan(&peds, 2.5, 1);
         let dev_ours = mean_final_deviation(&peds, &ours, t);
         let dev_base = mean_final_deviation(&peds, &base, t);
@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn singletons_contribute_zero() {
         let peds = vec![ped(0, 0.0, 0.0, 0.0, 1.0), ped(1, 100.0, 0.0, PI, 1.0)];
-        let crowds = cluster_crowds(&peds, &CrowdParams::default());
+        let crowds = cluster_crowds(&peds);
         assert_eq!(mean_final_deviation(&peds, &crowds, 10.0), 0.0);
     }
 

@@ -15,7 +15,7 @@
 //! # Examples
 //!
 //! ```
-//! use erpd_tracking::{cluster_crowds, CrowdParams, ObjectId, Pedestrian};
+//! use erpd_tracking::{cluster_crowds, ObjectId, Pedestrian};
 //! use erpd_geometry::Vec2;
 //!
 //! let peds: Vec<Pedestrian> = (0..6)
@@ -26,7 +26,7 @@
 //!         speed: 1.3,
 //!     })
 //!     .collect();
-//! let crowds = cluster_crowds(&peds, &CrowdParams::default());
+//! let crowds = cluster_crowds(&peds);
 //! assert_eq!(crowds.len(), 1); // one coherent crowd, one prediction
 //! ```
 
@@ -41,10 +41,13 @@ mod rules;
 mod track;
 mod window;
 
-pub use crowd::{cluster_crowds, cluster_dbscan, Crowd, CrowdParams, Pedestrian};
+pub use crowd::{
+    cluster_crowds, cluster_dbscan, Crowd, Pedestrian, CROWD_BETA, CROWD_GAMMA_DEG,
+    CROWD_LOCATION_EPS,
+};
 pub use deviation::{crowd_final_deviations, final_position, mean_final_deviation};
 pub use object::{ObjectId, ObjectKind, ObjectState};
-pub use predict::{predict_ctrv, PredictedTrajectory, PredictorConfig};
+pub use predict::{predict_ctrv, PredictedTrajectory, HORIZON};
 pub use rules::{apply_rules, FollowerLink, LanePosition, RuleInput, TrackingSelection};
-pub use track::{Detection, Track, TrackedDetection, Tracker, TrackerConfig};
+pub use track::{Detection, Track, TrackedDetection, Tracker};
 pub use window::ProximityWindow;

@@ -12,40 +12,29 @@ use crate::{ObjectId, ObjectKind};
 use erpd_geometry::{BivariateGaussian, Circle, Interval, Polyline2, Vec2};
 use std::ops::ControlFlow;
 
-/// Configuration for the predictor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PredictorConfig {
-    /// Maximum prediction horizon `T`, seconds. This is the `T` of the
-    /// paper's `R_ttc = 1 - ttc / T` formula.
-    pub horizon: f64,
-    /// Time step between generated waypoints, seconds.
-    pub step: f64,
-    /// Positional uncertainty at `t = 0`, metres (1 sigma).
-    pub sigma0: f64,
-    /// Uncertainty growth rate, metres per second of horizon.
-    pub sigma_growth: f64,
-    /// Below this speed (m/s) an object is treated as stationary.
-    pub stationary_speed: f64,
-}
+/// The prediction horizon `T`, seconds (paper §III-A1): every trajectory
+/// is predicted this far ahead, and it is the `T` of the paper's
+/// `R_ttc = 1 - ttc / T` formula.
+pub const HORIZON: f64 = 5.0;
 
-impl Default for PredictorConfig {
-    fn default() -> Self {
-        PredictorConfig {
-            horizon: 5.0,
-            step: 0.25,
-            sigma0: 0.3,
-            sigma_growth: 0.4,
-            stationary_speed: 0.1,
-        }
-    }
-}
+/// Time step between generated CTRV waypoints, seconds.
+const STEP: f64 = 0.25;
 
-/// A predicted trajectory over the configured horizon.
+/// Positional uncertainty at `t = 0`, metres (1 sigma).
+const SIGMA0: f64 = 0.3;
+
+/// Uncertainty growth rate, metres per second of horizon.
+const SIGMA_GROWTH: f64 = 0.4;
+
+/// Below this speed (m/s) an object is treated as stationary.
+const STATIONARY_SPEED: f64 = 0.1;
+
+/// A predicted trajectory over the horizon [`HORIZON`].
 ///
 /// # Examples
 ///
 /// ```
-/// use erpd_tracking::{predict_ctrv, ObjectId, ObjectKind, PredictorConfig};
+/// use erpd_tracking::{predict_ctrv, ObjectId, ObjectKind};
 /// use erpd_geometry::Vec2;
 ///
 /// let traj = predict_ctrv(
@@ -56,7 +45,6 @@ impl Default for PredictorConfig {
 ///     0.0,  // heading east
 ///     0.0,  // no turn
 ///     4.5,
-///     PredictorConfig::default(),
 /// );
 /// let p = traj.position_at(2.0);
 /// assert!((p - Vec2::new(20.0, 0.0)).norm() < 1e-6);
@@ -76,9 +64,6 @@ pub struct PredictedTrajectory {
     /// the motion is piecewise linear in time, which is what
     /// [`PredictedTrajectory::proximity_windows`] walks.
     velocities: Vec<Vec2>,
-    horizon: f64,
-    sigma0: f64,
-    sigma_growth: f64,
 }
 
 impl PredictedTrajectory {
@@ -90,7 +75,6 @@ impl PredictedTrajectory {
         path: Polyline2,
         speed: f64,
         length: f64,
-        config: PredictorConfig,
     ) -> Self {
         let (points, arc) = (path.points(), path.arc_lengths());
         let velocities = (1..points.len())
@@ -111,20 +95,11 @@ impl PredictedTrajectory {
             start: points[0],
             path: Some(path),
             velocities,
-            horizon: config.horizon,
-            sigma0: config.sigma0,
-            sigma_growth: config.sigma_growth,
         }
     }
 
     /// A trajectory for an object that is not moving.
-    pub fn stationary(
-        object: ObjectId,
-        kind: ObjectKind,
-        position: Vec2,
-        length: f64,
-        config: PredictorConfig,
-    ) -> Self {
+    pub fn stationary(object: ObjectId, kind: ObjectKind, position: Vec2, length: f64) -> Self {
         PredictedTrajectory {
             object,
             kind,
@@ -133,9 +108,6 @@ impl PredictedTrajectory {
             start: position,
             path: None,
             velocities: Vec::new(),
-            horizon: config.horizon,
-            sigma0: config.sigma0,
-            sigma_growth: config.sigma_growth,
         }
     }
 
@@ -146,7 +118,7 @@ impl PredictedTrajectory {
     /// learn this from context, we read it off the HD map).
     ///
     /// `path` must start at the object's current position. Falls back to a
-    /// stationary trajectory when `speed` is below the configured threshold
+    /// stationary trajectory when `speed` is below the stationary threshold
     /// or the path is degenerate.
     pub fn from_path(
         object: ObjectId,
@@ -154,28 +126,21 @@ impl PredictedTrajectory {
         path: Polyline2,
         speed: f64,
         length: f64,
-        config: PredictorConfig,
     ) -> Self {
-        if speed < config.stationary_speed {
+        if speed < STATIONARY_SPEED {
             let start = path.points()[0];
-            return PredictedTrajectory::stationary(object, kind, start, length, config);
+            return PredictedTrajectory::stationary(object, kind, start, length);
         }
         // Trim the path to the reachable horizon.
-        let reach = speed * config.horizon;
+        let reach = speed * HORIZON;
         let path = path.slice(0.0, reach.min(path.length())).unwrap_or(path);
-        PredictedTrajectory::moving(object, kind, path, speed, length, config)
+        PredictedTrajectory::moving(object, kind, path, speed, length)
     }
 
     /// Constant speed along the path, m/s (0 for stationary objects).
     #[inline]
     pub fn speed(&self) -> f64 {
         self.speed
-    }
-
-    /// Prediction horizon `T`, seconds.
-    #[inline]
-    pub fn horizon(&self) -> f64 {
-        self.horizon
     }
 
     /// The spatial path, or `None` for stationary objects.
@@ -190,23 +155,23 @@ impl PredictedTrajectory {
         &self.velocities
     }
 
-    /// Predicted position at time `t` (clamped to `[0, horizon]`).
+    /// Predicted position at time `t` (clamped to `[0, HORIZON]`).
     pub fn position_at(&self, t: f64) -> Vec2 {
         match &self.path {
             None => self.start,
-            Some(path) => path.point_at(self.speed * t.clamp(0.0, self.horizon)),
+            Some(path) => path.point_at(self.speed * t.clamp(0.0, HORIZON)),
         }
     }
 
     /// Per-waypoint uncertainty at time `t`: a bivariate Gaussian centred on
     /// the predicted position whose sigma grows linearly with `t`.
     pub fn gaussian_at(&self, t: f64) -> BivariateGaussian {
-        let sigma = self.sigma0 + self.sigma_growth * t.clamp(0.0, self.horizon);
+        let sigma = SIGMA0 + SIGMA_GROWTH * t.clamp(0.0, HORIZON);
         BivariateGaussian::isotropic(self.position_at(t), sigma.max(1e-3))
             .expect("positive sigma")
     }
 
-    /// Time intervals within `[0, horizon]` during which the object is
+    /// Time intervals within `[0, HORIZON]` during which the object is
     /// inside `circle` — the *passing times* of the paper's relevance
     /// formula.
     pub fn passing_intervals(&self, circle: &Circle) -> Vec<Interval> {
@@ -246,7 +211,7 @@ impl PredictedTrajectory {
     ) -> ControlFlow<B> {
         let Some(path) = &self.path else {
             return if circle.contains(self.start) {
-                visit(Interval::new(0.0, self.horizon).expect("valid horizon"))
+                visit(Interval::new(0.0, HORIZON).expect("valid horizon"))
             } else {
                 ControlFlow::Continue(())
             };
@@ -258,10 +223,10 @@ impl PredictedTrajectory {
         path.visit_circle_intervals(circle, before, |s0, s1| {
             let t0 = s0 / self.speed;
             let t1 = s1 / self.speed;
-            if t0 >= self.horizon {
+            if t0 >= HORIZON {
                 return ControlFlow::Continue(());
             }
-            match Interval::new(t0.max(0.0), t1.min(self.horizon)) {
+            match Interval::new(t0.max(0.0), t1.min(HORIZON)) {
                 Some(iv) if iv.length() > 1e-9 => visit(iv),
                 _ => ControlFlow::Continue(()),
             }
@@ -271,9 +236,8 @@ impl PredictedTrajectory {
 
 /// Predicts a trajectory with the constant-turn-rate-and-velocity model.
 ///
-/// Produces a stationary trajectory when `speed` is below the configured
+/// Produces a stationary trajectory when `speed` is below the stationary
 /// threshold.
-#[allow(clippy::too_many_arguments)]
 pub fn predict_ctrv(
     object: ObjectId,
     kind: ObjectKind,
@@ -282,23 +246,22 @@ pub fn predict_ctrv(
     heading: f64,
     turn_rate: f64,
     length: f64,
-    config: PredictorConfig,
 ) -> PredictedTrajectory {
-    if speed < config.stationary_speed {
-        return PredictedTrajectory::stationary(object, kind, position, length, config);
+    if speed < STATIONARY_SPEED {
+        return PredictedTrajectory::stationary(object, kind, position, length);
     }
-    let steps = (config.horizon / config.step).ceil() as usize;
+    let steps = (HORIZON / STEP).ceil() as usize;
     let mut points = Vec::with_capacity(steps + 1);
     let mut pos = position;
     let mut theta = heading;
     points.push(pos);
     for _ in 0..steps {
-        pos += Vec2::from_angle(theta) * (speed * config.step);
-        theta += turn_rate * config.step;
+        pos += Vec2::from_angle(theta) * (speed * STEP);
+        theta += turn_rate * STEP;
         points.push(pos);
     }
     let path = Polyline2::new(points).expect("at least two distinct waypoints");
-    PredictedTrajectory::moving(object, kind, path, speed, length, config)
+    PredictedTrajectory::moving(object, kind, path, speed, length)
 }
 
 #[cfg(test)]
@@ -314,7 +277,6 @@ mod tests {
             0.0,
             0.0,
             4.5,
-            PredictorConfig::default(),
         )
     }
 
@@ -338,7 +300,6 @@ mod tests {
             0.0,
             0.5, // rad/s left turn
             4.5,
-            PredictorConfig::default(),
         );
         let p = t.position_at(3.0);
         assert!(p.y > 5.0, "turned path should veer left, got {p}");
@@ -388,12 +349,16 @@ mod tests {
 
     #[test]
     fn stationary_object_in_circle_occupies_whole_horizon() {
-        let cfg = PredictorConfig::default();
-        let t = PredictedTrajectory::stationary(ObjectId(2), ObjectKind::Pedestrian, Vec2::new(1.0, 1.0), 0.6, cfg);
+        let t = PredictedTrajectory::stationary(
+            ObjectId(2),
+            ObjectKind::Pedestrian,
+            Vec2::new(1.0, 1.0),
+            0.6,
+        );
         let c = Circle::new(Vec2::ZERO, 3.0);
         let iv = t.first_passing_interval(&c).unwrap();
         assert_eq!(iv.start(), 0.0);
-        assert_eq!(iv.end(), cfg.horizon);
+        assert_eq!(iv.end(), HORIZON);
         let out = Circle::new(Vec2::new(50.0, 0.0), 3.0);
         assert!(t.first_passing_interval(&out).is_none());
     }
@@ -413,14 +378,7 @@ mod tests {
             Vec2::new(20.0, 40.0),
         ])
         .unwrap();
-        let t = PredictedTrajectory::from_path(
-            ObjectId(5),
-            ObjectKind::Vehicle,
-            path,
-            10.0,
-            4.5,
-            PredictorConfig::default(),
-        );
+        let t = PredictedTrajectory::from_path(ObjectId(5), ObjectKind::Vehicle, path, 10.0, 4.5);
         // After 3 s (30 m) the object is 10 m up the second leg.
         assert!((t.position_at(3.0) - Vec2::new(20.0, 10.0)).norm() < 1e-6);
         // Path trimmed to the 50 m horizon reach.
@@ -430,14 +388,7 @@ mod tests {
     #[test]
     fn from_path_slow_object_is_stationary() {
         let path = Polyline2::new(vec![Vec2::new(1.0, 2.0), Vec2::new(5.0, 2.0)]).unwrap();
-        let t = PredictedTrajectory::from_path(
-            ObjectId(5),
-            ObjectKind::Vehicle,
-            path,
-            0.01,
-            4.5,
-            PredictorConfig::default(),
-        );
+        let t = PredictedTrajectory::from_path(ObjectId(5), ObjectKind::Vehicle, path, 0.01, 4.5);
         assert!(t.path().is_none());
         assert_eq!(t.position_at(2.0), Vec2::new(1.0, 2.0));
     }

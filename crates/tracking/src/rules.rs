@@ -13,7 +13,7 @@
 //! describe each object's lane position and boundary membership, which the
 //! edge crate derives from its HD map.
 
-use crate::{cluster_crowds, Crowd, CrowdParams, ObjectId, ObjectState, Pedestrian};
+use crate::{cluster_crowds, Crowd, ObjectId, ObjectState, Pedestrian};
 use std::collections::BTreeMap;
 
 /// Where a vehicle sits along an approach lane.
@@ -83,8 +83,8 @@ impl TrackingSelection {
 /// # Examples
 ///
 /// ```
-/// use erpd_tracking::{apply_rules, CrowdParams, LanePosition, ObjectId, ObjectKind,
-///                     ObjectState, RuleInput};
+/// use erpd_tracking::{apply_rules, LanePosition, ObjectId, ObjectKind, ObjectState,
+///                     RuleInput};
 /// use erpd_geometry::Vec2;
 ///
 /// // Two vehicles queued in lane 0: only the front one is predicted.
@@ -94,11 +94,11 @@ impl TrackingSelection {
 ///     lane: Some(LanePosition { lane_id: 0, distance_to_stop: dist }),
 ///     in_intersection: false,
 /// };
-/// let sel = apply_rules(&[mk(1, 10.0), mk(2, 25.0)], &CrowdParams::default());
+/// let sel = apply_rules(&[mk(1, 10.0), mk(2, 25.0)]);
 /// assert_eq!(sel.predicted_vehicles, vec![ObjectId(1)]);
 /// assert_eq!(sel.followers.len(), 1);
 /// ```
-pub fn apply_rules(objects: &[RuleInput], crowd_params: &CrowdParams) -> TrackingSelection {
+pub fn apply_rules(objects: &[RuleInput]) -> TrackingSelection {
     use crate::ObjectKind;
 
     let mut predicted: Vec<ObjectId> = Vec::new();
@@ -158,7 +158,7 @@ pub fn apply_rules(objects: &[RuleInput], crowd_params: &CrowdParams) -> Trackin
             });
         }
     }
-    let crowds = cluster_crowds(&pedestrians, crowd_params);
+    let crowds = cluster_crowds(&pedestrians);
 
     predicted.sort();
     predicted.dedup();
@@ -215,7 +215,7 @@ mod tests {
             vehicle(3, Some((0, 50.0)), false, 8.0),
             vehicle(4, Some((1, 20.0)), false, 8.0),
         ];
-        let sel = apply_rules(&inputs, &CrowdParams::default());
+        let sel = apply_rules(&inputs);
         assert_eq!(sel.predicted_vehicles, vec![ObjectId(1), ObjectId(4)]);
         assert_eq!(sel.followers.len(), 2);
         // Follower chain: 2 follows 1, 3 follows 2; both trace to lane
@@ -234,7 +234,7 @@ mod tests {
             vehicle(1, Some((0, 10.0)), false, 8.0),
             vehicle(2, Some((0, 20.0)), false, 8.0),
         ];
-        let sel = apply_rules(&inputs, &CrowdParams::default());
+        let sel = apply_rules(&inputs);
         // 10 m centre gap minus 4.5 m (two half-lengths) = 5.5 m.
         assert!((sel.followers[0].gap - 5.5).abs() < 1e-9);
     }
@@ -246,7 +246,7 @@ mod tests {
             vehicle(2, Some((0, 15.0)), false, 8.0),
             vehicle(3, None, false, 8.0), // unmapped, outside boundary: ignored
         ];
-        let sel = apply_rules(&inputs, &CrowdParams::default());
+        let sel = apply_rules(&inputs);
         assert_eq!(sel.predicted_vehicles, vec![ObjectId(1), ObjectId(2)]);
     }
 
@@ -258,7 +258,7 @@ mod tests {
             vehicle(1, Some((0, 0.5)), true, 5.0),
             vehicle(2, Some((0, 12.0)), false, 8.0),
         ];
-        let sel = apply_rules(&inputs, &CrowdParams::default());
+        let sel = apply_rules(&inputs);
         // Both predicted: 1 via Rule 2, 2 becomes the lane leader.
         assert_eq!(sel.predicted_vehicles, vec![ObjectId(1), ObjectId(2)]);
         assert!(sel.followers.is_empty());
@@ -274,7 +274,7 @@ mod tests {
         for i in 0..3 {
             inputs.push(walker(20 + i, 40.0 + i as f64 * 0.4, 0.0, std::f64::consts::PI));
         }
-        let sel = apply_rules(&inputs, &CrowdParams::default());
+        let sel = apply_rules(&inputs);
         assert_eq!(sel.crowds.len(), 2);
         // 1 vehicle + 2 representatives.
         assert_eq!(sel.predicted_count(), 3);
@@ -308,7 +308,7 @@ mod tests {
                 ));
             }
         }
-        let sel = apply_rules(&inputs, &CrowdParams::default());
+        let sel = apply_rules(&inputs);
         // 4 leaders + 3 in-box = 7 vehicles; 4 crowds.
         assert_eq!(sel.predicted_vehicles.len(), 7);
         assert_eq!(sel.crowds.len(), 4);
@@ -319,7 +319,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let sel = apply_rules(&[], &CrowdParams::default());
+        let sel = apply_rules(&[]);
         assert!(sel.predicted_vehicles.is_empty());
         assert!(sel.followers.is_empty());
         assert!(sel.crowds.is_empty());
@@ -332,7 +332,7 @@ mod tests {
             vehicle(1, Some((0, 10.0)), false, 8.0),
             vehicle(2, Some((0, 13.0)), false, 8.0), // 3 m centre gap < 4.5 m lengths
         ];
-        let sel = apply_rules(&inputs, &CrowdParams::default());
+        let sel = apply_rules(&inputs);
         assert_eq!(sel.followers[0].gap, 0.0);
     }
 }

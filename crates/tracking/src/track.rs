@@ -158,40 +158,28 @@ impl Track {
     }
 }
 
-/// Configuration for [`Tracker`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrackerConfig {
-    /// Maximum association distance per second of elapsed time plus a fixed
-    /// slack, metres: gate = `gate_base + gate_speed * dt`.
-    pub gate_base: f64,
-    /// Speed component of the gate, m/s (should exceed the fastest object).
-    pub gate_speed: f64,
-    /// Drop a track after this many consecutive missed frames.
-    pub max_misses: usize,
-    /// Observations kept per track for velocity estimation.
-    pub history_len: usize,
-}
+/// Fixed slack of the association gate, metres: a detection is a track's
+/// candidate within `GATE_BASE + GATE_SPEED * dt` of its predicted position.
+const GATE_BASE: f64 = 1.0;
 
-impl Default for TrackerConfig {
-    fn default() -> Self {
-        TrackerConfig {
-            gate_base: 1.0,
-            gate_speed: 20.0, // 72 km/h
-            max_misses: 5,
-            history_len: 8,
-        }
-    }
-}
+/// Speed component of the gate, m/s (72 km/h, above the fastest object).
+const GATE_SPEED: f64 = 20.0;
+
+/// A track is dropped after this many consecutive missed frames.
+const MAX_MISSES: usize = 5;
+
+/// Observations kept per track for velocity estimation.
+const HISTORY_LEN: usize = 8;
 
 /// Gated nearest-neighbour multi-object tracker.
 ///
 /// # Examples
 ///
 /// ```
-/// use erpd_tracking::{Detection, ObjectKind, Tracker, TrackerConfig};
+/// use erpd_tracking::{Detection, ObjectKind, Tracker};
 /// use erpd_geometry::Vec2;
 ///
-/// let mut tracker = Tracker::new(TrackerConfig::default());
+/// let mut tracker = Tracker::new();
 /// for frame in 0..5 {
 ///     let t = frame as f64 * 0.1;
 ///     tracker.update(t, &[Detection {
@@ -202,18 +190,17 @@ impl Default for TrackerConfig {
 /// let track = &tracker.tracks()[0];
 /// assert!((track.velocity().x - 10.0).abs() < 0.2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Tracker {
-    config: TrackerConfig,
     tracks: Vec<Track>,
     next_id: u64,
     last_time: Option<f64>,
 }
 
 impl Tracker {
-    /// Creates a tracker.
-    pub fn new(config: TrackerConfig) -> Self {
-        Tracker::with_id_base(config, 0)
+    /// Creates a tracker (the same as [`Tracker::default`]).
+    pub fn new() -> Self {
+        Tracker::with_id_base(0)
     }
 
     /// Creates a tracker whose fresh track ids start at `base`. In a
@@ -221,9 +208,8 @@ impl Tracker {
     /// `edge_index << 32`), so a track handed over from another edge can
     /// never collide with a locally created one. `base == 0` is exactly
     /// [`Tracker::new`].
-    pub fn with_id_base(config: TrackerConfig, base: u64) -> Self {
+    pub fn with_id_base(base: u64) -> Self {
         Tracker {
-            config,
             tracks: Vec::new(),
             next_id: base,
             last_time: None,
@@ -265,7 +251,7 @@ impl Tracker {
     pub fn update(&mut self, now: f64, detections: &[Detection]) -> Vec<TrackedDetection> {
         let dt = self.last_time.map(|t| (now - t).max(0.0)).unwrap_or(0.0);
         self.last_time = Some(now);
-        let gate = self.config.gate_base + self.config.gate_speed * dt;
+        let gate = GATE_BASE + GATE_SPEED * dt;
 
         // Greedy globally-nearest association: collect all (dist, track, det)
         // pairs under the gate, sort, and assign each side at most once.
@@ -319,7 +305,7 @@ impl Tracker {
                 Some(ti) => {
                     let track = &mut self.tracks[ti];
                     track.history.push_back((now, det.position));
-                    while track.history.len() > self.config.history_len {
+                    while track.history.len() > HISTORY_LEN {
                         track.history.pop_front();
                     }
                     track.misses = 0;
@@ -331,7 +317,7 @@ impl Tracker {
                 None => {
                     let id = ObjectId(self.next_id);
                     self.next_id += 1;
-                    let mut history = VecDeque::with_capacity(self.config.history_len);
+                    let mut history = VecDeque::with_capacity(HISTORY_LEN);
                     history.push_back((now, det.position));
                     self.tracks.push(Track {
                         id,
@@ -354,8 +340,7 @@ impl Tracker {
                 self.tracks[ti].misses += 1;
             }
         }
-        let max_misses = self.config.max_misses;
-        self.tracks.retain(|t| t.misses <= max_misses);
+        self.tracks.retain(|t| t.misses <= MAX_MISSES);
         out
     }
 }
@@ -373,7 +358,7 @@ mod tests {
 
     #[test]
     fn single_object_keeps_identity() {
-        let mut tr = Tracker::new(TrackerConfig::default());
+        let mut tr = Tracker::new();
         let mut ids = Vec::new();
         for i in 0..10 {
             let r = tr.update(i as f64 * 0.1, &[det(i as f64, 0.0)]);
@@ -385,7 +370,7 @@ mod tests {
 
     #[test]
     fn velocity_estimate_converges() {
-        let mut tr = Tracker::new(TrackerConfig::default());
+        let mut tr = Tracker::new();
         for i in 0..8 {
             let t = i as f64 * 0.1;
             tr.update(t, &[det(5.0 * t, -3.0 * t)]);
@@ -397,7 +382,7 @@ mod tests {
 
     #[test]
     fn coasting_extrapolates_along_velocity() {
-        let mut tr = Tracker::new(TrackerConfig::default());
+        let mut tr = Tracker::new();
         for i in 0..8 {
             let t = i as f64 * 0.1;
             tr.update(t, &[det(5.0 * t, 0.0)]);
@@ -415,7 +400,7 @@ mod tests {
 
     #[test]
     fn two_objects_do_not_swap() {
-        let mut tr = Tracker::new(TrackerConfig::default());
+        let mut tr = Tracker::new();
         let mut id_a = None;
         let mut id_b = None;
         for i in 0..10 {
@@ -434,7 +419,7 @@ mod tests {
 
     #[test]
     fn kinds_never_associate() {
-        let mut tr = Tracker::new(TrackerConfig::default());
+        let mut tr = Tracker::new();
         tr.update(0.0, &[det(0.0, 0.0)]);
         // A pedestrian detection at the same spot must open a new track.
         let r = tr.update(0.1, &[Detection {
@@ -447,21 +432,19 @@ mod tests {
 
     #[test]
     fn stale_tracks_are_dropped() {
-        let cfg = TrackerConfig {
-            max_misses: 2,
-            ..TrackerConfig::default()
-        };
-        let mut tr = Tracker::new(cfg);
+        let mut tr = Tracker::new();
         tr.update(0.0, &[det(0.0, 0.0)]);
-        for i in 1..=3 {
+        for i in 1..=MAX_MISSES {
             tr.update(i as f64 * 0.1, &[]);
         }
+        assert_eq!(tr.tracks().len(), 1, "alive after {MAX_MISSES} misses");
+        tr.update((MAX_MISSES + 1) as f64 * 0.1, &[]);
         assert!(tr.tracks().is_empty());
     }
 
     #[test]
     fn occlusion_gap_survives_within_misses() {
-        let mut tr = Tracker::new(TrackerConfig::default());
+        let mut tr = Tracker::new();
         let id0 = tr.update(0.0, &[det(0.0, 0.0)])[0].id;
         tr.update(0.1, &[det(1.0, 0.0)]);
         // Two missed frames.
@@ -474,7 +457,7 @@ mod tests {
 
     #[test]
     fn far_detection_opens_new_track() {
-        let mut tr = Tracker::new(TrackerConfig::default());
+        let mut tr = Tracker::new();
         let a = tr.update(0.0, &[det(0.0, 0.0)])[0].id;
         let b = tr.update(0.1, &[det(500.0, 0.0)])[0].id;
         assert_ne!(a, b);
@@ -483,7 +466,7 @@ mod tests {
 
     #[test]
     fn turn_rate_detected_on_curved_path() {
-        let mut tr = Tracker::new(TrackerConfig::default());
+        let mut tr = Tracker::new();
         // Quarter circle of radius 20 m at ~10 m/s: omega = v/r = 0.5 rad/s.
         let omega: f64 = 0.5;
         let r = 20.0;
@@ -498,20 +481,16 @@ mod tests {
 
     #[test]
     fn history_is_bounded() {
-        let cfg = TrackerConfig {
-            history_len: 4,
-            ..TrackerConfig::default()
-        };
-        let mut tr = Tracker::new(cfg);
+        let mut tr = Tracker::new();
         for i in 0..20 {
             tr.update(i as f64 * 0.1, &[det(i as f64, 0.0)]);
         }
-        assert_eq!(tr.tracks()[0].history().count(), 4);
+        assert_eq!(tr.tracks()[0].history().count(), HISTORY_LEN);
     }
 
     #[test]
     fn id_base_namespaces_fresh_tracks() {
-        let mut tr = Tracker::with_id_base(TrackerConfig::default(), 3 << 32);
+        let mut tr = Tracker::with_id_base(3 << 32);
         let a = tr.update(0.0, &[det(0.0, 0.0)])[0].id;
         let b = tr.update(0.0, &[det(0.0, 0.0), det(500.0, 0.0)])[1].id;
         assert_eq!(a, ObjectId(3 << 32));
@@ -520,7 +499,7 @@ mod tests {
 
     #[test]
     fn adopted_track_keeps_identity_across_updates() {
-        let mut source = Tracker::new(TrackerConfig::default());
+        let mut source = Tracker::new();
         for i in 0..4 {
             source.update(i as f64 * 0.1, &[det(5.0 * i as f64 * 0.1, 0.0)]);
         }
@@ -528,7 +507,7 @@ mod tests {
         let id = track.id();
         let history: Vec<_> = track.history().collect();
 
-        let mut dest = Tracker::with_id_base(TrackerConfig::default(), 1 << 32);
+        let mut dest = Tracker::with_id_base(1 << 32);
         let rebuilt =
             Track::from_history(id, track.kind(), track.misses(), &history).expect("non-empty");
         assert_eq!(rebuilt, track);
@@ -553,7 +532,7 @@ mod tests {
 
     #[test]
     fn single_observation_has_zero_velocity() {
-        let mut tr = Tracker::new(TrackerConfig::default());
+        let mut tr = Tracker::new();
         tr.update(0.0, &[det(3.0, 4.0)]);
         assert_eq!(tr.tracks()[0].velocity(), Vec2::ZERO);
         assert!(tr.tracks()[0].heading().is_none());

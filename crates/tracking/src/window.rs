@@ -8,7 +8,7 @@
 //! the squared distance between the bodies is a quadratic in time.
 //! [`PredictedTrajectory::proximity_windows`] solves it piece by piece.
 
-use crate::PredictedTrajectory;
+use crate::{PredictedTrajectory, HORIZON};
 use erpd_geometry::Vec2;
 
 /// A stretch of time during which two bodies are within some reach of each
@@ -152,8 +152,8 @@ impl<'a> Motion<'a> {
 }
 
 impl PredictedTrajectory {
-    /// Fills `out` with the windows of `[0, T]` — `T` the shorter of the
-    /// two horizons — during which this body and `other`'s are within
+    /// Fills `out` with the windows of `[0, T]` — `T` the prediction
+    /// [`HORIZON`] — during which this body and `other`'s are within
     /// `reach` of each other, in time order, one per linear piece of their
     /// joint motion (a window spanning a vertex comes in two abutting
     /// parts). Allocates nothing once `out` has grown.
@@ -170,11 +170,10 @@ impl PredictedTrajectory {
         out: &mut Vec<ProximityWindow>,
     ) {
         out.clear();
-        let horizon = self.horizon().min(other.horizon());
         let (mut a, mut b) = (Motion::new(self), Motion::new(other));
         let mut t = 0.0;
-        while t < horizon {
-            let end = a.until.min(b.until).min(horizon);
+        while t < HORIZON {
+            let end = a.until.min(b.until).min(HORIZON);
             let (pa, pb) = (a.at(t), b.at(t));
             if let Some((lo, hi)) = within(pa - pb, a.velocity - b.velocity, reach, end - t) {
                 let start = t + lo;
@@ -197,14 +196,13 @@ impl PredictedTrajectory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{predict_ctrv, ObjectId, ObjectKind, PredictorConfig};
+    use crate::{predict_ctrv, ObjectId, ObjectKind};
     use erpd_geometry::Polyline2;
     use erpd_rand::rngs::StdRng;
     use erpd_rand::{RngCore, SeedableRng};
     use std::f64::consts::{FRAC_PI_2, PI};
 
     fn ctrv(at: Vec2, speed: f64, heading: f64, turn_rate: f64) -> PredictedTrajectory {
-        let cfg = PredictorConfig::default();
         predict_ctrv(
             ObjectId(1),
             ObjectKind::Vehicle,
@@ -213,7 +211,6 @@ mod tests {
             heading,
             turn_rate,
             4.5,
-            cfg,
         )
     }
 
@@ -257,25 +254,23 @@ mod tests {
 
     #[test]
     fn stationary_bodies_and_paths_that_run_out() {
-        let cfg = PredictorConfig::default();
         let parked = PredictedTrajectory::stationary(
             ObjectId(2),
             ObjectKind::Pedestrian,
             Vec2::new(30.0, 3.0),
             0.6,
-            cfg,
         );
         // A 20 m route at 10 m/s ends at (20, 0) after 2 s and stays there.
         let route = Polyline2::new(vec![Vec2::ZERO, Vec2::new(20.0, 0.0)]).unwrap();
         let short =
-            PredictedTrajectory::from_path(ObjectId(3), ObjectKind::Vehicle, route, 10.0, 4.5, cfg);
+            PredictedTrajectory::from_path(ObjectId(3), ObjectKind::Vehicle, route, 10.0, 4.5);
         assert!(
             windows(&short, &parked, 10.0).is_empty(),
             "stops 10.4 m short"
         );
         let w = windows(&short, &parked, 11.0);
         assert!(!w.is_empty());
-        assert_eq!(w.last().unwrap().end, cfg.horizon, "parked side by side");
+        assert_eq!(w.last().unwrap().end, HORIZON, "parked side by side");
         assert_eq!(w.last().unwrap().a_velocity, Vec2::ZERO);
         // Two parked bodies: the whole horizon or nothing.
         let other = PredictedTrajectory::stationary(
@@ -283,10 +278,9 @@ mod tests {
             ObjectKind::Pedestrian,
             Vec2::new(30.0, 0.0),
             0.6,
-            cfg,
         );
         let w = windows(&parked, &other, 3.0);
-        assert_eq!((w.len(), w[0].start, w[0].end), (1, 0.0, cfg.horizon));
+        assert_eq!((w.len(), w[0].start, w[0].end), (1, 0.0, HORIZON));
         assert!(windows(&parked, &other, 2.9).is_empty());
     }
 

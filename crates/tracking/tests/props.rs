@@ -3,8 +3,8 @@
 use erpd_geometry::stats::location_std;
 use erpd_geometry::Vec2;
 use erpd_tracking::{
-    cluster_crowds, predict_ctrv, CrowdParams, Detection, ObjectId, ObjectKind, Pedestrian,
-    PredictorConfig, Tracker, TrackerConfig,
+    cluster_crowds, predict_ctrv, Detection, ObjectId, ObjectKind, Pedestrian, Tracker,
+    CROWD_BETA, CROWD_GAMMA_DEG, HORIZON,
 };
 use erpd_rand::proptest::prelude::*;
 use std::f64::consts::PI;
@@ -33,8 +33,7 @@ proptest! {
     /// constraints.
     #[test]
     fn crowd_clustering_invariants(peds in proptest::collection::vec(ped_strategy(), 0..40)) {
-        let params = CrowdParams::default();
-        let crowds = cluster_crowds(&peds, &params);
+        let crowds = cluster_crowds(&peds);
         let mut seen = vec![false; peds.len()];
         for c in &crowds {
             prop_assert!(!c.is_empty());
@@ -45,10 +44,10 @@ proptest! {
             }
             if c.len() >= 2 {
                 let pos: Vec<Vec2> = c.members.iter().map(|&i| peds[i].position).collect();
-                prop_assert!(location_std(&pos) <= params.beta + 1e-9);
+                prop_assert!(location_std(&pos) <= CROWD_BETA + 1e-9);
                 let os: Vec<f64> = c.members.iter().map(|&i| peds[i].orientation).collect();
                 prop_assert!(
-                    erpd_geometry::angle::circular_std_deg(&os) <= params.gamma_deg + 1e-6
+                    erpd_geometry::angle::circular_std_deg(&os) <= CROWD_GAMMA_DEG + 1e-6
                 );
             }
         }
@@ -62,15 +61,14 @@ proptest! {
         x in -50.0f64..50.0, y in -50.0f64..50.0,
         speed in 0.0f64..20.0, heading in -PI..PI, omega in -0.5f64..0.5,
     ) {
-        let cfg = PredictorConfig::default();
-        let t = predict_ctrv(ObjectId(1), ObjectKind::Vehicle, Vec2::new(x, y), speed, heading, omega, 4.5, cfg);
+        let t = predict_ctrv(ObjectId(1), ObjectKind::Vehicle, Vec2::new(x, y), speed, heading, omega, 4.5);
         prop_assert!((t.position_at(0.0) - Vec2::new(x, y)).norm() < 1e-9);
         let mut prev = t.position_at(0.0);
         for k in 1..=20 {
-            let tau = cfg.horizon * k as f64 / 20.0;
+            let tau = HORIZON * k as f64 / 20.0;
             let p = t.position_at(tau);
             let step_dist = p.distance(prev);
-            let dt = cfg.horizon / 20.0;
+            let dt = HORIZON / 20.0;
             prop_assert!(step_dist <= speed * dt + 1e-6, "moved {step_dist} in {dt}s at speed {speed}");
             prev = p;
         }
@@ -80,7 +78,7 @@ proptest! {
     /// recovers the velocity.
     #[test]
     fn tracker_keeps_identity_on_linear_motion(vx in -15.0f64..15.0, vy in -15.0f64..15.0) {
-        let mut gnn = Tracker::new(TrackerConfig::default());
+        let mut gnn = Tracker::new();
         let mut ids = Vec::new();
         for i in 0..15 {
             let t = i as f64 * 0.1;
@@ -103,13 +101,12 @@ proptest! {
         cx in -60.0f64..60.0, cy in -20.0f64..20.0, r in 0.5f64..10.0,
     ) {
         use erpd_geometry::Circle;
-        let cfg = PredictorConfig::default();
-        let t = predict_ctrv(ObjectId(1), ObjectKind::Vehicle, Vec2::ZERO, speed, 0.0, omega, 4.5, cfg);
+        let t = predict_ctrv(ObjectId(1), ObjectKind::Vehicle, Vec2::ZERO, speed, 0.0, omega, 4.5);
         let circle = Circle::new(Vec2::new(cx, cy), r);
         let all = t.passing_intervals(&circle);
         for iv in &all {
             prop_assert!(iv.start() >= -1e-9);
-            prop_assert!(iv.end() <= cfg.horizon + 1e-9);
+            prop_assert!(iv.end() <= HORIZON + 1e-9);
             prop_assert!(iv.length() >= 0.0);
         }
         prop_assert!(all.windows(2).all(|w| w[0].end() < w[1].start()));

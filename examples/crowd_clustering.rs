@@ -35,7 +35,7 @@ fn crosswalk_scene(n: usize, seed: u64) -> Vec<Pedestrian> {
 }
 
 fn main() {
-    let params = CrowdParams::default(); // beta = 2 m, gamma = 5 degrees
+    // The paper's thresholds: beta = 2 m, gamma = 5 degrees.
     let horizon = 8.0; // walk for 8 s, then measure the spread
 
     println!("pedestrians on one crosswalk, two opposing streams (Fig. 4 setting)\n");
@@ -45,8 +45,8 @@ fn main() {
     );
     for n in [10usize, 20, 30, 40, 50, 60] {
         let peds = crosswalk_scene(n, 99);
-        let ours = cluster_crowds(&peds, &params);
-        let base = cluster_dbscan(&peds, params.location_eps, 1);
+        let ours = cluster_crowds(&peds);
+        let base = cluster_dbscan(&peds, CROWD_LOCATION_EPS, 1);
         let dev_ours = mean_final_deviation(&peds, &ours, horizon);
         let dev_base = mean_final_deviation(&peds, &base, horizon);
         println!(

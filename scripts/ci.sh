@@ -37,6 +37,11 @@ hermetic --manifest-path benchmark/Cargo.toml
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+# benchmark/ compiles against this workspace's public API: a removed or
+# renamed item it imports fails here, before the long test steps.
+echo "==> benchmark compile surface: cargo build --release --offline --manifest-path benchmark/Cargo.toml"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 

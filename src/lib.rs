@@ -113,7 +113,7 @@ pub mod prelude {
     };
     pub use erpd_sim::{Scenario, ScenarioConfig, ScenarioKind, World};
     pub use erpd_tracking::{
-        cluster_crowds, cluster_dbscan, mean_final_deviation, CrowdParams, ObjectId, ObjectKind,
-        Pedestrian, PredictorConfig,
+        cluster_crowds, cluster_dbscan, mean_final_deviation, ObjectId, ObjectKind, Pedestrian,
+        CROWD_LOCATION_EPS, HORIZON,
     };
 }

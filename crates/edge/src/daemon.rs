@@ -749,6 +749,81 @@ mod tests {
         assert_eq!(acks, vec![(8, 4), (9, 1)]);
     }
 
+    /// An upload from `vehicle` posed at `(x, y)`.
+    fn upload_at(vehicle: u64, x: f64, y: f64) -> Upload {
+        Upload {
+            pose: Pose2::new(Vec2::new(x, y), 0.0),
+            ..upload(vehicle)
+        }
+    }
+
+    #[test]
+    fn alternating_poses_at_the_wire_bound_serve_every_frame() {
+        use crate::wire::MAX_POSE_COORD;
+        let config = DaemonConfig::default().system;
+        let mut core = ServingCore::new(
+            EdgeServer::new(config.server, IntersectionMap::default()),
+            default_dissemination(config.strategy),
+        );
+        let budget = config.network.downlink_budget_bytes();
+        for frame in 0..8 {
+            let side = if frame % 2 == 0 { 1.0 } else { -1.0 };
+            let b = side * MAX_POSE_COORD;
+            let uploads = [upload(1), upload_at(2, b, -b)];
+            let now = frame as f64 * config.network.frame_period;
+            assert!(
+                core.serve(now, &uploads, budget).is_ok(),
+                "frame {frame} failed at pose ±{MAX_POSE_COORD}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_hostile_pose_retires_its_connection_and_the_honest_client_keeps_its_acks() {
+        let mut handle = EdgeDaemon::spawn(
+            DaemonConfig::default(),
+            IntersectionMap::default(),
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let mut honest = TcpTransport::connect(handle.addr()).unwrap();
+        let mut hostile = TcpTransport::connect(handle.addr()).unwrap();
+        honest
+            .send_message(&WireMessage::Hello { vehicle_id: 1 })
+            .unwrap();
+        hostile
+            .send_message(&WireMessage::Hello { vehicle_id: 2 })
+            .unwrap();
+        wait_until("both registered", || handle.connected_vehicles() == 2);
+        for round in 0..8u64 {
+            // ±1e307 in turn: two such poses overflow the pose-history
+            // velocity, which the serve thread must never see. The hostile
+            // side may already be hung up on, so its sends can fail.
+            let x = if round % 2 == 0 { 1e307 } else { -1e307 };
+            let _ = hostile.send_message(&WireMessage::Upload {
+                frame: round,
+                upload: upload_at(2, x, 0.0),
+            });
+            honest
+                .send_message(&WireMessage::Upload { frame: round, upload: upload(1) })
+                .unwrap();
+            loop {
+                match honest.recv_message(Duration::from_secs(5)) {
+                    Ok(Some(WireMessage::Plan { acks, .. })) if acks.contains(&(1, round)) => {
+                        break
+                    }
+                    Ok(Some(WireMessage::Plan { .. })) => {}
+                    other => panic!("the honest client missed its ack in round {round}: {other:?}"),
+                }
+            }
+        }
+        assert_eq!(handle.retired_connections(), 1);
+        assert_eq!(handle.connected_vehicles(), 1);
+        assert_eq!(handle.dropped_frames(), 0);
+        honest.send_message(&WireMessage::Bye).unwrap();
+        handle.shutdown();
+    }
+
     #[test]
     fn shutdown_is_idempotent_and_drop_safe() {
         let mut handle = EdgeDaemon::spawn(

@@ -17,9 +17,9 @@
 //! ([`RoundRobinDissemination`], [`BroadcastDissemination`] beside the
 //! paper's [`GreedyDissemination`]) rather than `match` arms.
 //!
-//! The `erpd-par` fork-join fan-out lives *inside* the stages
-//! that use it (map merge in [`MergeStage`], trajectory fan-out in
-//! [`PredictStage`]).
+//! The `erpd-par` fork-join fan-out lives *inside* the stage
+//! that uses it (trajectory fan-out in [`PredictStage`]); the map merge
+//! in [`MergeStage`] is one sequential loop over a warm merger.
 //!
 //! Parameters the paper gives once and nothing varies are constants beside
 //! the stage that reads them ([`POSE_HISTORY_LEN`] and the private radii
@@ -33,7 +33,7 @@ use erpd_core::{
     RelevanceConfig,
 };
 use erpd_geometry::{Pose2, Vec2, Vec3};
-use erpd_pointcloud::{IncrementalMerger, PointCloud, PointCloudMerger, POINT_WIRE_BYTES};
+use erpd_pointcloud::{PointCloud, PointCloudMerger, POINT_WIRE_BYTES};
 use erpd_sim::{IntersectionMap, LaneLocation, Turn};
 use erpd_tracking::{
     apply_rules, predict_ctrv, Detection, FollowerLink, LanePosition, ObjectId, ObjectKind,
@@ -95,14 +95,17 @@ pub trait Stage<In, Out>: fmt::Debug + Send {
 pub struct TrafficMap {
     /// Points in the merged map.
     pub map_points: usize,
-    /// Non-finite points rejected at the merge boundary across the
-    /// currently-contributing uploads (see
+    /// Non-finite points rejected at the merge boundary across this
+    /// frame's uploads (see
     /// [`erpd_pointcloud::PointCloudMerger::rejected_points`]).
     pub merge_rejected_points: usize,
-    /// Uploads whose cached voxel partial was reused this frame (content
-    /// digest unchanged since the vehicle's previous upload).
+    /// Always 0: the map is rebuilt every frame, so no upload is reused.
+    /// Kept only because the benchmark's layer recomposition reads it
+    /// (`pointcloud.merge_cache_hit_share`, which now reads 0).
     pub merge_cache_hits: usize,
-    /// Uploads whose voxel partial was (re)built this frame.
+    /// This frame's upload count (every upload is merged afresh). Kept
+    /// only for the benchmark's layer recomposition, like
+    /// [`merge_cache_hits`](Self::merge_cache_hits).
     pub merge_cache_misses: usize,
 }
 
@@ -275,55 +278,16 @@ pub type BoxedDisseminationStage = Box<dyn for<'a> Stage<PlanRequest<'a>, Dissem
 // Server stages
 // ---------------------------------------------------------------------------
 
-/// Builds the merged traffic map from every uploaded cloud (voxel dedup).
+/// Builds the merged traffic map from this frame's uploaded clouds (voxel
+/// dedup, paper §II-C).
 ///
-/// Incremental across frames: a persistent [`IncrementalMerger`] holds
-/// the voxel union, and each vehicle's upload is voxelised into a cached
-/// per-vehicle partial keyed by an FNV-1a digest of its object points.
-/// A frame then touches only the cells whose contributing uploads
-/// changed — unchanged uploads are digest hits (their partial stays
-/// absorbed), changed ones are retracted and re-absorbed, and vehicles
-/// absent from the frame are retracted entirely, so the map is always
-/// exactly the union of *this* frame's uploads. Occupied-voxel sets and
-/// counts are integer-exact under any absorb/retract history, so
-/// `map_points` matches the old full-rebuild merge bit for bit (pinned
-/// by the stage-graph fingerprints and the incremental-vs-rebuild
-/// property in `crates/pointcloud/tests/soa_reference.rs`).
+/// Rebuilt every frame: one [`PointCloudMerger`] is reset and fed every
+/// object cloud of the frame's uploads in arrival order, so the map is
+/// exactly the union of *this* frame's uploads. The merger keeps its
+/// allocations across frames, so a warm frame allocates nothing.
 #[derive(Debug)]
 pub struct MergeStage {
-    map: IncrementalMerger,
-    cache: HashMap<u64, VehiclePartial>,
-}
-
-/// One vehicle's cached contribution to the incremental map.
-#[derive(Debug)]
-struct VehiclePartial {
-    digest: u64,
-    partial: PointCloudMerger,
-    /// Seen in the current frame's upload set (absent vehicles are
-    /// retracted at the end of the frame).
-    live: bool,
-}
-
-/// FNV-1a content digest of an upload's object points. Two uploads with
-/// the same digest are treated as identical contributions; a collision
-/// would silently reuse a stale partial, which at 64 bits is negligible
-/// against the fleet sizes involved.
-fn upload_digest(u: &Upload) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let push = |h: &mut u64, w: u64| {
-        *h = (*h ^ w).wrapping_mul(0x100000001b3);
-    };
-    push(&mut h, u.objects.len() as u64);
-    for o in &u.objects {
-        push(&mut h, o.points.len() as u64);
-        for lane in [o.points.xs(), o.points.ys(), o.points.zs()] {
-            for &v in lane {
-                push(&mut h, v.to_bits());
-            }
-        }
-    }
-    h
+    map: PointCloudMerger,
 }
 
 /// Voxel size of the merged traffic map, metres.
@@ -333,8 +297,7 @@ impl MergeStage {
     /// An empty merge stage (nothing in the configuration concerns it).
     pub fn new(_config: &ServerConfig) -> Self {
         MergeStage {
-            map: IncrementalMerger::new(VOXEL_SIZE),
-            cache: HashMap::new(),
+            map: PointCloudMerger::new(VOXEL_SIZE),
         }
     }
 }
@@ -342,74 +305,20 @@ impl MergeStage {
 impl Stage<(), TrafficMap> for MergeStage {
     fn run(&mut self, cx: &FrameCx<'_>, _input: ()) -> Result<Staged<TrafficMap>, Error> {
         let t = StageTimer::start();
-        for p in self.cache.values_mut() {
-            p.live = false;
-        }
-
-        // Digest every upload, then voxelise only the changed ones (in
-        // parallel — the absorb/retract bookkeeping below is per-cell and
-        // cheap, the per-point voxel keying is the heavy part).
-        let digests = erpd_par::par_map(cx.uploads.iter().collect(), |u: &Upload| {
-            upload_digest(u)
-        });
-        let mut changed: Vec<(&Upload, u64)> = Vec::new();
-        let mut hits = 0usize;
-        for (u, &digest) in cx.uploads.iter().zip(&digests) {
-            match self.cache.get_mut(&u.vehicle_id) {
-                Some(p) if p.digest == digest && !p.live => {
-                    p.live = true;
-                    hits += 1;
-                }
-                _ => changed.push((u, digest)),
-            }
-        }
-        let misses = changed.len();
-        let partials = erpd_par::par_map(changed, |(u, digest): (&Upload, u64)| {
-            let mut m = PointCloudMerger::new(VOXEL_SIZE);
+        self.map.reset();
+        let mut uploaded_objects = 0;
+        for u in cx.uploads {
+            uploaded_objects += u.objects.len();
             for o in &u.objects {
-                m.add(&o.points);
+                self.map.add(&o.points);
             }
-            (u.vehicle_id, digest, m)
-        });
-        for (vehicle_id, digest, partial) in partials {
-            if let Some(old) = self.cache.remove(&vehicle_id) {
-                if old.live {
-                    // Duplicate vehicle id within one frame: fold the
-                    // extra upload into the existing live partial so the
-                    // union still covers every upload.
-                    let mut merged = old.partial;
-                    self.map.retract_partial(&merged);
-                    merged.absorb_from(&partial);
-                    self.map.absorb_partial(&merged);
-                    self.cache.insert(
-                        vehicle_id,
-                        VehiclePartial { digest, partial: merged, live: true },
-                    );
-                    continue;
-                }
-                self.map.retract_partial(&old.partial);
-            }
-            self.map.absorb_partial(&partial);
-            self.cache.insert(vehicle_id, VehiclePartial { digest, partial, live: true });
         }
-
-        // Vehicles that did not upload this frame no longer contribute.
-        let map = &mut self.map;
-        self.cache.retain(|_, p| {
-            if !p.live {
-                map.retract_partial(&p.partial);
-            }
-            p.live
-        });
-
-        let map_points = self.map.output_points();
-        let uploaded_objects: usize = cx.uploads.iter().map(|u| u.objects.len()).sum();
         Ok(Staged {
             artifact: TrafficMap {
-                map_points,
+                map_points: self.map.output_points(),
                 merge_rejected_points: self.map.rejected_points(),
-                merge_cache_hits: hits,
-                merge_cache_misses: misses,
+                merge_cache_hits: 0,
+                merge_cache_misses: cx.uploads.len(),
             },
             sample: t.stop(uploaded_objects),
         })

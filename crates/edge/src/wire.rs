@@ -24,7 +24,8 @@
 //! [`erpd_pointcloud::compress`] format, so a decoded upload's coordinates
 //! carry that codec's bounded quantisation error; every other field is
 //! fixed-width and round-trips bit-exactly. Decoding never panics on
-//! malformed input: every failure is an [`Error::Codec`].
+//! malformed input: every failure is an [`Error::Codec`]. A pose
+//! coordinate beyond [`MAX_POSE_COORD`] counts as malformed.
 //!
 //! The same frames serve three transports: the in-process
 //! [`crate::WireTransport`] (codec round trip without a socket), the TCP
@@ -47,6 +48,12 @@ pub const FRAME_HEADER_BYTES: usize = 4 + 1 + 1 + 4;
 /// Upper bound on a frame's payload; a declared length beyond this is
 /// rejected as corrupt instead of being allocated.
 pub const MAX_PAYLOAD_BYTES: usize = 64 << 20;
+/// Upper bound on a decoded upload pose coordinate, metres: `|x|` and
+/// `|y|` beyond it are rejected as corrupt. A scenario spans well under a
+/// kilometre, so this only turns away poses no vehicle can hold — and
+/// keeps the pose-history velocity finite (two poses at `±1e307` overflow
+/// it to infinity, which the trajectory predictor cannot survive).
+pub const MAX_POSE_COORD: f64 = 1e6;
 
 /// Fixed-width prefix of an upload payload, before the object list.
 const UPLOAD_FIXED_BYTES: usize = 8 + 8 + 24 + 8 + 8 + 8 + 4;
@@ -180,6 +187,9 @@ fn decode_upload_payload(payload: &[u8], lossy: bool) -> Result<(u64, Upload), E
     let heading = c.f64(short)?;
     if !(px.is_finite() && py.is_finite() && heading.is_finite()) {
         return Err(codec("upload pose is non-finite"));
+    }
+    if px.abs() > MAX_POSE_COORD || py.abs() > MAX_POSE_COORD {
+        return Err(codec("upload pose is out of range"));
     }
     let bytes = c.u64(short)?;
     let processing_time = c.f64(short)?;
@@ -557,6 +567,26 @@ mod tests {
         assert!(decode_upload_payload(payload, true).is_err());
         // Sanity: the untouched frame still decodes.
         assert!(WireMessage::decode_frame(&bytes).unwrap().is_some());
+    }
+
+    #[test]
+    fn pose_beyond_the_coordinate_bound_is_rejected_at_decode() {
+        let at = |x: f64, y: f64| {
+            let mut u = sample_upload(1);
+            u.pose = Pose2::new(Vec2::new(x, y), 0.3);
+            WireMessage::decode(&WireMessage::Upload { frame: 1, upload: u }.encode())
+        };
+        for (x, y) in [(1e307, 0.0), (-1e307, 0.0), (0.0, 1e307), (0.0, -f64::MAX)] {
+            assert!(matches!(at(x, y), Err(Error::Codec { .. })), "({x}, {y})");
+        }
+        // Exactly at the bound decodes, and the pose survives bit for bit.
+        let b = MAX_POSE_COORD;
+        for (x, y) in [(b, -b), (-b, b)] {
+            let Ok((WireMessage::Upload { upload, .. }, _)) = at(x, y) else {
+                panic!("a pose at the bound must decode");
+            };
+            assert_eq!(upload.pose.position, Vec2::new(x, y));
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use compress::{
 };
 pub use dbscan::{dbscan, DbscanParams, DbscanResult, DbscanScratch};
 pub use ground::GroundFilter;
-pub use merge::{merge_clouds, IncrementalMerger, PointCloudMerger, VoxelHasher};
+pub use merge::{merge_clouds, PointCloudMerger};
 pub use motion::{
     DetectedObject, ExtractionConfig, ExtractionOutput, ExtractionScratch, MovingObjectExtractor,
 };

@@ -10,13 +10,11 @@
 //!   only per-frame heap traffic is the returned `ExtractionOutput`;
 //!   every scratch buffer is reused), and
 //! * the merge path is *zero-alloc* once warmed: a `PointCloudMerger`
-//!   add/reset cycle and an `IncrementalMerger` absorb/retract cycle touch
-//!   only capacity that already exists.
+//!   add/reset cycle — what the edge's `MergeStage` runs every frame —
+//!   touches only capacity that already exists.
 
 use erpd_geometry::Vec3;
-use erpd_pointcloud::{
-    ExtractionConfig, IncrementalMerger, MovingObjectExtractor, PointCloud, PointCloudMerger,
-};
+use erpd_pointcloud::{ExtractionConfig, MovingObjectExtractor, PointCloud, PointCloudMerger};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -116,24 +114,4 @@ fn warm_extraction_and_merge_paths_do_not_allocate_per_frame() {
         "a warmed PointCloudMerger cycle must not allocate"
     );
     assert!(n_out > 0);
-
-    // --- Incremental merge: zero-alloc absorb/retract once warmed. -----
-    let mut partial = PointCloudMerger::new(0.4);
-    partial.add(&world);
-    let mut map = IncrementalMerger::new(0.4);
-    for _ in 0..3 {
-        map.absorb_partial(&partial);
-        map.retract_partial(&partial);
-    }
-    let before = allocs();
-    map.absorb_partial(&partial);
-    let occupied = map.output_points();
-    map.retract_partial(&partial);
-    assert_eq!(
-        allocs() - before,
-        0,
-        "a warmed IncrementalMerger absorb/retract cycle must not allocate"
-    );
-    assert!(occupied > 0);
-    assert_eq!(map.output_points(), 0);
 }

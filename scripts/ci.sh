@@ -48,11 +48,12 @@ cargo test -q --offline
 echo "==> cargo build --release --offline --workspace --bins"
 cargo build --release --offline --workspace --bins
 
-# The tier-1 line above is the facade package only; this is every member's
-# unit, integration and doc tests (erpd-par's grain boundary, the daemon,
-# the differential and steady-state-allocation suites, ...).
-echo "==> cargo test -q --offline --workspace"
-cargo test -q --offline --workspace
+# The tier-1 line above ran the facade package; this is every other
+# member's unit, integration and doc tests (erpd-par's grain boundary, the
+# daemon, the differential and steady-state-allocation suites, ...), with
+# the facade excluded so its suites run once.
+echo "==> cargo test -q --offline --workspace --exclude erpd"
+cargo test -q --offline --workspace --exclude erpd
 
 echo "==> smoke capacity check (8 clients x 20 frames)"
 ./target/release/erpd-loadgen --clients 8 --frames 20

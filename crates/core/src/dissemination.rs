@@ -7,6 +7,9 @@
 //! bandwidth-capped [`PlanInputs::round_robin`] over every pair;
 //! `Unlimited` uses [`PlanInputs::broadcast`]. [`PlanInputs::optimal`]
 //! (exact DP) is the ablation yardstick.
+//!
+//! A plan is plain data here; its byte layout on the vehicle↔edge link is
+//! owned by `erpd_edge::wire`.
 
 use crate::{dp_knapsack, greedy_knapsack, KnapsackItem, RelevanceMatrix};
 use erpd_tracking::ObjectId;
@@ -51,84 +54,6 @@ impl DisseminationPlan {
     /// True when nothing is disseminated.
     pub fn is_empty(&self) -> bool {
         self.assignments.is_empty()
-    }
-
-    /// Appends the plan's fixed-width binary encoding to `out` and returns
-    /// the number of bytes written.
-    ///
-    /// Layout (all integers little-endian):
-    ///
-    /// ```text
-    /// total_relevance f64 | total_bytes u64 | n_assignments u32
-    /// then per assignment:
-    ///   object u64 | receiver u64 | relevance f64 | size_bytes u64
-    /// ```
-    ///
-    /// Every field is fixed width, so — unlike the quantised point-cloud
-    /// codec — `decode_from(encode_into(...))` is an exact round trip,
-    /// f64 bits included.
-    pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
-        let start = out.len();
-        out.extend_from_slice(&self.total_relevance.to_le_bytes());
-        out.extend_from_slice(&self.total_bytes.to_le_bytes());
-        out.extend_from_slice(&(self.assignments.len() as u32).to_le_bytes());
-        for a in &self.assignments {
-            out.extend_from_slice(&a.object.0.to_le_bytes());
-            out.extend_from_slice(&a.receiver.0.to_le_bytes());
-            out.extend_from_slice(&a.relevance.to_le_bytes());
-            out.extend_from_slice(&a.size_bytes.to_le_bytes());
-        }
-        out.len() - start
-    }
-
-    /// Decodes a plan previously written by
-    /// [`encode_into`](Self::encode_into) and returns it together with the
-    /// number of bytes consumed (the encoding is self-delimiting).
-    ///
-    /// # Errors
-    ///
-    /// [`crate::Error::Codec`] when the buffer is shorter than the header
-    /// or than the declared assignment list — never panics on malformed
-    /// input.
-    pub fn decode_from(bytes: &[u8]) -> Result<(Self, usize), crate::Error> {
-        const HEADER: usize = 8 + 8 + 4;
-        const PER_ASSIGNMENT: usize = 8 + 8 + 8 + 8;
-        let short = crate::Error::Codec {
-            reason: "dissemination plan shorter than its declared length",
-        };
-        if bytes.len() < HEADER {
-            return Err(short);
-        }
-        let total_relevance = f64::from_le_bytes(bytes[0..8].try_into().expect("sized"));
-        let total_bytes = u64::from_le_bytes(bytes[8..16].try_into().expect("sized"));
-        let n = u32::from_le_bytes(bytes[16..20].try_into().expect("sized")) as usize;
-        let need = n
-            .checked_mul(PER_ASSIGNMENT)
-            .and_then(|p| p.checked_add(HEADER))
-            .ok_or(short)?;
-        if bytes.len() < need {
-            return Err(short);
-        }
-        let mut assignments = Vec::with_capacity(n);
-        for k in 0..n {
-            let at = HEADER + k * PER_ASSIGNMENT;
-            let word =
-                |off: usize| u64::from_le_bytes(bytes[at + off..at + off + 8].try_into().expect("sized"));
-            assignments.push(Assignment {
-                object: ObjectId(word(0)),
-                receiver: ObjectId(word(8)),
-                relevance: f64::from_bits(word(16)),
-                size_bytes: word(24),
-            });
-        }
-        Ok((
-            DisseminationPlan {
-                assignments,
-                total_relevance,
-                total_bytes,
-            },
-            need,
-        ))
     }
 }
 
@@ -430,66 +355,5 @@ mod tests {
         assert!(plan.is_empty());
         assert_eq!(plan.total_bytes, 0);
         assert_eq!(plan.total_relevance, 0.0);
-    }
-
-    #[test]
-    fn plan_codec_round_trips_exactly() {
-        let plan = DisseminationPlan::from_assignments(vec![
-            Assignment {
-                object: ObjectId(3),
-                receiver: ObjectId(9),
-                relevance: 0.125,
-                size_bytes: 4096,
-            },
-            Assignment {
-                object: ObjectId(u64::MAX),
-                receiver: ObjectId(0),
-                relevance: f64::MIN_POSITIVE,
-                size_bytes: 1,
-            },
-        ]);
-        let mut bytes = Vec::new();
-        let written = plan.encode_into(&mut bytes);
-        assert_eq!(written, bytes.len());
-        let (decoded, consumed) = DisseminationPlan::decode_from(&bytes).unwrap();
-        assert_eq!(consumed, written);
-        assert_eq!(decoded, plan);
-        // Trailing bytes are left for the caller (self-delimiting).
-        bytes.extend_from_slice(&[7, 7, 7]);
-        let (again, consumed) = DisseminationPlan::decode_from(&bytes).unwrap();
-        assert_eq!(consumed, written);
-        assert_eq!(again, plan);
-    }
-
-    #[test]
-    fn plan_codec_rejects_truncation_without_panicking() {
-        let plan = DisseminationPlan::from_assignments(vec![Assignment {
-            object: ObjectId(1),
-            receiver: ObjectId(2),
-            relevance: 1.0,
-            size_bytes: 10,
-        }]);
-        let mut bytes = Vec::new();
-        plan.encode_into(&mut bytes);
-        for cut in 0..bytes.len() {
-            assert!(
-                DisseminationPlan::decode_from(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes must be rejected"
-            );
-        }
-        // A declared count far beyond the buffer must not overflow.
-        let mut huge = Vec::new();
-        DisseminationPlan::default().encode_into(&mut huge);
-        huge[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(DisseminationPlan::decode_from(&huge).is_err());
-    }
-
-    #[test]
-    fn empty_plan_encodes_to_header_only() {
-        let mut bytes = Vec::new();
-        let written = DisseminationPlan::default().encode_into(&mut bytes);
-        assert_eq!(written, 20);
-        let (decoded, _) = DisseminationPlan::decode_from(&bytes).unwrap();
-        assert!(decoded.is_empty());
     }
 }

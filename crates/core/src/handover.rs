@@ -8,13 +8,10 @@
 //! gaining edge imports it, so track identities and motion history
 //! survive the transfer.
 //!
-//! The message has a fixed-width binary codec in the style of
-//! [`DisseminationPlan::encode_into`](crate::DisseminationPlan::encode_into):
-//! every field is fixed width, `f64`s round-trip bit-exactly, and decoding
-//! is total (malformed input yields [`crate::Error::Codec`], never a
-//! panic). The deployment layer always routes handovers through this
-//! codec — even between two in-process cores — so the daemon path stays
-//! carrier-independent.
+//! The message is plain data here; its byte layout is owned by
+//! `erpd_edge::wire`, through which the deployment layer always routes a
+//! handover — even between two in-process cores — so the daemon path
+//! stays carrier-independent.
 
 use erpd_geometry::Vec2;
 use erpd_tracking::ObjectKind;
@@ -122,68 +119,6 @@ pub struct VehicleHandover {
     pub tracks: Vec<TrackSnapshot>,
 }
 
-const HEADER: usize = 8 + 8 + 8 + 1 + 8 + 4 + 4; // id, x, y, flags, rr, n_pose, n_tracks
-const PER_POSE: usize = 8 + 8 + 8 + 8; // t, x, y, heading
-const TRACK_HEADER: usize = 8 + 1 + 8 + 8 + 4; // id, kind, misses, bytes, n_hist
-const PER_OBS: usize = 8 + 8 + 8; // t, x, y
-
-/// Bounds-checked little-endian reader over a byte slice. Every miss maps
-/// to the same `Codec` error, so truncated input is rejected uniformly.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn short() -> crate::Error {
-        crate::Error::Codec {
-            reason: "handover message shorter than its declared length",
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], crate::Error> {
-        let end = self.at.checked_add(n).ok_or_else(Self::short)?;
-        if end > self.bytes.len() {
-            return Err(Self::short());
-        }
-        let s = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, crate::Error> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, crate::Error> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("sized")))
-    }
-
-    fn f64(&mut self) -> Result<f64, crate::Error> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn u32(&mut self) -> Result<usize, crate::Error> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("sized")) as usize)
-    }
-
-    /// Errors unless `count` items of `width` bytes could possibly fit in
-    /// the remaining buffer.
-    fn fits(&self, count: usize, width: usize) -> Result<(), crate::Error> {
-        if count.checked_mul(width).ok_or_else(Self::short)? > self.bytes.len() - self.at {
-            return Err(Self::short());
-        }
-        Ok(())
-    }
-}
-
-fn kind_code(kind: ObjectKind) -> u8 {
-    match kind {
-        ObjectKind::Vehicle => 0,
-        ObjectKind::Pedestrian => 1,
-    }
-}
-
 impl VehicleHandover {
     /// Creates an empty handover for `vehicle_id`.
     pub fn new(vehicle_id: u64) -> Self {
@@ -192,253 +127,11 @@ impl VehicleHandover {
             ..VehicleHandover::default()
         }
     }
-
-    /// Appends the message's fixed-width binary encoding to `out` and
-    /// returns the number of bytes written.
-    ///
-    /// Layout (all integers little-endian, `f64`s as raw bits):
-    ///
-    /// ```text
-    /// vehicle_id u64 | pos.x f64 | pos.y f64 | flags u8 | rr_offset u64
-    ///   | n_pose u32 | n_tracks u32
-    /// then per pose sample:  t f64 | x f64 | y f64 | heading f64
-    /// then per track:        id u64 | kind u8 | misses u64 | bytes u64
-    ///                          | n_obs u32
-    ///   then per observation:  t f64 | x f64 | y f64
-    /// ```
-    pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
-        let start = out.len();
-        out.extend_from_slice(&self.vehicle_id.to_le_bytes());
-        out.extend_from_slice(&self.position.x.to_le_bytes());
-        out.extend_from_slice(&self.position.y.to_le_bytes());
-        out.push(self.in_outage as u8);
-        out.extend_from_slice(&self.rr_offset.to_le_bytes());
-        out.extend_from_slice(&(self.pose_history.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.tracks.len() as u32).to_le_bytes());
-        for p in &self.pose_history {
-            out.extend_from_slice(&p.t.to_le_bytes());
-            out.extend_from_slice(&p.position.x.to_le_bytes());
-            out.extend_from_slice(&p.position.y.to_le_bytes());
-            out.extend_from_slice(&p.heading.to_le_bytes());
-        }
-        for t in &self.tracks {
-            out.extend_from_slice(&t.id.to_le_bytes());
-            out.push(kind_code(t.kind));
-            out.extend_from_slice(&t.misses.to_le_bytes());
-            out.extend_from_slice(&t.bytes.to_le_bytes());
-            out.extend_from_slice(&(t.history.len() as u32).to_le_bytes());
-            for (obs_t, p) in &t.history {
-                out.extend_from_slice(&obs_t.to_le_bytes());
-                out.extend_from_slice(&p.x.to_le_bytes());
-                out.extend_from_slice(&p.y.to_le_bytes());
-            }
-        }
-        out.len() - start
-    }
-
-    /// Decodes a message previously written by
-    /// [`encode_into`](Self::encode_into) and returns it together with the
-    /// number of bytes consumed (the encoding is self-delimiting).
-    ///
-    /// # Errors
-    ///
-    /// [`crate::Error::Codec`] when the buffer is shorter than any declared
-    /// section or a kind byte is unknown — never panics on malformed input.
-    pub fn decode_from(bytes: &[u8]) -> Result<(Self, usize), crate::Error> {
-        let mut c = Cursor { bytes, at: 0 };
-        let vehicle_id = c.u64()?;
-        let position = Vec2::new(c.f64()?, c.f64()?);
-        let flags = c.u8()?;
-        if flags > 1 {
-            return Err(crate::Error::Codec {
-                reason: "handover message carries unknown flag bits",
-            });
-        }
-        let in_outage = flags == 1;
-        let rr_offset = c.u64()?;
-        let n_pose = c.u32()?;
-        let n_tracks = c.u32()?;
-
-        // Reject absurd counts before allocating (a corrupt length must
-        // not drive `Vec::with_capacity` through the roof).
-        c.fits(n_pose, PER_POSE)?;
-        let mut pose_history = Vec::with_capacity(n_pose);
-        for _ in 0..n_pose {
-            let t = c.f64()?;
-            let position = Vec2::new(c.f64()?, c.f64()?);
-            let heading = c.f64()?;
-            pose_history.push(PoseSample {
-                t,
-                position,
-                heading,
-            });
-        }
-        c.fits(n_tracks, TRACK_HEADER)?;
-        let mut tracks = Vec::with_capacity(n_tracks);
-        for _ in 0..n_tracks {
-            let id = c.u64()?;
-            let kind = match c.u8()? {
-                0 => ObjectKind::Vehicle,
-                1 => ObjectKind::Pedestrian,
-                _ => {
-                    return Err(crate::Error::Codec {
-                        reason: "handover track has unknown object kind",
-                    })
-                }
-            };
-            let misses = c.u64()?;
-            let track_bytes = c.u64()?;
-            let n_obs = c.u32()?;
-            c.fits(n_obs, PER_OBS)?;
-            let mut history = Vec::with_capacity(n_obs);
-            for _ in 0..n_obs {
-                let t = c.f64()?;
-                let p = Vec2::new(c.f64()?, c.f64()?);
-                history.push((t, p));
-            }
-            tracks.push(TrackSnapshot {
-                id,
-                kind,
-                misses,
-                bytes: track_bytes,
-                history,
-            });
-        }
-        Ok((
-            VehicleHandover {
-                vehicle_id,
-                position,
-                in_outage,
-                rr_offset,
-                pose_history,
-                tracks,
-            },
-            c.at,
-        ))
-    }
-
-    /// The encoded size in bytes (without encoding).
-    pub fn encoded_len(&self) -> usize {
-        HEADER
-            + self.pose_history.len() * PER_POSE
-            + self
-                .tracks
-                .iter()
-                .map(|t| TRACK_HEADER + t.history.len() * PER_OBS)
-                .sum::<usize>()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> VehicleHandover {
-        VehicleHandover {
-            vehicle_id: 42,
-            position: Vec2::new(61.5, -3.25),
-            in_outage: true,
-            rr_offset: 7,
-            pose_history: vec![
-                PoseSample {
-                    t: 0.1,
-                    position: Vec2::new(60.0, -3.5),
-                    heading: std::f64::consts::PI, // boundary of (-PI, PI]
-                },
-                PoseSample {
-                    t: 0.2,
-                    position: Vec2::new(60.75, -3.375),
-                    heading: -1.0,
-                },
-            ],
-            tracks: vec![
-                TrackSnapshot {
-                    id: (3u64 << 32) + 9,
-                    kind: ObjectKind::Pedestrian,
-                    misses: 2,
-                    bytes: 600,
-                    history: vec![(0.1, Vec2::new(58.0, 1.0)), (0.2, Vec2::new(58.1, 1.1))],
-                },
-                TrackSnapshot {
-                    id: 0,
-                    kind: ObjectKind::Vehicle,
-                    misses: 0,
-                    bytes: 0,
-                    history: vec![(0.2, Vec2::new(-10.0, 0.0))],
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn codec_round_trips_exactly() {
-        let h = sample();
-        let mut bytes = Vec::new();
-        let written = h.encode_into(&mut bytes);
-        assert_eq!(written, bytes.len());
-        assert_eq!(written, h.encoded_len());
-        let (decoded, consumed) = VehicleHandover::decode_from(&bytes).unwrap();
-        assert_eq!(consumed, written);
-        assert_eq!(decoded, h);
-        // Trailing bytes are left for the caller (self-delimiting).
-        bytes.extend_from_slice(&[9, 9, 9]);
-        let (again, consumed) = VehicleHandover::decode_from(&bytes).unwrap();
-        assert_eq!(consumed, written);
-        assert_eq!(again, h);
-    }
-
-    #[test]
-    fn codec_rejects_every_truncation_without_panicking() {
-        let mut bytes = Vec::new();
-        sample().encode_into(&mut bytes);
-        for cut in 0..bytes.len() {
-            assert!(
-                VehicleHandover::decode_from(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn codec_rejects_corrupt_counts_and_kinds() {
-        let mut bytes = Vec::new();
-        VehicleHandover::new(1).encode_into(&mut bytes);
-        // Declared pose count far beyond the buffer must not overflow.
-        let mut huge = bytes.clone();
-        huge[33..37].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(VehicleHandover::decode_from(&huge).is_err());
-        // Same for the track count.
-        let mut huge = bytes.clone();
-        huge[37..41].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(VehicleHandover::decode_from(&huge).is_err());
-        // Unknown flag bits are rejected.
-        let mut bad = bytes.clone();
-        bad[24] = 0xff;
-        assert!(VehicleHandover::decode_from(&bad).is_err());
-        // Unknown track kind is rejected.
-        let mut h = VehicleHandover::new(1);
-        h.tracks.push(TrackSnapshot {
-            id: 1,
-            kind: ObjectKind::Vehicle,
-            misses: 0,
-            bytes: 0,
-            history: Vec::new(),
-        });
-        let mut bytes = Vec::new();
-        h.encode_into(&mut bytes);
-        bytes[HEADER + 8] = 7; // the kind byte of the first track
-        assert!(VehicleHandover::decode_from(&bytes).is_err());
-    }
-
-    #[test]
-    fn empty_handover_is_header_only() {
-        let mut bytes = Vec::new();
-        let written = VehicleHandover::new(5).encode_into(&mut bytes);
-        assert_eq!(written, HEADER);
-        let (decoded, _) = VehicleHandover::decode_from(&bytes).unwrap();
-        assert_eq!(decoded.vehicle_id, 5);
-        assert!(decoded.pose_history.is_empty() && decoded.tracks.is_empty());
-    }
 
     #[test]
     fn region_geometry() {

@@ -90,10 +90,11 @@ pub trait Stage<In, Out>: fmt::Debug + Send {
     fn import_handover(&mut self, _handover: &erpd_core::VehicleHandover) {}
 }
 
-/// The merged traffic map (voxel-deduplicated union of all uploads).
+/// The merged traffic map (voxel-deduplicated union of all uploads), as
+/// the counts the server reads.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrafficMap {
-    /// Points in the merged map.
+    /// Occupied voxels in the merged map.
     pub map_points: usize,
     /// Non-finite points rejected at the merge boundary across this
     /// frame's uploads (see
@@ -522,6 +523,11 @@ pub struct TrackStage {
 /// snapshots tracks: objects it is plausibly the best observer of.
 const HANDOVER_TRACK_RADIUS_M: f64 = 100.0;
 
+/// Dissemination cost, bytes, of an object whose wire size is unknown: a
+/// vehicle with no self-report cluster this frame, or a coasted object
+/// never sized.
+const UNKNOWN_OBJECT_BYTES: u64 = 600;
+
 /// Poses retained per connected vehicle for finite-difference velocity /
 /// turn-rate estimation (and coasting anchors); also the depth of the pose
 /// history a handover message carries.
@@ -600,7 +606,7 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
                     .self_report_bytes
                     .get(&u.vehicle_id)
                     .copied()
-                    .unwrap_or(600)
+                    .unwrap_or(UNKNOWN_OBJECT_BYTES)
             });
             self.last_bytes.insert(id, bytes);
         }
@@ -634,9 +640,12 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
                     &mut rule_inputs,
                     &mut kinematics,
                 );
-                sizes
-                    .entry(id)
-                    .or_insert_with(|| self.last_bytes.get(&id).copied().unwrap_or(600));
+                sizes.entry(id).or_insert_with(|| {
+                    self.last_bytes
+                        .get(&id)
+                        .copied()
+                        .unwrap_or(UNKNOWN_OBJECT_BYTES)
+                });
                 ages.insert(id, age);
             }
         }
@@ -675,7 +684,11 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
             );
             if track.misses() > 0 {
                 ages.insert(id, age);
-                let bytes = self.last_bytes.get(&id).copied().unwrap_or(600);
+                let bytes = self
+                    .last_bytes
+                    .get(&id)
+                    .copied()
+                    .unwrap_or(UNKNOWN_OBJECT_BYTES);
                 sizes.insert(id, bytes);
                 detections.push(DetectionSummary {
                     id,

@@ -86,6 +86,9 @@ pub const EMP_CLUTTER_FRACTION: f64 = 0.35;
 /// overflow subsampling.
 pub const MIN_DETECTABLE_POINTS: usize = 8;
 
+/// Accounted bytes of an upload's pose and header, on top of its objects.
+const UPLOAD_HEADER_BYTES: u64 = 64;
+
 /// Reusable working memory for [`VehicleSide::process_in`]: the
 /// ground-free world-frame staging cloud plus the extractor's
 /// [`ExtractionScratch`]. Everything is overwritten before it is read, so
@@ -194,7 +197,7 @@ impl VehicleSide {
             .extractor
             .process_in(&scratch.world, &mut scratch.extraction);
         let mut objects = Vec::new();
-        let mut bytes = 64u64; // pose + header
+        let mut bytes = UPLOAD_HEADER_BYTES;
         for obj in out.objects.into_iter().filter(|o| o.moving) {
             bytes += obj.points.wire_size_bytes() as u64;
             objects.push(UploadedObject {
@@ -252,7 +255,7 @@ impl VehicleSide {
         }
         let clutter_bytes = (frame.raw_size_bytes() as f64 * EMP_CLUTTER_FRACTION) as u64;
         let object_bytes: u64 = kept.iter().map(|o| o.points.wire_size_bytes() as u64).sum();
-        let total = clutter_bytes + object_bytes + 64;
+        let total = clutter_bytes + object_bytes + UPLOAD_HEADER_BYTES;
         let budget = network.uplink_budget_bytes();
         let (objects, bytes) = if total <= budget {
             (kept, total)

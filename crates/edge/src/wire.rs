@@ -7,24 +7,30 @@
 //! frame   := magic "ERPW" (4) | version u8 | kind u8 | payload_len u32 | payload
 //! ```
 //!
-//! All integers are little-endian. `payload_len` counts payload bytes only
-//! (the header is a fixed [`FRAME_HEADER_BYTES`]) and is capped at
-//! [`MAX_PAYLOAD_BYTES`] so a corrupt length cannot ask the receiver to
-//! allocate unbounded memory. Message kinds:
+//! All integers are little-endian and every `f64` travels as its raw bits.
+//! `payload_len` counts payload bytes only (the header is a fixed
+//! [`FRAME_HEADER_BYTES`]) and is capped at [`MAX_PAYLOAD_BYTES`] so a
+//! corrupt length cannot ask the receiver to allocate unbounded memory.
+//! This module is the one owner of every payload layout:
 //!
 //! | kind | message | payload |
 //! |------|---------|---------|
 //! | 1 | [`WireMessage::Hello`] | `vehicle_id u64` |
 //! | 2 | [`WireMessage::Upload`] | `frame u64 \| vehicle_id u64 \| pose x,y,heading 3×f64 \| bytes u64 \| processing_time f64 \| clustered_points u64 \| n_objects u32` then per object `centroid x,y 2×f64 \| cloud_len u32 \| cloud` |
-//! | 3 | [`WireMessage::Plan`] | `frame u64 \| n_acks u32 \| (vehicle u64, client_frame u64)*` then the plan encoding of [`DisseminationPlan::encode_into`] |
+//! | 3 | [`WireMessage::Plan`] | `frame u64 \| n_acks u32` then per ack `vehicle u64 \| client_frame u64`, then `total_relevance f64 \| total_bytes u64 \| n_assignments u32` then per assignment `object u64 \| receiver u64 \| relevance f64 \| size_bytes u64` |
 //! | 4 | [`WireMessage::Bye`] | empty |
-//! | 5 | [`WireMessage::Handover`] | the handover encoding of [`VehicleHandover::encode_into`] |
+//! | 5 | [`WireMessage::Handover`] | `vehicle_id u64 \| position x,y 2×f64 \| flags u8 \| rr_offset u64 \| n_pose u32 \| n_tracks u32` then per pose sample `t, x, y, heading 4×f64`, then per track `id u64 \| kind u8 \| misses u64 \| bytes u64 \| n_obs u32` then per observation `t, x, y 3×f64` |
+//!
+//! A handover's `flags` carries `in_outage` in bit 0 and no other bit; a
+//! track `kind` is 0 for a vehicle and 1 for a pedestrian.
 //!
 //! Object point clouds ride as the quantised
 //! [`erpd_pointcloud::compress`] format, so a decoded upload's coordinates
 //! carry that codec's bounded quantisation error; every other field is
 //! fixed-width and round-trips bit-exactly. Decoding never panics on
-//! malformed input: every failure is an [`Error::Codec`]. A pose
+//! malformed input: one bounds-checked reader serves every payload, and
+//! every failure is an [`Error::Codec`]. A declared count is checked
+//! against the bytes left before anything is allocated for it, and a pose
 //! coordinate beyond [`MAX_POSE_COORD`] counts as malformed.
 //!
 //! The same frames serve three transports: the in-process
@@ -34,9 +40,10 @@
 //! real link does and decodes the surviving prefix.
 
 use crate::{Upload, UploadedObject};
-use erpd_core::{DisseminationPlan, Error, VehicleHandover};
+use erpd_core::{Assignment, DisseminationPlan, Error, PoseSample, TrackSnapshot, VehicleHandover};
 use erpd_geometry::{Pose2, Vec2};
 use erpd_pointcloud::{compress, decompress, DecodeError};
+use erpd_tracking::{ObjectId, ObjectKind};
 use std::io::{self, Write};
 
 /// Magic bytes opening every wire frame.
@@ -57,6 +64,16 @@ pub const MAX_POSE_COORD: f64 = 1e6;
 
 /// Fixed-width prefix of an upload payload, before the object list.
 const UPLOAD_FIXED_BYTES: usize = 8 + 8 + 24 + 8 + 8 + 8 + 4;
+/// One plan ack: vehicle, client frame.
+const PER_ACK: usize = 8 + 8;
+/// One plan assignment: object, receiver, relevance, size.
+const PER_ASSIGNMENT: usize = 8 + 8 + 8 + 8;
+/// One handover pose sample: t, x, y, heading.
+const PER_POSE: usize = 8 + 8 + 8 + 8;
+/// One handover track before its history: id, kind, misses, bytes, n_obs.
+const TRACK_HEADER: usize = 8 + 1 + 8 + 8 + 4;
+/// One track observation: t, x, y.
+const PER_OBS: usize = 8 + 8 + 8;
 
 const KIND_HELLO: u8 = 1;
 const KIND_UPLOAD: u8 = 2;
@@ -138,6 +155,10 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    fn u8(&mut self, reason: &'static str) -> Result<u8, Error> {
+        Ok(self.take(1, reason)?[0])
+    }
+
     fn u32(&mut self, reason: &'static str) -> Result<u32, Error> {
         Ok(u32::from_le_bytes(self.take(4, reason)?.try_into().expect("sized")))
     }
@@ -150,26 +171,181 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64(reason)?))
     }
 
+    /// Errors unless `count` items of `width` bytes could fit in the rest
+    /// of the buffer: a corrupt count must not drive `Vec::with_capacity`
+    /// through the roof before the reads run short.
+    fn fits(&self, count: usize, width: usize, reason: &'static str) -> Result<(), Error> {
+        match count.checked_mul(width) {
+            Some(need) if need <= self.rest().len() => Ok(()),
+            _ => Err(codec(reason)),
+        }
+    }
+
     fn rest(&self) -> &'a [u8] {
         &self.bytes[self.at..]
     }
 }
 
+/// Appends `words` as little-endian `u64`s (an `f64` as its raw bits).
+fn put(out: &mut Vec<u8>, words: &[u64]) {
+    for w in words {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+}
+
+/// Appends a list length as a little-endian `u32`.
+fn put_len(out: &mut Vec<u8>, len: usize) {
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+}
+
+fn encode_plan_payload(
+    out: &mut Vec<u8>,
+    frame: u64,
+    acks: &[(u64, u64)],
+    plan: &DisseminationPlan,
+) {
+    put(out, &[frame]);
+    put_len(out, acks.len());
+    for &(vehicle, client_frame) in acks {
+        put(out, &[vehicle, client_frame]);
+    }
+    put(out, &[plan.total_relevance.to_bits(), plan.total_bytes]);
+    put_len(out, plan.assignments.len());
+    for a in &plan.assignments {
+        put(out, &[a.object.0, a.receiver.0, a.relevance.to_bits(), a.size_bytes]);
+    }
+}
+
+fn decode_plan_payload(payload: &[u8]) -> Result<WireMessage, Error> {
+    let mut c = Cursor::new(payload);
+    let short = "plan payload shorter than its declared length";
+    let frame = c.u64(short)?;
+    let n_acks = c.u32(short)? as usize;
+    c.fits(n_acks, PER_ACK, short)?;
+    let mut acks = Vec::with_capacity(n_acks);
+    for _ in 0..n_acks {
+        acks.push((c.u64(short)?, c.u64(short)?));
+    }
+    let total_relevance = c.f64(short)?;
+    let total_bytes = c.u64(short)?;
+    let n = c.u32(short)? as usize;
+    c.fits(n, PER_ASSIGNMENT, short)?;
+    let mut assignments = Vec::with_capacity(n);
+    for _ in 0..n {
+        assignments.push(Assignment {
+            object: ObjectId(c.u64(short)?),
+            receiver: ObjectId(c.u64(short)?),
+            relevance: c.f64(short)?,
+            size_bytes: c.u64(short)?,
+        });
+    }
+    if !c.rest().is_empty() {
+        return Err(codec("plan payload has trailing bytes"));
+    }
+    let plan = DisseminationPlan {
+        assignments,
+        total_relevance,
+        total_bytes,
+    };
+    Ok(WireMessage::Plan { frame, acks, plan })
+}
+
+fn encode_handover_payload(out: &mut Vec<u8>, h: &VehicleHandover) {
+    put(out, &[h.vehicle_id, h.position.x.to_bits(), h.position.y.to_bits()]);
+    out.push(h.in_outage as u8);
+    put(out, &[h.rr_offset]);
+    put_len(out, h.pose_history.len());
+    put_len(out, h.tracks.len());
+    for p in &h.pose_history {
+        let (x, y) = (p.position.x, p.position.y);
+        put(out, &[p.t.to_bits(), x.to_bits(), y.to_bits(), p.heading.to_bits()]);
+    }
+    for t in &h.tracks {
+        put(out, &[t.id]);
+        out.push(match t.kind {
+            ObjectKind::Vehicle => 0,
+            ObjectKind::Pedestrian => 1,
+        });
+        put(out, &[t.misses, t.bytes]);
+        put_len(out, t.history.len());
+        for (obs_t, p) in &t.history {
+            put(out, &[obs_t.to_bits(), p.x.to_bits(), p.y.to_bits()]);
+        }
+    }
+}
+
+fn decode_handover_payload(payload: &[u8]) -> Result<WireMessage, Error> {
+    let mut c = Cursor::new(payload);
+    let short = "handover payload shorter than its declared length";
+    let vehicle_id = c.u64(short)?;
+    let position = Vec2::new(c.f64(short)?, c.f64(short)?);
+    let in_outage = match c.u8(short)? {
+        0 => false,
+        1 => true,
+        _ => return Err(codec("handover message carries unknown flag bits")),
+    };
+    let rr_offset = c.u64(short)?;
+    let n_pose = c.u32(short)? as usize;
+    let n_tracks = c.u32(short)? as usize;
+    c.fits(n_pose, PER_POSE, short)?;
+    let mut pose_history = Vec::with_capacity(n_pose);
+    for _ in 0..n_pose {
+        pose_history.push(PoseSample {
+            t: c.f64(short)?,
+            position: Vec2::new(c.f64(short)?, c.f64(short)?),
+            heading: c.f64(short)?,
+        });
+    }
+    c.fits(n_tracks, TRACK_HEADER, short)?;
+    let mut tracks = Vec::with_capacity(n_tracks);
+    for _ in 0..n_tracks {
+        let id = c.u64(short)?;
+        let kind = match c.u8(short)? {
+            0 => ObjectKind::Vehicle,
+            1 => ObjectKind::Pedestrian,
+            _ => return Err(codec("handover track has unknown object kind")),
+        };
+        let misses = c.u64(short)?;
+        let bytes = c.u64(short)?;
+        let n_obs = c.u32(short)? as usize;
+        c.fits(n_obs, PER_OBS, short)?;
+        let mut history = Vec::with_capacity(n_obs);
+        for _ in 0..n_obs {
+            history.push((c.f64(short)?, Vec2::new(c.f64(short)?, c.f64(short)?)));
+        }
+        tracks.push(TrackSnapshot {
+            id,
+            kind,
+            misses,
+            bytes,
+            history,
+        });
+    }
+    if !c.rest().is_empty() {
+        return Err(codec("handover payload has trailing bytes"));
+    }
+    let handover = VehicleHandover {
+        vehicle_id,
+        position,
+        in_outage,
+        rr_offset,
+        pose_history,
+        tracks,
+    };
+    Ok(WireMessage::Handover { handover })
+}
+
 fn encode_upload_payload(out: &mut Vec<u8>, frame: u64, upload: &Upload) {
-    out.extend_from_slice(&frame.to_le_bytes());
-    out.extend_from_slice(&upload.vehicle_id.to_le_bytes());
-    out.extend_from_slice(&upload.pose.position.x.to_le_bytes());
-    out.extend_from_slice(&upload.pose.position.y.to_le_bytes());
-    out.extend_from_slice(&upload.pose.heading().to_le_bytes());
-    out.extend_from_slice(&upload.bytes.to_le_bytes());
-    out.extend_from_slice(&upload.processing_time.to_le_bytes());
-    out.extend_from_slice(&(upload.clustered_points as u64).to_le_bytes());
-    out.extend_from_slice(&(upload.objects.len() as u32).to_le_bytes());
+    let p = upload.pose.position;
+    put(out, &[frame, upload.vehicle_id]);
+    put(out, &[p.x.to_bits(), p.y.to_bits(), upload.pose.heading().to_bits()]);
+    put(out, &[upload.bytes, upload.processing_time.to_bits()]);
+    put(out, &[upload.clustered_points as u64]);
+    put_len(out, upload.objects.len());
     for o in &upload.objects {
-        out.extend_from_slice(&o.centroid.x.to_le_bytes());
-        out.extend_from_slice(&o.centroid.y.to_le_bytes());
+        put(out, &[o.centroid.x.to_bits(), o.centroid.y.to_bits()]);
         let cloud = compress(&o.points);
-        out.extend_from_slice(&(cloud.len() as u32).to_le_bytes());
+        put_len(out, cloud.len());
         out.extend_from_slice(&cloud);
     }
 }
@@ -255,31 +431,23 @@ impl WireMessage {
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::new();
         match self {
-            WireMessage::Hello { vehicle_id } => {
-                payload.extend_from_slice(&vehicle_id.to_le_bytes());
-            }
+            WireMessage::Hello { vehicle_id } => put(&mut payload, &[*vehicle_id]),
             WireMessage::Upload { frame, upload } => {
                 encode_upload_payload(&mut payload, *frame, upload);
             }
             WireMessage::Plan { frame, acks, plan } => {
-                payload.extend_from_slice(&frame.to_le_bytes());
-                payload.extend_from_slice(&(acks.len() as u32).to_le_bytes());
-                for (vehicle, client_frame) in acks {
-                    payload.extend_from_slice(&vehicle.to_le_bytes());
-                    payload.extend_from_slice(&client_frame.to_le_bytes());
-                }
-                plan.encode_into(&mut payload);
+                encode_plan_payload(&mut payload, *frame, acks, plan);
             }
             WireMessage::Bye => {}
             WireMessage::Handover { handover } => {
-                handover.encode_into(&mut payload);
+                encode_handover_payload(&mut payload, handover);
             }
         }
         let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
         out.extend_from_slice(&WIRE_MAGIC);
         out.push(WIRE_VERSION);
         out.push(self.kind());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        put_len(&mut out, payload.len());
         out.extend_from_slice(&payload);
         out
     }
@@ -335,34 +503,14 @@ impl WireMessage {
                 let (frame, upload) = decode_upload_payload(payload, false)?;
                 WireMessage::Upload { frame, upload }
             }
-            KIND_PLAN => {
-                let mut c = Cursor::new(payload);
-                let short = "plan payload shorter than its fixed fields";
-                let frame = c.u64(short)?;
-                let n_acks = c.u32(short)? as usize;
-                let mut acks = Vec::with_capacity(n_acks.min(4096));
-                for _ in 0..n_acks {
-                    acks.push((c.u64(short)?, c.u64(short)?));
-                }
-                let (plan, used) = DisseminationPlan::decode_from(c.rest())?;
-                if used != c.rest().len() {
-                    return Err(codec("plan payload has trailing bytes"));
-                }
-                WireMessage::Plan { frame, acks, plan }
-            }
+            KIND_PLAN => decode_plan_payload(payload)?,
             KIND_BYE => {
                 if !payload.is_empty() {
                     return Err(codec("bye payload must be empty"));
                 }
                 WireMessage::Bye
             }
-            KIND_HANDOVER => {
-                let (handover, used) = VehicleHandover::decode_from(payload)?;
-                if used != payload.len() {
-                    return Err(codec("handover payload has trailing bytes"));
-                }
-                WireMessage::Handover { handover }
-            }
+            KIND_HANDOVER => decode_handover_payload(payload)?,
             _ => return Err(codec("unknown wire message kind")),
         };
         Ok(Some((msg, total)))
@@ -401,10 +549,8 @@ pub fn truncate_on_wire(upload: &Upload, keep: f64) -> Option<Upload> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use erpd_core::Assignment;
     use erpd_geometry::Vec3;
     use erpd_pointcloud::{max_quantization_error, PointCloud};
-    use erpd_tracking::ObjectId;
 
     fn sample_upload(n_objects: usize) -> Upload {
         let objects = (0..n_objects)
@@ -457,39 +603,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hello_plan_bye_round_trip_exactly() {
-        let plan = DisseminationPlan {
-            assignments: vec![Assignment {
-                object: ObjectId(5),
-                receiver: ObjectId(8),
-                relevance: 0.25,
-                size_bytes: 640,
-            }],
-            total_relevance: 0.25,
-            total_bytes: 640,
-        };
-        for msg in [
-            WireMessage::Hello { vehicle_id: 7 },
-            WireMessage::Plan {
-                frame: 3,
-                acks: vec![(7, 12), (9, 11)],
-                plan,
+    fn one_assignment_plan() -> WireMessage {
+        WireMessage::Plan {
+            frame: 3,
+            acks: vec![(7, 12)],
+            plan: DisseminationPlan {
+                assignments: vec![Assignment {
+                    object: ObjectId(5),
+                    receiver: ObjectId(8),
+                    relevance: 0.25,
+                    size_bytes: 640,
+                }],
+                total_relevance: 0.25,
+                total_bytes: 640,
             },
-            WireMessage::Bye,
-        ] {
-            let bytes = msg.encode();
-            let (decoded, used) = WireMessage::decode(&bytes).unwrap();
-            assert_eq!(used, bytes.len());
-            assert_eq!(decoded, msg);
         }
     }
 
-    #[test]
-    fn handover_round_trips_exactly() {
-        use erpd_core::{PoseSample, TrackSnapshot};
-        use erpd_tracking::ObjectKind;
-        let msg = WireMessage::Handover {
+    /// One pose sample and one track of one observation.
+    fn sample_handover() -> WireMessage {
+        WireMessage::Handover {
             handover: VehicleHandover {
                 vehicle_id: 3,
                 position: Vec2::new(55.0, -3.5),
@@ -508,17 +641,89 @@ mod tests {
                     history: vec![(1.5, Vec2::new(50.0, 2.0))],
                 }],
             },
-        };
-        let bytes = msg.encode();
-        let (decoded, used) = WireMessage::decode(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
-        assert_eq!(decoded, msg);
-        // Trailing payload bytes are corrupt, not silently ignored.
-        let mut padded = bytes.clone();
-        padded.push(0);
-        let extra = (padded.len() - FRAME_HEADER_BYTES) as u32;
-        padded[6..10].copy_from_slice(&extra.to_le_bytes());
-        assert!(WireMessage::decode(&padded).is_err());
+        }
+    }
+
+    #[test]
+    fn hello_plan_bye_handover_round_trip_exactly() {
+        let hello = WireMessage::Hello { vehicle_id: 7 };
+        for msg in [hello, one_assignment_plan(), WireMessage::Bye, sample_handover()] {
+            let bytes = msg.encode();
+            let (decoded, used) = WireMessage::decode(&bytes).unwrap();
+            assert_eq!(used, bytes.len());
+            assert_eq!(decoded, msg);
+        }
+    }
+
+    /// `frame` with its payload replaced and its length fixed up, so the
+    /// payload decoder — not the frame reader — sees the change.
+    fn reframed(frame: &[u8], payload: &[u8]) -> Vec<u8> {
+        let mut out = frame[..FRAME_HEADER_BYTES - 4].to_vec();
+        put_len(&mut out, payload.len());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// `frame` with `bytes` written over its payload at offset `at`.
+    fn overwritten(frame: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
+        let mut payload = frame[FRAME_HEADER_BYTES..].to_vec();
+        payload[at..at + bytes.len()].copy_from_slice(bytes);
+        reframed(frame, &payload)
+    }
+
+    fn assert_codec_error(bytes: &[u8], what: &str) {
+        assert!(
+            matches!(WireMessage::decode(bytes), Err(Error::Codec { .. })),
+            "{what} must be rejected"
+        );
+    }
+
+    /// Every strict prefix of `msg`'s payload, and the payload plus one
+    /// trailing byte, framed as complete messages, are codec errors.
+    fn assert_payload_is_exact(msg: &WireMessage) {
+        let frame = msg.encode();
+        let payload = &frame[FRAME_HEADER_BYTES..];
+        for cut in 0..payload.len() {
+            let prefix = reframed(&frame, &payload[..cut]);
+            assert_codec_error(&prefix, &format!("a {cut}-byte payload prefix"));
+        }
+        let padded = reframed(&frame, &[payload, &[0]].concat());
+        assert_codec_error(&padded, "a trailing payload byte");
+    }
+
+    #[test]
+    fn plan_rejects_every_truncation_and_absurd_counts() {
+        let msg = one_assignment_plan();
+        assert_payload_is_exact(&msg);
+        let frame = msg.encode();
+        // Payload: frame (8), n_acks (4) at 8, one ack (16), then
+        // total_relevance (8), total_bytes (8), n_assignments (4) at 44.
+        let huge = u32::MAX.to_le_bytes();
+        assert_codec_error(&overwritten(&frame, 8, &huge), "an absurd ack count");
+        assert_codec_error(&overwritten(&frame, 44, &huge), "an absurd assignment count");
+    }
+
+    #[test]
+    fn handover_rejects_every_truncation() {
+        assert_payload_is_exact(&sample_handover());
+    }
+
+    #[test]
+    fn handover_rejects_corrupt_counts_flags_and_kinds() {
+        let frame = sample_handover().encode();
+        // Payload: id, x, y (24), flags (1) at 24, rr_offset (8),
+        // n_pose (4) at 33, n_tracks (4) at 37, one pose sample (32), then
+        // the track: id (8), kind (1) at 81, misses and bytes (16),
+        // n_obs (4) at 98.
+        let huge = u32::MAX.to_le_bytes();
+        assert_codec_error(&overwritten(&frame, 33, &huge), "an absurd pose count");
+        assert_codec_error(&overwritten(&frame, 37, &huge), "an absurd track count");
+        assert_codec_error(&overwritten(&frame, 98, &huge), "an absurd observation count");
+        assert_codec_error(&overwritten(&frame, 24, &[2]), "an unknown flag bit");
+        assert_codec_error(&overwritten(&frame, 81, &[7]), "an unknown track kind");
+        // The offsets are right: the valid values there decode.
+        assert!(WireMessage::decode(&overwritten(&frame, 24, &[0])).is_ok());
+        assert!(WireMessage::decode(&overwritten(&frame, 81, &[0])).is_ok());
     }
 
     #[test]

@@ -4,15 +4,19 @@
 //! back as `Err(Error::Codec { .. })` (or `Ok(None)` where the bytes are
 //! merely an incomplete prefix a stream would finish later).
 
+use erpd_core::{Assignment, DisseminationPlan, Error, PoseSample, TrackSnapshot, VehicleHandover};
 use erpd_edge::wire::{FRAME_HEADER_BYTES, WIRE_VERSION};
-use erpd_edge::{truncate_on_wire, Upload, UploadedObject, WireMessage};
-use erpd_core::{Assignment, DisseminationPlan, Error};
+use erpd_edge::{
+    truncate_on_wire, PipelineBuilder, ServerConfig, ServingCore, Upload, UploadedObject,
+    WireMessage,
+};
 use erpd_geometry::{Pose2, Vec2, Vec3};
 use erpd_pointcloud::{max_quantization_error, PointCloud};
 use erpd_rand::proptest::prelude::*;
 use erpd_rand::rngs::StdRng;
 use erpd_rand::{Rng, RngCore, SeedableRng};
-use erpd_tracking::ObjectId;
+use erpd_sim::IntersectionMap;
+use erpd_tracking::{ObjectId, ObjectKind};
 
 /// A random but bounded upload: up to 6 objects of up to 40 points inside
 /// a ±200 m world — the envelope real extractions live in.
@@ -69,6 +73,44 @@ fn random_plan(seed: u64) -> DisseminationPlan {
         total_relevance: assignments.iter().map(|a| a.relevance).sum(),
         total_bytes: assignments.iter().map(|a| a.size_bytes).sum(),
         assignments,
+    }
+}
+
+/// A fixed handover: a pose history of two samples and two tracks.
+fn two_track_handover() -> VehicleHandover {
+    VehicleHandover {
+        vehicle_id: 42,
+        position: Vec2::new(61.5, -3.25),
+        in_outage: true,
+        rr_offset: 7,
+        pose_history: vec![
+            PoseSample {
+                t: 0.1,
+                position: Vec2::new(60.0, -3.5),
+                heading: std::f64::consts::PI,
+            },
+            PoseSample {
+                t: 0.2,
+                position: Vec2::new(60.75, -3.375),
+                heading: -1.0,
+            },
+        ],
+        tracks: vec![
+            TrackSnapshot {
+                id: (3u64 << 32) + 9,
+                kind: ObjectKind::Pedestrian,
+                misses: 2,
+                bytes: 600,
+                history: vec![(0.1, Vec2::new(58.0, 1.0)), (0.2, Vec2::new(58.1, 1.1))],
+            },
+            TrackSnapshot {
+                id: 0,
+                kind: ObjectKind::Vehicle,
+                misses: 0,
+                bytes: 0,
+                history: vec![(0.2, Vec2::new(-10.0, 0.0))],
+            },
+        ],
     }
 }
 
@@ -145,25 +187,31 @@ proptest! {
         }
     }
 
-    /// A single flipped bit anywhere in the frame never panics the
-    /// decoder: it either still decodes (the flip hit payload data the
-    /// format cannot distinguish from real values) or reports a codec
-    /// error — and a flip inside the 6 leading magic/version/kind bytes
-    /// is always caught.
+    /// A single flipped bit anywhere in an upload, plan or handover frame
+    /// never panics the decoder: it either still decodes (the flip hit
+    /// payload data the format cannot distinguish from real values) or
+    /// reports a codec error — and a flip inside the 6 leading
+    /// magic/version/kind bytes is always caught.
     #[test]
     fn bit_flips_never_panic(seed in 0u64..200, flip in 0usize..20_000) {
-        let upload = random_upload(seed);
-        let mut encoded = WireMessage::Upload { frame: seed, upload }.encode();
-        let bit = flip % (encoded.len() * 8);
-        encoded[bit / 8] ^= 1 << (bit % 8);
-        let headerish = bit / 8 < 6;
-        match WireMessage::decode(&encoded) {
-            Ok(_) => prop_assert!(
-                !headerish,
-                "a magic/version/kind flip at bit {bit} must not decode"
-            ),
-            Err(Error::Codec { .. }) => {}
-            Err(e) => return Err(TestCaseError::fail(format!("non-codec error {e:?}"))),
+        let acks = vec![(seed, 1), (seed + 1, 2)];
+        for msg in [
+            WireMessage::Upload { frame: seed, upload: random_upload(seed) },
+            WireMessage::Plan { frame: seed, acks, plan: random_plan(seed) },
+            WireMessage::Handover { handover: two_track_handover() },
+        ] {
+            let mut encoded = msg.encode();
+            let bit = flip % (encoded.len() * 8);
+            encoded[bit / 8] ^= 1 << (bit % 8);
+            let headerish = bit / 8 < 6;
+            match WireMessage::decode(&encoded) {
+                Ok(_) => prop_assert!(
+                    !headerish,
+                    "a magic/version/kind flip at bit {bit} must not decode"
+                ),
+                Err(Error::Codec { .. }) => {}
+                Err(e) => return Err(TestCaseError::fail(format!("non-codec error {e:?}"))),
+            }
         }
     }
 
@@ -218,6 +266,79 @@ proptest! {
     }
 }
 
+/// FNV-1a over bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100000001b3)
+    })
+}
+
+/// The v1 byte layout itself, pinned: one fixed message of every kind
+/// hashes to a recorded constant. Round-trip tests cannot catch a layout
+/// change made the same way on both sides; this one can. The upload
+/// carries two objects so its cloud bytes (the `compress` format) are
+/// pinned too, and the plan's relevances include `-0.0` and a subnormal
+/// so the raw-bits encoding of `f64` is pinned as well.
+#[test]
+fn v1_bytes_are_pinned() {
+    let two_objects = Upload {
+        vehicle_id: 17,
+        pose: Pose2::new(Vec2::new(-12.5, 40.25), 1.25),
+        objects: (0..2)
+            .map(|k| {
+                let base = 8.0 * k as f64;
+                UploadedObject {
+                    centroid: Vec2::new(base + 0.5, -1.75),
+                    points: (0..5)
+                        .map(|i| Vec3::new(base + 0.25 * i as f64, -2.0 + 0.125 * i as f64, 0.5))
+                        .collect(),
+                }
+            })
+            .collect(),
+        bytes: 4_321,
+        processing_time: 0.0375,
+        clustered_points: 314,
+    };
+    let assignment = |object, receiver, relevance, size_bytes| Assignment {
+        object: ObjectId(object),
+        receiver: ObjectId(receiver),
+        relevance,
+        size_bytes,
+    };
+    let plan = DisseminationPlan {
+        assignments: vec![
+            assignment(3, 9, 0.625, 4_096),
+            assignment(u64::MAX, 0, -0.0, 1),
+            assignment(7, 2, f64::MIN_POSITIVE / 4.0, 600),
+        ],
+        total_relevance: 0.625,
+        total_bytes: 4_697,
+    };
+    let messages = [
+        WireMessage::Hello { vehicle_id: 0x0102_0304_0506_0708 },
+        WireMessage::Upload { frame: 5, upload: two_objects },
+        WireMessage::Plan { frame: 11, acks: vec![(17, 5), (18, 4)], plan },
+        WireMessage::Bye,
+        WireMessage::Handover { handover: two_track_handover() },
+    ];
+    let got: Vec<(usize, u64)> = messages
+        .iter()
+        .map(|m| {
+            let bytes = m.encode();
+            (bytes.len(), fnv1a(&bytes))
+        })
+        .collect();
+    // (frame length, FNV-1a of the frame) per message, in order.
+    let pinned: [(usize, u64); 5] = [
+        (18, 15_214_130_359_325_067_545),
+        (298, 9_332_890_523_898_326_594),
+        (170, 15_252_722_779_482_947_356),
+        (10, 1_967_031_951_944_910_362),
+        (245, 15_452_332_247_275_612_162),
+    ];
+    assert_eq!(got, pinned);
+}
+
 /// Deterministic spot check: a frame carrying a deliberately oversized
 /// payload length is refused before any allocation is attempted.
 #[test]
@@ -234,4 +355,73 @@ fn oversized_declared_payload_is_refused() {
         WireMessage::decode_frame(&encoded),
         Err(Error::Codec { .. })
     ));
+}
+
+/// One frame of a small moving fleet: 3 vehicles driving east, 1.5 m per
+/// frame, each reporting 3 objects of 12 points ahead of it.
+fn fleet_frame(seed: u64, frame: u64) -> Vec<Upload> {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(31).wrapping_add(frame));
+    (0..3u64)
+        .map(|v| {
+            let at = Vec2::new(-40.0 + 1.5 * frame as f64, -6.0 + 6.0 * v as f64);
+            let objects = (0..3)
+                .map(|k| {
+                    let c = at
+                        + Vec2::new(
+                            8.0 + 6.0 * k as f64 + rng.next_unit_f64(),
+                            rng.next_unit_f64() * 4.0 - 2.0,
+                        );
+                    let points: PointCloud = (0..12)
+                        .map(|i| {
+                            Vec3::new(c.x + 0.1 * (i % 4) as f64, c.y + 0.1 * (i / 4) as f64, 0.8)
+                        })
+                        .collect();
+                    UploadedObject { centroid: c, points }
+                })
+                .collect();
+            Upload {
+                vehicle_id: v,
+                pose: Pose2::new(at, 0.0),
+                objects,
+                bytes: 2_000,
+                processing_time: 0.01,
+                clustered_points: 36,
+            }
+        })
+        .collect()
+}
+
+/// Whatever the decoder admits, the serving core survives: seeded 4-frame
+/// runs of a moving 3-vehicle fleet, where from frame 1 on vehicle 2's
+/// encoded upload has 1–3 payload bytes overwritten at random. Every frame
+/// is decoded (`Ok` or `Error::Codec`, nothing else) and what decodes is
+/// served; `serve` must not panic.
+#[test]
+fn mutated_uploads_never_panic_the_serving_core() {
+    for seed in 0..3_000u64 {
+        let (server, disseminate) =
+            PipelineBuilder::new(ServerConfig::default(), IntersectionMap::default()).build();
+        let mut core = ServingCore::new(server, disseminate);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d);
+        for frame in 0..4u64 {
+            let mut uploads = Vec::new();
+            for upload in fleet_frame(seed, frame) {
+                let victim = frame >= 1 && upload.vehicle_id == 2;
+                let mut bytes = WireMessage::Upload { frame, upload }.encode();
+                if victim {
+                    for _ in 0..rng.gen_range(1..4usize) {
+                        let at = rng.gen_range(FRAME_HEADER_BYTES..bytes.len());
+                        bytes[at] = rng.gen_range(0..256u64) as u8;
+                    }
+                }
+                match WireMessage::decode(&bytes) {
+                    Ok((WireMessage::Upload { upload, .. }, _)) => uploads.push(upload),
+                    Ok((other, _)) => panic!("seed {seed}: upload decoded as {other:?}"),
+                    Err(Error::Codec { .. }) => {}
+                    Err(e) => panic!("seed {seed}: non-codec error {e:?}"),
+                }
+            }
+            let _ = core.serve(frame as f64 * 0.1, &uploads, 100_000);
+        }
+    }
 }

@@ -11,8 +11,7 @@
 //! results are bit-identical to the former array-of-structs layout (a
 //! differential suite against that layout held while it was kept; what
 //! pins the results now is the pipeline fingerprints in
-//! `tests/stage_graph_determinism.rs`, and `tests/soa_reference.rs` keeps
-//! the DBSCAN lane seam).
+//! `tests/stage_graph_determinism.rs`).
 
 use erpd_geometry::{Transform3, Vec3};
 use std::fmt;

@@ -180,87 +180,28 @@ struct FlatGrid {
     grid_h: usize,
 }
 
-/// Borrowed planar point source: the caller's interleaved `Vec2` slice,
-/// or a pair of SoA coordinate lanes read without materialising `Vec2`s.
-/// Both spell the same logical sequence; the lane form lets the grid
-/// build's bounding-box and cell-keying passes run as tight per-lane
-/// loops straight off a [`crate::PointCloud`]'s storage.
-#[derive(Clone, Copy)]
-enum Planar<'a> {
-    Interleaved(&'a [Vec2]),
-    Lanes(&'a [f64], &'a [f64]),
-}
-
-impl Planar<'_> {
-    #[inline]
-    fn len(self) -> usize {
-        match self {
-            Planar::Interleaved(p) => p.len(),
-            Planar::Lanes(xs, _) => xs.len(),
-        }
+/// `(min, max)` of one coordinate lane. Caller guarantees non-empty.
+fn lane_bounds(v: &[f64]) -> (f64, f64) {
+    let mut min = v[0];
+    let mut max = v[0];
+    for &x in &v[1..] {
+        min = min.min(x);
+        max = max.max(x);
     }
-
-    #[inline]
-    fn is_empty(self) -> bool {
-        self.len() == 0
-    }
-
-    #[inline]
-    fn get(self, i: usize) -> Vec2 {
-        match self {
-            Planar::Interleaved(p) => p[i],
-            Planar::Lanes(xs, ys) => Vec2::new(xs[i], ys[i]),
-        }
-    }
-
-    /// Componentwise bounding box `(min, max)`. Caller guarantees
-    /// non-empty.
-    fn bounds(self) -> (Vec2, Vec2) {
-        fn lane(v: &[f64]) -> (f64, f64) {
-            let mut min = v[0];
-            let mut max = v[0];
-            for &x in &v[1..] {
-                min = min.min(x);
-                max = max.max(x);
-            }
-            (min, max)
-        }
-        match self {
-            Planar::Interleaved(p) => {
-                let mut min = p[0];
-                let mut max = p[0];
-                for &q in &p[1..] {
-                    min.x = min.x.min(q.x);
-                    min.y = min.y.min(q.y);
-                    max.x = max.x.max(q.x);
-                    max.y = max.y.max(q.y);
-                }
-                (min, max)
-            }
-            Planar::Lanes(xs, ys) => {
-                let (min_x, max_x) = lane(xs);
-                let (min_y, max_y) = lane(ys);
-                (Vec2::new(min_x, min_y), Vec2::new(max_x, max_y))
-            }
-        }
-    }
+    (min, max)
 }
 
 impl FlatGrid {
-    fn key(p: Vec2, cell: f64) -> (i64, i64) {
-        ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
-    }
-
-    /// Rebuilds the grid over `points`, reusing all buffers. `min_pts`
-    /// only steers the dense-layout cell-side choice (see below) — it
-    /// never affects which points end up where.
-    fn build(&mut self, points: Planar<'_>, eps: f64, min_pts: usize) {
+    /// Rebuilds the grid over the points `(xs[i], ys[i])`, reusing all
+    /// buffers. `min_pts` only steers the dense-layout cell-side choice
+    /// (see below) — it never affects which points end up where.
+    fn build(&mut self, xs: &[f64], ys: &[f64], eps: f64, min_pts: usize) {
         self.eps = eps;
         // Both scatter passes (dense and sparse) write every slot in
         // `0..len` exactly once before any read, so neither array needs
         // its stale contents cleared — only growing (or shrinking the
         // tail) to the new length.
-        let len = points.len();
+        let len = xs.len();
         if self.entries.len() < len {
             self.entries.resize(len, 0);
         } else {
@@ -272,7 +213,7 @@ impl FlatGrid {
             self.pts.truncate(len);
         }
         self.cell_keys.clear();
-        if points.is_empty() {
+        if len == 0 {
             self.grid_w = 0;
             self.grid_h = 0;
             self.cell = eps;
@@ -283,16 +224,23 @@ impl FlatGrid {
         // The layout choice needs the cell-count of the candidate grid, and
         // `floor` is monotone, so the coordinate bounding box gives the key
         // bounding box at any cell size without materialising keys first.
-        let (min, max) = points.bounds();
+        let (min_x, max_x) = lane_bounds(xs);
+        let (min_y, max_y) = lane_bounds(ys);
+        let (min, max) = (Vec2::new(min_x, min_y), Vec2::new(max_x, max_y));
         let dims = |side: f64| -> (i64, i64, i128, i128) {
             // Same `floor(v * inv)` keying the per-point hot loops use.
             let inv = 1.0 / side;
             let min_kx = (min.x * inv).floor() as i64;
             let min_ky = (min.y * inv).floor() as i64;
             // i128: the key span of a degenerate cloud can overflow i64.
-            let w = (max.x * inv).floor() as i128 - min_kx as i128 + 1;
-            let h = (max.y * inv).floor() as i128 - min_ky as i128 + 1;
-            (min_kx, min_ky, w, h)
+            // Saturating: a coordinate beyond i128 saturates its cast, and
+            // the span must still come out huge, not wrap.
+            let span = |max: f64, min_k: i64| {
+                ((max * inv).floor() as i128)
+                    .saturating_sub(min_k as i128)
+                    .saturating_add(1)
+            };
+            (min_kx, min_ky, span(max.x, min_kx), span(max.y, min_ky))
         };
         // The dense layout wins whenever the offset table stays small
         // enough to rebuild (one memset + counting sort) cheaply relative
@@ -300,9 +248,13 @@ impl FlatGrid {
         // (tens of thousands of points over a few hundred metres, even at
         // sub-eps cell granularity) while the truly degenerate clouds
         // (points kilometres apart) fall back to the sorted sparse layout.
-        let dense_cap = (points.len() as i128 * 64).max(4096);
+        let dense_cap = (len as i128 * 64).max(4096);
         let (bkx, bky, bw, bh) = dims(eps * BIG_CELL);
-        if bw * bh <= dense_cap && bw * bh < u32::MAX as i128 {
+        let fits_dense = |w: i128, h: i128| {
+            let cells = w.saturating_mul(h);
+            cells <= dense_cap && cells < u32::MAX as i128
+        };
+        if fits_dense(bw, bh) {
             // Any cell side with diagonal under eps gives identical labels,
             // so the side is purely a speed knob with a density-dependent
             // optimum. Big 0.7·eps cells win when they reach `min_points`:
@@ -315,38 +267,30 @@ impl FlatGrid {
             // `min_points`.
             self.cell = eps * BIG_CELL;
             self.inv_cell = 1.0 / self.cell;
-            self.count_cells(points, bkx, bky, bw as usize, bh as usize);
+            self.count_cells(xs, ys, bkx, bky, bw as usize, bh as usize);
             let free_pts: u32 = self.starts[1..]
                 .iter()
                 .filter(|&&cnt| cnt as usize >= min_pts)
                 .sum();
-            if (free_pts as usize) * 2 < points.len() {
+            if (free_pts as usize) * 2 < len {
                 let (skx, sky, sw, sh) = dims(eps * 0.5);
-                if sw * sh <= dense_cap && sw * sh < u32::MAX as i128 {
+                if fits_dense(sw, sh) {
                     self.cell = eps * 0.5;
                     self.inv_cell = 1.0 / self.cell;
-                    self.count_cells(points, skx, sky, sw as usize, sh as usize);
+                    self.count_cells(xs, ys, skx, sky, sw as usize, sh as usize);
                 }
             }
-            self.finish_dense(points);
+            self.finish_dense(xs, ys);
         } else {
             self.cell = eps;
             self.inv_cell = 1.0 / eps;
-            let cell = self.cell;
             self.keys_of.clear();
-            match points {
-                Planar::Interleaved(p) => {
-                    self.keys_of.extend(p.iter().map(|&p| Self::key(p, cell)));
-                }
-                Planar::Lanes(xs, ys) => {
-                    self.keys_of.extend(
-                        xs.iter()
-                            .zip(ys)
-                            .map(|(&x, &y)| Self::key(Vec2::new(x, y), cell)),
-                    );
-                }
-            }
-            self.build_sparse(points);
+            self.keys_of.extend(
+                xs.iter()
+                    .zip(ys)
+                    .map(|(&x, &y)| ((x / eps).floor() as i64, (y / eps).floor() as i64)),
+            );
+            self.build_sparse(xs, ys);
         }
     }
 
@@ -355,30 +299,26 @@ impl FlatGrid {
     /// [`finish_dense`](Self::finish_dense) so [`build`](Self::build) can
     /// inspect the occupancy histogram to pick the cell side before
     /// committing to the scatter.
-    fn count_cells(&mut self, points: Planar<'_>, min_kx: i64, min_ky: i64, w: usize, h: usize) {
+    fn count_cells(
+        &mut self,
+        xs: &[f64],
+        ys: &[f64],
+        min_kx: i64,
+        min_ky: i64,
+        w: usize,
+        h: usize,
+    ) {
         self.min_kx = min_kx;
         self.min_ky = min_ky;
         self.grid_w = w;
         self.grid_h = h;
         let inv = self.inv_cell;
         self.cell_of.clear();
-        // Matched outside the loop so each variant keys in one tight pass.
-        match points {
-            Planar::Interleaved(p) => {
-                self.cell_of.extend(p.iter().map(|&p| {
-                    let kx = ((p.x * inv).floor() as i64 - min_kx) as usize;
-                    let ky = ((p.y * inv).floor() as i64 - min_ky) as usize;
-                    (kx * h + ky) as u32
-                }));
-            }
-            Planar::Lanes(xs, ys) => {
-                self.cell_of.extend(xs.iter().zip(ys).map(|(&x, &y)| {
-                    let kx = ((x * inv).floor() as i64 - min_kx) as usize;
-                    let ky = ((y * inv).floor() as i64 - min_ky) as usize;
-                    (kx * h + ky) as u32
-                }));
-            }
-        }
+        self.cell_of.extend(xs.iter().zip(ys).map(|(&x, &y)| {
+            let kx = ((x * inv).floor() as i64 - min_kx) as usize;
+            let ky = ((y * inv).floor() as i64 - min_ky) as usize;
+            (kx * h + ky) as u32
+        }));
         self.starts.clear();
         self.starts.resize(w * h + 1, 0);
         for &c in &self.cell_of {
@@ -393,7 +333,7 @@ impl FlatGrid {
     /// advances it to the end offset, which *is* cell `c + 1`'s begin —
     /// so the table lands in its final `starts[c]..starts[c + 1]` shape
     /// without a second cells-sized array to memset and copy.
-    fn finish_dense(&mut self, points: Planar<'_>) {
+    fn finish_dense(&mut self, xs: &[f64], ys: &[f64]) {
         let cells = self.grid_w * self.grid_h;
         self.occupied.clear();
         let mut sum = 0u32;
@@ -408,13 +348,13 @@ impl FlatGrid {
         for (i, &c) in self.cell_of.iter().enumerate() {
             let pos = self.starts[c as usize + 1];
             self.entries[pos as usize] = i as u32;
-            self.pts[pos as usize] = points.get(i);
+            self.pts[pos as usize] = Vec2::new(xs[i], ys[i]);
             self.starts[c as usize + 1] = pos + 1;
         }
     }
 
     /// Sort-by-key into per-cell runs; occupied cells only.
-    fn build_sparse(&mut self, points: Planar<'_>) {
+    fn build_sparse(&mut self, xs: &[f64], ys: &[f64]) {
         self.grid_w = 0;
         self.grid_h = 0;
         self.sort_buf.clear();
@@ -430,9 +370,9 @@ impl FlatGrid {
                 self.starts.push(pos as u32);
             }
             self.entries[pos] = i;
-            self.pts[pos] = points.get(i as usize);
+            self.pts[pos] = Vec2::new(xs[i as usize], ys[i as usize]);
         }
-        self.starts.push(points.len() as u32);
+        self.starts.push(xs.len() as u32);
     }
 
     /// Exact window of dense-layout cells overlapping the padded query
@@ -454,24 +394,22 @@ impl FlatGrid {
         (x0, x1, y0, y1)
     }
 
-    /// Probes the eps-neighbourhood of point `idx` in one fused pass
-    /// (sparse layout only): returns the neighbour *count* (the core
+    /// Probes the eps-neighbourhood of point `idx`, at `p`, in one fused
+    /// pass (sparse layout only): returns the neighbour *count* (the core
     /// test's input) and pushes onto `frontier` every neighbour that can
     /// still change state (`labels[j] >= NOISE`). No neighbour list is
     /// ever materialised.
-    fn probe(
-        &self,
-        points: Planar<'_>,
-        idx: usize,
-        labels: &[u32],
-        frontier: &mut Vec<u32>,
-    ) -> usize {
-        let p = points.get(idx);
+    fn probe(&self, p: Vec2, idx: usize, labels: &[u32], frontier: &mut Vec<u32>) -> usize {
         let (cx, cy) = self.keys_of[idx];
         let mut count = 0;
         for dx in -1..=1 {
             for dy in -1..=1 {
-                let Ok(c) = self.cell_keys.binary_search(&(cx + dx, cy + dy)) else {
+                // A coordinate beyond the i64 key range saturates its key,
+                // and a saturated key has no neighbour cell on that side.
+                let (Some(kx), Some(ky)) = (cx.checked_add(dx), cy.checked_add(dy)) else {
+                    continue;
+                };
+                let Ok(c) = self.cell_keys.binary_search(&(kx, ky)) else {
                     continue;
                 };
                 let lo = self.starts[c] as usize;
@@ -525,21 +463,22 @@ impl FlatGrid {
 const NO_CORE: u32 = u32::MAX - 1;
 
 /// Reusable DBSCAN state: the flat CSR grid plus the label, neighbour,
-/// and frontier buffers. [`run`](Self::run) overwrites everything, so one
-/// scratch can serve an unbounded stream of frames with no steady-state
-/// heap allocation; read the outcome through [`label`](Self::label),
-/// [`n_clusters`](Self::n_clusters), and [`noise_count`](Self::noise_count),
-/// or materialise a [`DbscanResult`] with [`to_result`](Self::to_result).
+/// and frontier buffers. [`run_lanes`](Self::run_lanes) overwrites
+/// everything, so one scratch can serve an unbounded stream of frames with
+/// no steady-state heap allocation; read the outcome through
+/// [`label`](Self::label), [`n_clusters`](Self::n_clusters), and
+/// [`noise_count`](Self::noise_count), or materialise a [`DbscanResult`]
+/// with [`to_result`](Self::to_result).
 ///
 /// # Examples
 ///
 /// ```
 /// use erpd_pointcloud::{DbscanParams, DbscanScratch};
-/// use erpd_geometry::Vec2;
 ///
-/// let pts: Vec<Vec2> = (0..6).map(|i| Vec2::new(i as f64 * 0.1, 0.0)).collect();
+/// let xs: Vec<f64> = (0..6).map(|i| i as f64 * 0.1).collect();
+/// let ys = vec![0.0; 6];
 /// let mut scratch = DbscanScratch::new();
-/// scratch.run(&pts, DbscanParams::new(0.5, 3));
+/// scratch.run_lanes(&xs, &ys, DbscanParams::new(0.5, 3));
 /// assert_eq!(scratch.n_clusters(), 1);
 /// assert_eq!(scratch.label(0), Some(0));
 /// ```
@@ -581,41 +520,23 @@ impl DbscanScratch {
         DbscanScratch::default()
     }
 
-    /// Clusters `points`, overwriting any previous run's state.
+    /// Clusters the points `(xs[i], ys[i])` — the SoA coordinate lanes of
+    /// a [`crate::PointCloud`]'s planar projection — overwriting any
+    /// previous run's state.
     ///
     /// # Panics
     ///
-    /// Panics if `points` holds `u32::MAX - 1` points or more (labels are
-    /// `u32` with two sentinel values).
-    pub fn run(&mut self, points: &[Vec2], params: DbscanParams) {
-        self.run_planar(Planar::Interleaved(points), params);
-    }
-
-    /// Clusters the SoA coordinate lanes `(xs[i], ys[i])` — the planar
-    /// projection of a [`crate::PointCloud`] — without materialising an
-    /// interleaved copy. Labels are bit-identical to
-    /// [`run`](Self::run) over the zipped `Vec2` sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lanes differ in length, or on the same label-space
-    /// overflow as [`run`](Self::run).
+    /// Panics if the lanes differ in length, or hold `u32::MAX - 1` points
+    /// or more (labels are `u32` with two sentinel values).
     pub fn run_lanes(&mut self, xs: &[f64], ys: &[f64], params: DbscanParams) {
         assert_eq!(xs.len(), ys.len(), "coordinate lanes must match");
-        self.run_planar(Planar::Lanes(xs, ys), params);
-    }
-
-    fn run_planar(&mut self, points: Planar<'_>, params: DbscanParams) {
-        assert!(
-            points.len() < NOISE as usize,
-            "point count exceeds the u32 label space"
-        );
-        self.grid.build(points, params.eps, params.min_points);
-        let n = points.len();
+        let n = xs.len();
+        assert!(n < NOISE as usize, "point count exceeds the u32 label space");
+        self.grid.build(xs, ys, params.eps, params.min_points);
         self.n_clusters = 0;
         self.noise = 0;
         self.frontier.clear();
-        if points.is_empty() {
+        if n == 0 {
             self.labels.clear();
             return;
         }
@@ -628,20 +549,20 @@ impl DbscanScratch {
             } else {
                 self.labels.truncate(n);
             }
-            self.run_dense(points, params);
+            self.run_dense(params);
         } else {
             // The sparse BFS reads `UNVISITED` to pick seeds, so labels
             // must start clean.
             self.labels.clear();
             self.labels.resize(n, UNVISITED);
-            self.run_sparse(points, params);
+            self.run_sparse(xs, ys, params);
         }
     }
 
     /// Classic seeded BFS over the sparse grid layout. Far-flung clouds
     /// only: per-point neighbourhood scans are cheap when nearly every
     /// cell is empty.
-    fn run_sparse(&mut self, points: Planar<'_>, params: DbscanParams) {
+    fn run_sparse(&mut self, xs: &[f64], ys: &[f64], params: DbscanParams) {
         // The probe pushes frontier candidates while it counts, so no
         // neighbour list is ever materialised. Only points that can still
         // change state go on the frontier (`labels >= NOISE`): an
@@ -649,11 +570,12 @@ impl DbscanScratch {
         // stops duplicate re-expansion without changing any label. A
         // non-core probe's speculative pushes are rolled back by
         // truncating to the pre-probe mark, which no pop can observe.
-        for i in 0..points.len() {
+        let at = |i: usize| Vec2::new(xs[i], ys[i]);
+        for i in 0..xs.len() {
             if self.labels[i] != UNVISITED {
                 continue;
             }
-            let count = self.grid.probe(points, i, &self.labels, &mut self.frontier);
+            let count = self.grid.probe(at(i), i, &self.labels, &mut self.frontier);
             if count < params.min_points {
                 self.frontier.clear(); // roll back this probe's pushes
                 self.labels[i] = NOISE;
@@ -678,7 +600,7 @@ impl DbscanScratch {
                 }
                 self.labels[j] = cluster;
                 let mark = self.frontier.len();
-                let count = self.grid.probe(points, j, &self.labels, &mut self.frontier);
+                let count = self.grid.probe(at(j), j, &self.labels, &mut self.frontier);
                 if count < params.min_points {
                     self.frontier.truncate(mark); // border point: no expansion
                 }
@@ -704,10 +626,10 @@ impl DbscanScratch {
     ///   lowest-numbered cluster with a core in range, which is the
     ///   cluster whose (fully-drained) expansion would have popped it
     ///   first; the rest is noise.
-    fn run_dense(&mut self, points: Planar<'_>, params: DbscanParams) {
+    fn run_dense(&mut self, params: DbscanParams) {
         let min_pts = params.min_points;
         let eps2 = params.eps * params.eps;
-        let n = points.len();
+        let n = self.labels.len();
         let h = self.grid.grid_h as i64;
         let w = self.grid.grid_w as i64;
 
@@ -1017,8 +939,10 @@ impl DbscanScratch {
 
 /// Runs DBSCAN on planar points.
 ///
-/// One-shot wrapper around [`DbscanScratch`]; hot paths that cluster every
-/// frame should hold a scratch and call [`DbscanScratch::run`] instead.
+/// One-shot wrapper around [`DbscanScratch`] for small inputs: it splits
+/// the points into two coordinate lanes. Hot paths that cluster every
+/// frame should hold a scratch and call [`DbscanScratch::run_lanes`]
+/// instead.
 ///
 /// # Examples
 ///
@@ -1035,8 +959,10 @@ impl DbscanScratch {
 /// assert_eq!(result.n_clusters(), 2);
 /// ```
 pub fn dbscan(points: &[Vec2], params: DbscanParams) -> DbscanResult {
+    let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
+    let ys: Vec<f64> = points.iter().map(|p| p.y).collect();
     let mut scratch = DbscanScratch::new();
-    scratch.run(points, params);
+    scratch.run_lanes(&xs, &ys, params);
     scratch.to_result()
 }
 
@@ -1160,7 +1086,9 @@ mod tests {
         let params = DbscanParams::new(1.0, 3);
         let mut scratch = DbscanScratch::new();
         for pts in &frames {
-            scratch.run(pts, params);
+            let xs: Vec<f64> = pts.iter().map(|p| p.x).collect();
+            let ys: Vec<f64> = pts.iter().map(|p| p.y).collect();
+            scratch.run_lanes(&xs, &ys, params);
             let expected = dbscan(pts, params);
             assert_eq!(scratch.to_result(), expected);
             assert_eq!(scratch.noise_count(), expected.noise().len());
@@ -1193,6 +1121,21 @@ mod tests {
         let r = dbscan(&pts, DbscanParams::new(1.0, 2));
         assert_eq!(r.n_clusters(), 1);
         assert!(r.labels()[0].is_none());
+    }
+
+    #[test]
+    fn saturated_keys_do_not_overflow() {
+        // Coordinates beyond the i64 key range saturate their cell keys
+        // to i64::MAX / i64::MIN; probing the neighbour cells past them
+        // must neither overflow nor link the two extremes.
+        let pts = vec![
+            Vec2::new(1e300, 1e300),
+            Vec2::new(1e300, 1e300),
+            Vec2::new(-1e300, -1e300),
+        ];
+        let r = dbscan(&pts, DbscanParams::new(1.0, 2));
+        assert_eq!(r.n_clusters(), 1);
+        assert_eq!(r.labels(), &[Some(0), Some(0), None]);
     }
 }
 

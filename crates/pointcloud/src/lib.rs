@@ -10,8 +10,9 @@
 //!    across consecutive frames,
 //! 4. (optionally) [`compress`] — quantise before upload.
 //!
-//! The edge-side [`PointCloudMerger`] fuses world-frame uploads into the
-//! global traffic map with voxel deduplication.
+//! The edge-side [`PointCloudMerger`] deduplicates world-frame uploads
+//! into the global traffic map: the set of occupied voxels, of which the
+//! server reads the count.
 //!
 //! # Examples
 //!
@@ -45,7 +46,7 @@ pub use compress::{
 };
 pub use dbscan::{dbscan, DbscanParams, DbscanResult, DbscanScratch};
 pub use ground::GroundFilter;
-pub use merge::{merge_clouds, PointCloudMerger};
+pub use merge::PointCloudMerger;
 pub use motion::{
     DetectedObject, ExtractionConfig, ExtractionOutput, ExtractionScratch, MovingObjectExtractor,
 };

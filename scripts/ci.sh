@@ -37,6 +37,14 @@ hermetic --manifest-path benchmark/Cargo.toml
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+# Every v1 byte layout lives in crates/edge/src/wire.rs. (An `if`, not a
+# bare `! git grep`: `set -e` does not stop on a negated command.)
+echo "==> byte layouts have one owner: no (to|from)_le_bytes in crates/core/src"
+if git grep -nE '(to|from)_le_bytes' -- crates/core/src; then
+    echo "byte layouts: the lines above encode bytes outside crates/edge/src/wire.rs" >&2
+    exit 1
+fi
+
 # benchmark/ compiles against this workspace's public API: a removed or
 # renamed item it imports fails here, before the long test steps.
 echo "==> benchmark compile surface: cargo build --release --offline --manifest-path benchmark/Cargo.toml"

@@ -115,7 +115,7 @@ pub struct ServerFrame {
     pub detections: Vec<DetectionSummary>,
     /// Number of trajectories actually predicted (Rules 1–3 savings).
     pub predicted_trajectories: usize,
-    /// Points in the merged traffic map.
+    /// Occupied voxels in the merged traffic map.
     pub map_points: usize,
     /// Objects served from coasted (stale) state this frame because their
     /// source upload went missing.

@@ -6,6 +6,7 @@ use erpd_pointcloud::{
     PointCloudMerger,
 };
 use erpd_rand::proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn point() -> impl Strategy<Value = Vec3> {
     (-100.0f64..100.0, -100.0f64..100.0, -3.0f64..10.0).prop_map(|(x, y, z)| Vec3::new(x, y, z))
@@ -15,7 +16,151 @@ fn cloud(max: usize) -> impl Strategy<Value = PointCloud> {
     proptest::collection::vec(point(), 0..max).prop_map(PointCloud::from_points)
 }
 
+/// The merged map's size by definition: the distinct floored voxel keys of
+/// the finite points, and the number of the other points.
+fn voxel_oracle(clouds: &[PointCloud], s: f64) -> (usize, usize) {
+    let key = |v: f64| (v / s).floor() as i64;
+    let (mut voxels, mut rejected) = (BTreeSet::new(), 0);
+    for p in clouds.iter().flat_map(|c| c.iter()) {
+        if p.is_finite() {
+            voxels.insert((key(p.x), key(p.y), key(p.z)));
+        } else {
+            rejected += 1;
+        }
+    }
+    (voxels.len(), rejected)
+}
+
+/// Merges `clouds` with a merger that first served an unrelated frame
+/// (its scratch is warm and dirty) and checks both counts against
+/// [`voxel_oracle`], twice.
+fn merge_matches_the_oracle(clouds: &[PointCloud], s: f64) -> Result<(), TestCaseError> {
+    let mut m = PointCloudMerger::new(s);
+    m.add(
+        &(0..50)
+            .map(|i| Vec3::new(i as f64, -(i as f64), 0.5))
+            .collect(),
+    );
+    let _ = m.output_points();
+    m.reset();
+    for c in clouds {
+        m.add(c);
+    }
+    let (voxels, rejected) = voxel_oracle(clouds, s);
+    prop_assert_eq!(m.output_points(), voxels);
+    prop_assert_eq!(m.output_points(), voxels);
+    prop_assert_eq!(m.rejected_points(), rejected);
+    Ok(())
+}
+
+/// Cluster centres per axis: kilometres apart, and far enough out that
+/// the voxel key saturates at ±2^63 (`f64::MAX / s` is infinite).
+const FAR: [f64; 10] = [
+    0.0,
+    2.5e3,
+    -4e3,
+    7.5e4,
+    1e18,
+    -1e18,
+    1e300,
+    -1e300,
+    f64::MAX,
+    -f64::MAX,
+];
+
+/// One coordinate of the special-value cloud, by `kind`: an exact multiple
+/// `k * s`, signed zero, NaN, ±∞, or an ordinary value.
+fn special(kind: usize, k: i64, v: f64, s: f64) -> f64 {
+    match kind {
+        0..=3 => k as f64 * s,
+        4 => -0.0,
+        5 => 0.0,
+        6 => f64::NAN,
+        7 => f64::INFINITY,
+        8 => f64::NEG_INFINITY,
+        _ => v,
+    }
+}
+
+#[test]
+fn merge_counts_a_box_of_about_2_pow_192_voxels() {
+    // Each axis spans ~2^64 voxels, so the box volume overflows i128.
+    let cloud = PointCloud::from_points(vec![
+        Vec3::new(-1e300, -1e300, -1e300),
+        Vec3::new(1e300, 1e300, 1e300),
+        Vec3::new(-f64::MAX, 0.1, f64::MAX),
+        Vec3::new(0.1, 0.1, 0.1),
+        Vec3::new(0.2, 0.2, 0.2),
+    ]);
+    merge_matches_the_oracle(&[cloud], 0.3).unwrap();
+}
+
 proptest! {
+    #[test]
+    fn merge_count_equals_the_voxel_oracle_on_compact_clouds(
+        origin in (-1e4f64..1e4, -1e4f64..1e4, -50.0f64..50.0),
+        cells in proptest::collection::vec(
+            (0i64..6, 0i64..6, 0i64..4, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+            0..300,
+        ),
+        split in 0usize..300,
+        s in 0.05f64..2.0,
+    ) {
+        // A few voxels per axis: the box is dense (the bitmap path).
+        let (ox, oy, oz) = origin;
+        let c: PointCloud = cells
+            .into_iter()
+            .map(|(i, j, k, fx, fy, fz)| {
+                Vec3::new(ox + (i as f64 + fx) * s, oy + (j as f64 + fy) * s, oz + (k as f64 + fz) * s)
+            })
+            .collect();
+        let split = split.min(c.len());
+        let a: PointCloud = c.iter().take(split).collect();
+        let b: PointCloud = c.iter().skip(split).collect();
+        // `a` twice: an overlapping view adds no voxel.
+        merge_matches_the_oracle(&[a.clone(), b, a], s)?;
+    }
+
+    #[test]
+    fn merge_count_equals_the_voxel_oracle_on_far_and_saturated_clusters(
+        pts in proptest::collection::vec(
+            (0usize..10, 0usize..10, 0usize..10, -50.0f64..50.0, -50.0f64..50.0, -5.0f64..5.0),
+            0..200,
+        ),
+        near in 0usize..4,
+        s in 0.05f64..2.0,
+    ) {
+        // Centres drawn from the first 1, 3, 6 or all 10 entries of `FAR`:
+        // from one cluster at the origin up to saturated keys on every
+        // axis (the sort path).
+        let reach = if near == 0 { 1 } else { FAR.len() * near / 3 };
+        let c: PointCloud = pts
+            .into_iter()
+            .map(|(i, j, k, dx, dy, dz)| {
+                Vec3::new(FAR[i % reach] + dx, FAR[j % reach] + dy, FAR[k % reach] + dz)
+            })
+            .collect();
+        merge_matches_the_oracle(&[c], s)?;
+    }
+
+    #[test]
+    fn merge_count_equals_the_voxel_oracle_with_special_values(
+        pts in proptest::collection::vec(
+            (0usize..12, 0usize..12, 0usize..12, -50i64..50, -20.0f64..20.0),
+            0..200,
+        ),
+        s in 0.05f64..2.0,
+    ) {
+        // Coordinates on voxel boundaries, signed zeros, NaN and ±∞.
+        let c: PointCloud = pts
+            .into_iter()
+            .map(|(a, b, d, k, v)| {
+                Vec3::new(special(a, k, v, s), special(b, -k, v * 0.5, s), special(d, k / 3, -v, s))
+            })
+            .collect();
+        merge_matches_the_oracle(&[c], s)?;
+    }
+
     #[test]
     fn ground_filter_is_idempotent(c in cloud(200), h in 0.5f64..3.0, eps in 0.0f64..0.5) {
         let f = GroundFilter::new(h, eps);

@@ -2,17 +2,19 @@
 # A/B of one benchmark workload between a parent revision and the working
 # tree, in alternating pairs on one machine.
 #
-#   scripts/ab.sh <parent-rev> <workload> <pairs>
+#   scripts/ab.sh [--trace] <parent-rev> <workload> <pairs>
 #   scripts/ab.sh --help
 #
 # Builds benchmark/ once per side, each from its own source tree into its
 # own target directory under target/ab/: the parent from `git archive
 # <parent-rev>`, the change from the working tree. Pair i runs both sides at
 # `--workload <workload> --seed i --seconds 20 --trace 0`, the parent first
-# in odd pairs and second in even ones. Prints, per metric, each side's
-# median [q1, q3] over the pairs, the change/parent ratio of the medians and
-# the pairs the change won (direction from BENCHMARK.json), then exits 1
-# after flagging
+# in odd pairs and second in even ones. With --trace the runs are traced
+# (`--trace 1`), so the table compares the per-layer metrics
+# (`pointcloud.merge_ms`, `edge.transport.serve_ms`, ...) instead of the
+# end-to-end ones. Prints, per metric, each side's median [q1, q3] over
+# the pairs, the change/parent ratio of the medians and the pairs the
+# change won (direction from BENCHMARK.json), then exits 1 after flagging
 #   * a byte or relevance metric whose printed value differs between the
 #     two runs of a pair by even one digit,
 #   * a multi_edge change run that got through more units than its paired
@@ -24,8 +26,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() { sed -n '2,/^set -e/p' "$0" | sed '$d' | sed 's/^# \{0,1\}//'; }
+trace=0
 case "${1:-}" in
     -h | --help) usage; exit 0 ;;
+    --trace) trace=1; shift ;;
 esac
 if [ $# -ne 3 ]; then
     usage >&2
@@ -61,7 +65,7 @@ for i in $(seq 1 "$pairs"); do
         echo "==> pair $i: $side" >&2
         # A failed run exits non-zero; it is flagged below, not fatal here.
         "$work/$side-target/release/erpd-benchmark" --out-dir "$work/runs/out-$side" \
-            --workload "$workload" --seed "$i" --seconds 20 --trace 0 \
+            --workload "$workload" --seed "$i" --seconds 20 --trace "$trace" \
             >"$work/runs/$side-$i.txt" 2>"$work/runs/$side-$i.err" || true
         runs+=("$work/runs/$side-$i.txt")
     done

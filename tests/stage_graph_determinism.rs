@@ -71,7 +71,15 @@ fn hash_frame(h: &mut Fnv, r: &FrameReport, sf: &ServerFrame) {
     }
 }
 
-fn fingerprint(strategy: Strategy, fault: FaultModel, coast: f64, frames: usize) -> u64 {
+/// Runs the pinned scenario for `frames` ticks, folding each frame into an
+/// FNV-1a with `hash`.
+fn run(
+    strategy: Strategy,
+    fault: FaultModel,
+    coast: f64,
+    frames: usize,
+    hash: fn(&mut Fnv, &FrameReport, &ServerFrame),
+) -> u64 {
     let mut s = Scenario::build(
         ScenarioConfig::default()
             .with_kind(ScenarioKind::UnprotectedLeftTurn)
@@ -85,7 +93,7 @@ fn fingerprint(strategy: Strategy, fault: FaultModel, coast: f64, frames: usize)
     let mut h = Fnv::new();
     for _ in 0..frames {
         let r = sys.tick(&mut s.world).expect("valid configuration");
-        hash_frame(&mut h, &r, sys.last_server_frame());
+        hash(&mut h, &r, sys.last_server_frame());
         s.world.step();
     }
     h.0
@@ -115,15 +123,40 @@ fn pipeline_fingerprints_match_the_pre_refactor_implementation() {
         ("unlimited/ideal", Strategy::Unlimited, FaultModel::default(), 0.0, 20, 0x2ba07434e1666a26),
         ("v2v/ideal", Strategy::V2v, FaultModel::default(), 0.0, 10, 0xe15b19508e53630c),
     ];
-    // The thread count is process-wide; this file's single test owns it.
+    // The thread count is process-wide; only this test sets it.
     for threads in [1, 4] {
         set_max_threads(threads);
         for (name, strategy, fault, coast, frames, expected) in cases {
-            let got = fingerprint(strategy, fault, coast, frames);
+            let got = run(strategy, fault, coast, frames, hash_frame);
             assert_eq!(
                 got, expected,
                 "{name} at {threads} thread(s): fingerprint {got:#018x} != pinned {expected:#018x}"
             );
         }
+    }
+}
+
+/// Pins the merged traffic map: an FNV-1a over every frame's
+/// `ServerFrame::map_points` (the occupied-voxel count) for the runs above,
+/// which `hash_frame` does not read. Thread-independent, so it leaves the
+/// process-wide thread count to the test above.
+#[test]
+fn traffic_map_voxel_counts_are_pinned() {
+    fn hash_map(h: &mut Fnv, _: &FrameReport, sf: &ServerFrame) {
+        h.push(sf.map_points as u64);
+    }
+    let cases: [(&str, Strategy, FaultModel, f64, usize, u64); 5] = [
+        ("ours/ideal", Strategy::Ours, FaultModel::default(), 0.0, 40, 0x3bd4bc1790355428),
+        ("ours/faulty", Strategy::Ours, faulty(), 1.0, 40, 0xfe4ba22cbc91ff40),
+        ("emp/ideal", Strategy::Emp, FaultModel::default(), 0.0, 20, 0x09c58d7868d7bb65),
+        ("unlimited/ideal", Strategy::Unlimited, FaultModel::default(), 0.0, 20, 0x82822fd196f21631),
+        ("v2v/ideal", Strategy::V2v, FaultModel::default(), 0.0, 10, 0xd3cdc41b4b32691d),
+    ];
+    for (name, strategy, fault, coast, frames, expected) in cases {
+        let got = run(strategy, fault, coast, frames, hash_map);
+        assert_eq!(
+            got, expected,
+            "{name}: map_points fingerprint {got:#018x} != pinned {expected:#018x}"
+        );
     }
 }

@@ -5,19 +5,10 @@
 //! All five come from the same connectivity sweep, so one pass computes
 //! them together.
 
+use crate::table::strategy_name;
 use crate::{f1, f3, HarnessConfig, Table};
 use erpd_edge::{run_seeds, AveragedResult, Error, RunConfig, Strategy};
 use erpd_sim::{ScenarioConfig, ScenarioKind};
-
-fn strategy_name(s: Strategy) -> &'static str {
-    match s {
-        Strategy::Single => "Single",
-        Strategy::Emp => "EMP",
-        Strategy::Ours => "Ours",
-        Strategy::Unlimited => "Unlimited",
-        Strategy::V2v => "V2V",
-    }
-}
 
 /// The full set of bandwidth/latency tables.
 #[derive(Debug, Clone)]

@@ -1,6 +1,7 @@
 //! Safety figures: Fig. 10(a) safe passage vs. speed, Fig. 10(b) safe
 //! passage vs. connectivity, Fig. 11 minimum inter-vehicle distance.
 
+use crate::table::strategy_name;
 use crate::{f1, f3, HarnessConfig, Table};
 use erpd_edge::{
     run_seeds, AveragedResult, Error, FaultModel, NetworkConfig, RunConfig, ServerConfig,
@@ -15,16 +16,6 @@ pub const STRATEGIES: [Strategy; 4] = [
     Strategy::Ours,
     Strategy::Unlimited,
 ];
-
-fn strategy_name(s: Strategy) -> &'static str {
-    match s {
-        Strategy::Single => "Single",
-        Strategy::Emp => "EMP",
-        Strategy::Ours => "Ours",
-        Strategy::Unlimited => "Unlimited",
-        Strategy::V2v => "V2V",
-    }
-}
 
 fn scenario_name(k: ScenarioKind) -> &'static str {
     match k {

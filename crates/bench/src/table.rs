@@ -1,6 +1,7 @@
 //! Tiny result-table type: CSV output plus markdown rendering, hand-rolled
 //! to avoid a serialization dependency (see DESIGN.md §7).
 
+use erpd_edge::Strategy;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -97,6 +98,17 @@ pub fn f3(x: f64) -> String {
 /// Formats a float with 1 decimal place for table cells.
 pub fn f1(x: f64) -> String {
     format!("{x:.1}")
+}
+
+/// A strategy's name in table cells, as the paper's figures label it.
+pub(crate) fn strategy_name(s: Strategy) -> &'static str {
+    match s {
+        Strategy::Single => "Single",
+        Strategy::Emp => "EMP",
+        Strategy::Ours => "Ours",
+        Strategy::Unlimited => "Unlimited",
+        Strategy::V2v => "V2V",
+    }
 }
 
 #[cfg(test)]

@@ -60,7 +60,7 @@ impl DisseminationPlan {
 /// Borrowed view of everything a dissemination planner needs for one
 /// frame: the relevance matrix, the per-object wire sizes, and the
 /// connected receivers. This is the single entry point the edge's
-/// per-strategy dissemination stages go through — each planner below is a
+/// per-strategy dissemination goes through — each planner below is a
 /// method, so a new strategy only has to accept a `PlanInputs`.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanInputs<'a> {

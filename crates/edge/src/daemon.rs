@@ -45,7 +45,6 @@
 //! clock, so a daemon fed a scenario's uploads reproduces the in-process
 //! pipeline's results.
 
-use crate::system::default_dissemination;
 use crate::transport::{ServingCore, TcpTransport};
 use crate::wire::WireMessage;
 use crate::{EdgeServer, SystemConfig, Upload};
@@ -187,19 +186,30 @@ impl EdgeDaemon {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// [`io::ErrorKind::InvalidInput`] when the strategy has no edge
+    /// server (`Single`, `V2v`; see [`crate::Strategy::is_edge_served`]);
+    /// otherwise propagates the bind failure.
     pub fn spawn<A: ToSocketAddrs>(
         config: DaemonConfig,
         map: IntersectionMap,
         addr: A,
     ) -> io::Result<ServerHandle> {
+        if !config.system.strategy.is_edge_served() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{:?} has no edge server: serve Ours, Emp or Unlimited",
+                    config.system.strategy
+                ),
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared::new(&config));
         let core = ServingCore::new(
             EdgeServer::new(config.system.server, map),
-            default_dissemination(config.system.strategy),
+            config.system.strategy,
         );
 
         let accept_shared = Arc::clone(&shared);
@@ -486,6 +496,7 @@ fn serve_loop(config: DaemonConfig, mut core: ServingCore, shared: Arc<Shared>) 
 mod tests {
     use super::*;
     use crate::wire::WireMessage;
+    use crate::Strategy;
     use erpd_geometry::{Pose2, Vec2};
 
     fn upload(vehicle: u64) -> Upload {
@@ -525,6 +536,16 @@ mod tests {
         assert_eq!(handle.frames_served(), 1);
         client.send_message(&WireMessage::Bye).unwrap();
         handle.shutdown();
+    }
+
+    #[test]
+    fn strategies_without_an_edge_server_are_refused() {
+        for strategy in [Strategy::Single, Strategy::V2v] {
+            let config = DaemonConfig::new(SystemConfig::new(strategy));
+            let err = EdgeDaemon::spawn(config, IntersectionMap::default(), "127.0.0.1:0")
+                .expect_err("a daemon for a serverless strategy must not start");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{strategy:?}");
+        }
     }
 
     #[test]
@@ -763,7 +784,7 @@ mod tests {
         let config = DaemonConfig::default().system;
         let mut core = ServingCore::new(
             EdgeServer::new(config.server, IntersectionMap::default()),
-            default_dissemination(config.strategy),
+            config.strategy,
         );
         let budget = config.network.downlink_budget_bytes();
         for frame in 0..8 {

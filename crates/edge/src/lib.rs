@@ -6,7 +6,8 @@
 //!   worth of scans,
 //! * [`Stage`] / [`PipelineBuilder`] — the typed stage graph of the server
 //!   pipeline (merge → associate → track → predict → relevance →
-//!   disseminate; the last hop is the strategy's),
+//!   disseminate; the last hop is a `match` on the [`Strategy`] in
+//!   [`ServingCore::serve`]),
 //! * [`EdgeServer`] — the composed server half of that graph: traffic map,
 //!   tracking, rule-based prediction, relevance matrix,
 //! * [`System`] — one object wiring scans → uploads → faulty links →
@@ -60,10 +61,9 @@ pub use daemon::{DaemonConfig, EdgeDaemon, ServerHandle};
 pub use erpd_core::Error;
 pub use fault::FaultModel;
 pub use pipeline::{
-    AssociateStage, AssociatedDetections, BoxedDisseminationStage, BroadcastDissemination,
-    ClusterExtent, FrameCx, GreedyDissemination, Kinematics, MergeStage, PipelineBuilder, PlanRequest,
-    PredictStage, Predictions, RelevanceStage, RoundRobinDissemination, Stage, Staged,
-    TrackStage, Tracks, TrafficMap, POSE_HISTORY_LEN,
+    AssociateStage, AssociatedDetections, ClusterExtent, FrameCx, GreedyDissemination, Kinematics,
+    MergeStage, PipelineBuilder, PlanRequest, PredictStage, Predictions, RelevanceStage, Stage,
+    Staged, TrackStage, Tracks, TrafficMap, POSE_HISTORY_LEN,
 };
 pub use metrics::{run, run_seeds, AveragedResult, RunConfig, RunResult};
 pub use multi::{

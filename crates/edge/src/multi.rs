@@ -54,7 +54,6 @@
 use crate::system::{delivery_ratio, FrameReport, System, SystemConfig};
 use crate::transport::Transport;
 use crate::wire::WireMessage;
-use crate::Strategy;
 use erpd_core::{Error, Region};
 use erpd_geometry::Vec2;
 use erpd_sim::{LidarFrame, World};
@@ -149,10 +148,7 @@ impl DeploymentBuilder {
     /// (`Single`, `V2v`), the edge count is zero or disagrees with the
     /// regions, or a dual-report margin is not a positive finite number.
     pub fn build(self, world: &World) -> Result<Deployment, Error> {
-        if !matches!(
-            self.config.strategy,
-            Strategy::Ours | Strategy::Emp | Strategy::Unlimited
-        ) {
+        if !self.config.strategy.is_edge_served() {
             return Err(Error::InvalidConfig {
                 field: "SystemConfig::strategy",
                 reason: "must be an edge-served strategy (Ours, Emp, Unlimited)",
@@ -521,7 +517,7 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultModel, NetworkConfig};
+    use crate::{FaultModel, NetworkConfig, Strategy};
     use erpd_sim::{Scenario, ScenarioConfig, ScenarioKind};
 
     fn scenario(seed: u64) -> Scenario {

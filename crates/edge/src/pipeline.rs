@@ -11,11 +11,12 @@
 //!
 //! where `Uploads` rides in the per-frame [`FrameCx`] so every stage can
 //! see the raw arrivals. [`crate::EdgeServer::process`] composes the five
-//! server stages — one implementation each, held as plain fields;
-//! [`crate::System`] appends one dissemination stage, chosen by strategy:
-//! the EMP / Unlimited baselines are alternative dissemination stages
-//! ([`RoundRobinDissemination`], [`BroadcastDissemination`] beside the
-//! paper's [`GreedyDissemination`]) rather than `match` arms.
+//! server stages — one implementation each, held as plain fields. The
+//! last hop is one `match` on [`crate::Strategy`] in
+//! [`crate::ServingCore::serve`]: the paper's greedy knapsack, EMP's round
+//! robin or `Unlimited`'s broadcast, all three [`PlanInputs`] methods.
+//! [`GreedyDissemination`] wraps the paper's arm as a [`Stage`], for
+//! callers that time the stages one by one.
 //!
 //! The `erpd-par` fork-join fan-out lives *inside* the stage
 //! that uses it (trajectory fan-out in [`PredictStage`]); the map merge
@@ -27,7 +28,7 @@
 
 use crate::server::{DetectionSummary, ServerConfig, ServerFrame, TRACK_ID_BASE};
 use crate::stages::{StageSample, StageTimer};
-use crate::Upload;
+use crate::{Strategy, Upload};
 use erpd_core::{
     build_relevance_matrix_multi, DisseminationPlan, Error, ObjectHypotheses, PlanInputs,
     RelevanceConfig,
@@ -67,8 +68,8 @@ pub struct Staged<T> {
 
 /// One module of the edge pipeline: a typed transform over frame
 /// artifacts. Implementations own whatever cross-frame state their module
-/// needs (the tracker, pose histories, a round-robin offset, ...) and
-/// time themselves with [`StageTimer`].
+/// needs (the tracker, pose histories, ...) and time themselves with
+/// [`StageTimer`].
 pub trait Stage<In, Out>: fmt::Debug + Send {
     /// Runs the stage over one frame.
     ///
@@ -82,7 +83,7 @@ pub trait Stage<In, Out>: fmt::Debug + Send {
     /// when the vehicle leaves the edge's coverage region. Stateless
     /// stages have nothing to say — the default is a no-op, so custom
     /// stages only override this when they hold per-vehicle state (see
-    /// [`TrackStage`], [`RoundRobinDissemination`]).
+    /// [`TrackStage`]).
     fn export_handover(&mut self, _handover: &mut erpd_core::VehicleHandover) {}
 
     /// Absorbs a handover message from the edge that previously served
@@ -251,8 +252,8 @@ pub struct Predictions {
     pub predicted_trajectories: usize,
 }
 
-/// What a dissemination stage consumes: the finished server frame plus
-/// the frame's downlink budget, borrowed for the call.
+/// What dissemination consumes: the finished server frame plus the
+/// frame's downlink budget, borrowed for the call.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanRequest<'a> {
     /// The server's relevance matrix, sizes, and receivers.
@@ -271,9 +272,6 @@ impl<'a> PlanRequest<'a> {
         }
     }
 }
-
-/// A boxed dissemination stage (the last hop of the graph, one per strategy).
-pub type BoxedDisseminationStage = Box<dyn for<'a> Stage<PlanRequest<'a>, DisseminationPlan>>;
 
 // ---------------------------------------------------------------------------
 // Server stages
@@ -1127,10 +1125,12 @@ impl Stage<Predictions, ServerFrame> for RelevanceStage {
 }
 
 // ---------------------------------------------------------------------------
-// Dissemination stages
+// Dissemination
 // ---------------------------------------------------------------------------
 
-/// The paper's dissemination: relevance-greedy knapsack (Algorithm 1).
+/// The paper's dissemination: relevance-greedy knapsack (Algorithm 1), as
+/// a stage. It makes the same [`PlanInputs::greedy`] call as the
+/// `Strategy::Ours` arm of [`crate::ServingCore::serve`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedyDissemination;
 
@@ -1151,85 +1151,22 @@ impl<'a> Stage<PlanRequest<'a>, DisseminationPlan> for GreedyDissemination {
     }
 }
 
-/// The EMP baseline: relevance-blind round robin over every pair. Owns
-/// the rotation offset that used to live in the system loop.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobinDissemination {
-    offset: usize,
-}
-
-impl RoundRobinDissemination {
-    /// A rotation starting at offset 0.
-    pub fn new() -> Self {
-        RoundRobinDissemination::default()
-    }
-}
-
-impl<'a> Stage<PlanRequest<'a>, DisseminationPlan> for RoundRobinDissemination {
-    fn run(
-        &mut self,
-        _cx: &FrameCx<'_>,
-        req: PlanRequest<'a>,
-    ) -> Result<Staged<DisseminationPlan>, Error> {
-        let t = StageTimer::start();
-        let inputs = req.inputs();
-        let (plan, next) = inputs.round_robin(req.budget, self.offset);
-        self.offset = next;
-        let items = inputs.candidate_pairs();
-        Ok(Staged {
-            artifact: plan,
-            sample: t.stop(items),
-        })
-    }
-
-    /// Records the rotation offset so the EMP state survives the transfer.
-    fn export_handover(&mut self, handover: &mut erpd_core::VehicleHandover) {
-        handover.rr_offset = self.offset as u64;
-    }
-
-    /// Resumes the exported rotation, so the gaining edge does not
-    /// immediately re-serve pairs the losing edge just served.
-    fn import_handover(&mut self, handover: &erpd_core::VehicleHandover) {
-        self.offset = handover.rr_offset as usize;
-    }
-}
-
-/// The `Unlimited` baseline: everything to everyone, no budget.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BroadcastDissemination;
-
-impl<'a> Stage<PlanRequest<'a>, DisseminationPlan> for BroadcastDissemination {
-    fn run(
-        &mut self,
-        _cx: &FrameCx<'_>,
-        req: PlanRequest<'a>,
-    ) -> Result<Staged<DisseminationPlan>, Error> {
-        let t = StageTimer::start();
-        let inputs = req.inputs();
-        let plan = inputs.broadcast();
-        let items = inputs.candidate_pairs();
-        Ok(Staged {
-            artifact: plan,
-            sample: t.stop(items),
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Builder
 // ---------------------------------------------------------------------------
 
-/// Pairs the edge server with the paper's dissemination stage,
-/// [`GreedyDissemination`]. The server's five stages are fixed (see
-/// [`crate::EdgeServer`]); [`crate::System`] and [`crate::EdgeDaemon`] pick
-/// the dissemination stage by strategy instead.
+/// Pairs the edge server with the paper's strategy, [`Strategy::Ours`]
+/// — the two arguments of [`crate::ServingCore::new`]. The server's five
+/// stages are fixed (see [`crate::EdgeServer`]); [`crate::System`] and
+/// [`crate::EdgeDaemon`] pass their configured strategy instead.
 ///
 /// ```
-/// use erpd_edge::{PipelineBuilder, ServerConfig};
+/// use erpd_edge::{PipelineBuilder, ServerConfig, Strategy};
 /// use erpd_sim::IntersectionMap;
 ///
-/// let (mut server, _disseminate) =
+/// let (mut server, strategy) =
 ///     PipelineBuilder::new(ServerConfig::default(), IntersectionMap::default()).build();
+/// assert_eq!(strategy, Strategy::Ours);
 /// assert!(server.process(0.0, &[]).unwrap().receivers.is_empty());
 /// ```
 #[derive(Debug)]
@@ -1244,12 +1181,9 @@ impl PipelineBuilder {
         PipelineBuilder { config, map }
     }
 
-    /// Builds the server plus the [`GreedyDissemination`] stage.
-    pub fn build(self) -> (crate::EdgeServer, BoxedDisseminationStage) {
-        (
-            crate::EdgeServer::new(self.config, self.map),
-            Box::new(GreedyDissemination),
-        )
+    /// Builds the server, paired with [`Strategy::Ours`].
+    pub fn build(self) -> (crate::EdgeServer, Strategy) {
+        (crate::EdgeServer::new(self.config, self.map), Strategy::Ours)
     }
 }
 
@@ -1417,40 +1351,6 @@ mod tests {
         let a = assoc.run(&cx, m.artifact).unwrap();
         assert_eq!(a.sample.items, total);
         assert_eq!(a.artifact.uploaded_objects, total);
-    }
-
-    #[test]
-    fn round_robin_stage_owns_its_rotation() {
-        let frame = ServerFrame {
-            sizes: BTreeMap::from([(ObjectId(1), 400u64), (ObjectId(2), 400u64)]),
-            receivers: vec![ObjectId(10), ObjectId(11)],
-            ..Default::default()
-        };
-        let cx = FrameCx {
-            now: 0.0,
-            uploads: &[],
-        };
-        let mut stage = RoundRobinDissemination::new();
-        let req = PlanRequest {
-            frame: &frame,
-            budget: 1000,
-        };
-        let p1 = stage.run(&cx, req).unwrap();
-        let p2 = stage.run(&cx, req).unwrap();
-        assert_eq!(p1.artifact.assignments.len(), 2);
-        assert_eq!(p2.artifact.assignments.len(), 2);
-        // The rotation advanced: the two frames cover all four pairs.
-        let mut all: Vec<_> = p1
-            .artifact
-            .assignments
-            .iter()
-            .chain(&p2.artifact.assignments)
-            .map(|a| (a.receiver, a.object))
-            .collect();
-        all.sort();
-        all.dedup();
-        assert_eq!(all.len(), 4);
-        assert_eq!(p1.sample.items, 4);
     }
 
     #[test]

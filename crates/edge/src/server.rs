@@ -102,7 +102,7 @@ pub struct DetectionSummary {
     pub bytes: u64,
 }
 
-/// Everything the dissemination stage needs for one frame.
+/// Everything dissemination needs for one frame.
 #[derive(Debug, Clone, Default)]
 pub struct ServerFrame {
     /// The relevance matrix `R_ij`.

@@ -2,9 +2,6 @@
 //! → alerts, for each evaluated strategy.
 
 use crate::fault::FaultStream;
-use crate::pipeline::{
-    BoxedDisseminationStage, BroadcastDissemination, GreedyDissemination, RoundRobinDissemination,
-};
 use crate::stages::{StageSample, StageTimes};
 use crate::transport::{LoopbackTransport, ServingCore, Transport};
 use crate::{EdgeServer, NetworkConfig, ServerConfig, ServerFrame, Strategy, Upload, VehicleFleet};
@@ -24,41 +21,6 @@ pub const V2V_CHANNEL_BPS: f64 = 6e6;
 /// Minimum relevance for a received object to trigger the driver alert
 /// (the receiver-side ADAS threshold).
 const ALERT_THRESHOLD: f64 = 0.02;
-
-/// Internal routing derived from the public [`Strategy`]: which of the
-/// three pipeline shapes a tick takes. On the edge path the dissemination
-/// schedule is built by the strategy's dissemination [`crate::Stage`] (see
-/// [`default_dissemination`]), not by re-matching the strategy enum inside
-/// the frame loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dispatch {
-    /// No communication at all (the `Single` baseline).
-    Passive,
-    /// Vehicle→edge→receivers pipeline.
-    Edge,
-    /// Serverless broadcasting with on-board fusion.
-    V2v,
-}
-
-impl Dispatch {
-    fn of(strategy: Strategy) -> Self {
-        match strategy {
-            Strategy::Single => Dispatch::Passive,
-            Strategy::Ours | Strategy::Emp | Strategy::Unlimited => Dispatch::Edge,
-            Strategy::V2v => Dispatch::V2v,
-        }
-    }
-}
-
-/// The dissemination stage a strategy runs: the relevance-greedy knapsack
-/// for `Ours`, round robin for `Emp`, broadcast for `Unlimited`.
-pub(crate) fn default_dissemination(strategy: Strategy) -> BoxedDisseminationStage {
-    match strategy {
-        Strategy::Emp => Box::new(RoundRobinDissemination::new()),
-        Strategy::Unlimited => Box::new(BroadcastDissemination),
-        _ => Box::new(GreedyDissemination),
-    }
-}
 
 /// Per-module wall times (the Fig. 14b breakdown), seconds: one frame's
 /// from [`FrameReport::times`], a run's per-frame means in
@@ -286,7 +248,7 @@ impl Default for SystemConfig {
 /// [`System::builder`].
 ///
 /// The server is the paper's stage graph over the world's map, its
-/// dissemination stage is the strategy's (the relevance-greedy knapsack for
+/// dissemination is the strategy's (the relevance-greedy knapsack for
 /// `Ours`, round robin for `Emp`, broadcast for `Unlimited`), and an unset
 /// transport defaults to the in-process [`LoopbackTransport`]. The same
 /// `transport` vocabulary is shared by [`crate::DeploymentBuilder`], which
@@ -320,17 +282,16 @@ impl SystemBuilder {
         self
     }
 
-    /// Builds the system: the server over the world's map, the strategy's
-    /// dissemination stage, and the transport (loopback unless set).
+    /// Builds the system: the server over the world's map, serving the
+    /// configured strategy, and the transport (loopback unless set).
     pub fn build(self, world: &World) -> System {
         let config = self.config;
         System {
             config,
-            dispatch: Dispatch::of(config.strategy),
             fleet: VehicleFleet::new(),
             core: ServingCore::new(
                 EdgeServer::new(config.server, world.map.clone()),
-                default_dissemination(config.strategy),
+                config.strategy,
             ),
             transport: self
                 .transport
@@ -350,14 +311,13 @@ impl SystemBuilder {
 #[derive(Debug)]
 pub struct System {
     config: SystemConfig,
-    dispatch: Dispatch,
     /// The vehicle side of every vehicle this edge has scanned;
     /// [`crate::Deployment`] moves a vehicle's state between edges' fleets
     /// at handover.
     pub(crate) fleet: VehicleFleet,
     /// The serving half of the edge path: the five-stage server plus the
-    /// strategy's dissemination stage — the same [`ServingCore`] the
-    /// streaming daemon drives over TCP.
+    /// strategy's dissemination — the same [`ServingCore`] the streaming
+    /// daemon drives over TCP.
     core: ServingCore,
     /// The carrier between the fault layer's arrivals and the serving
     /// core. Loopback (identity) by default, or a [`crate::WireTransport`]
@@ -367,7 +327,7 @@ pub struct System {
     /// vehicle, running on board).
     v2v_servers: BTreeMap<u64, EdgeServer>,
     /// Round-robin MAC state for the V2V shared channel (the EMP planner's
-    /// rotation lives inside [`RoundRobinDissemination`]).
+    /// rotation lives in the [`ServingCore`]).
     rr_offset: usize,
     last_server_frame: ServerFrame,
     /// The dissemination plan of the last edge-path frame (what the
@@ -544,7 +504,7 @@ impl System {
     /// range; [`Error::MissingVehicleState`] / [`Error::NonFiniteRelevance`]
     /// when internal invariants break (degenerate inputs).
     pub fn tick(&mut self, world: &mut World) -> Result<FrameReport, Error> {
-        if self.dispatch == Dispatch::Passive {
+        if self.config.strategy == Strategy::Single {
             return Ok(FrameReport::default());
         }
         let frames = world.scan_connected();
@@ -566,7 +526,7 @@ impl System {
         frames: Vec<LidarFrame>,
         ghost_outages: &[bool],
     ) -> Result<FrameReport, Error> {
-        if self.dispatch == Dispatch::Passive {
+        if self.config.strategy == Strategy::Single {
             return Ok(FrameReport::default());
         }
         let network = self.config.network;
@@ -588,7 +548,7 @@ impl System {
         let n_primary = uploads.len() - ghost_outages.len();
         self.frame_index += 1;
 
-        if self.dispatch == Dispatch::V2v {
+        if self.config.strategy == Strategy::V2v {
             return self.tick_v2v(world, uploads, plan, extraction_stage);
         }
 
@@ -688,9 +648,9 @@ impl System {
         alerted.dedup();
 
         // Complete the server's stage record with the two stages that run
-        // outside it: on-vehicle extraction and the dissemination stage
-        // (which reported its own sample, items = every (object, receiver)
-        // pair it ranked).
+        // outside it: on-vehicle extraction and dissemination (which
+        // reported its own sample, items = every (object, receiver) pair
+        // it ranked).
         let mut stages = sf.stages;
         stages.extraction = extraction_stage;
         stages.knapsack = knapsack_sample;
@@ -1094,6 +1054,11 @@ mod tests {
         }
         assert!(r.times().prediction > 0.0, "stage timers must record wall time");
         assert!(r.latency() > 0.0);
-        assert!(r.latency() < 0.5, "latency should be sub-second, got {}", r.latency());
+        assert_eq!(r.latency(), r.times().end_to_end());
+        // Bound only what is modelled from bytes: the stage timers are
+        // host wall time (extraction scaled ×25), which a loaded host
+        // stretches without limit.
+        let links = r.upload_tx + r.downlink_tx;
+        assert!(links < 0.5, "link times should be sub-second, got {links}");
     }
 }

@@ -21,12 +21,14 @@
 //! frames over.
 //!
 //! [`ServingCore`] is the code every carrier feeds: the composed edge
-//! stage graph plus the strategy's dissemination stage. `System` routes
-//! through it in-process; the daemon serves it over TCP.
+//! stage graph plus the strategy's dissemination, one `match` on
+//! [`Strategy`]. `System` routes through it in-process; the daemon serves
+//! it over TCP.
 
-use crate::pipeline::{BoxedDisseminationStage, FrameCx, PlanRequest};
+use crate::pipeline::PlanRequest;
+use crate::stages::StageTimer;
 use crate::wire::{write_message, WireMessage};
-use crate::{EdgeServer, ServerFrame, Staged, Upload};
+use crate::{EdgeServer, ServerFrame, Staged, Strategy, Upload};
 use erpd_core::{DisseminationPlan, Error};
 use std::collections::VecDeque;
 use std::fmt;
@@ -272,24 +274,32 @@ impl TcpTransport {
 }
 
 /// The serving half every transport feeds: the composed edge stage graph
-/// plus the strategy's dissemination stage. [`crate::System`] drives one
+/// plus the strategy's dissemination. [`crate::System`] drives one
 /// in-process; [`crate::EdgeDaemon`] drives one per daemon over TCP — by
 /// construction they run the same code on whatever uploads the transport
 /// delivered.
 #[derive(Debug)]
 pub struct ServingCore {
     server: EdgeServer,
-    disseminate: BoxedDisseminationStage,
+    strategy: Strategy,
+    /// EMP's round-robin rotation: where the next frame's schedule
+    /// starts. Stays 0 unless the core runs [`Strategy::Emp`].
+    rr_offset: usize,
 }
 
 impl ServingCore {
-    /// Assembles a core from a built server and dissemination stage.
-    pub fn new(server: EdgeServer, disseminate: BoxedDisseminationStage) -> Self {
-        ServingCore { server, disseminate }
+    /// Assembles a core from a built server and the strategy whose
+    /// dissemination it runs.
+    pub fn new(server: EdgeServer, strategy: Strategy) -> Self {
+        ServingCore {
+            server,
+            strategy,
+            rr_offset: 0,
+        }
     }
 
     /// Serves one frame: runs the five server stages over the delivered
-    /// uploads, then the dissemination stage under `budget`.
+    /// uploads, then the strategy's dissemination under `budget`.
     ///
     /// # Errors
     ///
@@ -301,36 +311,61 @@ impl ServingCore {
         budget: u64,
     ) -> Result<(ServerFrame, Staged<DisseminationPlan>), Error> {
         let sf = self.server.process(now, uploads)?;
-        let cx = FrameCx { now, uploads };
-        let planned = self.disseminate.run(&cx, PlanRequest { frame: &sf, budget })?;
+        let planned = self.disseminate(&sf, budget);
         Ok((sf, planned))
     }
 
+    /// The last module of Fig. 2, by strategy: the relevance-greedy
+    /// knapsack (Algorithm 1) for `Ours`, EMP's relevance-blind round
+    /// robin, or `Unlimited`'s broadcast.
+    fn disseminate(&mut self, frame: &ServerFrame, budget: u64) -> Staged<DisseminationPlan> {
+        let t = StageTimer::start();
+        let inputs = PlanRequest { frame, budget }.inputs();
+        let plan = match self.strategy {
+            Strategy::Emp => {
+                let (plan, next) = inputs.round_robin(budget, self.rr_offset);
+                self.rr_offset = next;
+                plan
+            }
+            Strategy::Unlimited => inputs.broadcast(),
+            // `Single` and `V2v` have no edge server; a core built for
+            // them serves the paper's plan.
+            Strategy::Ours | Strategy::Single | Strategy::V2v => inputs.greedy(budget),
+        };
+        Staged {
+            artifact: plan,
+            sample: t.stop(inputs.candidate_pairs()),
+        }
+    }
+
     /// Exports this core's state about a departing vehicle into a
-    /// [`erpd_core::VehicleHandover`]: every server stage plus the
-    /// dissemination stage contributes its share (tracks + pose history
-    /// from tracking, the EMP rotation offset from round robin).
+    /// [`erpd_core::VehicleHandover`]: tracks + pose history from the
+    /// tracking stage, and EMP's rotation offset.
     pub fn export_handover(&mut self, vehicle_id: u64) -> erpd_core::VehicleHandover {
         let mut handover = erpd_core::VehicleHandover::new(vehicle_id);
         self.server.export_handover(&mut handover);
-        self.disseminate.export_handover(&mut handover);
+        handover.rr_offset = self.rr_offset as u64;
         handover
     }
 
-    /// Imports a handover exported by another core, offering it to every
-    /// stage.
+    /// Imports a handover exported by another core: the tracking state,
+    /// and the rotation offset, so an EMP edge does not immediately
+    /// re-serve pairs the losing edge just served.
     pub fn import_handover(&mut self, handover: &erpd_core::VehicleHandover) {
         self.server.import_handover(handover);
-        self.disseminate.import_handover(handover);
+        self.rr_offset = handover.rr_offset as usize;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServerConfig;
     use erpd_core::Assignment;
     use erpd_geometry::{Pose2, Vec2};
+    use erpd_sim::IntersectionMap;
     use erpd_tracking::ObjectId;
+    use std::collections::BTreeMap;
 
     fn upload(vehicle: u64) -> Upload {
         Upload {
@@ -354,6 +389,33 @@ mod tests {
             total_relevance: 0.5,
             total_bytes: 100,
         }
+    }
+
+    #[test]
+    fn round_robin_core_owns_its_rotation() {
+        let frame = ServerFrame {
+            sizes: BTreeMap::from([(ObjectId(1), 400u64), (ObjectId(2), 400u64)]),
+            receivers: vec![ObjectId(10), ObjectId(11)],
+            ..Default::default()
+        };
+        let server = EdgeServer::new(ServerConfig::default(), IntersectionMap::default());
+        let mut core = ServingCore::new(server, Strategy::Emp);
+        let p1 = core.disseminate(&frame, 1000);
+        let p2 = core.disseminate(&frame, 1000);
+        assert_eq!(p1.artifact.assignments.len(), 2);
+        assert_eq!(p2.artifact.assignments.len(), 2);
+        // The rotation advanced: the two frames cover all four pairs.
+        let mut all: Vec<_> = p1
+            .artifact
+            .assignments
+            .iter()
+            .chain(&p2.artifact.assignments)
+            .map(|a| (a.receiver, a.object))
+            .collect();
+        all.sort();
+        all.dedup();
+        assert_eq!(all.len(), 4);
+        assert_eq!(p1.sample.items, 4);
     }
 
     #[test]

@@ -40,6 +40,15 @@ pub enum Strategy {
     V2v,
 }
 
+impl Strategy {
+    /// Whether an edge server serves this strategy: `Ours`, `Emp` and
+    /// `Unlimited`. `Single` shares nothing and `V2v` fuses on board, so
+    /// neither has a [`crate::ServingCore`] to run.
+    pub fn is_edge_served(self) -> bool {
+        matches!(self, Strategy::Ours | Strategy::Emp | Strategy::Unlimited)
+    }
+}
+
 /// One object's worth of uploaded perception data (world frame).
 #[derive(Debug, Clone, PartialEq)]
 pub struct UploadedObject {

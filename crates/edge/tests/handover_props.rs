@@ -76,9 +76,9 @@ fn random_handover(seed: u64) -> VehicleHandover {
 
 /// A fresh serving core on the default map — the gaining edge.
 fn fresh_core() -> ServingCore {
-    let (server, disseminate) =
+    let (server, strategy) =
         PipelineBuilder::new(ServerConfig::default(), IntersectionMap::default()).build();
-    ServingCore::new(server, disseminate)
+    ServingCore::new(server, strategy)
 }
 
 proptest! {

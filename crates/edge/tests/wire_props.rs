@@ -399,9 +399,9 @@ fn fleet_frame(seed: u64, frame: u64) -> Vec<Upload> {
 #[test]
 fn mutated_uploads_never_panic_the_serving_core() {
     for seed in 0..3_000u64 {
-        let (server, disseminate) =
+        let (server, strategy) =
             PipelineBuilder::new(ServerConfig::default(), IntersectionMap::default()).build();
-        let mut core = ServingCore::new(server, disseminate);
+        let mut core = ServingCore::new(server, strategy);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d);
         for frame in 0..4u64 {
             let mut uploads = Vec::new();

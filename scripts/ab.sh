@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# A/B of one benchmark workload between a parent revision and the working
+# A/B of benchmark workloads between a parent revision and the working
 # tree, in alternating pairs on one machine.
 #
 #   scripts/ab.sh [--trace] <parent-rev> <workload> <pairs>
+#   scripts/ab.sh [--trace] <parent-rev> all <pairs>
 #   scripts/ab.sh --help
+#
+# `all` runs every workload of BENCHMARK.json, in its order, and prints
+# one table per workload; the exit status covers them all.
 #
 # Builds benchmark/ once per side, each from its own source tree into its
 # own target directory under target/ab/: the parent from `git archive
@@ -21,7 +25,7 @@
 #     parent run (past the last unit lies the scenario with no strip
 #     crossing, which fails the run),
 #   * a run that did not end `"correct": true` with `"failed": 0`.
-# The raw outputs stay in target/ab/runs/.
+# The raw outputs stay in target/ab/runs/<workload>/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,80 +61,100 @@ for side in parent change; do
         --manifest-path "$src/benchmark/Cargo.toml" >&2
 done
 
-runs=()
-for i in $(seq 1 "$pairs"); do
-    order="parent change"
-    [ $((i % 2)) -eq 0 ] && order="change parent"
-    for side in $order; do
-        echo "==> pair $i: $side" >&2
-        # A failed run exits non-zero; it is flagged below, not fatal here.
-        "$work/$side-target/release/erpd-benchmark" --out-dir "$work/runs/out-$side" \
-            --workload "$workload" --seed "$i" --seconds 20 --trace "$trace" \
-            >"$work/runs/$side-$i.txt" 2>"$work/runs/$side-$i.err" || true
-        runs+=("$work/runs/$side-$i.txt")
+# Runs the pairs of one workload and prints its table; returns 1 after
+# flagging.
+compare() {
+    local workload=$1 runs=() i side order
+    local dir=$work/runs/$workload
+    mkdir -p "$dir"
+    for i in $(seq 1 "$pairs"); do
+        order="parent change"
+        [ $((i % 2)) -eq 0 ] && order="change parent"
+        for side in $order; do
+            echo "==> $workload pair $i: $side" >&2
+            # A failed run exits non-zero; it is flagged below, not fatal here.
+            "$work/$side-target/release/erpd-benchmark" --out-dir "$dir/out-$side" \
+                --workload "$workload" --seed "$i" --seconds 20 --trace "$trace" \
+                >"$dir/$side-$i.txt" 2>"$dir/$side-$i.err" || true
+            runs+=("$dir/$side-$i.txt")
+        done
     done
-done
 
-# Each metric's direction comes from the "name"/"better" pairs of
-# BENCHMARK.json; the runs are the `workload metric value unit` lines.
-awk -v pairs="$pairs" -v workload="$workload" '
-    function sort(a, n,    i, j, t) {
-        for (i = 2; i <= n; i++)
-            for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
-    }
-    # Nearest rank, as erpd_geometry::stats::quantile.
-    function rank(a, n, p,    k) { k = int(p * n); if (k < p * n) k++; if (k < 1) k = 1; return a[k] }
-    function summary(side, m,    a, n, i) {
-        n = 0
-        for (i = 1; i <= pairs; i++) if ((side, i, m) in val) a[++n] = val[side, i, m] + 0
-        if (n == 0) return "-"
-        sort(a, n)
-        med[side, m] = rank(a, n, 0.5)
-        return sprintf("%.6g [%.6g, %.6g]", med[side, m], rank(a, n, 0.25), rank(a, n, 0.75))
-    }
-    FILENAME ~ /BENCHMARK.json$/ {
-        if (match($0, /"name": "[^"]*"/)) name = substr($0, RSTART + 9, RLENGTH - 10)
-        if (match($0, /"better": "[^"]*"/)) better[name] = substr($0, RSTART + 11, RLENGTH - 12)
-        next
-    }
-    FNR == 1 {
-        side = FILENAME; sub(/.*\//, "", side); sub(/\.txt$/, "", side)
-        pair = side; sub(/.*-/, "", pair); sub(/-.*/, "", side)
-        done[side, pair] = 0
-    }
-    /^# / && $2 == workload { for (f = 3; f <= NF; f++) if ($f ~ /^units=/) units[side, pair] = substr($f, 7) + 0 }
-    $1 == workload && NF == 4 && !/^#/ {
-        if (!($2 in seen)) { seen[$2] = 1; order[++metrics] = $2 }
-        val[side, pair, $2] = $3
-    }
-    /^\{"correct"/ { done[side, pair] = /"correct": true/ && /"failed": 0[,}]/ }
-    END {
-        printf "%-26s %-36s %-36s %7s %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "won"
-        for (k = 1; k <= metrics; k++) {
-            m = order[k]
-            p = summary("parent", m); c = summary("change", m)
-            won = 0; both = 0
+    # Each metric's direction comes from the "name"/"better" pairs of
+    # BENCHMARK.json; the runs are the `workload metric value unit` lines.
+    awk -v pairs="$pairs" -v workload="$workload" -v dir="${dir#"$PWD/"}" '
+        function sort(a, n,    i, j, t) {
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+        }
+        # Nearest rank, as erpd_geometry::stats::quantile.
+        function rank(a, n, p,    k) { k = int(p * n); if (k < p * n) k++; if (k < 1) k = 1; return a[k] }
+        function summary(side, m,    a, n, i) {
+            n = 0
+            for (i = 1; i <= pairs; i++) if ((side, i, m) in val) a[++n] = val[side, i, m] + 0
+            if (n == 0) return "-"
+            sort(a, n)
+            med[side, m] = rank(a, n, 0.5)
+            return sprintf("%.6g [%.6g, %.6g]", med[side, m], rank(a, n, 0.25), rank(a, n, 0.75))
+        }
+        FILENAME ~ /BENCHMARK.json$/ {
+            if (match($0, /"name": "[^"]*"/)) name = substr($0, RSTART + 9, RLENGTH - 10)
+            if (match($0, /"better": "[^"]*"/)) better[name] = substr($0, RSTART + 11, RLENGTH - 12)
+            next
+        }
+        FNR == 1 {
+            side = FILENAME; sub(/.*\//, "", side); sub(/\.txt$/, "", side)
+            pair = side; sub(/.*-/, "", pair); sub(/-.*/, "", side)
+            done[side, pair] = 0
+        }
+        /^# / && $2 == workload { for (f = 3; f <= NF; f++) if ($f ~ /^units=/) units[side, pair] = substr($f, 7) + 0 }
+        $1 == workload && NF == 4 && !/^#/ {
+            if (!($2 in seen)) { seen[$2] = 1; order[++metrics] = $2 }
+            val[side, pair, $2] = $3
+        }
+        /^\{"correct"/ { done[side, pair] = /"correct": true/ && /"failed": 0[,}]/ }
+        END {
+            printf "%-26s %-36s %-36s %7s %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "won"
+            for (k = 1; k <= metrics; k++) {
+                m = order[k]
+                p = summary("parent", m); c = summary("change", m)
+                won = 0; both = 0
+                for (i = 1; i <= pairs; i++) {
+                    if (!(("parent", i, m) in val) || !(("change", i, m) in val)) continue
+                    both++
+                    d = val["change", i, m] - val["parent", i, m]
+                    if ((better[m] == "lower" && d < 0) || (better[m] == "higher" && d > 0)) won++
+                    # As printed: compared as strings, not as numbers.
+                    if (m ~ /bytes_per_frame$|relevance_per_frame$/ && (val["change", i, m] "") != (val["parent", i, m] ""))
+                        flag[++flags] = sprintf("pair %d: %s %s -> %s (must repeat exactly)", i, m, val["parent", i, m], val["change", i, m])
+                }
+                ratio = (med["parent", m] != 0) ? sprintf("%.4f", med["change", m] / med["parent", m]) : "-"
+                printf "%-26s %-36s %-36s %7s %d/%d %s\n", m, p, c, ratio, won, both, better[m]
+            }
             for (i = 1; i <= pairs; i++) {
-                if (!(("parent", i, m) in val) || !(("change", i, m) in val)) continue
-                both++
-                d = val["change", i, m] - val["parent", i, m]
-                if ((better[m] == "lower" && d < 0) || (better[m] == "higher" && d > 0)) won++
-                # As printed: compared as strings, not as numbers.
-                if (m ~ /bytes_per_frame$|relevance_per_frame$/ && (val["change", i, m] "") != (val["parent", i, m] ""))
-                    flag[++flags] = sprintf("pair %d: %s %s -> %s (must repeat exactly)", i, m, val["parent", i, m], val["change", i, m])
+                for (s = 0; s < 2; s++) {
+                    side = s ? "change" : "parent"
+                    if (!done[side, i]) flag[++flags] = sprintf("pair %d: the %s run is not correct (see %s/%s-%d.txt)", i, side, dir, side, i)
+                }
+                if (workload == "multi_edge" && units["change", i] > units["parent", i])
+                    flag[++flags] = sprintf("pair %d: multi_edge units %d -> %d (the change reached a later scenario unit)", i, units["parent", i], units["change", i])
             }
-            ratio = (med["parent", m] != 0) ? sprintf("%.4f", med["change", m] / med["parent", m]) : "-"
-            printf "%-26s %-36s %-36s %7s %d/%d %s\n", m, p, c, ratio, won, both, better[m]
+            for (f = 1; f <= flags; f++) print "FLAG " flag[f]
+            exit (flags > 0)
         }
-        for (i = 1; i <= pairs; i++) {
-            for (s = 0; s < 2; s++) {
-                side = s ? "change" : "parent"
-                if (!done[side, i]) flag[++flags] = sprintf("pair %d: the %s run is not correct (see target/ab/runs/%s-%d.txt)", i, side, side, i)
-            }
-            if (workload == "multi_edge" && units["change", i] > units["parent", i])
-                flag[++flags] = sprintf("pair %d: multi_edge units %d -> %d (the change reached a later scenario unit)", i, units["parent", i], units["change", i])
-        }
-        for (f = 1; f <= flags; f++) print "FLAG " flag[f]
-        exit (flags > 0)
-    }
-' BENCHMARK.json "${runs[@]}"
+    ' BENCHMARK.json "${runs[@]}"
+}
+
+if [ "$workload" = all ]; then
+    # The "name"s of BENCHMARK.json's "workloads" array, in order.
+    workloads=$(awk '/"workloads"/ { on = 1 } on && /\]/ { exit }
+        on && match($0, /"name": "[^"]*"/) { print substr($0, RSTART + 9, RLENGTH - 10) }' BENCHMARK.json)
+else
+    workloads=$workload
+fi
+status=0
+for w in $workloads; do
+    echo "=== $w"
+    compare "$w" || status=1
+done
+exit "$status"

@@ -97,12 +97,10 @@ pub mod prelude {
         Region, RelevanceConfig, RelevanceMatrix, RelevanceMode, VehicleHandover,
     };
     pub use erpd_edge::{
-        run, run_seeds, truncate_on_wire, AveragedResult, BoxedDisseminationStage,
-        BroadcastDissemination, Coverage, DaemonConfig, Deployment, DeploymentBuilder,
-        DeploymentReport, EdgeDaemon, EdgeServer, Error, FaultModel, FleetReport, FrameCx,
-        FrameReport, GreedyDissemination, HandoverPolicy, LoopbackTransport, ModuleTimes,
-        NetworkConfig, PipelineBuilder, PlanRequest, RoundRobinDissemination,
-        RunConfig, RunResult, ServerConfig, ServerFrame, ServerHandle, ServingCore, Stage, Staged,
+        run, run_seeds, truncate_on_wire, AveragedResult, Coverage, DaemonConfig, Deployment,
+        DeploymentBuilder, DeploymentReport, EdgeDaemon, EdgeServer, Error, FaultModel,
+        FleetReport, FrameCx, FrameReport, GreedyDissemination, HandoverPolicy, LoopbackTransport,
+        ModuleTimes, NetworkConfig, PipelineBuilder, PlanRequest, RunConfig, RunResult, ServerConfig, ServerFrame, ServerHandle, ServingCore, Stage, Staged,
         Strategy, System, SystemBuilder, SystemConfig, TcpTransport, Transport, WireMessage,
         WireTransport, TRACK_ID_BASE, WIRE_VERSION,
     };

@@ -1,16 +1,28 @@
-//! Pins the single-edge degenerate case of the multi-edge deployment: a
-//! 1-edge [`Deployment`] must be plan-for-plan, bit-for-bit identical to
-//! a bare [`System`] — same frame reports, same relevance matrices, same
-//! dissemination plans, on the ideal *and* the faulty channel.
+//! Pins the multi-edge deployment.
 //!
-//! The fingerprints below are the ones `stage_graph_determinism.rs` pins
-//! for the bare system, hashed with the same FNV scheme over the same
-//! scenario — so this test fails if the deployment's routing, ghost
-//! accounting, or track-id namespacing perturbs the single-edge path by
-//! even one bit. Like that suite, the one `#[test]` below checks the
-//! constants sequentially and on four worker threads.
+//! The single-edge degenerate case: a 1-edge [`Deployment`] must be
+//! plan-for-plan, bit-for-bit identical to a bare [`System`] — same frame
+//! reports, same relevance matrices, same dissemination plans, on the
+//! ideal *and* the faulty channel. Its fingerprints are the ones
+//! `stage_graph_determinism.rs` pins for the bare system, hashed with the
+//! same FNV scheme over the same scenario — so the test fails if the
+//! deployment's routing, ghost accounting, or track-id namespacing
+//! perturbs the single-edge path by even one bit.
+//!
+//! The benchmark's `multi_edge` shape: four strip edges with dual
+//! reporting and the wire transport, where vehicles hand over between
+//! edges — tracks, pose histories and EMP's rotation offset cross an edge
+//! boundary. Pinned for each edge-served strategy.
+//!
+//! Like `stage_graph_determinism.rs`, every constant is checked
+//! sequentially and on four worker threads.
 
 use erpd::prelude::*;
+use std::sync::Mutex;
+
+/// The thread count is process-wide: each test holds this lock while it
+/// sets and uses it.
+static THREADS: Mutex<()> = Mutex::new(());
 
 /// FNV-1a over a stream of u64 words (same scheme as
 /// `stage_graph_determinism.rs`).
@@ -98,7 +110,7 @@ fn deployment_fingerprint(fault: FaultModel, coast: f64, frames: usize) -> u64 {
 
 #[test]
 fn one_edge_deployment_matches_the_pinned_system_fingerprints() {
-    // The thread count is process-wide; this file's single test owns it.
+    let _threads = THREADS.lock().unwrap_or_else(|e| e.into_inner());
     for threads in [1, 4] {
         set_max_threads(threads);
         // Ideal channel: the exact constant stage_graph_determinism.rs pins
@@ -122,5 +134,69 @@ fn one_edge_deployment_matches_the_pinned_system_fingerprints() {
             faulty, 0xc4e6e9cb4854091f,
             "faulty at {threads} thread(s): deployment fingerprint {faulty:#018x} diverged from the bare system"
         );
+    }
+}
+
+/// The benchmark's `multi_edge` shape: the 40-vehicle, half-connected
+/// unprotected left turn (scenario seed 1, default time to conflict) over
+/// four strip edges with `DualReport { margin: 30.0 }` and a wire
+/// transport per edge, 150 frames. Hashes every edge's report, server
+/// frame and plan each frame.
+fn four_edge_fingerprint(strategy: Strategy) -> u64 {
+    let mut s = Scenario::build(
+        ScenarioConfig::default()
+            .with_kind(ScenarioKind::UnprotectedLeftTurn)
+            .with_n_vehicles(40)
+            .with_connected_fraction(0.5)
+            .with_seed(1),
+    );
+    let mut builder = Deployment::builder()
+        .config(SystemConfig::new(strategy))
+        .edges(4)
+        .handover(HandoverPolicy::DualReport { margin: 30.0 });
+    for _ in 0..4 {
+        builder = builder.transport(Box::new(WireTransport::new()));
+    }
+    let mut dep = builder.build(&s.world).expect("edge strategy");
+    let mut h = Fnv::new();
+    for _ in 0..150 {
+        let r = dep.tick(&mut s.world).expect("valid configuration");
+        h.push(r.handovers as u64);
+        for (k, report) in r.per_edge.iter().enumerate() {
+            let edge = dep.edge(k);
+            hash_frame(&mut h, report, edge.last_server_frame());
+            for a in &edge.last_plan().assignments {
+                h.push(a.object.0);
+                h.push(a.receiver.0);
+                h.push_f64(a.relevance);
+                h.push(a.size_bytes);
+            }
+        }
+        s.world.step();
+    }
+    assert!(
+        dep.handovers() >= 1,
+        "{strategy:?}: no vehicle crossed a strip boundary"
+    );
+    h.0
+}
+
+#[test]
+fn four_edge_dual_report_deployment_fingerprints_are_pinned() {
+    let _threads = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    let pinned = [
+        (Strategy::Ours, 0x267ae270a1ac1b8b),
+        (Strategy::Emp, 0x882c179c2f35243d),
+        (Strategy::Unlimited, 0x84c166150c948ad6),
+    ];
+    for threads in [1, 4] {
+        set_max_threads(threads);
+        for (strategy, want) in pinned {
+            let got = four_edge_fingerprint(strategy);
+            assert_eq!(
+                got, want,
+                "{strategy:?} at {threads} thread(s): fingerprint {got:#018x} moved"
+            );
+        }
     }
 }

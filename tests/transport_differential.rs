@@ -131,10 +131,10 @@ fn tcp_daemon_matches_local_serving_core_exactly() {
 
     // The local reference: the same stage graph the daemon serves, fed
     // the same uploads after the same codec round trip.
-    // `build()` defaults the dissemination stage to the greedy knapsack —
-    // the same stage `Strategy::Ours` serves with.
-    let (server, diss) = PipelineBuilder::new(system.server, corpus.map.clone()).build();
-    let mut reference = ServingCore::new(server, diss);
+    // `build()` pairs the server with `Strategy::Ours`, the daemon's
+    // strategy: both serve the greedy knapsack.
+    let (server, strategy) = PipelineBuilder::new(system.server, corpus.map.clone()).build();
+    let mut reference = ServingCore::new(server, strategy);
     let budget = system.network.downlink_budget_bytes();
 
     for round in 0..ROUNDS {

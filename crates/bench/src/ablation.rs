@@ -89,7 +89,7 @@ pub fn knapsack_exactness_check(seed: u64) -> bool {
 pub fn alpha_ablation(cfg: &HarnessConfig) -> Result<Table, Error> {
     let mut t = Table::new(
         "ablation_alpha_sweep",
-        &["alpha", "safe_passage_pct", "total_collisions"],
+        &["alpha", "safe_passage_pct", "min_distance_m"],
     );
     for &alpha in &[0.2, 0.5, 0.8, 1.0] {
         let scenario = ScenarioConfig::default().with_kind(ScenarioKind::UnprotectedLeftTurn);
@@ -99,9 +99,9 @@ pub fn alpha_ablation(cfg: &HarnessConfig) -> Result<Table, Error> {
                 SystemConfig::default().with_server(ServerConfig::default().with_alpha(alpha)),
             );
         let avg = run_seeds(rc, &cfg.seeds)?;
-        // Count collisions via a second aggregate: run_seeds already
-        // averages safe passage; total collisions come from min-distance
-        // proxy (0 distance means the pair crashed).
+        // Both columns are seed averages from run_seeds: the safe-passage
+        // share and the protagonists' minimum distance, metres (0 when
+        // they collided).
         t.push_row(vec![
             f1(alpha),
             f1(avg.safe_passage_rate * 100.0),

@@ -11,6 +11,7 @@
 //! cargo run --release -p erpd-bench --bin experiments -- --quick
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

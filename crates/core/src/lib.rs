@@ -43,6 +43,7 @@
 //! assert_eq!(plan.assignments.len(), 2); // each learns about the other
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

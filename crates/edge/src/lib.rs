@@ -40,6 +40,7 @@
 //! assert!(result.safe_passage);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

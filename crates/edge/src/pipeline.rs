@@ -20,7 +20,8 @@
 //!
 //! The `erpd-par` fork-join fan-out lives *inside* the stage
 //! that uses it (trajectory fan-out in [`PredictStage`]); the map merge
-//! in [`MergeStage`] is one sequential loop over a warm merger.
+//! in [`MergeStage`] is one sequential call to a warm merger, two passes
+//! over the frame's points.
 //!
 //! Parameters the paper gives once and nothing varies are constants beside
 //! the stage that reads them ([`POSE_HISTORY_LEN`] and the private radii
@@ -280,10 +281,10 @@ impl<'a> PlanRequest<'a> {
 /// Builds the merged traffic map from this frame's uploaded clouds (voxel
 /// dedup, paper §II-C).
 ///
-/// Rebuilt every frame: one [`PointCloudMerger`] is reset and fed every
-/// object cloud of the frame's uploads in arrival order, so the map is
-/// exactly the union of *this* frame's uploads. The merger keeps its
-/// allocations across frames, so a warm frame allocates nothing.
+/// Rebuilt every frame: one [`PointCloudMerger::count`] call takes every
+/// object cloud of the frame's uploads, so the map is exactly the union of
+/// *this* frame's uploads. The merger keeps its allocations across frames,
+/// so a warm frame allocates nothing.
 #[derive(Debug)]
 pub struct MergeStage {
     map: PointCloudMerger,
@@ -304,17 +305,13 @@ impl MergeStage {
 impl Stage<(), TrafficMap> for MergeStage {
     fn run(&mut self, cx: &FrameCx<'_>, _input: ()) -> Result<Staged<TrafficMap>, Error> {
         let t = StageTimer::start();
-        self.map.reset();
-        let mut uploaded_objects = 0;
-        for u in cx.uploads {
-            uploaded_objects += u.objects.len();
-            for o in &u.objects {
-                self.map.add(&o.points);
-            }
-        }
+        let uploaded_objects = cx.uploads.iter().map(|u| u.objects.len()).sum();
+        let map_points = self
+            .map
+            .count(cx.uploads.iter().flat_map(|u| &u.objects).map(|o| &o.points));
         Ok(Staged {
             artifact: TrafficMap {
-                map_points: self.map.output_points(),
+                map_points,
                 merge_rejected_points: self.map.rejected_points(),
                 merge_cache_hits: 0,
                 merge_cache_misses: cx.uploads.len(),

@@ -53,10 +53,8 @@ fn random_upload(rng: &mut StdRng, vehicle_id: u64) -> Upload {
 /// What a fresh merger reports over exactly these uploads.
 fn rebuilt(uploads: &[Upload]) -> (usize, usize) {
     let mut m = PointCloudMerger::new(VOXEL_SIZE);
-    for o in uploads.iter().flat_map(|u| &u.objects) {
-        m.add(&o.points);
-    }
-    (m.output_points(), m.rejected_points())
+    let voxels = m.count(uploads.iter().flat_map(|u| &u.objects).map(|o| &o.points));
+    (voxels, m.rejected_points())
 }
 
 /// Runs one frame through the stage, returning `(map_points, rejected)`.

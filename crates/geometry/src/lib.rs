@@ -38,6 +38,7 @@
 //! assert!(t1.iou(&t2) > 0.99); // simultaneous arrival: near-certain conflict
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

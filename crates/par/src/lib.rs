@@ -27,6 +27,7 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -163,22 +163,15 @@ impl PointCloud {
     }
 
     /// Axis-aligned bounds `(min, max)`, or `None` when empty.
+    ///
+    /// Each component equals the left-to-right `f64::min` / `f64::max`
+    /// fold over its lane under `==`: NaN entries are skipped, and a
+    /// component is NaN only when its whole lane is. Which zero a lane of
+    /// `-0.0` and `0.0` yields is unspecified, as for `f64::min`.
     pub fn bounds(&self) -> Option<(Vec3, Vec3)> {
-        fn lane(xs: &[f64]) -> (f64, f64) {
-            let mut min = xs[0];
-            let mut max = xs[0];
-            for &x in &xs[1..] {
-                min = min.min(x);
-                max = max.max(x);
-            }
-            (min, max)
-        }
-        if self.xs.is_empty() {
-            return None;
-        }
-        let (min_x, max_x) = lane(&self.xs);
-        let (min_y, max_y) = lane(&self.ys);
-        let (min_z, max_z) = lane(&self.zs);
+        let (min_x, max_x, _) = lane_bounds(&self.xs)?;
+        let (min_y, max_y, _) = lane_bounds(&self.ys)?;
+        let (min_z, max_z, _) = lane_bounds(&self.zs)?;
         Some((
             Vec3::new(min_x, min_y, min_z),
             Vec3::new(max_x, max_y, max_z),
@@ -237,6 +230,44 @@ impl PointCloud {
         self.ys.extend_from_slice(&other.ys);
         self.zs.extend_from_slice(&other.zs);
     }
+}
+
+/// Independent accumulators of [`lane_bounds`]: eight short dependency
+/// chains instead of one long one, so the fold runs at load speed.
+const BOUNDS_LANES: usize = 8;
+
+/// `(min, max, any_nan)` of one coordinate lane, or `None` when it is
+/// empty. `min` and `max` equal the sequential `f64::min` / `f64::max`
+/// fold under `==` (NaN skipped, NaN only for an all-NaN lane); `any_nan`
+/// says whether any entry is NaN.
+pub(crate) fn lane_bounds(lane: &[f64]) -> Option<(f64, f64, bool)> {
+    let &first = lane.first()?;
+    let chunks = lane.chunks_exact(BOUNDS_LANES);
+    let tail = chunks.remainder();
+    let mut min = [first; BOUNDS_LANES];
+    let mut max = [first; BOUNDS_LANES];
+    let mut nan = [false; BOUNDS_LANES];
+    for chunk in chunks {
+        for j in 0..BOUNDS_LANES {
+            // A plain comparison is one instruction, where `f64::min`
+            // also sorts out NaN operands; NaN lanes are refolded below.
+            let x = chunk[j];
+            min[j] = if x < min[j] { x } else { min[j] };
+            max[j] = if x > max[j] { x } else { max[j] };
+            nan[j] |= x.is_nan();
+        }
+    }
+    if nan.contains(&true) || tail.iter().any(|x| x.is_nan()) {
+        // A NaN first entry would stick in every accumulator.
+        let (min, max) = lane
+            .iter()
+            .fold((first, first), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        return Some((min, max, true));
+    }
+    let fold = |acc: [f64; BOUNDS_LANES], f: fn(f64, f64) -> f64| {
+        acc.into_iter().chain(tail.iter().copied()).fold(first, f)
+    };
+    Some((fold(min, f64::min), fold(max, f64::max), false))
 }
 
 /// By-value iterator over a cloud's points, reassembled from the lanes.
@@ -350,6 +381,8 @@ impl From<Vec<Vec3>> for PointCloud {
 mod tests {
     use super::*;
     use erpd_geometry::Vec2;
+    use erpd_rand::rngs::StdRng;
+    use erpd_rand::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn empty_cloud() {
@@ -382,6 +415,48 @@ mod tests {
         let (min, max) = c.bounds().unwrap();
         assert_eq!(min, Vec3::ZERO);
         assert_eq!(max, Vec3::new(2.0, 4.0, 6.0));
+    }
+
+    #[test]
+    fn bounds_equal_the_sequential_fold() {
+        fn sequential(lane: &[f64]) -> (f64, f64) {
+            let fold = |f: fn(f64, f64) -> f64| lane[1..].iter().fold(lane[0], |m, &x| f(m, x));
+            (fold(f64::min), fold(f64::max))
+        }
+        let same = |a: f64, b: f64| a == b || (a.is_nan() && b.is_nan());
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+        let mut rng = StdRng::seed_from_u64(8);
+        for len in 0..=40 {
+            for trial in 0..64 {
+                // From no special entry to nothing but specials; the last
+                // trials are NaN-heavy, so some lanes are NaN throughout.
+                let special_share = f64::from(trial % 4) / 3.0;
+                let mut entry = || {
+                    if rng.next_unit_f64() < special_share {
+                        specials[if trial >= 56 { 0 } else { rng.gen_range(0..5) }]
+                    } else {
+                        rng.gen_range(-100.0..100.0)
+                    }
+                };
+                let lanes: [Vec<f64>; 3] =
+                    std::array::from_fn(|_| (0..len).map(|_| entry()).collect());
+                let cloud: PointCloud = (0..len)
+                    .map(|i| Vec3::new(lanes[0][i], lanes[1][i], lanes[2][i]))
+                    .collect();
+                let Some((min, max)) = cloud.bounds() else {
+                    assert_eq!(len, 0);
+                    continue;
+                };
+                for (a, lane) in lanes.iter().enumerate() {
+                    let (want_min, want_max) = sequential(lane);
+                    let (got_min, got_max) = ([min.x, min.y, min.z][a], [max.x, max.y, max.z][a]);
+                    assert!(same(got_min, want_min), "min {got_min} of {lane:?}");
+                    assert!(same(got_max, want_max), "max {got_max} of {lane:?}");
+                    let any_nan = lane_bounds(lane).map(|(_, _, nan)| nan);
+                    assert_eq!(any_nan, Some(lane.iter().any(|x| x.is_nan())));
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,25 +31,23 @@ fn voxel_oracle(clouds: &[PointCloud], s: f64) -> (usize, usize) {
     (voxels.len(), rejected)
 }
 
-/// Merges `clouds` with a merger that first served an unrelated frame
+/// Counts `clouds` with a merger that first served an unrelated frame
 /// (its scratch is warm and dirty) and checks both counts against
 /// [`voxel_oracle`], twice.
 fn merge_matches_the_oracle(clouds: &[PointCloud], s: f64) -> Result<(), TestCaseError> {
     let mut m = PointCloudMerger::new(s);
-    m.add(
-        &(0..50)
-            .map(|i| Vec3::new(i as f64, -(i as f64), 0.5))
-            .collect(),
-    );
-    let _ = m.output_points();
-    m.reset();
-    for c in clouds {
-        m.add(c);
-    }
+    let unrelated: PointCloud = (0..50)
+        .map(|i| Vec3::new(i as f64, -(i as f64), 0.5))
+        .collect();
+    let _ = m.count([
+        &unrelated,
+        &PointCloud::from_points(vec![Vec3::new(f64::NAN, 0.0, 0.0)]),
+    ]);
     let (voxels, rejected) = voxel_oracle(clouds, s);
-    prop_assert_eq!(m.output_points(), voxels);
-    prop_assert_eq!(m.output_points(), voxels);
-    prop_assert_eq!(m.rejected_points(), rejected);
+    for _ in 0..2 {
+        prop_assert_eq!(m.count(clouds), voxels);
+        prop_assert_eq!(m.rejected_points(), rejected);
+    }
     Ok(())
 }
 
@@ -93,6 +91,47 @@ fn merge_counts_a_box_of_about_2_pow_192_voxels() {
         Vec3::new(0.2, 0.2, 0.2),
     ]);
     merge_matches_the_oracle(&[cloud], 0.3).unwrap();
+}
+
+/// 2^51: the exact floor applies to keys of smaller magnitude.
+const P51: f64 = 2_251_799_813_685_248.0;
+
+#[test]
+fn merge_count_equals_the_voxel_oracle_on_every_path() {
+    let s = 0.3;
+    let dense: PointCloud = (0..400)
+        .map(|i| {
+            let t = f64::from(i);
+            Vec3::new(
+                (t * 0.37).sin() * 2.0,
+                (t * 0.21).cos() * 3.0,
+                (t * 0.05) % 1.5,
+            )
+        })
+        .collect();
+    let half: PointCloud = dense.iter().step_by(2).collect();
+    // Dense and all finite, with an empty cloud between: the exact floor.
+    merge_matches_the_oracle(&[dense.clone(), PointCloud::new(), half.clone()], s).unwrap();
+    // Dense with one NaN point: the keyed path, the NaN rejected.
+    let mut with_nan: Vec<Vec3> = half.iter().collect();
+    with_nan[3].y = f64::NAN;
+    merge_matches_the_oracle(&[dense.clone(), PointCloud::from(with_nan)], s).unwrap();
+    // A coordinate just under, then just over, 2^51 voxels out.
+    let (under, over) = ((P51 * s).next_down().next_down(), (P51 * s).next_up());
+    assert!(under / s < P51 && over / s >= P51);
+    // The far point, then points 0.5 m apart on its side of the limit.
+    for (x, step) in [(under, -0.5), (-under, 0.5), (over, 0.5), (-over, -0.5)] {
+        let edge: PointCloud = (0..40)
+            .map(|i| Vec3::new(x + f64::from(i % 8) * step, f64::from(i) * 0.1, 0.0))
+            .collect();
+        merge_matches_the_oracle(&[edge], s).unwrap();
+    }
+    // Only empty clouds.
+    merge_matches_the_oracle(&[PointCloud::new(), PointCloud::new()], s).unwrap();
+    merge_matches_the_oracle(&[], s).unwrap();
+    // Sparse: two clusters a kilometre apart on every axis, so it sorts.
+    let far: PointCloud = half.iter().map(|p| p + Vec3::new(1e3, 1e3, 1e3)).collect();
+    merge_matches_the_oracle(&[half, far], s).unwrap();
 }
 
 proptest! {
@@ -197,13 +236,7 @@ proptest! {
 
     #[test]
     fn merge_output_bounded_by_input(a in cloud(150), b in cloud(150), voxel in 0.05f64..2.0) {
-        let merged = |clouds: &[&PointCloud]| {
-            let mut m = PointCloudMerger::new(voxel);
-            for c in clouds {
-                m.add(c);
-            }
-            m.output_points()
-        };
+        let merged = |clouds: &[&PointCloud]| PointCloudMerger::new(voxel).count(clouds.iter().copied());
         prop_assert!(merged(&[&a, &b]) <= a.len() + b.len());
         // Merging a cloud with itself yields the single-cloud size.
         prop_assert_eq!(merged(&[&a]), merged(&[&a, &a]));

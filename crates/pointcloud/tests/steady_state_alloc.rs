@@ -10,8 +10,9 @@
 //!   only per-frame heap traffic is the returned `ExtractionOutput`;
 //!   every scratch buffer is reused), and
 //! * the merge path is *zero-alloc* once warmed: a `PointCloudMerger`
-//!   add/count/reset cycle — what the edge's `MergeStage` runs every
-//!   frame — touches only capacity that already exists.
+//!   `count` of a frame — what the edge's `MergeStage` runs every frame —
+//!   touches only capacity that already exists, the bitmap and the
+//!   bit-index scratch included.
 
 use erpd_geometry::Vec3;
 use erpd_pointcloud::{ExtractionConfig, MovingObjectExtractor, PointCloud, PointCloudMerger};
@@ -97,29 +98,25 @@ fn warm_extraction_and_merge_paths_do_not_allocate_per_frame() {
         per_cycle[0]
     );
 
-    // --- Batch merge: zero-alloc add/count/reset once warmed. ----------
-    // The warm loop is `MergeStage`'s per-frame cycle, so the counting
-    // scratch is warm too; the second measured frame's voxel box lies
-    // inside the first's.
+    // --- Batch merge: zero-alloc `count` once warmed. ------------------
+    // The warm call is `MergeStage`'s per-frame one, so the bitmap and
+    // the bit-index scratch are warm too; the second measured frame's
+    // voxel box and largest cloud lie inside the first's.
     let world = frame(0);
     let inner: PointCloud = world.iter().filter(|p| p.x > 0.0).collect();
     let mut merger = PointCloudMerger::new(0.4);
     for _ in 0..3 {
-        merger.add(&world);
-        let _ = merger.output_points();
-        merger.reset();
+        let _ = merger.count([&world, &inner]);
     }
     let before = allocs();
     let mut n_out = [0; 2];
-    for (n, cloud) in n_out.iter_mut().zip([&world, &inner]) {
-        merger.add(cloud);
-        *n = merger.output_points();
-        merger.reset();
+    for (n, frame) in n_out.iter_mut().zip([[&world, &inner], [&inner, &inner]]) {
+        *n = merger.count(frame);
     }
     assert_eq!(
         allocs() - before,
         0,
-        "a warmed PointCloudMerger cycle must not allocate"
+        "a warmed PointCloudMerger count must not allocate"
     );
     assert!(n_out[0] > n_out[1] && n_out[1] > 0);
 }

@@ -20,6 +20,8 @@
 //! passes BigCrush and is more than adequate for simulation workloads; it
 //! is *not* cryptographic, which nothing here needs.
 
+#![forbid(unsafe_code)]
+
 pub mod proptest;
 
 use std::ops::{Range, RangeInclusive};

@@ -30,6 +30,7 @@
 //! assert!(!s.world.collisions().is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

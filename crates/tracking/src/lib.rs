@@ -30,6 +30,7 @@
 //! assert_eq!(crowds.len(), 1); // one coherent crowd, one prediction
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

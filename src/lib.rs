@@ -61,14 +61,15 @@
 //! # Threading
 //!
 //! There is one build flavour. The per-vehicle extraction, the edge
-//! server's map merge and trajectory prediction, the per-receiver
-//! relevance assembly, and the V2V per-receiver fusion all fan out on
-//! [`par`]'s fork-join threads, each worker carrying at least two items
+//! server's trajectory prediction, the per-receiver relevance assembly,
+//! and the V2V per-receiver fusion all fan out on [`par`]'s fork-join
+//! threads, each worker carrying at least two items
 //! (a batch of up to three runs on the calling thread); `ERPD_THREADS=1`
 //! or [`par::set_max_threads`]`(1)` runs everything sequentially at run
 //! time, with bit-for-bit identical outputs (DESIGN.md §"Threading
 //! model").
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use erpd_core as core;

@@ -14,7 +14,7 @@ use std::f64::consts::{FRAC_PI_2, PI};
 
 /// Synthesises the paper's Fig. 4(a) setting: pedestrians on the crosswalks
 /// of an intersection, each crosswalk carrying two opposing streams.
-pub fn intersection_pedestrians(n: usize, seed: u64) -> Vec<Pedestrian> {
+pub(crate) fn intersection_pedestrians(n: usize, seed: u64) -> Vec<Pedestrian> {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(77).wrapping_add(3));
     let mut out = Vec::with_capacity(n);
     for i in 0..n {

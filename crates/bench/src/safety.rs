@@ -10,7 +10,7 @@ use erpd_edge::{
 use erpd_sim::{ScenarioConfig, ScenarioKind};
 
 /// The strategies compared by the safety figures.
-pub const STRATEGIES: [Strategy; 4] = [
+pub(crate) const STRATEGIES: [Strategy; 4] = [
     Strategy::Single,
     Strategy::Emp,
     Strategy::Ours,

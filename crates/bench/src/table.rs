@@ -33,13 +33,13 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row width differs from the header width.
-    pub fn push_row(&mut self, row: Vec<String>) {
+    pub(crate) fn push_row(&mut self, row: Vec<String>) {
         assert_eq!(row.len(), self.header.len(), "row width mismatch");
         self.rows.push(row);
     }
 
     /// Renders the table as CSV.
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::new();
         let escape = |s: &str| {
             if s.contains(',') || s.contains('"') || s.contains('\n') {

@@ -38,17 +38,17 @@ pub fn pipes_safe_distance(speed_mps: f64) -> f64 {
 }
 
 /// True when the follower's gap satisfies Pipes' rule.
-pub fn satisfies_pipes(gap: f64, follower_speed: f64) -> bool {
+pub(crate) fn satisfies_pipes(gap: f64, follower_speed: f64) -> bool {
     gap >= pipes_safe_distance(follower_speed)
 }
 
 /// The Gipps-model minimum time gap: 1.5 × the 1 s average human reaction
 /// time.
-pub const GIPPS_TIME_GAP: f64 = 1.5;
+pub(crate) const GIPPS_TIME_GAP: f64 = 1.5;
 
 /// True when the follower's time gap (`gap / speed`) satisfies the Gipps
 /// criterion. Stationary followers trivially satisfy it.
-pub fn satisfies_gipps(gap: f64, follower_speed: f64) -> bool {
+pub(crate) fn satisfies_gipps(gap: f64, follower_speed: f64) -> bool {
     if follower_speed <= 1e-9 {
         return true;
     }

@@ -58,10 +58,7 @@ mod relevance;
 pub use dissemination::{Assignment, DisseminationPlan, PlanInputs};
 pub use error::Error;
 pub use handover::{PoseSample, Region, TrackSnapshot, VehicleHandover};
-pub use following::{
-    follower_at_risk, follower_relevance, pipes_safe_distance, satisfies_gipps, satisfies_pipes,
-    DEFAULT_ALPHA, GIPPS_TIME_GAP,
-};
+pub use following::{follower_at_risk, follower_relevance, pipes_safe_distance, DEFAULT_ALPHA};
 pub use knapsack::{
     brute_force_knapsack, dp_knapsack, greedy_knapsack, KnapsackItem, KnapsackSolution,
 };

@@ -126,12 +126,6 @@ impl ObjectHypotheses {
             age: 0.0,
         }
     }
-
-    /// Returns the hypotheses with the observation age replaced.
-    pub fn with_age(mut self, age: f64) -> Self {
-        self.age = age;
-        self
-    }
 }
 
 /// Builds the relevance matrix of paper §III-A, hypothesis-aware: the
@@ -496,7 +490,10 @@ mod tests {
             ObjectHypotheses::single(trajs[1].clone()),
         ];
         let stale = vec![
-            ObjectHypotheses::single(trajs[0].clone()).with_age(age),
+            ObjectHypotheses {
+                age,
+                ..ObjectHypotheses::single(trajs[0].clone())
+            },
             ObjectHypotheses::single(trajs[1].clone()),
         ];
         let m_fresh =

@@ -187,7 +187,7 @@ impl EdgeDaemon {
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidInput`] when the strategy has no edge
-    /// server (`Single`, `V2v`; see [`crate::Strategy::is_edge_served`]);
+    /// server (`Single` shares nothing, `V2v` fuses on board);
     /// otherwise propagates the bind failure.
     pub fn spawn<A: ToSocketAddrs>(
         config: DaemonConfig,

@@ -32,7 +32,8 @@ pub(crate) enum FaultStream {
 /// The default model is **ideal** (all probabilities zero, no jitter) and
 /// is guaranteed to leave the pipeline bit-identical to a build without
 /// the fault layer — see `tests/fault_model.rs`. Construct via the
-/// `with_*` builders:
+/// `with_*` builders (`reconnect_prob` and `truncate_keep` have none: set
+/// the fields):
 ///
 /// ```
 /// use erpd_edge::FaultModel;
@@ -102,21 +103,9 @@ impl FaultModel {
         self
     }
 
-    /// Returns the model with the reconnect probability replaced.
-    pub fn with_reconnect_prob(mut self, reconnect_prob: f64) -> Self {
-        self.reconnect_prob = reconnect_prob;
-        self
-    }
-
     /// Returns the model with the truncation probability replaced.
     pub fn with_truncate_prob(mut self, truncate_prob: f64) -> Self {
         self.truncate_prob = truncate_prob;
-        self
-    }
-
-    /// Returns the model with the truncation survival fraction replaced.
-    pub fn with_truncate_keep(mut self, truncate_keep: f64) -> Self {
-        self.truncate_keep = truncate_keep;
         self
     }
 
@@ -140,7 +129,7 @@ impl FaultModel {
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] naming the first offending field.
-    pub fn validate(&self) -> Result<(), Error> {
+    pub(crate) fn validate(&self) -> Result<(), Error> {
         let prob = |field, v: f64| {
             if (0.0..=1.0).contains(&v) {
                 Ok(())
@@ -226,9 +215,7 @@ mod tests {
             .with_loss_prob(0.1)
             .with_jitter(0.02)
             .with_churn_prob(0.05)
-            .with_reconnect_prob(0.5)
             .with_truncate_prob(0.3)
-            .with_truncate_keep(0.7)
             .with_seed(42);
         assert_eq!(f.loss_prob, 0.1);
         assert_eq!(f.seed, 42);
@@ -245,10 +232,11 @@ mod tests {
             .with_jitter(f64::NAN)
             .validate()
             .is_err());
-        assert!(FaultModel::default()
-            .with_truncate_keep(2.0)
-            .validate()
-            .is_err());
+        let keep_too_much = FaultModel {
+            truncate_keep: 2.0,
+            ..FaultModel::default()
+        };
+        assert!(keep_too_much.validate().is_err());
     }
 
     #[test]

@@ -70,16 +70,10 @@ pub use metrics::{run, run_seeds, AveragedResult, RunConfig, RunResult};
 pub use multi::{
     Coverage, Deployment, DeploymentBuilder, DeploymentReport, FleetReport, HandoverPolicy,
 };
-pub use stages::{StageSample, StageTimer, StageTimes, STAGE_NAMES};
+pub use stages::{StageSample, StageTimes, STAGE_NAMES};
 pub use network::NetworkConfig;
 pub use server::{DetectionSummary, EdgeServer, ServerConfig, ServerFrame, TRACK_ID_BASE};
-pub use system::{
-    FrameReport, ModuleTimes, System, SystemBuilder, SystemConfig, V2V_CHANNEL_BPS, V2V_RANGE_M,
-};
+pub use system::{FrameReport, ModuleTimes, System, SystemBuilder, SystemConfig};
 pub use transport::{LoopbackTransport, ServingCore, TcpTransport, Transport, WireTransport};
-pub use wire::{truncate_on_wire, WireMessage, MAX_PAYLOAD_BYTES, WIRE_MAGIC, WIRE_VERSION};
-pub use upload::{
-    Strategy, Upload, UploadedObject, VehicleFleet, VehicleScratch, VehicleSide,
-    EMP_CLUTTER_FRACTION,
-    EXTRACTION_TIME_SCALE, MIN_DETECTABLE_POINTS,
-};
+pub use wire::{truncate_on_wire, WireMessage, WIRE_VERSION};
+pub use upload::{Strategy, Upload, UploadedObject, VehicleFleet, VehicleScratch, VehicleSide};

@@ -220,7 +220,7 @@ pub struct AveragedResult {
 
 impl AveragedResult {
     /// Averages a set of run results.
-    pub fn from_runs(runs: &[RunResult]) -> Self {
+    pub(crate) fn from_runs(runs: &[RunResult]) -> Self {
         let n = runs.len().max(1) as f64;
         let mean = |f: &dyn Fn(&RunResult) -> f64| runs.iter().map(f).sum::<f64>() / n;
         let mut module_times = ModuleTimes::default();

@@ -686,10 +686,10 @@ mod tests {
     #[test]
     fn a_ghost_takes_its_outage_state_from_the_owner() {
         let mut s = scenario(1);
-        let fault = FaultModel::default()
-            .with_churn_prob(0.1)
-            .with_reconnect_prob(0.3)
-            .with_seed(1);
+        let fault = FaultModel {
+            reconnect_prob: 0.3,
+            ..FaultModel::default().with_churn_prob(0.1).with_seed(1)
+        };
         let cfg = SystemConfig::new(Strategy::Ours)
             .with_network(NetworkConfig::default().with_fault(fault));
         let mut dep = Deployment::builder()

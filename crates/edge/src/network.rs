@@ -62,7 +62,7 @@ impl NetworkConfig {
     }
 
     /// Per-vehicle uplink budget per frame, bytes.
-    pub fn uplink_budget_bytes(&self) -> u64 {
+    pub(crate) fn uplink_budget_bytes(&self) -> u64 {
         (self.uplink_bps * self.frame_period / 8.0) as u64
     }
 
@@ -73,12 +73,12 @@ impl NetworkConfig {
     }
 
     /// Transmission time of a payload on the uplink, seconds.
-    pub fn uplink_time(&self, bytes: u64) -> f64 {
+    pub(crate) fn uplink_time(&self, bytes: u64) -> f64 {
         BASE_LATENCY + bytes as f64 * 8.0 / self.uplink_bps
     }
 
     /// Transmission time of a payload on the downlink, seconds.
-    pub fn downlink_time(&self, bytes: u64) -> f64 {
+    pub(crate) fn downlink_time(&self, bytes: u64) -> f64 {
         BASE_LATENCY + bytes as f64 * 8.0 / self.downlink_bps
     }
 }

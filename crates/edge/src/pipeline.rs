@@ -11,8 +11,16 @@
 //!
 //! where `Uploads` rides in the per-frame [`FrameCx`] so every stage can
 //! see the raw arrivals. [`crate::EdgeServer::process`] composes the five
-//! server stages — one implementation each, held as plain fields. The
-//! last hop is one `match` on [`crate::Strategy`] in
+//! server stages — one implementation each, held as plain fields.
+//!
+//! An artifact carries only what the next stage reads. The [`TrafficMap`]'s
+//! counts go to the driver, which fills [`ServerFrame::map_points`] from
+//! them ([`AssociateStage`] reads the uploads, not the map), and
+//! [`Predictions`] holds the [`Tracks`] it was built from, which
+//! [`RelevanceStage`] turns into the frame's sizes, receivers, detections
+//! and staleness.
+//!
+//! The last hop is one `match` on [`crate::Strategy`] in
 //! [`crate::ServingCore::serve`]: the paper's greedy knapsack, EMP's round
 //! robin or `Unlimited`'s broadcast, all three [`PlanInputs`] methods.
 //! [`GreedyDissemination`] wraps the paper's arm as a [`Stage`], for
@@ -69,8 +77,8 @@ pub struct Staged<T> {
 
 /// One module of the edge pipeline: a typed transform over frame
 /// artifacts. Implementations own whatever cross-frame state their module
-/// needs (the tracker, pose histories, ...) and time themselves with
-/// [`StageTimer`].
+/// needs (the tracker, pose histories, ...) and time themselves, reporting
+/// a [`StageSample`].
 pub trait Stage<In, Out>: fmt::Debug + Send {
     /// Runs the stage over one frame.
     ///
@@ -115,8 +123,6 @@ pub struct TrafficMap {
 /// Cross-vehicle associated detections: one cluster per distinct object.
 #[derive(Debug, Clone, Default)]
 pub struct AssociatedDetections {
-    /// The traffic map, carried through.
-    pub map: TrafficMap,
     /// Running centroid and merged extent per cluster, in first-upload
     /// order (self-reports already suppressed).
     pub clusters: Vec<(Vec2, ClusterExtent)>,
@@ -124,8 +130,6 @@ pub struct AssociatedDetections {
     pub classified: Vec<Detection>,
     /// Bytes of suppressed self-report clusters, per reporting vehicle.
     pub self_report_bytes: BTreeMap<u64, u64>,
-    /// Objects across all uploads before association.
-    pub uploaded_objects: usize,
 }
 
 /// What the server reads of a cluster's merged cloud: how many points it
@@ -183,7 +187,7 @@ impl ClusterExtent {
     }
 
     /// Planar bounding-box diagonal, metres (0 without points).
-    pub fn planar_extent(&self) -> f64 {
+    pub(crate) fn planar_extent(&self) -> f64 {
         match self.bounds() {
             None => 0.0,
             Some((min, max)) => {
@@ -214,8 +218,6 @@ pub struct Kinematics {
 /// the past: identities, receivers, rule inputs, kinematics, staleness.
 #[derive(Debug, Clone, Default)]
 pub struct Tracks {
-    /// The traffic map, carried through.
-    pub map: TrafficMap,
     /// Tracked sensed objects (plus coasted ones), with server ids.
     pub detections: Vec<DetectionSummary>,
     /// Wire size per object.
@@ -233,18 +235,8 @@ pub struct Tracks {
 /// Predicted route hypotheses for the objects Rules 1–3 selected.
 #[derive(Debug, Clone, Default)]
 pub struct Predictions {
-    /// The traffic map, carried through.
-    pub map: TrafficMap,
-    /// Tracked sensed objects, carried through.
-    pub detections: Vec<DetectionSummary>,
-    /// Wire size per object, carried through.
-    pub sizes: BTreeMap<ObjectId, u64>,
-    /// Receivers, carried through.
-    pub receivers: Vec<ObjectId>,
-    /// Kinematic state per object, carried through.
-    pub kinematics: BTreeMap<ObjectId, Kinematics>,
-    /// Observation ages, carried through.
-    pub ages: BTreeMap<ObjectId, f64>,
+    /// The tracking stage's output the predictions were made from.
+    pub tracks: Tracks,
     /// Hypothesis sets consumed by relevance estimation.
     pub objects: Vec<ObjectHypotheses>,
     /// Queue followers covered by relevance propagation.
@@ -419,11 +411,14 @@ impl AssociateStage {
     }
 }
 
+/// The traffic map input goes unread: association works on the uploads'
+/// object clouds, and [`crate::EdgeServer::process`] takes the map's counts
+/// from the merge stage itself.
 impl Stage<TrafficMap, AssociatedDetections> for AssociateStage {
     fn run(
         &mut self,
         cx: &FrameCx<'_>,
-        input: TrafficMap,
+        _input: TrafficMap,
     ) -> Result<Staged<AssociatedDetections>, Error> {
         let t = StageTimer::start();
         let radius = DETECTION_MATCH_RADIUS;
@@ -484,11 +479,9 @@ impl Stage<TrafficMap, AssociatedDetections> for AssociateStage {
         let uploaded_objects: usize = cx.uploads.iter().map(|u| u.objects.len()).sum();
         Ok(Staged {
             artifact: AssociatedDetections {
-                map: input,
                 clusters,
                 classified,
                 self_report_bytes,
-                uploaded_objects,
             },
             sample: t.stop(uploaded_objects),
         })
@@ -709,7 +702,6 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
         let items = rule_inputs.len();
         Ok(Staged {
             artifact: Tracks {
-                map: input.map,
                 detections,
                 sizes,
                 receivers,
@@ -1030,12 +1022,7 @@ impl Stage<Tracks, Predictions> for PredictStage {
 
         Ok(Staged {
             artifact: Predictions {
-                map: input.map,
-                detections: input.detections,
-                sizes: input.sizes,
-                receivers: input.receivers,
-                kinematics: input.kinematics,
-                ages: input.ages,
+                tracks: input,
                 objects,
                 followers: selection.followers,
                 predicted_trajectories,
@@ -1075,7 +1062,8 @@ impl Stage<Predictions, ServerFrame> for RelevanceStage {
         // uploaded a cluster at o's position (paper §III-A).
         let uploads_by_vehicle: BTreeMap<u64, &Upload> =
             cx.uploads.iter().map(|u| (u.vehicle_id, u)).collect();
-        let kinematics = &input.kinematics;
+        let tracks = input.tracks;
+        let kinematics = &tracks.kinematics;
         let visible = |receiver: ObjectId, object: ObjectId| -> bool {
             let Some(upload) = uploads_by_vehicle.get(&receiver.0) else {
                 return false;
@@ -1092,7 +1080,7 @@ impl Stage<Predictions, ServerFrame> for RelevanceStage {
         // Relevance matrix (with follower propagation).
         let matrix = build_relevance_matrix_multi(
             &input.objects,
-            &input.receivers,
+            &tracks.receivers,
             &input.followers,
             self.alpha,
             self.relevance,
@@ -1100,18 +1088,16 @@ impl Stage<Predictions, ServerFrame> for RelevanceStage {
         )?;
         let items = input.objects.len();
 
-        let staleness: Vec<f64> = input.ages.values().copied().collect();
         let frame = ServerFrame {
             matrix,
-            sizes: input.sizes,
-            receivers: input.receivers,
-            detections: input.detections,
+            sizes: tracks.sizes,
+            receivers: tracks.receivers,
+            detections: tracks.detections,
             predicted_trajectories: input.predicted_trajectories,
-            map_points: input.map.map_points,
-            coasted_objects: staleness.len(),
-            staleness,
+            staleness: tracks.ages.into_values().collect(),
             // Filled by the driver ([`crate::EdgeServer::process`]) from
-            // the stages' own samples.
+            // the merge stage's map and the stages' own samples.
+            map_points: 0,
             stages: Default::default(),
         };
         Ok(Staged {
@@ -1347,7 +1333,6 @@ mod tests {
         let mut assoc = AssociateStage::new(&config);
         let a = assoc.run(&cx, m.artifact).unwrap();
         assert_eq!(a.sample.items, total);
-        assert_eq!(a.artifact.uploaded_objects, total);
     }
 
     #[test]

@@ -117,11 +117,9 @@ pub struct ServerFrame {
     pub predicted_trajectories: usize,
     /// Occupied voxels in the merged traffic map.
     pub map_points: usize,
-    /// Objects served from coasted (stale) state this frame because their
-    /// source upload went missing.
-    pub coasted_objects: usize,
-    /// Observation age of each coasted object, seconds (empty when nothing
-    /// coasted).
+    /// Observation age of each object served from coasted (stale) state
+    /// because its source upload went missing, seconds (empty when nothing
+    /// coasted); its length is the coasted-object count.
     pub staleness: Vec<f64>,
     /// Per-stage timings and item counts. The server fills `merge`,
     /// `tracking`, `prediction`, and `relevance`; the [`crate::System`]
@@ -170,7 +168,8 @@ impl EdgeServer {
     /// `merge → associate → track → predict → relevance`.
     ///
     /// The returned frame's only timing record is `stages`, filled from
-    /// the stages' own [`StageSample`]s.
+    /// the stages' own [`StageSample`]s; `map_points` comes from the merge
+    /// stage's traffic map.
     ///
     /// With a positive [`ServerConfig::coast_horizon`], objects and
     /// connected vehicles whose upload went missing are **coasted**:
@@ -191,6 +190,7 @@ impl EdgeServer {
         let relevant = self.relevance.run(&cx, predicted.artifact)?;
 
         let mut frame = relevant.artifact;
+        frame.map_points = merged.artifact.map_points;
         // The canonical "merge" sample covers map merge + association,
         // preserving the pre-refactor stage schema.
         frame.stages = StageTimes {

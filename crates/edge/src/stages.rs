@@ -38,7 +38,7 @@ impl StageSample {
 
     /// Folds another sample in: durations take the per-frame maximum
     /// (stages on different servers run concurrently), item counts add.
-    pub fn fold_max(&mut self, other: StageSample) {
+    pub(crate) fn fold_max(&mut self, other: StageSample) {
         self.seconds = self.seconds.max(other.seconds);
         self.items += other.items;
     }
@@ -47,7 +47,7 @@ impl StageSample {
 /// A scoped stage timer: start it, do the work, then [`stop`](Self::stop)
 /// with the number of items handled to get the [`StageSample`].
 #[derive(Debug)]
-pub struct StageTimer {
+pub(crate) struct StageTimer {
     start: Instant,
 }
 
@@ -98,7 +98,7 @@ impl StageTimes {
 
     /// Folds another frame's server-side stages in (concurrent V2V
     /// servers): durations take the maximum, item counts add.
-    pub fn fold_max(&mut self, other: &StageTimes) {
+    pub(crate) fn fold_max(&mut self, other: &StageTimes) {
         self.extraction.fold_max(other.extraction);
         self.merge.fold_max(other.merge);
         self.tracking.fold_max(other.tracking);

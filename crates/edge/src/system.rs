@@ -12,11 +12,11 @@ use erpd_tracking::ObjectId;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// DSRC-class V2V radio range, metres (the `V2v` strategy).
-pub const V2V_RANGE_M: f64 = 200.0;
+pub(crate) const V2V_RANGE_M: f64 = 200.0;
 
 /// Shared V2V ad-hoc channel capacity, bits/s: broadcasts beyond this per
 /// frame are not heard (the scalability wall AUTOCAST engineers around).
-pub const V2V_CHANNEL_BPS: f64 = 6e6;
+pub(crate) const V2V_CHANNEL_BPS: f64 = 6e6;
 
 /// Minimum relevance for a received object to trigger the driver alert
 /// (the receiver-side ADAS threshold).
@@ -219,7 +219,7 @@ impl SystemConfig {
     }
 
     /// Returns the configuration with the strategy replaced.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
+    pub(crate) fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
         self
     }
@@ -364,7 +364,8 @@ impl System {
     }
 
     /// Vehicles currently out of coverage (churn faults).
-    pub fn outages(&self) -> &BTreeSet<u64> {
+    #[cfg(test)]
+    pub(crate) fn outages(&self) -> &BTreeSet<u64> {
         &self.outages
     }
 
@@ -667,7 +668,7 @@ impl System {
             lost_uploads: plan.lost,
             late_uploads: plan.late,
             truncated_uploads: plan.truncated,
-            coasted_objects: sf.coasted_objects,
+            coasted_objects: sf.staleness.len(),
             staleness: sf.staleness.clone(),
             upload_tx: plan.upload_tx,
             downlink_tx,
@@ -785,7 +786,9 @@ impl System {
         let mut alerted = Vec::new();
         let mut detected_positions: Vec<Vec2> = Vec::new();
         let mut predicted = 0usize;
-        let mut coasted = 0usize;
+        // The receiver with the most coasted objects, first in upload order
+        // on a tie, reports the frame's staleness.
+        let mut staleness: Vec<f64> = Vec::new();
         let mut stages = StageTimes::default();
         let mut last_frame = ServerFrame::default();
         for r in fused {
@@ -796,7 +799,9 @@ impl System {
             }
             stages.fold_max(&sf.stages);
             predicted = predicted.max(sf.predicted_trajectories);
-            coasted = coasted.max(sf.coasted_objects);
+            if sf.staleness.len() > staleness.len() {
+                staleness.clone_from(&sf.staleness);
+            }
             for d in &sf.detections {
                 if !detected_positions.iter().any(|p| p.distance(d.position) < 2.0) {
                     detected_positions.push(d.position);
@@ -820,8 +825,8 @@ impl System {
             lost_uploads: plan.lost,
             late_uploads: plan.late,
             truncated_uploads: plan.truncated,
-            coasted_objects: coasted,
-            staleness: self.last_server_frame.staleness.clone(),
+            coasted_objects: staleness.len(),
+            staleness,
             upload_tx: broadcast_tx,
             downlink_tx: 0.0,
             stages,
@@ -951,13 +956,43 @@ mod tests {
     }
 
     #[test]
+    fn coasted_count_is_the_length_of_the_reported_staleness() {
+        use crate::{FaultModel, NetworkConfig};
+        for strategy in [Strategy::Ours, Strategy::V2v] {
+            let mut s = Scenario::build(
+                ScenarioConfig::default()
+                    .with_kind(ScenarioKind::UnprotectedLeftTurn)
+                    .with_n_vehicles(24)
+                    .with_seed(5),
+            );
+            let fault = FaultModel::default().with_loss_prob(0.3).with_seed(11);
+            let cfg = SystemConfig::new(strategy)
+                .with_network(NetworkConfig::default().with_fault(fault))
+                .with_server(ServerConfig::default().with_coast_horizon(1.0));
+            let mut sys = System::builder(cfg).build(&s.world);
+            let mut coasted = 0usize;
+            for k in 0..40 {
+                let r = sys.tick(&mut s.world).unwrap();
+                assert_eq!(
+                    r.coasted_objects,
+                    r.staleness.len(),
+                    "{strategy:?} frame {k}: coasted count vs staleness samples"
+                );
+                coasted += r.coasted_objects;
+                s.world.step();
+            }
+            assert!(coasted > 0, "{strategy:?}: losses must force coasting");
+        }
+    }
+
+    #[test]
     fn churn_disconnects_and_reconnects_vehicles() {
         use crate::{FaultModel, NetworkConfig};
         let mut s = scenario(ScenarioKind::UnprotectedLeftTurn, 1);
-        let fault = FaultModel::default()
-            .with_churn_prob(0.2)
-            .with_reconnect_prob(0.5)
-            .with_seed(5);
+        let fault = FaultModel {
+            reconnect_prob: 0.5,
+            ..FaultModel::default().with_churn_prob(0.2).with_seed(5)
+        };
         let cfg = SystemConfig::new(Strategy::Ours)
             .with_network(NetworkConfig::default().with_fault(fault));
         let mut sys = System::builder(cfg).build(&s.world);
@@ -996,11 +1031,10 @@ mod tests {
             (bytes, truncated)
         };
         let (ideal_bytes, ideal_trunc) = run_bytes(FaultModel::default());
-        let (clipped_bytes, clipped_trunc) = run_bytes(
-            FaultModel::default()
-                .with_truncate_prob(1.0)
-                .with_truncate_keep(0.5),
-        );
+        let (clipped_bytes, clipped_trunc) = run_bytes(FaultModel {
+            truncate_keep: 0.5,
+            ..FaultModel::default().with_truncate_prob(1.0)
+        });
         assert_eq!(ideal_trunc, 0);
         assert!(clipped_trunc > 0, "every delivered upload is truncated");
         assert!(

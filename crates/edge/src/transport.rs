@@ -199,7 +199,7 @@ impl TcpTransport {
     }
 
     /// Wraps an accepted connection.
-    pub fn from_stream(stream: TcpStream) -> Self {
+    pub(crate) fn from_stream(stream: TcpStream) -> Self {
         TcpTransport {
             stream,
             buf: Vec::new(),

@@ -44,7 +44,7 @@ impl Strategy {
     /// Whether an edge server serves this strategy: `Ours`, `Emp` and
     /// `Unlimited`. `Single` shares nothing and `V2v` fuses on board, so
     /// neither has a [`crate::ServingCore`] to run.
-    pub fn is_edge_served(self) -> bool {
+    pub(crate) fn is_edge_served(self) -> bool {
         matches!(self, Strategy::Ours | Strategy::Emp | Strategy::Unlimited)
     }
 }
@@ -71,7 +71,7 @@ pub struct Upload {
     /// clutter; for Unlimited, the raw frame).
     pub bytes: u64,
     /// Vehicle-side processing time, seconds, already scaled to the
-    /// Jetson-class budget (see [`EXTRACTION_TIME_SCALE`]) for every
+    /// Jetson-class budget (the host time × 25) for every
     /// strategy that computes on the OBU — Ours, V2V, *and* EMP.
     pub processing_time: f64,
     /// Points fed to the on-board clustering (DBSCAN input size) — the
@@ -84,16 +84,16 @@ pub struct Upload {
 /// substitution 3): the paper measures the *Moving Objects Extraction*
 /// module on an NVIDIA Jetson TX2, roughly this many times slower than the
 /// desktop-class host we measure on.
-pub const EXTRACTION_TIME_SCALE: f64 = 25.0;
+pub(crate) const EXTRACTION_TIME_SCALE: f64 = 25.0;
 
 /// Fraction of a raw frame that is non-ground static clutter (building
 /// facades, poles, parked fleet) that EMP uploads but our extraction
 /// discards.
-pub const EMP_CLUTTER_FRACTION: f64 = 0.35;
+pub(crate) const EMP_CLUTTER_FRACTION: f64 = 0.35;
 
 /// Minimum points for an uploaded object to remain detectable after EMP's
 /// overflow subsampling.
-pub const MIN_DETECTABLE_POINTS: usize = 8;
+pub(crate) const MIN_DETECTABLE_POINTS: usize = 8;
 
 /// Accounted bytes of an upload's pose and header, on top of its objects.
 const UPLOAD_HEADER_BYTES: u64 = 64;
@@ -146,7 +146,7 @@ impl VehicleSide {
     /// uplink cap.
     ///
     /// Also returns the raw host-measured seconds *before* the
-    /// [`EXTRACTION_TIME_SCALE`] Jetson scaling — the seam the scaling
+    /// `EXTRACTION_TIME_SCALE` (×25) Jetson scaling — the seam the scaling
     /// regression tests observe. Every strategy that computes on the OBU
     /// (Ours, V2V, EMP) reports
     /// `processing_time == host_seconds * EXTRACTION_TIME_SCALE`; Single

@@ -9,7 +9,7 @@
 //!
 //! All integers are little-endian and every `f64` travels as its raw bits.
 //! `payload_len` counts payload bytes only (the header is a fixed
-//! [`FRAME_HEADER_BYTES`]) and is capped at [`MAX_PAYLOAD_BYTES`] so a
+//! [`FRAME_HEADER_BYTES`]) and is capped at `MAX_PAYLOAD_BYTES` (64 MiB) so a
 //! corrupt length cannot ask the receiver to allocate unbounded memory.
 //! This module is the one owner of every payload layout:
 //!
@@ -31,7 +31,7 @@
 //! malformed input: one bounds-checked reader serves every payload, and
 //! every failure is an [`Error::Codec`]. A declared count is checked
 //! against the bytes left before anything is allocated for it, and a pose
-//! coordinate beyond [`MAX_POSE_COORD`] counts as malformed.
+//! coordinate beyond `MAX_POSE_COORD` (10⁶ m) counts as malformed.
 //!
 //! The same frames serve three transports: the in-process
 //! [`crate::WireTransport`] (codec round trip without a socket), the TCP
@@ -47,20 +47,20 @@ use erpd_tracking::{ObjectId, ObjectKind};
 use std::io::{self, Write};
 
 /// Magic bytes opening every wire frame.
-pub const WIRE_MAGIC: [u8; 4] = *b"ERPW";
+pub(crate) const WIRE_MAGIC: [u8; 4] = *b"ERPW";
 /// Current (and only) wire-format version.
 pub const WIRE_VERSION: u8 = 1;
 /// Fixed frame-header size: magic + version + kind + payload length.
 pub const FRAME_HEADER_BYTES: usize = 4 + 1 + 1 + 4;
 /// Upper bound on a frame's payload; a declared length beyond this is
 /// rejected as corrupt instead of being allocated.
-pub const MAX_PAYLOAD_BYTES: usize = 64 << 20;
+pub(crate) const MAX_PAYLOAD_BYTES: usize = 64 << 20;
 /// Upper bound on a decoded upload pose coordinate, metres: `|x|` and
 /// `|y|` beyond it are rejected as corrupt. A scenario spans well under a
 /// kilometre, so this only turns away poses no vehicle can hold — and
 /// keeps the pose-history velocity finite (two poses at `±1e307` overflow
 /// it to infinity, which the trajectory predictor cannot survive).
-pub const MAX_POSE_COORD: f64 = 1e6;
+pub(crate) const MAX_POSE_COORD: f64 = 1e6;
 
 /// Fixed-width prefix of an upload payload, before the object list.
 const UPLOAD_FIXED_BYTES: usize = 8 + 8 + 24 + 8 + 8 + 8 + 4;

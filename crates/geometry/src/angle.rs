@@ -17,7 +17,7 @@ pub fn deg_to_rad(deg: f64) -> f64 {
 
 /// Converts radians to degrees.
 #[inline]
-pub fn rad_to_deg(rad: f64) -> f64 {
+pub(crate) fn rad_to_deg(rad: f64) -> f64 {
     rad * 180.0 / PI
 }
 

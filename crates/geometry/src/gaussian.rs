@@ -62,12 +62,6 @@ impl BivariateGaussian {
         self.sigma_x
     }
 
-    /// Standard deviation along y.
-    #[inline]
-    pub fn sigma_y(&self) -> f64 {
-        self.sigma_y
-    }
-
     /// Correlation coefficient.
     #[inline]
     pub fn rho(&self) -> f64 {

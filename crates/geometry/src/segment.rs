@@ -42,7 +42,7 @@ impl Segment2 {
 
     /// The displacement `b - a`.
     #[inline]
-    pub fn delta(&self) -> Vec2 {
+    pub(crate) fn delta(&self) -> Vec2 {
         self.b - self.a
     }
 
@@ -59,7 +59,7 @@ impl Segment2 {
     }
 
     /// Parameter in `[0, 1]` of the point on the segment closest to `p`.
-    pub fn closest_t(&self, p: Vec2) -> f64 {
+    pub(crate) fn closest_t(&self, p: Vec2) -> f64 {
         let d = self.delta();
         let len2 = d.norm_squared();
         if len2 <= f64::EPSILON {

@@ -42,7 +42,7 @@ impl Transform3 {
     }
 
     /// A pure translation.
-    pub fn translation(t: Vec3) -> Self {
+    pub(crate) fn translation(t: Vec3) -> Self {
         let mut out = Self::identity();
         out.m[0][3] = t.x;
         out.m[1][3] = t.y;
@@ -52,7 +52,7 @@ impl Transform3 {
 
     /// Rotation about the +z axis by `yaw` radians (counter-clockwise seen
     /// from above).
-    pub fn rotation_z(yaw: f64) -> Self {
+    pub(crate) fn rotation_z(yaw: f64) -> Self {
         let (s, c) = yaw.sin_cos();
         let mut out = Self::identity();
         out.m[0][0] = c;
@@ -64,7 +64,7 @@ impl Transform3 {
 
     /// Rigid transform from a planar pose plus a height offset: rotate by the
     /// pose heading about z, then translate to `(pose.x, pose.y, z)`.
-    pub fn from_pose2(pose: Pose2, z: f64) -> Self {
+    pub(crate) fn from_pose2(pose: Pose2, z: f64) -> Self {
         Self::translation(Vec3::from_xy(pose.position, z)) * Self::rotation_z(pose.heading())
     }
 
@@ -98,7 +98,7 @@ impl Transform3 {
 
     /// Applies only the rotational part (for directions).
     #[inline]
-    pub fn apply_vector(&self, v: Vec3) -> Vec3 {
+    pub(crate) fn apply_vector(&self, v: Vec3) -> Vec3 {
         let m = &self.m;
         Vec3::new(
             m[0][0] * v.x + m[0][1] * v.y + m[0][2] * v.z,

@@ -103,18 +103,6 @@ impl Vec2 {
         }
     }
 
-    /// Returns the vector scaled to unit length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector is (near-)zero; use [`Vec2::try_normalize`] when
-    /// the input may be degenerate.
-    #[inline]
-    pub fn normalize(self) -> Vec2 {
-        self.try_normalize()
-            .expect("cannot normalize a zero-length Vec2")
-    }
-
     /// The angle of this vector from +x, in `(-PI, PI]`.
     #[inline]
     pub fn angle(self) -> f64 {
@@ -130,7 +118,7 @@ impl Vec2 {
 
     /// The vector rotated 90 degrees counter-clockwise.
     #[inline]
-    pub fn perp(self) -> Vec2 {
+    pub(crate) fn perp(self) -> Vec2 {
         Vec2::new(-self.y, self.x)
     }
 
@@ -331,15 +319,9 @@ mod tests {
 
     #[test]
     fn normalize_unit_length() {
-        let v = Vec2::new(10.0, -2.0).normalize();
+        let v = Vec2::new(10.0, -2.0).try_normalize().unwrap();
         assert!((v.norm() - 1.0).abs() < 1e-12);
         assert!(Vec2::ZERO.try_normalize().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "zero-length")]
-    fn normalize_zero_panics() {
-        let _ = Vec2::ZERO.normalize();
     }
 
     #[test]

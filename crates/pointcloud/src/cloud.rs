@@ -196,7 +196,7 @@ impl PointCloud {
     /// Bit-identical to `out.merge_from(&self.filtered(|p| p.z > min_z)
     /// .transformed(t))`: the same `Transform3::apply` products and sums
     /// run on the same surviving points in the same order.
-    pub fn filter_above_transform_into(&self, min_z: f64, t: &Transform3, out: &mut PointCloud) {
+    pub(crate) fn filter_above_transform_into(&self, min_z: f64, t: &Transform3, out: &mut PointCloud) {
         let survivors = self.zs.iter().filter(|&&z| z > min_z).count();
         out.xs.reserve(survivors);
         out.ys.reserve(survivors);

@@ -17,7 +17,7 @@ const MAGIC: [u8; 4] = *b"EPC1";
 /// Header: magic + point count (u64) + min/max bounds (6 × f64).
 const HEADER_BYTES: usize = 4 + 8 + 48;
 /// Bytes per encoded point (three u16 coordinates).
-pub const COMPRESSED_POINT_BYTES: usize = 6;
+pub(crate) const COMPRESSED_POINT_BYTES: usize = 6;
 
 /// Error decoding a compressed cloud.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -466,9 +466,7 @@ const NO_CORE: u32 = u32::MAX - 1;
 /// and frontier buffers. [`run_lanes`](Self::run_lanes) overwrites
 /// everything, so one scratch can serve an unbounded stream of frames with
 /// no steady-state heap allocation; read the outcome through
-/// [`label`](Self::label), [`n_clusters`](Self::n_clusters), and
-/// [`noise_count`](Self::noise_count), or materialise a [`DbscanResult`]
-/// with [`to_result`](Self::to_result).
+/// [`label`](Self::label) and [`n_clusters`](Self::n_clusters).
 ///
 /// # Examples
 ///
@@ -909,7 +907,7 @@ impl DbscanScratch {
 
     /// Number of noise points in the last run.
     #[inline]
-    pub fn noise_count(&self) -> usize {
+    pub(crate) fn noise_count(&self) -> usize {
         self.noise
     }
 
@@ -925,7 +923,7 @@ impl DbscanScratch {
     }
 
     /// Materialises the last run as an owned [`DbscanResult`].
-    pub fn to_result(&self) -> DbscanResult {
+    pub(crate) fn to_result(&self) -> DbscanResult {
         DbscanResult {
             labels: self
                 .labels

@@ -42,9 +42,7 @@ mod merge;
 mod motion;
 
 pub use cloud::{IntoPoints, PointCloud, Points, POINT_WIRE_BYTES};
-pub use compress::{
-    compress, decompress, max_quantization_error, DecodeError, COMPRESSED_POINT_BYTES,
-};
+pub use compress::{compress, decompress, max_quantization_error, DecodeError};
 pub use dbscan::{dbscan, DbscanParams, DbscanResult, DbscanScratch};
 pub use ground::GroundFilter;
 pub use merge::PointCloudMerger;

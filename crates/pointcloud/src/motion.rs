@@ -155,11 +155,6 @@ impl MovingObjectExtractor {
         &self.config
     }
 
-    /// Number of frames processed so far.
-    pub fn frames_seen(&self) -> usize {
-        self.frames_seen
-    }
-
     /// Processes one ground-free frame (world coordinates) and labels its
     /// clusters.
     ///
@@ -286,12 +281,6 @@ impl MovingObjectExtractor {
             noise_points: scratch.dbscan.noise_count(),
         }
     }
-
-    /// Forgets all history (e.g. after a long sensing gap).
-    pub fn reset(&mut self) {
-        self.prev_centroids.clear();
-        self.frames_seen = 0;
-    }
 }
 
 #[cfg(test)]
@@ -377,18 +366,6 @@ mod tests {
         let mut ex = MovingObjectExtractor::new(cfg);
         ex.process(&blob_at(0.0, 0.0));
         let out = ex.process(&blob_at(cfg.movement_threshold * 0.5, 0.0));
-        assert_eq!(out.moving_count(), 0);
-    }
-
-    #[test]
-    fn reset_forgets_history() {
-        let mut ex = MovingObjectExtractor::new(ExtractionConfig::default());
-        ex.process(&blob_at(0.0, 0.0));
-        assert_eq!(ex.frames_seen(), 1);
-        ex.reset();
-        assert_eq!(ex.frames_seen(), 0);
-        // After reset the next frame is a warm-up frame again.
-        let out = ex.process(&blob_at(10.0, 0.0));
         assert_eq!(out.moving_count(), 0);
     }
 

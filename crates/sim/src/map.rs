@@ -155,11 +155,6 @@ impl IntersectionMap {
         }
     }
 
-    /// Lane width, metres.
-    pub fn lane_width(&self) -> f64 {
-        self.lane_width
-    }
-
     /// Lanes per direction.
     pub fn lanes_per_dir(&self) -> usize {
         self.lanes_per_dir
@@ -332,7 +327,7 @@ impl IntersectionMap {
     ///
     /// The crosswalk lies just outside the intersection box (the band the
     /// paper draws its red boundary along).
-    pub fn crosswalk_path(&self, arm: Approach, forward: bool) -> Polyline2 {
+    pub(crate) fn crosswalk_path(&self, arm: Approach, forward: bool) -> Polyline2 {
         let h = self.half_size();
         let x = -h - self.crosswalk_width / 2.0;
         let margin = 2.0;
@@ -352,7 +347,7 @@ impl IntersectionMap {
     /// clustering, object counts) without interfering with the scripted
     /// conflicts; the Fig. 1 demo uses [`IntersectionMap::crosswalk_path`]
     /// for its scripted crossing pedestrian instead.
-    pub fn sidewalk_path(&self, arm: Approach, forward: bool) -> Polyline2 {
+    pub(crate) fn sidewalk_path(&self, arm: Approach, forward: bool) -> Polyline2 {
         let h = self.half_size();
         let y = -(h + 1.5); // south side of the canonical west arm
         let (x0, x1) = if forward {
@@ -367,7 +362,7 @@ impl IntersectionMap {
 
     /// Four corner buildings that occlude diagonal sight lines, as in an
     /// urban canyon.
-    pub fn corner_buildings(&self) -> Vec<Obb2> {
+    pub(crate) fn corner_buildings(&self) -> Vec<Obb2> {
         let h = self.half_size();
         let setback = 8.0;
         let size = 30.0;

@@ -164,7 +164,7 @@ impl Vehicle {
     }
 
     /// True when the alert brake is currently engaged.
-    pub fn braking_on_alert(&self, now: f64) -> bool {
+    pub(crate) fn braking_on_alert(&self, now: f64) -> bool {
         self.reaction_at.is_some_and(|t| now >= t) && now <= self.alert_until
     }
 

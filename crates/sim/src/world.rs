@@ -124,7 +124,7 @@ impl World {
     }
 
     /// Mutable vehicle lookup.
-    pub fn vehicle_mut(&mut self, id: u64) -> Option<&mut Vehicle> {
+    pub(crate) fn vehicle_mut(&mut self, id: u64) -> Option<&mut Vehicle> {
         self.vehicles.iter_mut().find(|v| v.id == id)
     }
 
@@ -134,7 +134,7 @@ impl World {
     }
 
     /// Spawns a vehicle on a route; returns its id.
-    pub fn spawn_vehicle(
+    pub(crate) fn spawn_vehicle(
         &mut self,
         route: Route,
         start_s: f64,
@@ -148,7 +148,7 @@ impl World {
     }
 
     /// Spawns a pedestrian on a path; returns its id.
-    pub fn spawn_pedestrian(&mut self, path: Polyline2, start_s: f64, speed: f64) -> u64 {
+    pub(crate) fn spawn_pedestrian(&mut self, path: Polyline2, start_s: f64, speed: f64) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         self.pedestrians.push(PedestrianAgent::new(id, path, start_s, speed));
@@ -156,7 +156,7 @@ impl World {
     }
 
     /// Adds a building; returns its id.
-    pub fn add_building(&mut self, footprint: Obb2, height: f64) -> u64 {
+    pub(crate) fn add_building(&mut self, footprint: Obb2, height: f64) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         self.buildings.push(Building { id, footprint, height });
@@ -361,7 +361,7 @@ impl World {
     }
 
     /// All LiDAR targets in the world (everything that returns points).
-    pub fn lidar_targets(&self) -> Vec<LidarTarget> {
+    pub(crate) fn lidar_targets(&self) -> Vec<LidarTarget> {
         let mut out = Vec::new();
         for v in &self.vehicles {
             out.push(LidarTarget {
@@ -391,7 +391,7 @@ impl World {
     }
 
     /// All occluders `(owner id, footprint, height)`.
-    pub fn occluders(&self) -> Vec<(u64, Obb2, f64)> {
+    pub(crate) fn occluders(&self) -> Vec<(u64, Obb2, f64)> {
         let mut out = Vec::new();
         for v in &self.vehicles {
             out.push((v.id, v.footprint(), v.params.height));

@@ -12,13 +12,13 @@ use erpd_geometry::Vec2;
 
 /// Final position of a pedestrian after walking along its orientation for
 /// `t` seconds.
-pub fn final_position(p: &Pedestrian, t: f64) -> Vec2 {
+pub(crate) fn final_position(p: &Pedestrian, t: f64) -> Vec2 {
     p.position + Vec2::from_angle(p.orientation) * (p.speed * t)
 }
 
 /// Per-crowd deviation of the members' final positions after `t` seconds,
 /// in the same order as `crowds`. Singleton crowds have zero deviation.
-pub fn crowd_final_deviations(peds: &[Pedestrian], crowds: &[Crowd], t: f64) -> Vec<f64> {
+pub(crate) fn crowd_final_deviations(peds: &[Pedestrian], crowds: &[Crowd], t: f64) -> Vec<f64> {
     crowds
         .iter()
         .map(|c| {

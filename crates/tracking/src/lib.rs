@@ -46,7 +46,7 @@ pub use crowd::{
     cluster_crowds, cluster_dbscan, Crowd, Pedestrian, CROWD_BETA, CROWD_GAMMA_DEG,
     CROWD_LOCATION_EPS,
 };
-pub use deviation::{crowd_final_deviations, final_position, mean_final_deviation};
+pub use deviation::mean_final_deviation;
 pub use object::{ObjectId, ObjectKind, ObjectState};
 pub use predict::{predict_ctrv, PredictedTrajectory, HORIZON};
 pub use rules::{apply_rules, FollowerLink, LanePosition, RuleInput, TrackingSelection};

@@ -26,7 +26,7 @@ pub enum ObjectKind {
 impl ObjectKind {
     /// Default footprint length for the kind, metres. Used for the
     /// collision-area radius when a more precise extent is unavailable.
-    pub fn default_length(self) -> f64 {
+    pub(crate) fn default_length(self) -> f64 {
         match self {
             ObjectKind::Vehicle => 4.5,
             ObjectKind::Pedestrian => 0.6,
@@ -34,7 +34,7 @@ impl ObjectKind {
     }
 
     /// Default footprint width for the kind, metres.
-    pub fn default_width(self) -> f64 {
+    pub(crate) fn default_width(self) -> f64 {
         match self {
             ObjectKind::Vehicle => 1.8,
             ObjectKind::Pedestrian => 0.6,

@@ -4,13 +4,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== building (release) =="
-cargo build --workspace --release
+cargo build --offline --workspace --release
 
 echo "== test suite =="
-cargo test --workspace 2>&1 | tee test_output.txt
+cargo test --offline --workspace 2>&1 | tee test_output.txt
 
 echo "== regenerating every figure (CSVs in results/, tables in EXPERIMENTS.md) =="
-cargo run --release -p erpd-bench --bin experiments
+cargo run --offline --release -p erpd-bench --bin experiments
 
 echo "== benchmark: four workloads, untraced then traced (results in benchmark/out/) =="
 benchmark/run.sh

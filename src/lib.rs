@@ -100,10 +100,10 @@ pub mod prelude {
     pub use erpd_edge::{
         run, run_seeds, truncate_on_wire, AveragedResult, Coverage, DaemonConfig, Deployment,
         DeploymentBuilder, DeploymentReport, EdgeDaemon, EdgeServer, Error, FaultModel,
-        FleetReport, FrameCx, FrameReport, GreedyDissemination, HandoverPolicy, LoopbackTransport,
-        ModuleTimes, NetworkConfig, PipelineBuilder, PlanRequest, RunConfig, RunResult, ServerConfig, ServerFrame, ServerHandle, ServingCore, Stage, Staged,
-        Strategy, System, SystemBuilder, SystemConfig, TcpTransport, Transport, WireMessage,
-        WireTransport, TRACK_ID_BASE, WIRE_VERSION,
+        FleetReport, FrameReport, HandoverPolicy, LoopbackTransport, ModuleTimes, NetworkConfig,
+        RunConfig, RunResult, ServerConfig, ServerFrame, ServerHandle, ServingCore, Strategy,
+        System, SystemBuilder, SystemConfig, TcpTransport, Transport, WireMessage, WireTransport,
+        TRACK_ID_BASE, WIRE_VERSION,
     };
     pub use erpd_geometry::{Transform3, Vec2, Vec3};
     pub use erpd_par::{max_threads, set_max_threads};

@@ -130,11 +130,12 @@ fn tcp_daemon_matches_local_serving_core_exactly() {
     }
 
     // The local reference: the same stage graph the daemon serves, fed
-    // the same uploads after the same codec round trip.
-    // `build()` pairs the server with `Strategy::Ours`, the daemon's
-    // strategy: both serve the greedy knapsack.
-    let (server, strategy) = PipelineBuilder::new(system.server, corpus.map.clone()).build();
-    let mut reference = ServingCore::new(server, strategy);
+    // the same uploads after the same codec round trip, with the daemon's
+    // strategy (`Strategy::Ours`, the greedy knapsack).
+    let mut reference = ServingCore::new(
+        EdgeServer::new(system.server, corpus.map.clone()),
+        Strategy::Ours,
+    );
     let budget = system.network.downlink_budget_bytes();
 
     for round in 0..ROUNDS {

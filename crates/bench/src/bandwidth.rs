@@ -84,7 +84,7 @@ pub fn sweep(cfg: &HarnessConfig) -> Result<BandwidthTables, Error> {
                 f3(avg.dissemination_mbps),
             ]);
             if strategy == Strategy::Ours {
-                latency.push_row(vec![pct.clone(), f1(avg.latency_ms)]);
+                latency.push_row(vec![pct.clone(), f1(avg.module_times.end_to_end() * 1e3)]);
                 if ours_at_lowest.is_none() {
                     ours_at_lowest = Some(avg);
                 }

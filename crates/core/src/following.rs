@@ -80,10 +80,8 @@ mod tests {
         FollowerLink {
             follower: ObjectId(2),
             leader: ObjectId(1),
-            lane_leader: ObjectId(1),
             gap,
             follower_speed: speed,
-            leader_speed: speed,
         }
     }
 

@@ -331,10 +331,8 @@ mod tests {
         let links = [FollowerLink {
             follower: ObjectId(3),
             leader: ObjectId(1),
-            lane_leader: ObjectId(1),
             gap: 5.0,
             follower_speed: 10.0,
-            leader_speed: 10.0,
         }];
         let m = build(&trajs, &receivers, &links, |_, _| false);
         let leader_r = m.get(ObjectId(1), ObjectId(2));
@@ -351,10 +349,8 @@ mod tests {
         let links = [FollowerLink {
             follower: ObjectId(3),
             leader: ObjectId(1),
-            lane_leader: ObjectId(1),
             gap: 40.0,
             follower_speed: 10.0,
-            leader_speed: 10.0,
         }];
         let m = build(&trajs, &receivers, &links, |_, _| false);
         assert_eq!(m.get(ObjectId(3), ObjectId(2)), 0.0);
@@ -368,18 +364,14 @@ mod tests {
             FollowerLink {
                 follower: ObjectId(3),
                 leader: ObjectId(1),
-                lane_leader: ObjectId(1),
                 gap: 5.0,
                 follower_speed: 10.0,
-                leader_speed: 10.0,
             },
             FollowerLink {
                 follower: ObjectId(4),
                 leader: ObjectId(3),
-                lane_leader: ObjectId(1),
                 gap: 5.0,
                 follower_speed: 10.0,
-                leader_speed: 10.0,
             },
         ];
         let m = build(&trajs, &receivers, &links, |_, _| false);
@@ -397,10 +389,8 @@ mod tests {
         let links = [FollowerLink {
             follower: ObjectId(3),
             leader: ObjectId(1),
-            lane_leader: ObjectId(1),
             gap: 5.0,
             follower_speed: 10.0,
-            leader_speed: 10.0,
         }];
         let m = build(&trajs, &receivers, &links, |r, o| {
             r == ObjectId(3) && o == ObjectId(2)

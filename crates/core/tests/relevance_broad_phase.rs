@@ -711,10 +711,8 @@ fn visibility_and_followers_case(rng: &mut StdRng) -> Case {
             case.followers.push(FollowerLink {
                 follower,
                 leader: ahead,
-                lane_leader: leader,
                 gap: if (chain + depth) % 4 == 3 { 40.0 } else { 5.0 },
                 follower_speed: 10.0,
-                leader_speed: 10.0,
             });
             ahead = follower;
         }

@@ -70,7 +70,7 @@ pub use metrics::{run, run_seeds, AveragedResult, RunConfig, RunResult};
 pub use multi::{
     Coverage, Deployment, DeploymentBuilder, DeploymentReport, FleetReport, HandoverPolicy,
 };
-pub use stages::{StageSample, StageTimes, STAGE_NAMES};
+pub use stages::{StageSample, StageTimes};
 pub use network::NetworkConfig;
 pub use server::{DetectionSummary, EdgeServer, ServerConfig, ServerFrame, TRACK_ID_BASE};
 pub use system::{FrameReport, ModuleTimes, System, SystemBuilder, SystemConfig};

@@ -10,13 +10,11 @@ use erpd_sim::{EntityKind, Scenario, ScenarioConfig, FRAME_PERIOD};
 /// Configuration of one evaluation run.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
-    /// Strategy under test.
-    pub strategy: Strategy,
     /// The scenario (kind, speed, connectivity, seed...).
     pub scenario: ScenarioConfig,
     /// Simulated duration, seconds.
     pub duration: f64,
-    /// System parameters.
+    /// System parameters, the strategy under test included.
     pub system: SystemConfig,
 }
 
@@ -24,7 +22,6 @@ impl RunConfig {
     /// A run with default system parameters.
     pub fn new(strategy: Strategy, scenario: ScenarioConfig) -> Self {
         RunConfig {
-            strategy,
             scenario,
             duration: 15.0,
             system: SystemConfig::new(strategy),
@@ -41,7 +38,10 @@ impl RunConfig {
     /// The run's strategy wins: `system.strategy` is overwritten so the
     /// two cannot disagree.
     pub fn with_system(mut self, system: SystemConfig) -> Self {
-        self.system = system.with_strategy(self.strategy);
+        self.system = SystemConfig {
+            strategy: self.system.strategy,
+            ..system
+        };
         self
     }
 }
@@ -65,8 +65,6 @@ pub struct RunResult {
     pub detected_objects: f64,
     /// Mean number of predicted trajectories per frame.
     pub predicted_trajectories: f64,
-    /// Mean end-to-end latency, milliseconds.
-    pub latency_ms: f64,
     /// Delivered / expected uploads over the whole run (1 on an ideal
     /// network, lower when the fault layer loses uploads).
     pub delivery_ratio: f64,
@@ -75,7 +73,8 @@ pub struct RunResult {
     pub staleness_p95: f64,
     /// Mean coasted (stale-served) objects per frame.
     pub coasted_objects: f64,
-    /// Mean per-module times per frame, seconds (Fig. 14b).
+    /// Mean per-module times per frame, seconds (Fig. 14b); their
+    /// `end_to_end()` is the mean end-to-end latency.
     pub module_times: ModuleTimes,
 }
 
@@ -108,7 +107,7 @@ pub fn run(config: RunConfig) -> Result<RunResult, Error> {
         frames += 1;
         expected_uploads += report.expected_uploads;
         delivered_uploads += report.delivered_uploads;
-        coasted_sum += report.coasted_objects;
+        coasted_sum += report.staleness.len();
         staleness.extend_from_slice(&report.staleness);
         upload_bytes_sum += report.upload_bytes.iter().sum::<u64>();
         upload_samples += report.upload_bytes.len();
@@ -169,7 +168,6 @@ pub fn run(config: RunConfig) -> Result<RunResult, Error> {
         dissemination_mbps: to_mbps(dissemination_bytes_sum as f64, nf),
         detected_objects: detected_sum / nf,
         predicted_trajectories: predicted_sum / nf,
-        latency_ms: times.end_to_end() / nf * 1e3,
         delivery_ratio: delivery_ratio(delivered_uploads, expected_uploads),
         staleness_p95: quantile(&mut staleness, 0.95),
         coasted_objects: coasted_sum as f64 / nf,
@@ -206,8 +204,6 @@ pub struct AveragedResult {
     pub dissemination_mbps: f64,
     /// Mean detected moving objects per frame.
     pub detected_objects: f64,
-    /// Mean end-to-end latency, ms.
-    pub latency_ms: f64,
     /// Mean upload delivery ratio.
     pub delivery_ratio: f64,
     /// Mean 95th-percentile staleness, seconds.
@@ -233,7 +229,6 @@ impl AveragedResult {
             upload_mbps_per_vehicle: mean(&|r| r.upload_mbps_per_vehicle),
             dissemination_mbps: mean(&|r| r.dissemination_mbps),
             detected_objects: mean(&|r| r.detected_objects),
-            latency_ms: mean(&|r| r.latency_ms),
             delivery_ratio: mean(&|r| r.delivery_ratio),
             staleness_p95: mean(&|r| r.staleness_p95),
             coasted_objects: mean(&|r| r.coasted_objects),

@@ -266,8 +266,6 @@ pub struct FleetReport {
     pub assignments: usize,
     /// Vehicles alerted this frame by any edge, sorted, deduplicated.
     pub alerted: Vec<u64>,
-    /// Worst per-edge end-to-end latency this frame, seconds.
-    pub max_latency: f64,
 }
 
 impl FleetReport {
@@ -485,7 +483,6 @@ impl Deployment {
             fleet.late_uploads += report.late_uploads;
             fleet.truncated_uploads += report.truncated_uploads;
             fleet.upload_bytes += report.upload_bytes.iter().sum::<u64>();
-            fleet.max_latency = fleet.max_latency.max(report.latency());
             fleet.alerted.extend_from_slice(&report.alerted);
         }
         assert_eq!(

@@ -9,16 +9,6 @@
 
 use std::time::Instant;
 
-/// Canonical stage names, in pipeline order.
-pub const STAGE_NAMES: [&str; 6] = [
-    "extraction",
-    "merge",
-    "tracking",
-    "prediction",
-    "relevance",
-    "knapsack",
-];
-
 /// One stage's measurement for one frame: wall time plus how many items
 /// the stage handled (uploads extracted, detections tracked, candidate
 /// pairs ranked, ...).
@@ -84,15 +74,16 @@ pub struct StageTimes {
 }
 
 impl StageTimes {
-    /// The stages in pipeline order, paired with their canonical names.
-    pub fn iter(&self) -> [(&'static str, StageSample); 6] {
+    /// The stages in pipeline order: extraction, merge, tracking,
+    /// prediction, relevance, knapsack.
+    pub fn iter(&self) -> [StageSample; 6] {
         [
-            (STAGE_NAMES[0], self.extraction),
-            (STAGE_NAMES[1], self.merge),
-            (STAGE_NAMES[2], self.tracking),
-            (STAGE_NAMES[3], self.prediction),
-            (STAGE_NAMES[4], self.relevance),
-            (STAGE_NAMES[5], self.knapsack),
+            self.extraction,
+            self.merge,
+            self.tracking,
+            self.prediction,
+            self.relevance,
+            self.knapsack,
         ]
     }
 

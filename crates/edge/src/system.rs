@@ -102,9 +102,8 @@ pub struct FrameReport {
     pub late_uploads: usize,
     /// Uploads clipped by partial truncation this frame.
     pub truncated_uploads: usize,
-    /// Objects the server served from coasted (stale) state.
-    pub coasted_objects: usize,
-    /// Observation age of each coasted object, seconds.
+    /// Observation age of each object the server served from coasted
+    /// (stale) state, seconds: its length is the frame's coasted count.
     pub staleness: Vec<f64>,
     /// Uplink transmission time (max across transmitting vehicles, jitter
     /// included), seconds. Modelled from bytes, not measured.
@@ -134,11 +133,6 @@ impl FrameReport {
         }
     }
 
-    /// End-to-end latency of this frame.
-    pub fn latency(&self) -> f64 {
-        self.times().end_to_end()
-    }
-
     /// Delivered / expected uploads for this frame (1 when nothing was
     /// expected). Can exceed 1 on a frame absorbing late arrivals.
     pub fn delivery_ratio(&self) -> f64 {
@@ -156,30 +150,27 @@ pub(crate) fn delivery_ratio(delivered: usize, expected: usize) -> f64 {
     }
 }
 
-/// Per-upload channel outcome decided by the fault layer.
-enum LinkOutcome {
-    /// Arrives at the server this frame, untouched.
-    Deliver,
-    /// Arrives this frame, clipped to the keep fraction.
-    Truncate,
-    /// Jitter pushed the transmission past the frame period: arrives next
-    /// frame unless a fresher upload supersedes it.
-    Late,
-    /// Never arrives (channel loss, or the vehicle is in outage).
-    Lost,
-}
-
-/// The fault layer's verdict for one frame of uploads.
-struct LinkPlan {
-    outcomes: Vec<LinkOutcome>,
-    /// Bytes actually put on the air per transmitting vehicle (outage
-    /// vehicles transmit nothing).
+/// One frame of uploads after the channel ([`System::carry`]).
+struct Carried {
+    /// This frame's arrivals in upload order, clipped where the channel
+    /// truncated them, dual-report ghosts included.
+    arrived: Vec<Upload>,
+    /// How many of `arrived` are ghosts.
+    ghosts: usize,
+    /// Vehicles whose upload reached the edge this frame, whole or clipped
+    /// (a clip the decoder cannot salvage included): each supersedes that
+    /// vehicle's deferred upload.
+    fresh: BTreeSet<u64>,
+    /// Primary uploads that jitter pushed past the frame period.
+    late: Vec<Upload>,
+    /// Bytes put on the air by each transmitting primary vehicle.
     upload_bytes: Vec<u64>,
-    /// Max uplink transmission time across transmitting vehicles, jitter
-    /// included.
+    /// Max uplink transmission time across transmitting primary vehicles,
+    /// jitter included.
     upload_tx: f64,
+    /// Primary uploads lost to the channel or to an outage.
     lost: usize,
-    late: usize,
+    /// Primary uploads the channel clipped.
     truncated: usize,
 }
 
@@ -187,14 +178,18 @@ struct LinkPlan {
 /// its tail in transit and the decoder salvages the complete leading
 /// objects ([`crate::wire::truncate_on_wire`]) — so every truncation fault
 /// exercises the real codec's corruption handling, not an in-process
-/// shortcut. Returns `None` when the cut lands inside the fixed header
-/// fields and nothing is recoverable.
-fn truncate_upload(u: &Upload, keep: f64) -> Option<Upload> {
-    let mut t = crate::wire::truncate_on_wire(u, keep)?;
+/// shortcut. Returns the bytes the clip puts on the air,
+/// `ceil(bytes × keep)`, and the salvaged upload: `None` when the cut lands
+/// inside the fixed header fields and nothing is recoverable.
+fn truncate_upload(u: &Upload, keep: f64) -> (u64, Option<Upload>) {
+    let kept = (u.bytes as f64 * keep).ceil() as u64;
     // Byte accounting stays with the channel model: the delivery costs the
     // keep fraction of what was put on the air, not the re-encoded size.
-    t.bytes = (u.bytes as f64 * keep).ceil() as u64;
-    Some(t)
+    let salvaged = crate::wire::truncate_on_wire(u, keep).map(|mut t| {
+        t.bytes = kept;
+        t
+    });
+    (kept, salvaged)
 }
 
 /// System-level configuration.
@@ -216,12 +211,6 @@ impl SystemConfig {
             network: NetworkConfig::default(),
             server: ServerConfig::default(),
         }
-    }
-
-    /// Returns the configuration with the strategy replaced.
-    pub(crate) fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Returns the configuration with the network model replaced.
@@ -410,89 +399,87 @@ impl System {
         }
     }
 
-    /// Runs the fault layer over one frame of uploads: decides each
-    /// upload's channel outcome and tallies the link statistics. Advances
-    /// the churn state machine in `self.outages`. With the default (ideal)
-    /// [`crate::FaultModel`] every upload is `Deliver` and the byte/time tallies
-    /// are bit-identical to the pre-fault pipeline.
+    /// Carries one frame of uploads over the fault-injected uplink: steps
+    /// the churn state in `self.outages`, decides each upload's fate, clips
+    /// truncated uploads and tallies the link. With the default (ideal)
+    /// [`crate::FaultModel`] every upload arrives whole and the tallies are
+    /// bit-identical to the pre-fault pipeline.
     ///
     /// The last `ghost_outages.len()` uploads are dual-report ghosts: the
     /// same physical transmission is accounted to its owning edge, so a
-    /// ghost gets a channel outcome (fault draws are pure functions of
-    /// `(seed, frame, vehicle)`, identical on every edge) but contributes
-    /// nothing to this edge's byte, time, or loss tallies. A ghost's radio
-    /// is its owner's: its outage verdict is the owner's, passed in
-    /// `ghost_outages` and copied into `self.outages`, never drawn here.
-    fn plan_faults(&mut self, uploads: &[Upload], ghost_outages: &[bool]) -> LinkPlan {
+    /// ghost gets a channel fate (fault draws are pure functions of
+    /// `(seed, frame, vehicle)`, identical on every edge) but adds nothing
+    /// to this edge's tallies, and a late ghost is dropped, not deferred. A
+    /// ghost's radio is its owner's: its outage verdict is the owner's,
+    /// passed in `ghost_outages` and copied into `self.outages`, never
+    /// drawn here.
+    fn carry(&mut self, uploads: Vec<Upload>, ghost_outages: &[bool]) -> Carried {
         let n_primary = uploads.len() - ghost_outages.len();
-        let network = &self.config.network;
+        let network = self.config.network;
         let fault = &network.fault;
         let frame = self.frame_index;
-        let mut plan = LinkPlan {
-            outcomes: Vec::with_capacity(uploads.len()),
-            upload_bytes: Vec::with_capacity(uploads.len()),
+        let mut c = Carried {
+            arrived: Vec::with_capacity(uploads.len()),
+            ghosts: 0,
+            fresh: BTreeSet::new(),
+            late: Vec::new(),
+            upload_bytes: Vec::with_capacity(n_primary),
             upload_tx: 0.0,
             lost: 0,
-            late: 0,
             truncated: 0,
         };
-        for (i, u) in uploads.iter().enumerate() {
+        for (i, u) in uploads.into_iter().enumerate() {
             let v = u.vehicle_id;
+            let ghost = i >= n_primary;
             // Churn: a vehicle in outage transmits nothing this frame.
-            let in_outage = match i.checked_sub(n_primary) {
-                Some(ghost) => ghost_outages[ghost],
-                None => fault.next_outage(self.outages.contains(&v), frame, v),
+            let in_outage = if ghost {
+                ghost_outages[i - n_primary]
+            } else {
+                self.next_outage(v)
             };
             if in_outage {
                 self.outages.insert(v);
-            } else {
-                self.outages.remove(&v);
+                c.lost += usize::from(!ghost);
+                continue;
             }
-            // The channel's verdict, plus what the vehicle put on the air
-            // getting there: `(bytes, transmission time)`. A transmitting
-            // vehicle's bytes hit the air and count toward the uplink time
-            // whatever the channel does next.
-            let (outcome, on_air) = if in_outage {
-                (LinkOutcome::Lost, None)
+            // A transmitting vehicle's bytes hit the air and count toward
+            // the uplink time whatever the channel does next.
+            self.outages.remove(&v);
+            let delay = fault.jitter_delay(frame, v);
+            let mut on_air = (u.bytes, network.uplink_time(u.bytes) + delay);
+            if fault.loss_prob > 0.0 && fault.uniform(frame, v, FaultStream::Loss) < fault.loss_prob
+            {
+                c.lost += usize::from(!ghost);
+            } else if fault.jitter > 0.0 && on_air.1 > network.frame_period {
+                // Jitter-induced lateness: only an active jitter model can
+                // push an upload past the frame boundary (large ideal
+                // uploads keep the seed's same-frame semantics).
+                if !ghost {
+                    c.late.push(u);
+                }
+            } else if fault.truncate_prob > 0.0
+                && fault.uniform(frame, v, FaultStream::Truncate) < fault.truncate_prob
+            {
+                let (kept, salvaged) = truncate_upload(&u, fault.truncate_keep);
+                on_air = (kept, network.uplink_time(kept) + delay);
+                c.truncated += usize::from(!ghost);
+                c.fresh.insert(v);
+                // A cut into the frame header destroys the upload entirely.
+                if let Some(t) = salvaged {
+                    c.ghosts += usize::from(ghost);
+                    c.arrived.push(t);
+                }
             } else {
-                let delay = fault.jitter_delay(frame, v);
-                let tx = network.uplink_time(u.bytes) + delay;
-                if fault.loss_prob > 0.0
-                    && fault.uniform(frame, v, FaultStream::Loss) < fault.loss_prob
-                {
-                    (LinkOutcome::Lost, Some((u.bytes, tx)))
-                } else if fault.jitter > 0.0 && tx > network.frame_period {
-                    // Jitter-induced lateness: only an active jitter model
-                    // can push an upload past the frame boundary (large
-                    // ideal uploads keep the seed's same-frame semantics).
-                    (LinkOutcome::Late, Some((u.bytes, tx)))
-                } else if fault.truncate_prob > 0.0
-                    && fault.uniform(frame, v, FaultStream::Truncate) < fault.truncate_prob
-                {
-                    let kept = (u.bytes as f64 * fault.truncate_keep).ceil() as u64;
-                    (
-                        LinkOutcome::Truncate,
-                        Some((kept, network.uplink_time(kept) + delay)),
-                    )
-                } else {
-                    (LinkOutcome::Deliver, Some((u.bytes, tx)))
-                }
-            };
-            if i < n_primary {
-                if let Some((bytes, tx)) = on_air {
-                    plan.upload_bytes.push(bytes);
-                    plan.upload_tx = plan.upload_tx.max(tx);
-                }
-                match outcome {
-                    LinkOutcome::Lost => plan.lost += 1,
-                    LinkOutcome::Late => plan.late += 1,
-                    LinkOutcome::Truncate => plan.truncated += 1,
-                    LinkOutcome::Deliver => {}
-                }
+                c.fresh.insert(v);
+                c.ghosts += usize::from(ghost);
+                c.arrived.push(u);
             }
-            plan.outcomes.push(outcome);
+            if !ghost {
+                c.upload_bytes.push(on_air.0);
+                c.upload_tx = c.upload_tx.max(on_air.1);
+            }
         }
-        plan
+        c
     }
 
     /// Runs one full frame: scans connected vehicles, processes uploads,
@@ -544,62 +531,33 @@ impl System {
         }
         let extraction_stage = StageSample::new(extraction, clustered);
 
-        // --- The channel: every upload runs through the fault layer. ---
-        let plan = self.plan_faults(&uploads, ghost_outages);
-        let n_primary = uploads.len() - ghost_outages.len();
+        // --- The channel: every upload runs through the fault layer. V2V
+        // keeps the whole frame: every vehicle fuses its own scan on board,
+        // whatever its radio did.
+        let expected_uploads = uploads.len() - ghost_outages.len();
+        let own = (self.config.strategy == Strategy::V2v).then(|| uploads.clone());
+        let carried = self.carry(uploads, ghost_outages);
         self.frame_index += 1;
-
-        if self.config.strategy == Strategy::V2v {
-            return self.tick_v2v(world, uploads, plan, extraction_stage);
+        if let Some(own) = own {
+            return self.tick_v2v(world, own, carried, extraction_stage);
         }
 
         // Arrivals: last frame's deferred (late) uploads first — oldest
         // data is processed first — unless a fresher upload from the same
-        // vehicle arrives this frame and supersedes it; then this frame's
-        // deliveries, truncated where the channel clipped them. Ghost
-        // arrivals reach the server (that is the point of dual reporting)
-        // but stay out of this edge's delivery count.
-        let keep = network.fault.truncate_keep;
-        let fresh: BTreeSet<u64> = uploads
-            .iter()
-            .zip(&plan.outcomes)
-            .filter(|(_, o)| matches!(o, LinkOutcome::Deliver | LinkOutcome::Truncate))
-            .map(|(u, _)| u.vehicle_id)
-            .collect();
-        let mut arrivals: Vec<Upload> = std::mem::take(&mut self.deferred)
-            .into_iter()
-            .filter(|u| !fresh.contains(&u.vehicle_id))
-            .collect();
-        let mut ghost_arrivals = 0usize;
-        for (i, (u, outcome)) in uploads.into_iter().zip(&plan.outcomes).enumerate() {
-            let ghost = i >= n_primary;
-            match outcome {
-                LinkOutcome::Deliver => {
-                    ghost_arrivals += ghost as usize;
-                    arrivals.push(u);
-                }
-                // A truncation that clips into the frame header destroys
-                // the upload entirely — it never becomes an arrival.
-                LinkOutcome::Truncate => {
-                    if let Some(t) = truncate_upload(&u, keep) {
-                        ghost_arrivals += ghost as usize;
-                        arrivals.push(t);
-                    }
-                }
-                // A late ghost is simply dropped: next frame the vehicle is
-                // either owned here (its late primary would have been
-                // deferred by its old edge and discarded at handover) or
-                // ghost-reported afresh.
-                LinkOutcome::Late => {
-                    if !ghost {
-                        self.deferred.push(u);
-                    }
-                }
-                LinkOutcome::Lost => {}
-            }
-        }
-        let expected_uploads = n_primary;
-        let delivered_uploads = arrivals.len() - ghost_arrivals;
+        // vehicle reached the edge this frame and supersedes it; then this
+        // frame's. Ghost arrivals reach the server (that is the point of
+        // dual reporting) but stay out of this edge's delivery count.
+        let fresh = &carried.fresh;
+        let mut arrivals = carried.arrived;
+        arrivals.splice(
+            0..0,
+            std::mem::take(&mut self.deferred)
+                .into_iter()
+                .filter(|u| !fresh.contains(&u.vehicle_id)),
+        );
+        let delivered_uploads = arrivals.len() - carried.ghosts;
+        let late_uploads = carried.late.len();
+        self.deferred = carried.late;
 
         // --- Transport: arrivals travel to the serving core over the
         // configured carrier (loopback by default — identity) and the
@@ -657,7 +615,7 @@ impl System {
         stages.knapsack = knapsack_sample;
 
         let report = FrameReport {
-            upload_bytes: plan.upload_bytes,
+            upload_bytes: carried.upload_bytes,
             dissemination_bytes: dplan.total_bytes,
             assignments: dplan.assignments.len(),
             alerted,
@@ -665,12 +623,11 @@ impl System {
             predicted_trajectories: sf.predicted_trajectories,
             expected_uploads,
             delivered_uploads,
-            lost_uploads: plan.lost,
-            late_uploads: plan.late,
-            truncated_uploads: plan.truncated,
-            coasted_objects: sf.staleness.len(),
+            lost_uploads: carried.lost,
+            late_uploads,
+            truncated_uploads: carried.truncated,
             staleness: sf.staleness.clone(),
-            upload_tx: plan.upload_tx,
+            upload_tx: carried.upload_tx,
             downlink_tx,
             stages,
         };
@@ -692,22 +649,13 @@ impl System {
         &mut self,
         world: &mut World,
         uploads: Vec<Upload>,
-        plan: LinkPlan,
+        carried: Carried,
         extraction: StageSample,
     ) -> Result<FrameReport, Error> {
         let network = self.config.network;
-        let keep = network.fault.truncate_keep;
-        // What the channel could carry this frame: delivered broadcasts,
-        // clipped where the channel truncated them.
-        let sendable: Vec<Upload> = uploads
-            .iter()
-            .zip(&plan.outcomes)
-            .filter_map(|(u, o)| match o {
-                LinkOutcome::Deliver => Some(u.clone()),
-                LinkOutcome::Truncate => truncate_upload(u, keep),
-                LinkOutcome::Late | LinkOutcome::Lost => None,
-            })
-            .collect();
+        // What the channel could carry this frame: the broadcasts it
+        // delivered, clipped where it truncated them.
+        let sendable = carried.arrived;
         // Fair channel admission: senders take turns frame to frame (a
         // round-robin MAC), so everyone is heard every few frames even when
         // the shared capacity cannot carry all broadcasts at once.
@@ -814,18 +762,17 @@ impl System {
         stages.extraction = extraction;
         self.last_server_frame = last_frame;
         Ok(FrameReport {
-            upload_bytes: plan.upload_bytes,
+            upload_bytes: carried.upload_bytes,
             dissemination_bytes: spent,
             assignments: alerted.len(),
             alerted,
             detected_positions,
             predicted_trajectories: predicted,
-            expected_uploads: plan.outcomes.len(),
+            expected_uploads: uploads.len(),
             delivered_uploads,
-            lost_uploads: plan.lost,
-            late_uploads: plan.late,
-            truncated_uploads: plan.truncated,
-            coasted_objects: staleness.len(),
+            lost_uploads: carried.lost,
+            late_uploads: carried.late.len(),
+            truncated_uploads: carried.truncated,
             staleness,
             upload_tx: broadcast_tx,
             downlink_tx: 0.0,
@@ -956,7 +903,7 @@ mod tests {
     }
 
     #[test]
-    fn coasted_count_is_the_length_of_the_reported_staleness() {
+    fn losses_force_coasting_on_the_edge_and_v2v_paths() {
         use crate::{FaultModel, NetworkConfig};
         for strategy in [Strategy::Ours, Strategy::V2v] {
             let mut s = Scenario::build(
@@ -971,14 +918,8 @@ mod tests {
                 .with_server(ServerConfig::default().with_coast_horizon(1.0));
             let mut sys = System::builder(cfg).build(&s.world);
             let mut coasted = 0usize;
-            for k in 0..40 {
-                let r = sys.tick(&mut s.world).unwrap();
-                assert_eq!(
-                    r.coasted_objects,
-                    r.staleness.len(),
-                    "{strategy:?} frame {k}: coasted count vs staleness samples"
-                );
-                coasted += r.coasted_objects;
+            for _ in 0..40 {
+                coasted += sys.tick(&mut s.world).unwrap().staleness.len();
                 s.world.step();
             }
             assert!(coasted > 0, "{strategy:?}: losses must force coasting");
@@ -1087,8 +1028,7 @@ mod tests {
             assert!(busy.items > 0, "a busy stage counted no items: {s:?}");
         }
         assert!(r.times().prediction > 0.0, "stage timers must record wall time");
-        assert!(r.latency() > 0.0);
-        assert_eq!(r.latency(), r.times().end_to_end());
+        assert!(r.times().end_to_end() > 0.0);
         // Bound only what is modelled from bytes: the stage timers are
         // host wall time (extraction scaled ×25), which a loaded host
         // stretches without limit.

@@ -416,7 +416,6 @@ mod tests {
             id: 42,
             footprint: Obb2::new(Pose2::new(Vec2::new(x, 0.0), 0.0), 4.5, 1.8),
             height: 1.5,
-            is_static: false,
         }];
         scan(1, sensor, 1.8, &targets, &[])
     }
@@ -482,7 +481,6 @@ mod tests {
             id: 42,
             footprint: Obb2::new(Pose2::new(Vec2::new(20.0, 0.0), 0.0), 4.5, 1.8),
             height: 1.5,
-            is_static: false,
         }];
         let frame = scan(1, moved, 1.8, &targets, &[]);
         let u = process(&mut side, &frame, &[], &net);
@@ -497,7 +495,6 @@ mod tests {
             id: 42,
             footprint: Obb2::new(Pose2::new(Vec2::new(20.0, 0.0), 0.0), 8.0, 2.5),
             height: 3.5,
-            is_static: true,
         }];
         let frame = scan(1, Pose2::identity(), 1.8, &targets, &[]);
         let me = (1u64, Vec2::ZERO);

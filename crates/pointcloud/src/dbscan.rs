@@ -33,6 +33,7 @@
 //! independent of order, so the float predicate admits the same pairs
 //! either way.
 
+use crate::cloud::lane_bounds;
 use erpd_geometry::Vec2;
 
 /// DBSCAN parameters.
@@ -180,17 +181,6 @@ struct FlatGrid {
     grid_h: usize,
 }
 
-/// `(min, max)` of one coordinate lane. Caller guarantees non-empty.
-fn lane_bounds(v: &[f64]) -> (f64, f64) {
-    let mut min = v[0];
-    let mut max = v[0];
-    for &x in &v[1..] {
-        min = min.min(x);
-        max = max.max(x);
-    }
-    (min, max)
-}
-
 impl FlatGrid {
     /// Rebuilds the grid over the points `(xs[i], ys[i])`, reusing all
     /// buffers. `min_pts` only steers the dense-layout cell-side choice
@@ -213,19 +203,18 @@ impl FlatGrid {
             self.pts.truncate(len);
         }
         self.cell_keys.clear();
-        if len == 0 {
+        // The layout choice needs the cell-count of the candidate grid, and
+        // `floor` is monotone, so the coordinate bounding box gives the key
+        // bounding box at any cell size without materialising keys first.
+        let (Some((min_x, max_x, _)), Some((min_y, max_y, _))) = (lane_bounds(xs), lane_bounds(ys))
+        else {
             self.grid_w = 0;
             self.grid_h = 0;
             self.cell = eps;
             self.keys_of.clear();
             self.starts.clear();
             return;
-        }
-        // The layout choice needs the cell-count of the candidate grid, and
-        // `floor` is monotone, so the coordinate bounding box gives the key
-        // bounding box at any cell size without materialising keys first.
-        let (min_x, max_x) = lane_bounds(xs);
-        let (min_y, max_y) = lane_bounds(ys);
+        };
         let (min, max) = (Vec2::new(min_x, min_y), Vec2::new(max_x, max_y));
         let dims = |side: f64| -> (i64, i64, i128, i128) {
             // Same `floor(v * inv)` keying the per-point hot loops use.
@@ -484,7 +473,6 @@ const NO_CORE: u32 = u32::MAX - 1;
 pub struct DbscanScratch {
     labels: Vec<u32>,
     n_clusters: usize,
-    noise: usize,
     grid: FlatGrid,
     /// Sparse path: BFS frontier of point indices. Dense path: BFS stack
     /// of cell indices during component formation.
@@ -532,7 +520,6 @@ impl DbscanScratch {
         assert!(n < NOISE as usize, "point count exceeds the u32 label space");
         self.grid.build(xs, ys, params.eps, params.min_points);
         self.n_clusters = 0;
-        self.noise = 0;
         self.frontier.clear();
         if n == 0 {
             self.labels.clear();
@@ -577,7 +564,6 @@ impl DbscanScratch {
             if count < params.min_points {
                 self.frontier.clear(); // roll back this probe's pushes
                 self.labels[i] = NOISE;
-                self.noise += 1;
                 continue;
             }
             let cluster = self.n_clusters as u32;
@@ -590,7 +576,6 @@ impl DbscanScratch {
                 let j = j as usize;
                 if self.labels[j] == NOISE {
                     self.labels[j] = cluster; // border point reached from a core
-                    self.noise -= 1;
                     continue;
                 }
                 if self.labels[j] != UNVISITED {
@@ -859,12 +844,7 @@ impl DbscanScratch {
                         }
                     }
                 }
-                if best != u32::MAX {
-                    self.labels[i] = best;
-                } else {
-                    self.labels[i] = NOISE;
-                    self.noise += 1;
-                }
+                self.labels[i] = if best != u32::MAX { best } else { NOISE };
             }
         }
     }
@@ -903,12 +883,6 @@ impl DbscanScratch {
     #[inline]
     pub fn n_clusters(&self) -> usize {
         self.n_clusters
-    }
-
-    /// Number of noise points in the last run.
-    #[inline]
-    pub(crate) fn noise_count(&self) -> usize {
-        self.noise
     }
 
     /// Cluster label of point `i`; `None` marks noise.
@@ -1089,7 +1063,6 @@ mod tests {
             scratch.run_lanes(&xs, &ys, params);
             let expected = dbscan(pts, params);
             assert_eq!(scratch.to_result(), expected);
-            assert_eq!(scratch.noise_count(), expected.noise().len());
         }
     }
 

@@ -72,8 +72,6 @@ pub struct DetectedObject {
 pub struct ExtractionOutput {
     /// All segmented objects (moving and static).
     pub objects: Vec<DetectedObject>,
-    /// Number of noise points discarded by DBSCAN.
-    pub noise_points: usize,
 }
 
 impl ExtractionOutput {
@@ -276,10 +274,7 @@ impl MovingObjectExtractor {
 
         std::mem::swap(&mut self.prev_centroids, &mut scratch.next_centroids);
         self.frames_seen += 1;
-        ExtractionOutput {
-            objects,
-            noise_points: scratch.dbscan.noise_count(),
-        }
+        ExtractionOutput { objects }
     }
 }
 
@@ -370,12 +365,11 @@ mod tests {
     }
 
     #[test]
-    fn noise_points_are_counted_not_uploaded() {
+    fn noise_points_are_not_uploaded() {
         let mut ex = MovingObjectExtractor::new(ExtractionConfig::default());
         let mut cloud = blob_at(0.0, 0.0);
         cloud.push(Vec3::new(200.0, 200.0, 0.5)); // lone noise point
         let out = ex.process(&cloud);
-        assert_eq!(out.noise_points, 1);
         assert_eq!(out.objects.len(), 1);
     }
 

@@ -46,9 +46,6 @@ pub struct LidarTarget {
     pub footprint: Obb2,
     /// Height above ground, metres.
     pub height: f64,
-    /// Ground truth: true for buildings and parked vehicles. Only used by
-    /// evaluation code; the extraction pipeline never sees this flag.
-    pub is_static: bool,
 }
 
 /// One object's returns within a frame.
@@ -56,8 +53,6 @@ pub struct LidarTarget {
 pub struct SensedObject {
     /// Id of the sensed object.
     pub id: u64,
-    /// Ground truth static flag (see [`LidarTarget::is_static`]).
-    pub is_static: bool,
     /// Returns in the sensor frame.
     pub points: PointCloud,
 }
@@ -211,7 +206,6 @@ pub fn scan(
         }
         objects.push(SensedObject {
             id: target.id,
-            is_static: target.is_static,
             points,
         });
     }
@@ -255,7 +249,6 @@ mod tests {
             id,
             footprint: Obb2::new(Pose2::new(Vec2::new(x, y), 0.0), 4.5, 1.8),
             height: 1.5,
-            is_static: false,
         }
     }
 

@@ -368,7 +368,6 @@ impl World {
                 id: v.id,
                 footprint: v.footprint(),
                 height: v.params.height,
-                is_static: v.parked,
             });
         }
         for p in &self.pedestrians {
@@ -376,7 +375,6 @@ impl World {
                 id: p.id,
                 footprint: p.footprint(),
                 height: p.height,
-                is_static: false,
             });
         }
         for b in &self.buildings {
@@ -384,7 +382,6 @@ impl World {
                 id: b.id,
                 footprint: b.footprint,
                 height: b.height,
-                is_static: true,
             });
         }
         out

@@ -45,15 +45,10 @@ pub struct FollowerLink {
     pub follower: ObjectId,
     /// The vehicle immediately ahead in the same lane.
     pub leader: ObjectId,
-    /// The *lane leader* (front of the queue) whose trajectory is predicted;
-    /// relevance propagates from this vehicle (paper §III-A2).
-    pub lane_leader: ObjectId,
     /// Bumper-to-bumper gap to the immediate leader, metres.
     pub gap: f64,
     /// Follower speed, m/s.
     pub follower_speed: f64,
-    /// Immediate leader speed, m/s.
-    pub leader_speed: f64,
 }
 
 /// Output of applying the three rules to one frame.
@@ -129,8 +124,7 @@ pub fn apply_rules(objects: &[RuleInput]) -> TrackingSelection {
             let db = b.lane.expect("lane members have lanes").distance_to_stop;
             da.partial_cmp(&db).expect("finite distances")
         });
-        let lane_leader = queue[0].state.id;
-        predicted.push(lane_leader);
+        predicted.push(queue[0].state.id);
         for pair in queue.windows(2) {
             let (ahead, behind) = (pair[0], pair[1]);
             let gap = behind.lane.expect("lane member").distance_to_stop
@@ -139,10 +133,8 @@ pub fn apply_rules(objects: &[RuleInput]) -> TrackingSelection {
             followers.push(FollowerLink {
                 follower: behind.state.id,
                 leader: ahead.state.id,
-                lane_leader,
                 gap: gap.max(0.0),
                 follower_speed: behind.state.speed(),
-                leader_speed: ahead.state.speed(),
             });
         }
     }
@@ -218,14 +210,11 @@ mod tests {
         let sel = apply_rules(&inputs);
         assert_eq!(sel.predicted_vehicles, vec![ObjectId(1), ObjectId(4)]);
         assert_eq!(sel.followers.len(), 2);
-        // Follower chain: 2 follows 1, 3 follows 2; both trace to lane
-        // leader 1.
+        // Follower chain: 2 follows 1, 3 follows 2.
         assert_eq!(sel.followers[0].follower, ObjectId(2));
         assert_eq!(sel.followers[0].leader, ObjectId(1));
-        assert_eq!(sel.followers[0].lane_leader, ObjectId(1));
         assert_eq!(sel.followers[1].follower, ObjectId(3));
         assert_eq!(sel.followers[1].leader, ObjectId(2));
-        assert_eq!(sel.followers[1].lane_leader, ObjectId(1));
     }
 
     #[test]

@@ -35,7 +35,10 @@ fn main() -> Result<(), Error> {
             "  dissemination:       {:.2} Mbit/s total",
             result.dissemination_mbps
         );
-        println!("  end-to-end latency:  {:.1} ms", result.latency_ms);
+        println!(
+            "  end-to-end latency:  {:.1} ms",
+            result.module_times.end_to_end() * 1e3
+        );
         println!();
     }
 

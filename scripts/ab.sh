@@ -20,7 +20,11 @@
 # the pairs, the change/parent ratio of the medians and the pairs the
 # change won (direction from BENCHMARK.json), then exits 1 after flagging
 #   * a byte or relevance metric whose printed value differs between the
-#     two runs of a pair by even one digit,
+#     two runs of a pair by even one digit; when the workload counts those
+#     metrics over its first COUNTED_UNITS units (a constant in
+#     benchmark/src/workloads/<workload>.rs) and a run of the pair finished
+#     fewer, the flag says so ("the parent run finished 5 of 8 counted
+#     units"): such a pair counted different frames,
 #   * a multi_edge change run that got through more units than its paired
 #     parent run (past the last unit lies the scenario with no strip
 #     crossing, which fails the run),
@@ -65,8 +69,11 @@ done
 # flagging.
 compare() {
     local workload=$1 runs=() i side order
-    local dir=$work/runs/$workload
+    local dir=$work/runs/$workload counted
     mkdir -p "$dir"
+    # Empty when the workload counts every unit it finishes.
+    counted=$(sed -n 's/^const COUNTED_UNITS: u64 = \([0-9][0-9]*\);.*/\1/p' \
+        "benchmark/src/workloads/$workload.rs" 2>/dev/null | head -n 1)
     for i in $(seq 1 "$pairs"); do
         order="parent change"
         [ $((i % 2)) -eq 0 ] && order="change parent"
@@ -82,7 +89,7 @@ compare() {
 
     # Each metric's direction comes from the "name"/"better" pairs of
     # BENCHMARK.json; the runs are the `workload metric value unit` lines.
-    awk -v pairs="$pairs" -v workload="$workload" -v dir="${dir#"$PWD/"}" '
+    awk -v pairs="$pairs" -v workload="$workload" -v dir="${dir#"$PWD/"}" -v counted="$counted" '
         function sort(a, n,    i, j, t) {
             for (i = 2; i <= n; i++)
                 for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
@@ -96,6 +103,16 @@ compare() {
             sort(a, n)
             med[side, m] = rank(a, n, 0.5)
             return sprintf("%.6g [%.6g, %.6g]", med[side, m], rank(a, n, 0.25), rank(a, n, 0.75))
+        }
+        # Why pair i may count different frames: a run short of the counted units.
+        function short(i,    s, side, why) {
+            if (counted == "") return ""
+            for (s = 0; s < 2; s++) {
+                side = s ? "change" : "parent"
+                if ((side, i) in units && units[side, i] < counted + 0)
+                    why = why sprintf("; the %s run finished %d of %d counted units", side, units[side, i], counted)
+            }
+            return why
         }
         FILENAME ~ /BENCHMARK.json$/ {
             if (match($0, /"name": "[^"]*"/)) name = substr($0, RSTART + 9, RLENGTH - 10)
@@ -126,7 +143,7 @@ compare() {
                     if ((better[m] == "lower" && d < 0) || (better[m] == "higher" && d > 0)) won++
                     # As printed: compared as strings, not as numbers.
                     if (m ~ /bytes_per_frame$|relevance_per_frame$/ && (val["change", i, m] "") != (val["parent", i, m] ""))
-                        flag[++flags] = sprintf("pair %d: %s %s -> %s (must repeat exactly)", i, m, val["parent", i, m], val["change", i, m])
+                        flag[++flags] = sprintf("pair %d: %s %s -> %s (must repeat exactly%s)", i, m, val["parent", i, m], val["change", i, m], short(i))
                 }
                 ratio = (med["parent", m] != 0) ? sprintf("%.4f", med["change", m] / med["parent", m]) : "-"
                 printf "%-26s %-36s %-36s %7s %d/%d %s\n", m, p, c, ratio, won, both, better[m]

@@ -50,7 +50,6 @@ fn identical(a: &FrameReport, b: &FrameReport) -> bool {
         && a.lost_uploads == b.lost_uploads
         && a.late_uploads == b.late_uploads
         && a.truncated_uploads == b.truncated_uploads
-        && a.coasted_objects == b.coasted_objects
         && a.staleness == b.staleness
 }
 

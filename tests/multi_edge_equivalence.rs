@@ -61,11 +61,11 @@ fn hash_frame(h: &mut Fnv, r: &FrameReport, sf: &ServerFrame) {
     h.push(r.lost_uploads as u64);
     h.push(r.late_uploads as u64);
     h.push(r.truncated_uploads as u64);
-    h.push(r.coasted_objects as u64);
+    h.push(r.staleness.len() as u64);
     for &s in &r.staleness {
         h.push_f64(s);
     }
-    for (_, sample) in sf.stages.iter() {
+    for sample in sf.stages.iter() {
         h.push(sample.items as u64);
     }
     for (receiver, object, relevance) in sf.matrix.iter() {

@@ -49,12 +49,12 @@ fn hash_frame(h: &mut Fnv, r: &FrameReport, sf: &ServerFrame) {
     h.push(r.lost_uploads as u64);
     h.push(r.late_uploads as u64);
     h.push(r.truncated_uploads as u64);
-    h.push(r.coasted_objects as u64);
+    h.push(r.staleness.len() as u64);
     for &s in &r.staleness {
         h.push_f64(s);
     }
     // Per-stage item counts are deterministic (seconds are wall clock).
-    for (_, sample) in sf.stages.iter() {
+    for sample in sf.stages.iter() {
         h.push(sample.items as u64);
     }
     for (receiver, object, relevance) in sf.matrix.iter() {
@@ -110,7 +110,7 @@ fn faulty() -> FaultModel {
 
 #[test]
 fn pipeline_fingerprints_match_the_pre_refactor_implementation() {
-    let cases: [(&str, Strategy, FaultModel, f64, usize, u64); 5] = [
+    let cases: [(&str, Strategy, FaultModel, f64, usize, u64); 8] = [
         ("ours/ideal", Strategy::Ours, FaultModel::default(), 0.0, 40, 0x07ed590fdcbdf321),
         // Re-pinned when truncation faults moved to the wire level: a
         // truncated upload is now clipped as an encoded v1 frame and
@@ -124,6 +124,12 @@ fn pipeline_fingerprints_match_the_pre_refactor_implementation() {
         // 20 frames of V2V: its per-receiver fusion fan-out is held to
         // one fingerprint at 1 and at 4 threads.
         ("v2v/ideal", Strategy::V2v, FaultModel::default(), 0.0, 20, 0xfb2fed2c4b259a79),
+        // The faulty channel for every other strategy: loss, jitter,
+        // churn and wire-level truncation reach EMP and Unlimited through
+        // the edge path and V2V through its broadcast channel.
+        ("emp/faulty", Strategy::Emp, faulty(), 1.0, 20, 0x3946eadd4e813346),
+        ("unlimited/faulty", Strategy::Unlimited, faulty(), 1.0, 20, 0xb2e094c8db3298cd),
+        ("v2v/faulty", Strategy::V2v, faulty(), 1.0, 20, 0x5776462a380cbae4),
     ];
     // The thread count is process-wide; only this test sets it.
     for threads in [1, 4] {

@@ -49,8 +49,10 @@ use erpd_tracking::{
     apply_rules, predict_ctrv, Detection, FollowerLink, LanePosition, ObjectId, ObjectKind,
     ObjectState, PredictedTrajectory, RuleInput, Tracker, HORIZON,
 };
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 
@@ -319,7 +321,57 @@ impl Stage<(), TrafficMap> for MergeStage {
 #[derive(Debug)]
 struct PointGrid {
     cell: f64,
-    buckets: HashMap<(i64, i64), Vec<usize>>,
+    buckets: HashMap<(i64, i64), Vec<usize>, CellHash>,
+}
+
+/// The grid's cell hash: one folded multiply per key word, seeded per
+/// grid from std's [`RandomState`]. The keys come from uploaded
+/// centroids, so a fixed hash would let a client pick cells that all
+/// collide; a seeded one keeps SipHash's guard at a fraction of its
+/// cost. The grid only makes keyed lookups and [`PointGrid::first_match`]
+/// returns the lowest index whatever the hash, so the hash never shows
+/// in an output.
+#[derive(Debug, Clone, Copy)]
+struct CellHash(u64);
+
+impl CellHash {
+    fn new() -> Self {
+        CellHash(RandomState::new().build_hasher().finish())
+    }
+}
+
+impl BuildHasher for CellHash {
+    type Hasher = CellHasher;
+
+    fn build_hasher(&self) -> CellHasher {
+        CellHasher(self.0)
+    }
+}
+
+/// State of one [`CellHash`] hash.
+struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_i64(&mut self, word: i64) {
+        self.write_u64(word as u64);
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        // The high half of the 128-bit product folded onto the low half,
+        // so the word's high bits reach the low bits the table indexes by.
+        let product = u128::from(self.0 ^ word) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl PointGrid {
@@ -329,7 +381,7 @@ impl PointGrid {
     fn new(radius: f64) -> Self {
         PointGrid {
             cell: radius * (1.0 + 1e-9),
-            buckets: HashMap::new(),
+            buckets: HashMap::with_hasher(CellHash::new()),
         }
     }
 

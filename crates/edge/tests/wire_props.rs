@@ -5,17 +5,18 @@
 //! merely an incomplete prefix a stream would finish later).
 
 use erpd_core::{Assignment, DisseminationPlan, Error, PoseSample, TrackSnapshot, VehicleHandover};
+use erpd_edge::capacity::build_corpus;
 use erpd_edge::wire::{FRAME_HEADER_BYTES, WIRE_VERSION};
 use erpd_edge::{
-    truncate_on_wire, PipelineBuilder, ServerConfig, ServingCore, Upload, UploadedObject,
-    WireMessage,
+    truncate_on_wire, ClusterExtent, PipelineBuilder, ServerConfig, ServingCore, SystemConfig,
+    Upload, UploadedObject, WireMessage,
 };
 use erpd_geometry::{Pose2, Vec2, Vec3};
 use erpd_pointcloud::{max_quantization_error, PointCloud};
 use erpd_rand::proptest::prelude::*;
 use erpd_rand::rngs::StdRng;
 use erpd_rand::{Rng, RngCore, SeedableRng};
-use erpd_sim::IntersectionMap;
+use erpd_sim::{IntersectionMap, ScenarioConfig};
 use erpd_tracking::{ObjectId, ObjectKind};
 
 /// A random but bounded upload: up to 6 objects of up to 40 points inside
@@ -355,6 +356,35 @@ fn oversized_declared_payload_is_refused() {
         WireMessage::decode_frame(&encoded),
         Err(Error::Codec { .. })
     ));
+}
+
+/// Every object cloud of a recorded scenario frame, through the wire: the
+/// decoded cloud equals `from_points` of its own points, and what the edge
+/// reads of it — `bounds()`, which the decoder carries, and the
+/// association's `ClusterExtent` — equals a fresh fold of those points.
+#[test]
+fn decoded_corpus_clouds_report_the_bounds_of_a_fresh_fold() {
+    let corpus = build_corpus(ScenarioConfig::default(), &SystemConfig::default(), 12);
+    let uploads = corpus.frames.last().expect("the scenario uploads");
+    let mut clouds = 0;
+    for upload in uploads {
+        let bytes = WireMessage::Upload {
+            frame: 0,
+            upload: upload.clone(),
+        }
+        .encode();
+        let Ok((WireMessage::Upload { upload, .. }, _)) = WireMessage::decode(&bytes) else {
+            panic!("an encoded upload decodes");
+        };
+        for o in &upload.objects {
+            let fresh = PointCloud::from_points(o.points.iter().collect());
+            assert_eq!(o.points, fresh);
+            assert_eq!(o.points.bounds(), fresh.bounds());
+            assert_eq!(ClusterExtent::of(&o.points), ClusterExtent::of(&fresh));
+            clouds += 1;
+        }
+    }
+    assert!(clouds > 0, "the frame holds no object cloud");
 }
 
 /// One frame of a small moving fleet: 3 vehicles driving east, 1.5 m per

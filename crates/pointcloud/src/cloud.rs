@@ -12,6 +12,17 @@
 //! differential suite against that layout held while it was kept; what
 //! pins the results now is the pipeline fingerprints in
 //! `tests/stage_graph_determinism.rs`).
+//!
+//! A cloud may also carry each lane's exact `(min, max, any NaN)` fold,
+//! computed by its producer while the lanes were still in cache.
+//! [`crate::decompress`] is the only producer that sets it, so the edge's
+//! merge (pass 1) and association's extents read a decoded cloud's bounds
+//! without walking its points again. The invariant: the carried value is
+//! present only as `decompress` left it, and every `&mut` method drops it
+//! (`push`, `clear`, `merge_from`, `Extend`, and the ground filter's
+//! output), so it always equals a fresh fold of the lanes. Equality
+//! compares the lanes only: a decoded cloud equals
+//! [`PointCloud::from_points`] of its points.
 
 use erpd_geometry::{Transform3, Vec3};
 use std::fmt;
@@ -38,11 +49,26 @@ pub const POINT_WIRE_BYTES: usize = 16;
 /// assert_eq!(cloud.len(), 2);
 /// assert_eq!(cloud.wire_size_bytes(), 32);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PointCloud {
     xs: Vec<f64>,
     ys: Vec<f64>,
     zs: Vec<f64>,
+    /// `lane_bounds` of each lane, as the producer folded it; `None`
+    /// unless `with_folded_bounds` built the cloud and no `&mut` method
+    /// has run since.
+    carried: Option<[LaneBounds; 3]>,
+}
+
+/// `(min, max, any_nan)` of one lane, as `lane_bounds` returns it.
+pub(crate) type LaneBounds = (f64, f64, bool);
+
+impl PartialEq for PointCloud {
+    /// The points, lane by lane: whether a cloud carries its bounds is
+    /// not part of its value.
+    fn eq(&self, other: &Self) -> bool {
+        self.xs == other.xs && self.ys == other.ys && self.zs == other.zs
+    }
 }
 
 impl PointCloud {
@@ -53,6 +79,7 @@ impl PointCloud {
             xs: Vec::new(),
             ys: Vec::new(),
             zs: Vec::new(),
+            carried: None,
         }
     }
 
@@ -63,7 +90,29 @@ impl PointCloud {
             xs: Vec::with_capacity(capacity),
             ys: Vec::with_capacity(capacity),
             zs: Vec::with_capacity(capacity),
+            carried: None,
         }
+    }
+
+    /// A cloud over three equal-length lanes that carries their bounds,
+    /// folded here while the lanes are still in cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lanes differ in length.
+    pub(crate) fn with_folded_bounds(xs: Vec<f64>, ys: Vec<f64>, zs: Vec<f64>) -> Self {
+        assert!(
+            xs.len() == ys.len() && ys.len() == zs.len(),
+            "lanes of one cloud differ in length"
+        );
+        let mut cloud = PointCloud {
+            xs,
+            ys,
+            zs,
+            carried: None,
+        };
+        cloud.carried = cloud.lane_bounds();
+        cloud
     }
 
     /// Builds a cloud from a vector of points.
@@ -118,6 +167,7 @@ impl PointCloud {
     /// Adds a point.
     #[inline]
     pub fn push(&mut self, p: Vec3) {
+        self.carried = None;
         self.xs.push(p.x);
         self.ys.push(p.y);
         self.zs.push(p.z);
@@ -126,6 +176,7 @@ impl PointCloud {
     /// Removes all points, keeping the allocations for reuse.
     #[inline]
     pub fn clear(&mut self) {
+        self.carried = None;
         self.xs.clear();
         self.ys.clear();
         self.zs.clear();
@@ -169,13 +220,20 @@ impl PointCloud {
     /// component is NaN only when its whole lane is. Which zero a lane of
     /// `-0.0` and `0.0` yields is unspecified, as for `f64::min`.
     pub fn bounds(&self) -> Option<(Vec3, Vec3)> {
-        let (min_x, max_x, _) = lane_bounds(&self.xs)?;
-        let (min_y, max_y, _) = lane_bounds(&self.ys)?;
-        let (min_z, max_z, _) = lane_bounds(&self.zs)?;
-        Some((
-            Vec3::new(min_x, min_y, min_z),
-            Vec3::new(max_x, max_y, max_z),
-        ))
+        let [x, y, z] = self.lane_bounds()?;
+        Some((Vec3::new(x.0, y.0, z.0), Vec3::new(x.1, y.1, z.1)))
+    }
+
+    /// `lane_bounds` of the `x`, `y` and `z` lanes, or `None` when the
+    /// cloud is empty: the carried value when there is one, else a fold.
+    pub(crate) fn lane_bounds(&self) -> Option<[LaneBounds; 3]> {
+        self.carried.or_else(|| {
+            Some([
+                lane_bounds(&self.xs)?,
+                lane_bounds(&self.ys)?,
+                lane_bounds(&self.zs)?,
+            ])
+        })
     }
 
     /// Returns a copy with every point mapped through the rigid transform —
@@ -197,6 +255,7 @@ impl PointCloud {
     /// .transformed(t))`: the same `Transform3::apply` products and sums
     /// run on the same surviving points in the same order.
     pub(crate) fn filter_above_transform_into(&self, min_z: f64, t: &Transform3, out: &mut PointCloud) {
+        out.carried = None;
         let survivors = self.zs.iter().filter(|&&z| z > min_z).count();
         out.xs.reserve(survivors);
         out.ys.reserve(survivors);
@@ -226,6 +285,7 @@ impl PointCloud {
 
     /// Appends all points from another cloud.
     pub fn merge_from(&mut self, other: &PointCloud) {
+        self.carried = None;
         self.xs.extend_from_slice(&other.xs);
         self.ys.extend_from_slice(&other.ys);
         self.zs.extend_from_slice(&other.zs);
@@ -240,7 +300,7 @@ const BOUNDS_LANES: usize = 8;
 /// empty. `min` and `max` equal the sequential `f64::min` / `f64::max`
 /// fold under `==` (NaN skipped, NaN only for an all-NaN lane); `any_nan`
 /// says whether any entry is NaN.
-pub(crate) fn lane_bounds(lane: &[f64]) -> Option<(f64, f64, bool)> {
+pub(crate) fn lane_bounds(lane: &[f64]) -> Option<LaneBounds> {
     let &first = lane.first()?;
     let chunks = lane.chunks_exact(BOUNDS_LANES);
     let tail = chunks.remainder();
@@ -342,6 +402,7 @@ impl Extend<Vec3> for PointCloud {
     fn extend<T: IntoIterator<Item = Vec3>>(&mut self, iter: T) {
         let iter = iter.into_iter();
         let (lower, _) = iter.size_hint();
+        self.carried = None;
         self.xs.reserve(lower);
         self.ys.reserve(lower);
         self.zs.reserve(lower);
@@ -523,6 +584,43 @@ mod tests {
         assert_eq!(c.iter().len(), 2);
         assert_eq!((&c).into_iter().count(), 2);
         assert_eq!(c.clone().into_iter().count(), 2);
+    }
+
+    #[test]
+    fn decoded_clouds_carry_their_bounds_until_a_mut_method_runs() {
+        let source: PointCloud = (0..50)
+            .map(|i| Vec3::new(f64::from(i) * 0.3, f64::from(i % 7), f64::from(i % 3)))
+            .collect();
+        let decoded = || crate::decompress(&crate::compress(&source)).unwrap();
+        let fold = |c: &PointCloud| PointCloud::from_points(c.iter().collect()).lane_bounds();
+        assert!(decoded().carried.is_some());
+        assert_eq!(decoded().carried, fold(&decoded()));
+        assert_eq!(
+            decoded(),
+            PointCloud::from_points(decoded().iter().collect())
+        );
+
+        // Each `&mut` method, with a point outside the decoded bounds where
+        // it takes one.
+        let outside = Vec3::new(100.0, -100.0, 50.0);
+        let t = Transform3::lidar_to_world(Vec2::new(100.0, 0.0), 0.3, 2.0);
+        let mutations: [fn(&mut PointCloud, Vec3, &Transform3); 5] = [
+            |c, p, _| c.push(p),
+            |c, _, _| c.clear(),
+            |c, p, _| c.merge_from(&PointCloud::from_points(vec![p])),
+            |c, p, _| c.extend([p]),
+            |c, p, t| PointCloud::from_points(vec![p]).filter_above_transform_into(0.0, t, c),
+        ];
+        for mutate in mutations {
+            let mut c = decoded();
+            mutate(&mut c, outside, &t);
+            assert_eq!(c.carried, None);
+            assert_eq!(c.lane_bounds(), fold(&c));
+            assert_eq!(
+                c.bounds(),
+                PointCloud::from_points(c.iter().collect()).bounds()
+            );
+        }
     }
 
     #[test]

@@ -130,20 +130,21 @@ pub fn decompress(bytes: &[u8]) -> Result<PointCloud, DecodeError> {
             payload_bytes: payload.len(),
         });
     }
+    // One pass over the payload into exactly sized lanes. The division
+    // stays a division: `/ 65535.0` is not a multiply by its reciprocal,
+    // and a multiply would move points.
     let extent = max - min;
-    let dequant = |raw: u16, lo: f64, ext: f64| lo + raw as f64 / 65535.0 * ext;
-    let mut cloud = PointCloud::with_capacity(n as usize);
-    for chunk in payload.chunks_exact(COMPRESSED_POINT_BYTES) {
-        let qx = u16::from_le_bytes(chunk[0..2].try_into().expect("sized slice"));
-        let qy = u16::from_le_bytes(chunk[2..4].try_into().expect("sized slice"));
-        let qz = u16::from_le_bytes(chunk[4..6].try_into().expect("sized slice"));
-        cloud.push(Vec3::new(
-            dequant(qx, min.x, extent.x),
-            dequant(qy, min.y, extent.y),
-            dequant(qz, min.z, extent.z),
-        ));
+    let dequant =
+        |raw: [u8; 2], lo: f64, ext: f64| lo + f64::from(u16::from_le_bytes(raw)) / 65535.0 * ext;
+    let n = payload.len() / COMPRESSED_POINT_BYTES;
+    let (mut xs, mut ys, mut zs) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    let lanes = xs.iter_mut().zip(&mut ys).zip(&mut zs);
+    for (((x, y), z), c) in lanes.zip(payload.chunks_exact(COMPRESSED_POINT_BYTES)) {
+        *x = dequant([c[0], c[1]], min.x, extent.x);
+        *y = dequant([c[2], c[3]], min.y, extent.y);
+        *z = dequant([c[4], c[5]], min.z, extent.z);
     }
-    Ok(cloud)
+    Ok(PointCloud::with_folded_bounds(xs, ys, zs))
 }
 
 /// Worst-case per-axis reconstruction error for a cloud, in metres.
@@ -160,6 +161,9 @@ pub fn max_quantization_error(cloud: &PointCloud) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PointCloudMerger;
+    use erpd_rand::rngs::StdRng;
+    use erpd_rand::{Rng, RngCore, SeedableRng};
 
     fn sample_cloud() -> PointCloud {
         (0..100)
@@ -253,5 +257,101 @@ mod tests {
             }
         )
         .contains('5'));
+    }
+
+    /// `cloud`'s bounds, lane by lane and as `bounds()`, equal those of a
+    /// cloud built afresh from its points, NaN matching NaN.
+    fn assert_bounds_are_a_fresh_fold(cloud: &PointCloud) {
+        let fresh = PointCloud::from_points(cloud.iter().collect());
+        let same = |a: f64, b: f64| a == b || (a.is_nan() && b.is_nan());
+        let (got, want) = (cloud.lane_bounds(), fresh.lane_bounds());
+        assert_eq!(got.is_some(), want.is_some());
+        for (g, w) in got.into_iter().flatten().zip(want.into_iter().flatten()) {
+            assert!(
+                same(g.0, w.0) && same(g.1, w.1) && g.2 == w.2,
+                "{got:?} != {want:?}"
+            );
+        }
+        let flat = |b: Option<(Vec3, Vec3)>| b.map(|(lo, hi)| [lo.x, lo.y, lo.z, hi.x, hi.y, hi.z]);
+        let (got, want) = (flat(cloud.bounds()), flat(fresh.bounds()));
+        assert_eq!(got.is_some(), want.is_some());
+        for (g, w) in got.into_iter().flatten().zip(want.into_iter().flatten()) {
+            assert!(same(g, w), "{got:?} != {want:?}");
+        }
+    }
+
+    /// A cloud's wire bytes with the given header bounds and raw codes.
+    fn encoded(min: [f64; 3], max: [f64; 3], raws: &[[u16; 3]]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&(raws.len() as u64).to_le_bytes());
+        for v in min.into_iter().chain(max) {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        for raw in raws.iter().flatten() {
+            out.extend_from_slice(&raw.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn decoded_bounds_are_a_fresh_fold_of_the_decoded_points() {
+        let mut rng = StdRng::seed_from_u64(43);
+        for len in 0..=48 {
+            for trial in 0..16 {
+                // Half the trials flatten one lane to a single value.
+                let flat_lane = (trial % 2 == 1).then(|| rng.gen_range(0..3usize));
+                let span = [1e-3, 1.0, 1e3, 1e9][trial % 4];
+                let cloud: PointCloud = (0..len)
+                    .map(|_| {
+                        let mut c = [(); 3].map(|_| (rng.next_unit_f64() - 0.5) * span);
+                        if let Some(a) = flat_lane {
+                            c[a] = -0.5 * span;
+                        }
+                        Vec3::new(c[0], c[1], c[2])
+                    })
+                    .collect();
+                let decoded = decompress(&compress(&cloud)).unwrap();
+                assert_eq!(decoded.len(), len);
+                assert_bounds_are_a_fresh_fold(&decoded);
+            }
+        }
+    }
+
+    #[test]
+    fn adversarial_headers_decode_to_exact_bounds() {
+        let codes = [0u16, 1, 2, 32_767, 32_768, 65_534, 65_535];
+        let n = codes.len();
+        let raws: Vec<[u16; 3]> = (0..n)
+            .map(|i| [codes[i], codes[(i + 3) % n], codes[(i + 5) % n]])
+            .collect();
+        let max = f64::MAX;
+        let headers = [
+            // ext = 0 on every axis.
+            ([1.5, -2.0, 0.0], [1.5, -2.0, 0.0]),
+            // lo = -0.0: with ext = 0 every point decodes to +0.0.
+            ([-0.0, -0.0, -0.0], [-0.0, 0.0, 1.0]),
+            // Subnormal extents.
+            ([0.0, -1e-310, 1.0], [5e-324, 0.0, 1.0]),
+            // Near ±f64::MAX: max - min overflows to +∞, so code 0
+            // decodes as NaN (0 · ∞) and any other code as ±∞.
+            ([-max, -max, -1.0], [max, max, 1.0]),
+            ([-max, 0.0, -max], [max, 0.0, 0.0]),
+        ];
+        for (min, max) in headers {
+            let decoded = decompress(&encoded(min, max, &raws)).unwrap();
+            assert_eq!(decoded.len(), raws.len());
+            assert_bounds_are_a_fresh_fold(&decoded);
+        }
+
+        // The overflowing header: every point has a non-finite coordinate,
+        // and the merge rejects each of them.
+        let decoded = decompress(&encoded([-max, -max, -1.0], [max, max, 1.0], &raws)).unwrap();
+        assert!(decoded.xs()[0].is_nan() && decoded.xs()[1] == f64::INFINITY);
+        let non_finite = decoded.iter().filter(|p| !p.is_finite()).count();
+        assert_eq!(non_finite, decoded.len());
+        let finite = PointCloud::from_points(vec![Vec3::new(0.1, 0.1, 0.1)]);
+        let mut merger = PointCloudMerger::new(0.5);
+        assert_eq!(merger.count([&finite, &decoded]), 1);
+        assert_eq!(merger.rejected_points(), non_finite);
     }
 }

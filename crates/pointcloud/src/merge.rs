@@ -10,10 +10,12 @@
 //! [`PointCloudMerger::count`] takes a whole frame's clouds and makes two
 //! passes over them:
 //!
-//! 1. Per cloud and per lane, the `(min, max, any NaN)` fold. Dividing by
-//!    a positive voxel size and flooring never decrease, so the floored
-//!    keys of each lane's extremes bound every key of the cloud: the
-//!    frame's key box comes out exact without keying a point.
+//! 1. Per cloud and per lane, the `(min, max, any NaN)` fold: read from
+//!    the cloud when it carries one (a decoded cloud does, and the value
+//!    equals a fresh fold; see `cloud.rs`), folded otherwise.
+//!    Dividing by a positive voxel size and flooring never decrease, so
+//!    the floored keys of each lane's extremes bound every key of the
+//!    cloud: the frame's key box comes out exact without keying a point.
 //! 2. If every point is finite, the box lies within 2^51 voxels of the
 //!    origin and it holds at most [`BITMAP_VOXELS_PER_KEY`] voxels per
 //!    point, each point is keyed with an exact branch-free floor, lane by
@@ -29,7 +31,6 @@
 //! saturates to 0, so a NaN point would otherwise alias into voxel
 //! `(0, 0, 0)`. Rejected points are counted, never merged.
 
-use crate::cloud::lane_bounds;
 use crate::PointCloud;
 
 /// Largest bounding-box volume per point that is counted with the bitmap
@@ -121,10 +122,11 @@ struct ExactPlan {
     largest: usize,
 }
 
-/// Pass 1 over a frame: its exact-floor plan, or `None` when the keyed
-/// path must count it — some coordinate is NaN, ±∞ or at least 2^51
-/// voxels out, where [`floor_exact`] does not apply, or the box is too
-/// sparse for the bitmap, or there is no point.
+/// Pass 1 over a frame, from each cloud's carried or folded lane bounds:
+/// its exact-floor plan, or `None` when the keyed path must count it —
+/// some coordinate is NaN, ±∞ or at least 2^51 voxels out, where
+/// [`floor_exact`] does not apply, or the box is too sparse for the
+/// bitmap, or there is no point.
 fn exact_plan<'a>(
     clouds: impl Iterator<Item = &'a PointCloud>,
     voxel_size: f64,
@@ -132,8 +134,7 @@ fn exact_plan<'a>(
     let (mut keys, mut points, mut largest) = (KeyBox::EMPTY, 0, 0);
     for cloud in clouds.filter(|c| !c.is_empty()) {
         let (mut lo, mut hi) = ([0; 3], [0; 3]);
-        for (a, lane) in [cloud.xs(), cloud.ys(), cloud.zs()].into_iter().enumerate() {
-            let (min, max, any_nan) = lane_bounds(lane)?;
+        for (a, (min, max, any_nan)) in cloud.lane_bounds()?.into_iter().enumerate() {
             let (q_min, q_max) = (min / voxel_size, max / voxel_size);
             if any_nan || !(q_min.abs() < EXACT_FLOOR_LIMIT && q_max.abs() < EXACT_FLOOR_LIMIT) {
                 return None;

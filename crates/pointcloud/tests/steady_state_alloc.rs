@@ -12,10 +12,15 @@
 //! * the merge path is *zero-alloc* once warmed: a `PointCloudMerger`
 //!   `count` of a frame — what the edge's `MergeStage` runs every frame —
 //!   touches only capacity that already exists, the bitmap and the
-//!   bit-index scratch included.
+//!   bit-index scratch included — also over decoded clouds, whose bounds
+//!   the merge reads from the cloud instead of folding them — and
+//! * `decompress` of a non-empty cloud allocates its three lanes once
+//!   each, exactly sized: no per-point growth.
 
 use erpd_geometry::Vec3;
-use erpd_pointcloud::{ExtractionConfig, MovingObjectExtractor, PointCloud, PointCloudMerger};
+use erpd_pointcloud::{
+    compress, decompress, ExtractionConfig, MovingObjectExtractor, PointCloud, PointCloudMerger,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -119,4 +124,24 @@ fn warm_extraction_and_merge_paths_do_not_allocate_per_frame() {
         "a warmed PointCloudMerger count must not allocate"
     );
     assert!(n_out[0] > n_out[1] && n_out[1] > 0);
+
+    // --- Decode: three exact lane allocations, then a zero-alloc merge.
+    let (world_bytes, inner_bytes) = (compress(&world), compress(&inner));
+    let before = allocs();
+    let decoded_world = decompress(&world_bytes).expect("valid bytes");
+    assert_eq!(
+        allocs() - before,
+        3,
+        "decompress must allocate its three lanes once each"
+    );
+    let decoded_inner = decompress(&inner_bytes).expect("valid bytes");
+    let _ = merger.count([&decoded_world, &decoded_inner]);
+    let before = allocs();
+    let n_decoded = merger.count([&decoded_world, &decoded_inner]);
+    assert_eq!(
+        allocs() - before,
+        0,
+        "a warmed PointCloudMerger count of decoded clouds must not allocate"
+    );
+    assert!(n_decoded > 0);
 }

@@ -29,6 +29,10 @@
 #     parent run (past the last unit lies the scenario with no strip
 #     crossing, which fails the run),
 #   * a run that did not end `"correct": true` with `"failed": 0`.
+# Before the first pair it prints the box's parallel headroom: `nproc`,
+# ERPD_THREADS, and the speed-up of two concurrent single-thread CPU loops
+# over one (about 2 with two free cores, about 1 where the cores are
+# shared), with whether a thread fan-out could have paid on that box.
 # The raw outputs stay in target/ab/runs/<workload>/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -161,6 +165,27 @@ compare() {
         }
     ' BENCHMARK.json "${runs[@]}"
 }
+
+# Two single-thread loops at once against one alone: 2 × (one's time) /
+# (both's time) is the work per second two threads get over one.
+spin() { awk 'BEGIN { for (i = 0; i < 2e7; i++) s += i; exit s < 0 }'; }
+t0=$(date +%s%N)
+spin
+t1=$(date +%s%N)
+spin &
+spin &
+wait
+t2=$(date +%s%N)
+awk -v one=$((t1 - t0)) -v both=$((t2 - t1)) -v nproc="$(nproc)" \
+    -v threads="${ERPD_THREADS:-unset}" 'BEGIN {
+    speedup = 2 * one / both
+    verdict = speedup >= 1.5 ? "yes" : "no: two threads run about as fast as one"
+    printf "%-24s %s\n", "parallel headroom", "value"
+    printf "%-24s %s\n", "nproc", nproc
+    printf "%-24s %s\n", "ERPD_THREADS", threads
+    printf "%-24s %.2fx\n", "2-loop speed-up", speedup
+    printf "%-24s %s\n", "fan-out could pay", verdict
+}'
 
 if [ "$workload" = all ]; then
     # The "name"s of BENCHMARK.json's "workloads" array, in order.

@@ -29,7 +29,9 @@
 //! The `erpd-par` fork-join fan-out lives *inside* the stage
 //! that uses it (trajectory fan-out in [`PredictStage`]); the map merge
 //! in [`MergeStage`] is one sequential call to a warm merger, two passes
-//! over the frame's points.
+//! over the frame's points, which [`crate::EdgeServer::process`] runs
+//! beside association on a frame large enough to pay for a worker
+//! ([`erpd_par::join`]).
 //!
 //! Parameters the paper gives once and nothing varies are constants beside
 //! the stage that reads them ([`POSE_HISTORY_LEN`] and the private radii
@@ -44,7 +46,7 @@ use erpd_core::{
 };
 use erpd_geometry::{Pose2, Vec2, Vec3};
 use erpd_pointcloud::{PointCloud, PointCloudMerger, POINT_WIRE_BYTES};
-use erpd_sim::{IntersectionMap, LaneLocation, Turn};
+use erpd_sim::{Approach, IntersectionMap, LaneLocation, Route, RouteSpec, Turn};
 use erpd_tracking::{
     apply_rules, predict_ctrv, Detection, FollowerLink, LanePosition, ObjectId, ObjectKind,
     ObjectState, PredictedTrajectory, RuleInput, Tracker, HORIZON,
@@ -850,13 +852,50 @@ impl Stage<AssociatedDetections, Tracks> for TrackStage {
 #[derive(Debug)]
 pub struct PredictStage {
     map: Arc<IntersectionMap>,
+    /// Every valid map route, built once: `routes[approach][lane]` holds
+    /// the lane's routes in [`lane_turns`] order, approaches in
+    /// [`Approach::ALL`] order.
+    routes: Vec<Vec<Vec<Route>>>,
+}
+
+/// The turns a lane may take: straight always, left from the inner lane,
+/// right from the outer one.
+fn lane_turns(lane: usize, lanes: usize) -> Vec<Turn> {
+    let mut turns = vec![Turn::Straight];
+    if lane == 0 {
+        turns.push(Turn::Left);
+    }
+    if lane == lanes - 1 {
+        turns.push(Turn::Right);
+    }
+    turns
 }
 
 impl PredictStage {
     /// A prediction stage bound to the HD map (nothing in the
     /// configuration concerns it).
     pub fn new(_config: &ServerConfig, map: Arc<IntersectionMap>) -> Self {
-        PredictStage { map }
+        let lanes = map.lanes_per_dir();
+        let routes = Approach::ALL
+            .iter()
+            .map(|&approach| {
+                (0..lanes)
+                    .map(|lane| {
+                        lane_turns(lane, lanes)
+                            .into_iter()
+                            .map(|turn| {
+                                map.route(RouteSpec {
+                                    approach,
+                                    lane,
+                                    turn,
+                                })
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        PredictStage { map, routes }
     }
 
     /// Map-based route hypotheses for a vehicle on an approach lane.
@@ -867,27 +906,11 @@ impl PredictStage {
         speed: f64,
         lane: &LanePosition,
     ) -> Vec<PredictedTrajectory> {
-        let approach = match lane.lane_id / 8 {
-            0 => erpd_sim::Approach::East,
-            1 => erpd_sim::Approach::North,
-            2 => erpd_sim::Approach::West,
-            _ => erpd_sim::Approach::South,
-        };
+        // Lane ids are `approach index * 8 + lane`; past South is South.
+        let approach = (lane.lane_id / 8).min(3) as usize;
         let lane_idx = (lane.lane_id % 8) as usize;
-        let mut turns = vec![Turn::Straight];
-        if lane_idx == 0 {
-            turns.push(Turn::Left);
-        }
-        if lane_idx == self.map.lanes_per_dir() - 1 {
-            turns.push(Turn::Right);
-        }
         let mut out = Vec::new();
-        for turn in turns {
-            let route = self.map.route(erpd_sim::RouteSpec {
-                approach,
-                lane: lane_idx,
-                turn,
-            });
+        for route in &self.routes[approach][lane_idx] {
             let (s0, lat) = route.path.project(pos);
             if lat > 3.0 {
                 continue;
@@ -917,41 +940,27 @@ impl PredictStage {
         speed: f64,
     ) -> Vec<PredictedTrajectory> {
         let mut out = Vec::new();
-        for approach in erpd_sim::Approach::ALL {
-            for lane in 0..self.map.lanes_per_dir() {
-                let mut turns = vec![Turn::Straight];
-                if lane == 0 {
-                    turns.push(Turn::Left);
-                }
-                if lane == self.map.lanes_per_dir() - 1 {
-                    turns.push(Turn::Right);
-                }
-                for turn in turns {
-                    let route = self.map.route(erpd_sim::RouteSpec { approach, lane, turn });
-                    let (s0, lat) = route.path.project(pos);
-                    if lat > 2.0 || s0 < route.stop_line_s - 25.0 || s0 > route.exit_s + 5.0 {
-                        continue;
-                    }
-                    let path_heading = route.path.heading_at(s0);
-                    // Tighter than the lane-lookup gate: a vehicle a third
-                    // of the way into its turn must no longer match the
-                    // straight route.
-                    if erpd_geometry::angle::angle_dist(heading, path_heading)
-                        > std::f64::consts::FRAC_PI_6
-                    {
-                        continue;
-                    }
-                    let reach = s0 + speed * HORIZON + 5.0;
-                    if let Some(path) = route.path.slice(s0, reach) {
-                        out.push(PredictedTrajectory::from_path(
-                            id,
-                            ObjectKind::Vehicle,
-                            path,
-                            speed,
-                            4.5,
-                        ));
-                    }
-                }
+        for route in self.routes.iter().flatten().flatten() {
+            let (s0, lat) = route.path.project(pos);
+            if lat > 2.0 || s0 < route.stop_line_s - 25.0 || s0 > route.exit_s + 5.0 {
+                continue;
+            }
+            let path_heading = route.path.heading_at(s0);
+            // Tighter than the lane-lookup gate: a vehicle a third of the
+            // way into its turn must no longer match the straight route.
+            if erpd_geometry::angle::angle_dist(heading, path_heading) > std::f64::consts::FRAC_PI_6
+            {
+                continue;
+            }
+            let reach = s0 + speed * HORIZON + 5.0;
+            if let Some(path) = route.path.slice(s0, reach) {
+                out.push(PredictedTrajectory::from_path(
+                    id,
+                    ObjectKind::Vehicle,
+                    path,
+                    speed,
+                    4.5,
+                ));
             }
         }
         out

@@ -14,6 +14,7 @@
 
 use crate::pipeline::{
     AssociateStage, FrameCx, MergeStage, PredictStage, RelevanceStage, Stage, TrackStage,
+    TrafficMap,
 };
 use crate::stages::{StageSample, StageTimes};
 use crate::Upload;
@@ -167,6 +168,13 @@ impl EdgeServer {
     /// Processes one frame of uploads by running the stage graph:
     /// `merge → associate → track → predict → relevance`.
     ///
+    /// Association reads the uploads, not the traffic map, so nothing
+    /// waits for the merge: a frame of at least
+    /// [`erpd_par::FAN_OUT_POINTS`] uploaded points runs it on a worker
+    /// beside `associate → … → relevance` ([`erpd_par::join`]); a smaller
+    /// one runs both on the calling thread. Either way the outputs are the
+    /// same.
+    ///
     /// The returned frame's only timing record is `stages`, filled from
     /// the stages' own [`StageSample`]s; `map_points` comes from the merge
     /// stage's traffic map.
@@ -183,23 +191,35 @@ impl EdgeServer {
     /// non-finite value.
     pub fn process(&mut self, now: f64, uploads: &[Upload]) -> Result<ServerFrame, Error> {
         let cx = FrameCx { now, uploads };
-        let merged = self.merge.run(&cx, ())?;
-        let assoc = self.associate.run(&cx, merged.artifact)?;
-        let tracked = self.track.run(&cx, assoc.artifact)?;
-        let predicted = self.predict.run(&cx, tracked.artifact)?;
-        let relevant = self.relevance.run(&cx, predicted.artifact)?;
+        let points = uploads
+            .iter()
+            .flat_map(|u| &u.objects)
+            .map(|o| o.points.len())
+            .sum();
+        let (chain, merged) = erpd_par::join(
+            points,
+            || {
+                // The map input goes unread (see `AssociateStage`).
+                let assoc = self.associate.run(&cx, TrafficMap::default())?;
+                let tracked = self.track.run(&cx, assoc.artifact)?;
+                let predicted = self.predict.run(&cx, tracked.artifact)?;
+                let relevant = self.relevance.run(&cx, predicted.artifact)?;
+                Ok((assoc.sample, tracked.sample, predicted.sample, relevant))
+            },
+            || self.merge.run(&cx, ()),
+        );
+        let merged = merged?;
+        let (assoc, tracked, predicted, relevant) = chain?;
 
         let mut frame = relevant.artifact;
         frame.map_points = merged.artifact.map_points;
         // The canonical "merge" sample covers map merge + association,
-        // preserving the pre-refactor stage schema.
+        // preserving the pre-refactor stage schema. On a frame that ran the
+        // merge beside association it is compute time, not wall time.
         frame.stages = StageTimes {
-            merge: StageSample::new(
-                merged.sample.seconds + assoc.sample.seconds,
-                assoc.sample.items,
-            ),
-            tracking: tracked.sample,
-            prediction: predicted.sample,
+            merge: StageSample::new(merged.sample.seconds + assoc.seconds, assoc.items),
+            tracking: tracked,
+            prediction: predicted,
             relevance: relevant.sample,
             ..Default::default()
         };

@@ -137,19 +137,24 @@ impl Transport for WireTransport {
         Ok(())
     }
 
+    /// Decodes the queued frames in queue order; the first error in that
+    /// order is returned, and the queue is drained either way. A queue of
+    /// at least [`erpd_par::FAN_OUT_POINTS`] points' worth of bytes is
+    /// decoded across workers (`erpd_par::par_map`), a smaller one on the
+    /// calling thread, frame by frame.
     fn recv_uploads(&mut self) -> Result<Vec<Upload>, Error> {
-        let mut out = Vec::with_capacity(self.uploads.len());
-        for bytes in self.uploads.drain(..) {
-            match WireMessage::decode(&bytes)?.0 {
-                WireMessage::Upload { upload, .. } => out.push(upload),
-                _ => {
-                    return Err(Error::Codec {
-                        reason: "upload queue held a non-upload frame",
-                    })
-                }
-            }
+        let queued: usize = self.uploads.iter().map(Vec::len).sum();
+        if queued / POINT_CODE_BYTES < erpd_par::FAN_OUT_POINTS {
+            return self
+                .uploads
+                .drain(..)
+                .map(|bytes| decode_upload(&bytes))
+                .collect();
         }
-        Ok(out)
+        let frames: Vec<Vec<u8>> = self.uploads.drain(..).collect();
+        erpd_par::par_map(frames, |bytes| decode_upload(&bytes))
+            .into_iter()
+            .collect()
     }
 
     fn send_plan(&mut self, frame: u64, plan: DisseminationPlan) -> Result<(), Error> {
@@ -177,6 +182,20 @@ impl Transport for WireTransport {
             }
         }
         Ok(out)
+    }
+}
+
+/// Bytes one point takes on the wire: the point-cloud codec's three `u16`
+/// codes. Queued bytes over this estimate the points a queue holds.
+const POINT_CODE_BYTES: usize = 6;
+
+/// Decodes one queued frame of the upload direction.
+fn decode_upload(bytes: &[u8]) -> Result<Upload, Error> {
+    match WireMessage::decode(bytes)?.0 {
+        WireMessage::Upload { upload, .. } => Ok(upload),
+        _ => Err(Error::Codec {
+            reason: "upload queue held a non-upload frame",
+        }),
     }
 }
 

@@ -45,6 +45,15 @@ if git grep -nE '(to|from)_le_bytes' -- crates/core/src; then
     exit 1
 fi
 
+# Every frame-path fan-out goes through erpd-par, so ERPD_THREADS (and
+# `set_max_threads`) stays the ceiling on the threads a frame uses.
+# benchmark/ is the load generator, whose client threads are not a frame's.
+echo "==> fan-out has one owner: no thread::scope outside crates/par/src"
+if git grep -n 'thread::scope' -- '*.rs' ':!crates/par/src' ':!benchmark'; then
+    echo "fan-out: the lines above open a thread scope outside crates/par/src (use erpd_par)" >&2
+    exit 1
+fi
+
 # benchmark/ compiles against this workspace's public API: a removed or
 # renamed item it imports fails here, before the long test steps.
 echo "==> benchmark compile surface: cargo build --release --offline --manifest-path benchmark/Cargo.toml"

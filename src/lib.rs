@@ -64,7 +64,9 @@
 //! server's trajectory prediction, the per-receiver relevance assembly,
 //! and the V2V per-receiver fusion all fan out on [`par`]'s fork-join
 //! threads, each worker carrying at least two items
-//! (a batch of up to three runs on the calling thread); `ERPD_THREADS=1`
+//! (a batch of up to three runs on the calling thread). An edge frame of
+//! at least [`par::FAN_OUT_POINTS`] points also decodes its uploads across
+//! workers and merges the traffic map beside association; `ERPD_THREADS=1`
 //! or [`par::set_max_threads`]`(1)` runs everything sequentially at run
 //! time, with bit-for-bit identical outputs (DESIGN.md §"Threading
 //! model").
